@@ -19,11 +19,16 @@
 // below. The other two modes form a distributed control plane
 // (internal/cluster) with the same client-facing wire protocol:
 //
-//   - coordinator: no simulation happens here. The process serves
-//     /v1/batch and /v1/sweep by sharding cells across registered workers
-//     with a consistent-hash ring keyed by the memo store's own
-//     coordinates (device identity + workload cache key), reassembling
-//     rows in job order. Workers register and poll over /cluster/v1/*;
+//   - coordinator: no simulation happens here. The process runs the same
+//     service as a standalone daemon — the full endpoint table below,
+//     queued admission, rate limits, async jobs, drain — over a cluster
+//     executor instead of a local runner: every admitted request's cells
+//     are sharded across registered workers with a consistent-hash ring
+//     keyed by the memo store's own coordinates (device identity +
+//     workload cache key) and its rows reassembled in job order. The
+//     admission, timeout and drain flags apply as in standalone mode;
+//     -parallelism, -cache-dir and -cache-mem do not (nothing executes or
+//     is cached here). Workers register and poll over /cluster/v1/*;
 //     a worker silent past its -lease is marked lost and its unfinished
 //     cells are requeued onto the survivors. Each cell carries a failure
 //     budget (-max-cell-attempts, default 3): a cell that keeps taking its
@@ -53,8 +58,9 @@
 // same directory. -cache-mem bounds the in-memory tier (entries, not
 // bytes).
 //
-// Endpoints (standalone and worker; coordinator serves the subset noted
-// above plus /cluster/v1/*):
+// Endpoints (all three modes; a coordinator adds /cluster/v1/* for its
+// workers, reports "workers":N on /healthz, and shows scheduling series on
+// /metrics where the other modes show their runner's cache and pool):
 //
 //	GET    /healthz        liveness probe (503 {"status":"draining"} during shutdown)
 //	GET    /metrics        Prometheus metrics (cache tiers, admission, jobs, latency)
@@ -80,7 +86,8 @@
 // balancers stop routing, no new work is admitted, and queued plus running
 // work — async jobs included — finishes inside the -drain budget. Work
 // still unfinished at the budget is cancelled and logged. A second signal
-// forces immediate exit.
+// forces immediate exit. A coordinator drains the same way, its workers
+// still attached, and only then stops scheduling.
 package main
 
 import (
@@ -275,6 +282,13 @@ func runCoordinator(f flags) {
 		DefaultTimeout:    f.timeout,
 		MaxTimeout:        f.maxTimeout,
 		Logf:              log.Printf,
+		Admission: cluster.Admission{
+			MaxInFlight: f.maxInFlight,
+			MaxQueue:    f.maxQueue,
+			JobTTL:      f.jobTTL,
+			ClientRate:  f.clientRate,
+			ClientBurst: f.clientBurst,
+		},
 	})
 	srv := newServer(f.addr, cluster.NewCoordinatorHandler(coord, log.Printf))
 
@@ -284,9 +298,12 @@ func runCoordinator(f flags) {
 
 	select {
 	case s := <-sig:
-		log.Printf("simd: %s received, closing coordinator", s)
-		// Close first: pending dispatches and long polls unblock, so the
-		// connections Shutdown waits on finish promptly.
+		log.Printf("simd: %s received, draining coordinator (budget %s; signal again to force exit)", s, f.drainBudget)
+		// Drain the client-facing service while workers can still poll and
+		// return rows, so admitted requests and async jobs complete. Then
+		// Close: long polls unblock, so the connections Shutdown waits on
+		// finish promptly.
+		drainService(coord.Service(), sig, f.drainBudget)
 		coord.Close()
 		shutdown(srv)
 	case err := <-errCh:

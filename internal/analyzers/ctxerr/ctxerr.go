@@ -11,7 +11,7 @@
 // the runner started wrapping per-job errors. errors.Is is the contract;
 // identity comparison is the bug waiting for the next wrap.
 //
-// The rare spot where identity *is* the semantics — joinBatchErrors
+// The rare spot where identity *is* the semantics — run.JoinErrors
 // collapses only bare sentinels precisely to keep wrapped, individually
 // meaningful errors un-collapsed — documents itself with
 // //simlint:allow ctxerr and a reason.

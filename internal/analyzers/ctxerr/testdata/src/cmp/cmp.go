@@ -71,7 +71,7 @@ func Local(err error) bool {
 }
 
 // A justified identity comparison suppresses with a reason (the
-// runner.joinBatchErrors pattern: bare sentinels are the semantics).
+// run.JoinErrors pattern: bare sentinels are the semantics).
 func BareOnly(err error) bool {
 	//simlint:allow ctxerr -- only the bare sentinel means "skipped without executing"
 	return err == context.Canceled

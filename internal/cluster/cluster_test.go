@@ -41,6 +41,19 @@ func oracleSpecs() []run.WorkloadSpec {
 	return specs
 }
 
+// sweepJobs is the job list of one sweep request, as planSweep derives it.
+type sweepJobs struct{ jobs []run.Job }
+
+// planSweep expands a sweep request through the planner both cluster sides
+// share; the drills count accepted rows against its job list.
+func planSweep(device string, axes []string, specs []run.WorkloadSpec, maxJobs int) (sweepJobs, error) {
+	p, err := service.PlanSweep(service.SweepRequest{Device: device, Axes: axes, Workloads: specs}, maxJobs)
+	if err != nil {
+		return sweepJobs{}, err
+	}
+	return sweepJobs{p.Jobs}, nil
+}
+
 // testWorker is one in-process worker agent with its own Service (own
 // runner, own memo store — exactly one simd -mode worker process).
 type testWorker struct {

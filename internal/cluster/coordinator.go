@@ -3,15 +3,18 @@
 // worker agents, and a Worker that executes its share through an ordinary
 // service.Service. It is how one `simd` process becomes a fleet.
 //
-// The division of labor is strict. The coordinator never simulates: it
-// validates requests exactly like the standalone service, splits them into
-// cells, routes every cell to a worker with a consistent-hash ring keyed by
-// (device IdentityString, workload CacheKey) — the persistent memo store's
-// own coordinates, so identical cells always land on the same worker and
-// are deduplicated cluster-wide by that worker's singleflight and warm
-// memo tiers — and reassembles returned rows in job order. Workers own all
-// execution state (admission, machine pool, memo store, drain), reusing
-// internal/service unchanged.
+// The division of labor is strict. The coordinator never simulates and
+// carries no request plumbing of its own: it is a service.Executor. Clients
+// talk to an ordinary service.Service built over it — the standalone
+// daemon's validation, timeouts, admission, async jobs, drain and encoding,
+// unchanged — and every admitted plan arrives at Execute, which routes each
+// cell to a worker with a consistent-hash ring keyed by (device
+// IdentityString, workload CacheKey) — the persistent memo store's own
+// coordinates, so identical cells always land on the same worker and are
+// deduplicated cluster-wide by that worker's singleflight and warm memo
+// tiers — and hands the returned rows back in job order. Workers own all
+// execution state (machine pool, memo store, their own admission and
+// drain), reusing internal/service unchanged.
 //
 // Liveness is lease-based: workers heartbeat on the interval the
 // coordinator advertises at registration, and a worker silent past its
@@ -39,10 +42,8 @@ import (
 	"riscvmem/internal/faultinject"
 	"riscvmem/internal/machine"
 	"riscvmem/internal/memostore"
-	"riscvmem/internal/metrics"
 	"riscvmem/internal/run"
 	"riscvmem/internal/service"
-	"riscvmem/internal/sweep"
 )
 
 // API is the coordinator surface a worker speaks — the protocol's five
@@ -65,9 +66,13 @@ type Options struct {
 	// Lease is the liveness deadline: a worker whose last heartbeat is
 	// older is marked lost and its cells requeued. 0 → 3×HeartbeatInterval.
 	Lease time.Duration
-	// MaxJobs bounds one request's cell count (device × workload or
-	// cell × workload). 0 → 4096.
-	MaxJobs int
+	// MaxJobs, DefaultTimeout, MaxTimeout and Logf configure the embedded
+	// client-facing service exactly as the service.Options fields of the
+	// same names do; the request timeout bounds how long a dispatch waits
+	// for its rows.
+	MaxJobs        int
+	DefaultTimeout time.Duration
+	MaxTimeout     time.Duration
 	// AssignmentCells caps the cells handed out per poll, so one slow
 	// worker cannot hoard a whole sweep. 0 → 256.
 	AssignmentCells int
@@ -79,14 +84,23 @@ type Options struct {
 	// executor would serially kill every worker in the fleet and livelock
 	// the dispatch. 0 → 3.
 	MaxCellAttempts int
-	// DefaultTimeout / MaxTimeout mirror the service facade's request
-	// timeout knobs (see service.Options); they bound how long a dispatch
-	// waits for its rows.
-	DefaultTimeout time.Duration
-	MaxTimeout     time.Duration
-	// Logf receives operational log lines (worker loss, requeues). Nil
-	// discards them.
+	// Logf receives operational log lines (worker loss, requeues, and the
+	// embedded service's). Nil discards them.
 	Logf func(format string, args ...any)
+	// Admission forwards the embedded service's admission knobs as cmd/simd
+	// parsed them; the zero value is the service defaults.
+	Admission Admission
+}
+
+// Admission is the part of service.Options a coordinator's operator sets
+// beyond the fields Options already forwards. Each field means exactly what
+// the service.Options field of the same name does, zero value included.
+type Admission struct {
+	MaxInFlight int
+	MaxQueue    int
+	ClientRate  float64
+	ClientBurst int
+	JobTTL      time.Duration
 }
 
 // Coordinator schedules client requests over registered workers. Safe for
@@ -94,6 +108,7 @@ type Options struct {
 // janitor and unblocks pending polls and dispatches).
 type Coordinator struct {
 	opt Options
+	svc *service.Service // the client-facing facade, executing through c
 
 	mu         sync.Mutex
 	workers    map[string]*workerState
@@ -158,6 +173,11 @@ type dispatch struct {
 	failed      bool
 	completed   bool
 	doneCh      chan struct{}
+	// fresh lists row indexes filled since Execute last reported progress,
+	// and wake (capacity 1, coalescing) nudges it to look; both stay unused
+	// for requests without a progress hook.
+	fresh []int
+	wake  chan struct{}
 
 	cacheHits, cacheMisses uint64
 	cacheTiers             memostore.Stats
@@ -181,9 +201,6 @@ func New(opt Options) *Coordinator {
 	if opt.Lease <= 0 {
 		opt.Lease = 3 * opt.HeartbeatInterval
 	}
-	if opt.MaxJobs <= 0 {
-		opt.MaxJobs = 4096
-	}
 	if opt.AssignmentCells <= 0 {
 		opt.AssignmentCells = 256
 	}
@@ -198,9 +215,27 @@ func New(opt Options) *Coordinator {
 		closed:      make(chan struct{}),
 		janitorDone: make(chan struct{}),
 	}
+	c.svc = service.New(service.Options{
+		Executor:       c,
+		MaxJobs:        opt.MaxJobs,
+		DefaultTimeout: opt.DefaultTimeout,
+		MaxTimeout:     opt.MaxTimeout,
+		Logf:           opt.Logf,
+		MaxInFlight:    opt.Admission.MaxInFlight,
+		MaxQueue:       opt.Admission.MaxQueue,
+		ClientRate:     opt.Admission.ClientRate,
+		ClientBurst:    opt.Admission.ClientBurst,
+		JobTTL:         opt.Admission.JobTTL,
+	})
 	go c.janitor()
 	return c
 }
+
+// Service is the client-facing facade over the cluster: the full request
+// surface of a standalone daemon (NewCoordinatorHandler mounts its HTTP
+// form), every admitted plan executing through c. Drain it before Close so
+// admitted requests and async jobs finish on the still-live fleet.
+func (c *Coordinator) Service() *service.Service { return c.svc }
 
 // Close stops the janitor and unblocks every pending poll and dispatch.
 // Idempotent.
@@ -317,9 +352,7 @@ func (c *Coordinator) quarantineLocked(t *cellTask, cause string) {
 	if cause != "" {
 		msg += ": " + cause
 	}
-	d.rows[t.cell.Index] = protocol.Row{Index: t.cell.Index, Error: msg}
-	d.done[t.cell.Index] = true
-	d.remaining--
+	d.fillLocked(protocol.Row{Index: t.cell.Index, Error: msg})
 	c.rowsAccepted++
 	c.cellsQuarantined++
 	c.logf("cluster: cell %d of dispatch %s quarantined after %d failed attempt(s)",
@@ -394,6 +427,7 @@ func (c *Coordinator) dropWorkerLocked(ws *workerState, reason string) int {
 	// assignment-less dispatch may have been waiting on outstanding alone.
 	for d := range touched {
 		c.maybeCompleteLocked(d)
+		d.nudgeLocked()
 	}
 	// Pool-bound cells (requeue fault, or empty ring) are picked up by
 	// polls; wake every survivor so none sleeps through the handoff.
@@ -625,9 +659,7 @@ func (c *Coordinator) ReturnRows(ctx context.Context, req protocol.RowReturn) (p
 			}
 			continue
 		}
-		d.rows[row.Index] = row
-		d.done[row.Index] = true
-		d.remaining--
+		d.fillLocked(row)
 		accepted++
 	}
 	c.rowsAccepted += uint64(accepted)
@@ -673,7 +705,31 @@ func (c *Coordinator) ReturnRows(ctx context.Context, req protocol.RowReturn) (p
 		}
 		c.maybeCompleteLocked(asn.d)
 	}
+	asn.d.nudgeLocked()
 	return protocol.RowAck{Accepted: accepted}, nil
+}
+
+// fillLocked settles one open row slot. Caller holds mu.
+func (d *dispatch) fillLocked(row protocol.Row) {
+	d.rows[row.Index] = row
+	d.done[row.Index] = true
+	d.remaining--
+	if d.wake != nil {
+		d.fresh = append(d.fresh, row.Index)
+	}
+}
+
+// nudgeLocked wakes the dispatch's Execute to report freshly filled rows:
+// once per protocol call however many rows it carried, and never with user
+// code under mu — the progress hook runs on Execute's goroutine. Caller
+// holds mu.
+func (d *dispatch) nudgeLocked() {
+	if len(d.fresh) > 0 {
+		select {
+		case d.wake <- struct{}{}:
+		default:
+		}
+	}
 }
 
 // maybeCompleteLocked closes a dispatch whose rows are all in and whose
@@ -707,7 +763,7 @@ func (c *Coordinator) Workers() int {
 	return len(c.workers)
 }
 
-// ---- client-facing request path -----------------------------------------
+// ---- service.Executor ----------------------------------------------------
 
 // shardKey builds a cell's ring coordinate: the device's canonical
 // identity encoding plus the workload's cache key — exactly the persistent
@@ -723,318 +779,157 @@ func shardKey(spec machine.Spec, w run.Workload) string {
 	return id + "\x00" + wkey
 }
 
-// invalid wraps an error as the service layer's ValidationError so
-// transports map it to 400 exactly like the standalone daemon.
-func invalid(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &service.ValidationError{Err: err}
-}
-
-// timeoutCtx mirrors service.timeoutCtx over the coordinator's options.
-func (c *Coordinator) timeoutCtx(ctx context.Context, opt service.RequestOptions) (context.Context, context.CancelFunc) {
-	d := c.opt.DefaultTimeout
-	if opt.TimeoutMS > 0 {
-		d = time.Duration(opt.TimeoutMS) * time.Millisecond
-	}
-	if d <= 0 {
-		return ctx, func() {}
-	}
-	if c.opt.MaxTimeout > 0 && d > c.opt.MaxTimeout {
-		d = c.opt.MaxTimeout
-	}
-	return context.WithTimeout(ctx, d)
-}
-
-// newDispatch allocates a dispatch with n row slots. Caller holds mu.
-func (c *Coordinator) newDispatchLocked(kind string, grid *protocol.SweepGrid, n int) *dispatch {
-	c.seq++
-	c.dispatchCount++
+// Execute runs one admitted plan across the cluster (service.Executor): it
+// routes every job as a cell, waits for the rows, and returns them in job
+// order with the cache work the accepted assignments reported. Cells go
+// out as recipes — a batch cell's preset name and workload spec, a sweep
+// cell's index into the grid every worker re-derives — never as resolved
+// Go values.
+//
+// A request-deadline expiry is not a failure: the dispatch degrades — every
+// row that arrived in time is kept and every open slot becomes a deadline
+// error — instead of blocking on cells that will never land (e.g. every
+// poll blackholed). Only the caller's cancellation or Close fails the call.
+func (c *Coordinator) Execute(ctx context.Context, p *service.Plan, onProgress func(run.Progress)) ([]run.Result, []error, service.CacheStats, error) {
+	n := len(p.Jobs)
 	d := &dispatch{
-		id:        fmt.Sprintf("d%d", c.seq),
-		kind:      kind,
-		sweep:     grid,
+		kind:      "batch",
 		rows:      make([]protocol.Row, n),
 		done:      make([]bool, n),
 		remaining: n,
 		doneCh:    make(chan struct{}),
 	}
-	c.dispatches[d.id] = d
-	return d
-}
-
-// await blocks until the dispatch has every row, the caller's context
-// ends, or the coordinator closes. On any outcome the dispatch is
-// unregistered; on failure it is marked so stray cells and late rows are
-// dropped.
-//
-// A deadline expiry is not a failure: the dispatch degrades — every row
-// that arrived in time is kept, every open slot is filled with a deadline
-// error row, and the caller gets the partial response instead of blocking
-// forever on cells that will never land (e.g. every poll blackholed). The
-// dispatch is still marked failed internally so stray queued cells are
-// scrubbed and late rows revoked.
-func (c *Coordinator) await(ctx context.Context, d *dispatch) error {
-	var err error
-	select {
-	case <-d.doneCh:
-	case <-ctx.Done():
-		err = ctx.Err()
-	case <-c.closed:
-		err = errors.New("cluster: coordinator closed")
+	switch {
+	case p.Sweep != nil:
+		d.kind = "sweep"
+		d.sweep = &protocol.SweepGrid{Device: p.Sweep.Device, Axes: p.Sweep.Axes, Workloads: p.Sweep.Workloads}
+	case p.Batch == nil:
+		return nil, nil, service.CacheStats{}, errors.New("cluster: plan carries no wire request to dispatch")
+	}
+	// The request's absolute deadline is stamped onto every assignment so
+	// workers stop at the same instant the response settles.
+	d.deadline, _ = ctx.Deadline()
+	if onProgress != nil {
+		d.wake = make(chan struct{}, 1)
+	}
+	tasks := make([]*cellTask, n)
+	for i, job := range p.Jobs {
+		cell := protocol.Cell{Index: i, SweepJob: i}
+		if d.sweep == nil {
+			cell = protocol.Cell{Index: i, Device: job.Device.Name, Workload: p.BatchSpec(i)}
+		}
+		tasks[i] = &cellTask{d: d, cell: cell, key: shardKey(job.Device, job.Workload)}
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	delete(c.dispatches, d.id)
-	if err == nil || d.completed {
-		return nil
-	}
-	if errors.Is(err, context.DeadlineExceeded) {
-		c.dispatchesExpired++
-		expired := 0
-		for i, ok := range d.done {
-			if !ok {
-				d.rows[i] = protocol.Row{Index: i, Error: service.DeadlineRowError()}
-				d.done[i] = true
-				d.remaining--
-				expired++
-			}
-		}
-		d.failed = true // scrub stray cells, revoke late rows
-		c.logf("cluster: dispatch %s deadline expired: %d row(s) returned degraded", d.id, expired)
-		return nil
-	}
-	d.failed = true
-	return err
-}
+	c.seq++
+	c.dispatchCount++
+	d.id = fmt.Sprintf("d%d", c.seq)
+	c.dispatches[d.id] = d
+	c.scheduleLocked(tasks)
+	c.mu.Unlock()
 
-// cacheStats renders the dispatch's aggregated per-assignment deltas as
-// the response's cache stats. A clustered response is request-scoped on
-// both axes: the coordinator holds no cache of its own, so lifetime
-// counters of individual workers would be misleading here.
-func (d *dispatch) cacheStats() service.CacheStats {
-	return service.CacheStats{
+	reported := 0
+	report := func() {
+		c.mu.Lock()
+		rows := make([]protocol.Row, len(d.fresh))
+		for i, idx := range d.fresh {
+			rows[i] = d.rows[idx]
+		}
+		d.fresh = d.fresh[:0]
+		c.mu.Unlock()
+		for _, row := range rows {
+			reported++
+			onProgress(run.Progress{
+				Done: reported, Total: n, Index: row.Index,
+				Job: p.Jobs[row.Index], Result: row.Result, Err: rowError(row),
+			})
+		}
+	}
+	var err error
+wait:
+	for {
+		select {
+		case <-d.wake:
+			report()
+		case <-d.doneCh:
+			break wait
+		case <-ctx.Done():
+			err = ctx.Err()
+			break wait
+		case <-c.closed:
+			err = errors.New("cluster: coordinator closed")
+			break wait
+		}
+	}
+	if err = c.settle(d, err); err != nil {
+		return nil, nil, service.CacheStats{}, err
+	}
+	if onProgress != nil {
+		report()
+	}
+	// Settled: the dispatch is unregistered and complete or marked failed,
+	// so no protocol call writes its rows or cache counters any more.
+	results, errs := make([]run.Result, n), make([]error, n)
+	for i, row := range d.rows {
+		results[i], errs[i] = row.Result, rowError(row)
+	}
+	// Request-scoped on both axes: the coordinator holds no cache of its
+	// own, so lifetime counters of individual workers would mislead here.
+	return results, errs, service.CacheStats{
 		Hits: d.cacheHits, Misses: d.cacheMisses,
 		RequestHits: d.cacheHits, RequestMisses: d.cacheMisses,
 		Tiers: d.cacheTiers, RequestTiers: d.cacheTiers,
-	}
+	}, nil
 }
 
-// Batch executes a device × workload cross-product across the cluster,
-// with service.Batch's request semantics: validation failures reject the
-// call, per-cell failures land in the rows.
+// rowError lifts a wire row's error string back into the executor's
+// positional error; the worker-side runner already named the cell in it.
+func rowError(row protocol.Row) error {
+	if row.Error == "" {
+		return nil
+	}
+	return errors.New(row.Error)
+}
+
+// settle unregisters a dispatch once Execute stops waiting on it. waitErr
+// is why the wait ended early (nil: every row is in). A deadline expiry
+// fills a batch's open slots with deadline rows and reports success; a torn
+// sweep grid has no base-relative deltas to assemble, so it fails wholesale
+// — one line, however many cells were open. Any other early end is
+// returned. Either way an incomplete dispatch is marked failed so stray
+// queued cells are scrubbed and late rows dropped.
+func (c *Coordinator) settle(d *dispatch, waitErr error) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	delete(c.dispatches, d.id)
+	if waitErr == nil || d.completed {
+		return nil
+	}
+	d.failed = true
+	if !errors.Is(waitErr, context.DeadlineExceeded) {
+		return waitErr
+	}
+	c.dispatchesExpired++
+	expired := 0
+	for i, ok := range d.done {
+		if !ok {
+			d.fillLocked(protocol.Row{Index: i, Error: service.DeadlineRowError()})
+			expired++
+		}
+	}
+	c.logf("cluster: dispatch %s deadline expired: %d row(s) returned degraded", d.id, expired)
+	if d.sweep != nil {
+		return &service.ExecutionError{Err: fmt.Errorf("%d of %d cells: %s", expired, len(d.done), service.DeadlineRowError())}
+	}
+	return nil
+}
+
+// Batch and Sweep serve a client request through the embedded service —
+// the in-process form of POSTing it to NewCoordinatorHandler.
 func (c *Coordinator) Batch(ctx context.Context, req service.BatchRequest) (*service.Response, error) {
-	devices, err := resolveDeviceNames(req.Devices)
-	if err != nil {
-		return nil, invalid(err)
-	}
-	workloads := make([]run.Workload, len(req.Workloads))
-	for i, spec := range req.Workloads {
-		if workloads[i], err = run.NewWorkload(spec); err != nil {
-			return nil, invalid(err)
-		}
-	}
-	if len(workloads) == 0 {
-		return nil, invalid(errors.New("service: request names no workloads"))
-	}
-	if n := len(devices) * len(workloads); n > c.opt.MaxJobs {
-		return nil, invalid(fmt.Errorf("service: request is %d jobs, limit %d", n, c.opt.MaxJobs))
-	}
-	ctx, cancel := c.timeoutCtx(ctx, req.Options)
-	defer cancel()
-
-	c.mu.Lock()
-	d := c.newDispatchLocked("batch", nil, len(devices)*len(workloads))
-	if dl, ok := ctx.Deadline(); ok {
-		d.deadline = dl
-	}
-	tasks := make([]*cellTask, 0, d.remaining)
-	for di, dev := range devices {
-		for wi, w := range workloads {
-			spec := req.Workloads[wi]
-			tasks = append(tasks, &cellTask{
-				d: d,
-				cell: protocol.Cell{
-					Index:    di*len(workloads) + wi,
-					Device:   dev.Name,
-					Workload: &spec,
-				},
-				key: shardKey(dev, w),
-			})
-		}
-	}
-	c.scheduleLocked(tasks)
-	c.mu.Unlock()
-
-	if err := c.await(ctx, d); err != nil {
-		return nil, err
-	}
-	resp := &service.Response{Results: make([]service.ResultRow, len(d.rows)), Cache: d.cacheStats()}
-	for i, row := range d.rows {
-		resp.Results[i] = service.ResultRow{Result: row.Result, Error: row.Error}
-		if row.Error != "" {
-			resp.Errors = append(resp.Errors, row.Error)
-		}
-	}
-	return resp, nil
+	return c.svc.Batch(ctx, req)
 }
 
-// Sweep executes a device-parameter ablation across the cluster: the grid
-// is expanded once here (for routing keys, row count and labels) and again
-// on each worker (for execution) — sweep.Expand is deterministic, so both
-// see the same cells. Base-relative deltas are computed here from the
-// reassembled grid, exactly as sweep.Run computes them.
 func (c *Coordinator) Sweep(ctx context.Context, req service.SweepRequest) (*service.Response, error) {
-	plan, err := planSweep(req.Device, req.Axes, req.Workloads, c.opt.MaxJobs)
-	if err != nil {
-		return nil, invalid(err)
-	}
-	ctx, cancel := c.timeoutCtx(ctx, req.Options)
-	defer cancel()
-
-	grid := &protocol.SweepGrid{Device: req.Device, Axes: req.Axes, Workloads: req.Workloads}
-	c.mu.Lock()
-	d := c.newDispatchLocked("sweep", grid, len(plan.jobs))
-	if dl, ok := ctx.Deadline(); ok {
-		d.deadline = dl
-	}
-	tasks := make([]*cellTask, len(plan.jobs))
-	for j, job := range plan.jobs {
-		tasks[j] = &cellTask{
-			d:    d,
-			cell: protocol.Cell{Index: j, SweepJob: j},
-			key:  shardKey(job.Device, job.Workload),
-		}
-	}
-	c.scheduleLocked(tasks)
-	c.mu.Unlock()
-
-	if err := c.await(ctx, d); err != nil {
-		return nil, err
-	}
-	for _, row := range d.rows {
-		if row.Error != "" {
-			// Mirror the standalone sweep path: any cell failure aborts the
-			// sweep wholesale — base-relative deltas over a torn grid would
-			// be meaningless.
-			return nil, &service.ExecutionError{Err: fmt.Errorf("sweep on %s: %s", req.Device, row.Error)}
-		}
-	}
-	W := len(plan.workloads)
-	resp := &service.Response{Results: make([]service.ResultRow, 0, plan.reported*W), Cache: d.cacheStats()}
-	for ci := 0; ci < plan.reported; ci++ {
-		for wi := 0; wi < W; wi++ {
-			got := d.rows[ci*W+wi].Result
-			base := d.rows[plan.baseIdx*W+wi].Result
-			bwRatio := 0.0
-			if base.Bandwidth > 0 {
-				bwRatio = float64(got.Bandwidth) / float64(base.Bandwidth)
-			}
-			resp.Results = append(resp.Results, service.ResultRow{
-				Result:          got,
-				Cell:            plan.cells[ci].Labels,
-				Speedup:         metrics.Speedup(base.Seconds, got.Seconds),
-				BandwidthVsBase: bwRatio,
-			})
-		}
-	}
-	return resp, nil
-}
-
-// resolveDeviceNames maps preset names to specs; empty means all presets
-// (service.resolveDevices' convention).
-func resolveDeviceNames(names []string) ([]machine.Spec, error) {
-	if len(names) == 0 {
-		return machine.All(), nil
-	}
-	out := make([]machine.Spec, len(names))
-	for i, name := range names {
-		spec, err := machine.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = spec
-	}
-	return out, nil
-}
-
-// sweepPlan is a sweep grid's deterministic expansion: the job list both
-// the coordinator (routing, reassembly, deltas) and every worker
-// (execution) derive independently from the same (device, axes, workloads)
-// recipe.
-type sweepPlan struct {
-	base      machine.Spec
-	cells     []sweep.Cell // reported grid first, synthetic base cell (if any) last
-	reported  int          // cells visible in the response
-	baseIdx   int          // index of the base cell in cells
-	workloads []run.Workload
-	jobs      []run.Job // cells outermost, workloads innermost
-}
-
-// planSweep validates and expands a sweep grid, replicating sweep.Run's
-// cell layout: when no axis carries a base point, a synthetic base cell is
-// appended (it is simulated for the deltas' denominator but not reported).
-// maxJobs > 0 bounds the grid from the axis point counts BEFORE expanding
-// (Expand deep-clones a Spec per cell); workers pass 0 — the coordinator
-// already bounded the grid they are re-deriving.
-func planSweep(device string, axes []string, specs []run.WorkloadSpec, maxJobs int) (*sweepPlan, error) {
-	if device == "" {
-		return nil, errors.New("service: sweep request names no device")
-	}
-	base, err := machine.ByName(device)
-	if err != nil {
-		return nil, err
-	}
-	parsed, err := sweep.ParseAxes(axes)
-	if err != nil {
-		return nil, err
-	}
-	if len(specs) == 0 {
-		return nil, errors.New("service: request names no workloads")
-	}
-	workloads := make([]run.Workload, len(specs))
-	for i, spec := range specs {
-		if workloads[i], err = run.NewWorkload(spec); err != nil {
-			return nil, err
-		}
-	}
-	if maxJobs > 0 {
-		cellCount := 1
-		for _, ax := range parsed {
-			if len(ax.Points) == 0 {
-				continue // Expand reports the precise error
-			}
-			cellCount *= len(ax.Points)
-			if cellCount > maxJobs {
-				return nil, fmt.Errorf("service: sweep is at least %d cells, limit %d jobs", cellCount, maxJobs)
-			}
-		}
-		if n := cellCount * len(workloads); n > maxJobs {
-			return nil, fmt.Errorf("service: sweep is %d jobs, limit %d", n, maxJobs)
-		}
-	}
-	cells, err := sweep.Expand(base, parsed)
-	if err != nil {
-		return nil, err
-	}
-	plan := &sweepPlan{base: base, reported: len(cells), baseIdx: -1, workloads: workloads}
-	for i, c := range cells {
-		if c.Base {
-			plan.baseIdx = i
-			break
-		}
-	}
-	if plan.baseIdx < 0 {
-		cells = append(cells, sweep.Cell{Spec: base, Base: true})
-		plan.baseIdx = len(cells) - 1
-	}
-	plan.cells = cells
-	plan.jobs = make([]run.Job, 0, len(cells)*len(workloads))
-	for _, c := range cells {
-		for _, w := range workloads {
-			plan.jobs = append(plan.jobs, run.Job{Device: c.Spec, Workload: w})
-		}
-	}
-	return plan, nil
+	return c.svc.Sweep(ctx, req)
 }

@@ -260,6 +260,10 @@ func TestClusterSweepDeadlineReturnsError(t *testing.T) {
 	if !strings.Contains(err.Error(), service.DeadlineRowError()) {
 		t.Errorf("sweep error %q does not carry the deadline row error", err)
 	}
+	// Two cells were open; a 4096-cell grid must not repeat the text 4096×.
+	if msg := err.Error(); strings.Contains(msg, "\n") || strings.Count(msg, service.DeadlineRowError()) != 1 {
+		t.Errorf("sweep error %q repeats the deadline text per open cell, want one line", msg)
+	}
 }
 
 // TestClusterLeaseBoundary pins the lease comparison at its edge: a

@@ -13,15 +13,23 @@ import (
 const maxBodyBytes = 1 << 20
 
 // NewCoordinatorHandler fronts a Coordinator with HTTP. The client-facing
-// half is wire-compatible with the standalone daemon — a client cannot
-// tell a coordinator from a simd serving the same requests:
+// half IS the standalone daemon's handler — service.NewHandler over the
+// coordinator's embedded service, so the whole endpoint table (batch,
+// sweep, async jobs with ?after=N, listings, /metrics), the error taxonomy
+// (400 validation, 429 + Retry-After, 503 draining, 504 deadline, 500
+// otherwise) and admission behave identically, and a client cannot tell a
+// coordinator from a simd serving the same requests. Two things differ:
 //
-//	GET  /healthz        {"status":"ok","workers":N}
-//	GET  /metrics        Prometheus text exposition (see Coordinator.WriteMetrics)
-//	GET  /v1/devices     device presets (identical to the standalone listing)
-//	GET  /v1/workloads   kernels, params, grammar, sweep axes
-//	POST /v1/batch       service.BatchRequest → service.Response, sharded over workers
-//	POST /v1/sweep       service.SweepRequest → service.Response, sharded over workers
+//	GET /healthz   {"status":"ok","workers":N}; 503 {"status":"draining",...}
+//	               once the embedded service drains
+//	GET /metrics   the coordinator's scheduling series (WriteMetrics) in
+//	               place of a local runner's cache/pool/kernel series,
+//	               followed by the service's admission, job and latency series
+//
+// A batch whose request deadline expires is not an error: it degrades to a
+// 200 whose unfinished rows carry per-cell deadline errors
+// (service.DeadlineRowError); a sweep in the same state fails wholesale
+// with a 500 (a torn grid has no meaningful deltas).
 //
 // The worker-facing half is the protocol package over POST + JSON:
 //
@@ -30,35 +38,16 @@ const maxBodyBytes = 1 << 20
 //	POST /cluster/v1/poll        protocol.PollRequest → PollResponse (long-poll)
 //	POST /cluster/v1/rows        protocol.RowReturn → RowAck
 //	POST /cluster/v1/drain       protocol.DrainRequest → DrainResponse
-//
-// Errors follow the service taxonomy exactly (service.WriteError): 400 for
-// validation failures, 500 otherwise. A batch whose request deadline
-// expires is not an error here: it degrades to a 200 whose unfinished rows
-// carry per-cell deadline errors (service.DeadlineRowError); a sweep in
-// the same state returns the standalone sweep's wholesale 500 (a torn grid
-// has no meaningful deltas). Only the caller's own cancelled context still
-// surfaces as an error.
 func NewCoordinatorHandler(c *Coordinator, logf func(format string, args ...any)) http.Handler {
 	mux := http.NewServeMux()
+	mux.Handle("/", service.NewHandler(c.svc))
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		service.WriteJSON(w, http.StatusOK, map[string]any{
-			"status": "ok", "workers": c.Workers(),
-		}, logf)
-	})
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if err := c.WriteMetrics(w); err != nil && logf != nil {
-			logf("cluster: writing /metrics response: %v", err)
+		status, state := http.StatusOK, "ok"
+		if c.svc.Draining() {
+			status, state = http.StatusServiceUnavailable, "draining"
 		}
+		service.WriteJSON(w, status, map[string]any{"status": state, "workers": c.Workers()}, logf)
 	})
-	mux.HandleFunc("GET /v1/devices", func(w http.ResponseWriter, r *http.Request) {
-		service.WriteJSON(w, http.StatusOK, service.ListDevices(), logf)
-	})
-	mux.HandleFunc("GET /v1/workloads", func(w http.ResponseWriter, r *http.Request) {
-		service.WriteJSON(w, http.StatusOK, service.ListWorkloads(), logf)
-	})
-	mux.HandleFunc("POST /v1/batch", bridge(logf, c.Batch))
-	mux.HandleFunc("POST /v1/sweep", bridge(logf, c.Sweep))
 	mux.HandleFunc("POST /cluster/v1/register", bridge(logf, c.Register))
 	mux.HandleFunc("POST /cluster/v1/heartbeat", bridge(logf, c.Heartbeat))
 	mux.HandleFunc("POST /cluster/v1/poll", bridge(logf, c.Poll))

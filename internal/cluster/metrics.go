@@ -7,9 +7,11 @@ import (
 )
 
 // WriteMetrics renders the coordinator's control-plane metrics in
-// Prometheus text exposition format — the scheduling-side counterpart of
-// service.WriteMetrics (which workers keep serving on their own /metrics).
-// One short lock hold snapshots everything; rendering happens outside.
+// Prometheus text exposition format (service.Executor): on the
+// coordinator's /metrics page they stand where a standalone daemon shows
+// its runner's cache, pool and per-kernel series — nothing executes here,
+// so there is nothing of that kind to report. One short lock hold
+// snapshots everything; rendering happens outside.
 func (c *Coordinator) WriteMetrics(w io.Writer) error {
 	c.mu.Lock()
 	workers := len(c.workers)

@@ -360,8 +360,7 @@ func (w *Worker) execute(ctx context.Context, a *protocol.Assignment) {
 	if err != nil {
 		// The coordinator validated the request, so an unresolvable cell
 		// means this worker disagrees about presets/kernels (version skew).
-		// Attribute the error to every cell so the client sees it, in the
-		// standalone per-row error shape.
+		// Attribute the error to every cell so the client sees it.
 		w.logf("cluster: worker %s: assignment %s unresolvable: %v", w.opt.ID, a.ID, err)
 		mu.Lock()
 		for _, cell := range a.Cells {
@@ -394,11 +393,7 @@ func (w *Worker) execute(ctx context.Context, a *protocol.Assignment) {
 		}
 		row := protocol.Row{Index: a.Cells[p.Index].Index, Result: p.Result}
 		if p.Err != nil {
-			// Mirror service.runBatch's failed-row shape: the error string
-			// plus enough Result to identify the cell.
 			row.Error = p.Err.Error()
-			row.Result.Workload = p.Job.Workload.Name()
-			row.Result.Device = p.Job.Device.Name
 		}
 		mu.Lock()
 		produced[row.Index] = true
@@ -446,22 +441,26 @@ func (w *Worker) execute(ctx context.Context, a *protocol.Assignment) {
 
 // buildJobs resolves an assignment's cells into runnable jobs. Sweep cells
 // index into the grid's deterministic expansion — re-derived here with the
-// same planSweep the coordinator used, so both sides agree on every job.
+// same service.PlanSweep the coordinator's service planned the request
+// with (unbounded: that side already applied the job limit), so both sides
+// agree on every job.
 func buildJobs(a *protocol.Assignment) ([]run.Job, error) {
 	if a.Kind == "sweep" {
 		if a.Sweep == nil {
 			return nil, errors.New("cluster: sweep assignment without grid")
 		}
-		plan, err := planSweep(a.Sweep.Device, a.Sweep.Axes, a.Sweep.Workloads, 0)
+		plan, err := service.PlanSweep(service.SweepRequest{
+			Device: a.Sweep.Device, Axes: a.Sweep.Axes, Workloads: a.Sweep.Workloads,
+		}, 0)
 		if err != nil {
 			return nil, err
 		}
 		jobs := make([]run.Job, len(a.Cells))
 		for i, cell := range a.Cells {
-			if cell.SweepJob < 0 || cell.SweepJob >= len(plan.jobs) {
-				return nil, fmt.Errorf("cluster: sweep job %d out of range (grid has %d)", cell.SweepJob, len(plan.jobs))
+			if cell.SweepJob < 0 || cell.SweepJob >= len(plan.Jobs) {
+				return nil, fmt.Errorf("cluster: sweep job %d out of range (grid has %d)", cell.SweepJob, len(plan.Jobs))
 			}
-			jobs[i] = plan.jobs[cell.SweepJob]
+			jobs[i] = plan.Jobs[cell.SweepJob]
 		}
 		return jobs, nil
 	}

@@ -434,18 +434,19 @@ func runWorkload(ctx context.Context, w Workload, m *sim.Machine) (res Result, p
 // and through RunAll.
 func (r *Runner) Run(ctx context.Context, jobs []Job) ([]Result, error) {
 	results, errs := r.RunAll(ctx, jobs)
-	return results, joinBatchErrors(errs)
+	return results, JoinErrors(errs)
 }
 
 // RunWithProgress is Run with a per-call progress hook (see
 // RunAllWithProgress).
 func (r *Runner) RunWithProgress(ctx context.Context, jobs []Job, onProgress func(Progress)) ([]Result, error) {
 	results, errs := r.RunAllWithProgress(ctx, jobs, onProgress)
-	return results, joinBatchErrors(errs)
+	return results, JoinErrors(errs)
 }
 
 // RunAll is Run with per-job error visibility: errs[i] is nil exactly when
-// results[i] is valid. Transports that report job outcomes individually
+// results[i] is valid; a failed job's slot carries only its Workload and
+// Device names. Transports that report job outcomes individually
 // (the service layer) use this; Run wraps it with the joined-error
 // convention for in-process callers.
 func (r *Runner) RunAll(ctx context.Context, jobs []Job) (results []Result, errs []error) {
@@ -493,6 +494,13 @@ func (r *Runner) RunAllWithProgress(ctx context.Context, jobs []Job, onProgress 
 		start := time.Now() //simlint:allow determinism -- host-side timing feeds Progress.Elapsed (observability), never the simulated Result
 		var cache CacheOutcome
 		results[i], cache, errs[i] = r.runJob(ctx, jobs[i])
+		if errs[i] != nil && jobs[i].Workload != nil {
+			// A failed job has no measurement; its slot (and its Progress)
+			// still names the cell, so every consumer reporting per-job
+			// outcomes — response rows, async job rows, cluster rows —
+			// identifies it without re-deriving the names.
+			results[i] = Result{Workload: jobs[i].Workload.Name(), Device: jobs[i].Device.Name}
+		}
 		report(i, time.Since(start), cache) //simlint:allow determinism -- same: host-side observability timing
 	}
 
@@ -521,7 +529,7 @@ func (r *Runner) RunAllWithProgress(ctx context.Context, jobs []Job, onProgress 
 	return results, errs
 }
 
-// joinBatchErrors joins per-job errors in job order, collapsing the
+// JoinErrors joins per-job errors in job order, collapsing the
 // context-cancellation tail — every job that failed only because the batch
 // context ended — into one error with a skipped-job count. errors.Is still
 // matches context.Canceled / DeadlineExceeded on the joined error.
@@ -530,7 +538,7 @@ func (r *Runner) RunAllWithProgress(ctx context.Context, jobs []Job, onProgress 
 // runJob returns for jobs it skipped without executing. A workload that ran
 // and failed with an error merely wrapping a context error (say, its own
 // internal timeout) keeps its individually identified entry.
-func joinBatchErrors(errs []error) error {
+func JoinErrors(errs []error) error {
 	var kept []error
 	var ctxErr error
 	skipped := 0

@@ -79,10 +79,7 @@ type job struct {
 	id   string
 	kind string
 	opts RequestOptions
-
-	// Exactly one of these is set, by kind.
-	batchJobs []run.Job
-	sweepPrep *preparedSweep
+	plan *Plan
 
 	state           JobState
 	rows            []ResultRow
@@ -189,20 +186,21 @@ func (s *Service) SubmitJob(ctx context.Context, req JobRequest) (JobStatus, err
 	j := &job{id: newJobID()}
 	switch {
 	case req.Batch != nil && req.Sweep == nil:
-		jobs, err := s.prepareBatch(*req.Batch)
+		p, err := s.planBatch(*req.Batch)
 		if err != nil {
 			return JobStatus{}, err
 		}
-		j.kind, j.batchJobs, j.total, j.opts = "batch", jobs, len(jobs), req.Batch.Options
+		j.kind, j.plan, j.opts = "batch", p, req.Batch.Options
 	case req.Sweep != nil && req.Batch == nil:
-		ps, err := s.prepareSweep(*req.Sweep)
+		p, err := PlanSweep(*req.Sweep, s.opt.MaxJobs)
 		if err != nil {
 			return JobStatus{}, err
 		}
-		j.kind, j.sweepPrep, j.total, j.opts = "sweep", ps, ps.jobCount, req.Sweep.Options
+		j.kind, j.plan, j.opts = "sweep", p, req.Sweep.Options
 	default:
 		return JobStatus{}, invalidf("service: job request must set exactly one of batch or sweep")
 	}
+	j.total = len(j.plan.Jobs)
 	if err := s.jobs.create(j); err != nil {
 		return JobStatus{}, err
 	}
@@ -241,25 +239,13 @@ func (s *Service) executeJob(j *job) {
 	j.started = time.Now()
 	s.jobs.mu.Unlock()
 
-	onProgress := func(p run.Progress) {
-		row := ResultRow{Result: p.Result}
-		if p.Err != nil {
-			row.Error = p.Err.Error()
-			row.Result.Workload = p.Job.Workload.Name()
-			row.Result.Device = p.Job.Device.Name
-		}
+	resp, err := s.execute(ctx, j.plan, func(p run.Progress) {
+		row := jobRow(p.Result, p.Err)
 		s.jobs.mu.Lock()
 		j.rows = append(j.rows, row)
 		j.done = p.Done
 		s.jobs.mu.Unlock()
-	}
-
-	var resp *Response
-	if j.kind == "batch" {
-		resp = s.runBatch(ctx, j.batchJobs, onProgress)
-	} else {
-		resp, err = s.runSweep(ctx, j.sweepPrep, onProgress)
-	}
+	})
 	// A batch absorbs context death into per-row errors; surface it as the
 	// job's own outcome so a timed-out job reads failed, not done.
 	if err == nil && ctx.Err() != nil {

@@ -52,7 +52,7 @@ var kernelLatencyBuckets = [...]float64{0.0001, 0.001, 0.01, 0.1, 1, 10}
 const maxKernelSeries = 64
 
 // kernelHist is a family of fixed-bucket histograms keyed by kernel label,
-// fed once per completed job via observeProgress. Same lock-free scheme as
+// fed once per completed job by the local executor. Same lock-free scheme as
 // latencyHist: the fast path is one sync.Map load plus two atomic adds.
 type kernelHist struct {
 	m sync.Map     // kernel label -> *kernelSeries
@@ -132,20 +132,18 @@ func kernelLabel(name string) string {
 	return name
 }
 
-// WriteMetrics renders the service's operational metrics in Prometheus
-// text exposition format (version 0.0.4). Everything is a point-in-time
-// snapshot of counters the service already maintains — rendering performs
-// no simulation work and takes no long-held locks.
-func (s *Service) WriteMetrics(w io.Writer) error {
+// WriteMetrics renders the local executor's series: memo cache traffic per
+// tier, the machine pool, and per-kernel job latency.
+func (e *localExecutor) WriteMetrics(w io.Writer) error {
 	var b strings.Builder
 
-	hits, misses := s.runner.CacheStats()
+	hits, misses := e.runner.CacheStats()
 	counter(&b, "simd_cache_hits_total",
 		"Keyed jobs served from the memo store without simulating.", hits)
 	counter(&b, "simd_cache_misses_total",
 		"Keyed jobs that required a new simulation.", misses)
 
-	ts := s.runner.TierStats()
+	ts := e.runner.TierStats()
 	metric(&b, "simd_cache_tier_hits_total", "counter",
 		"Memo store lookups served per tier.",
 		sample{labels: `tier="memory"`, value: float64(ts.MemoryHits)},
@@ -163,10 +161,25 @@ func (s *Service) WriteMetrics(w io.Writer) error {
 	counter(&b, "simd_cache_disk_write_errors_total",
 		"Failed persists (the request still succeeded from memory).", ts.DiskWriteErrors)
 	counter(&b, "simd_runs_abandoned_total",
-		"Simulations that kept running after their requester gave up.", s.runner.Abandoned())
-
+		"Simulations that kept running after their requester gave up.", e.runner.Abandoned())
 	gauge(&b, "simd_pool_machines",
-		"Idle simulated machines pooled for reuse.", float64(s.runner.PoolSize()))
+		"Idle simulated machines pooled for reuse.", float64(e.runner.PoolSize()))
+	e.kernels.write(&b)
+
+	_, err := io.WriteString(w, b.String())
+	return err
+}
+
+// WriteMetrics renders the service's operational metrics in Prometheus
+// text exposition format (version 0.0.4): the executor's own series, then
+// admission, job-store and request-latency state. Everything is a
+// point-in-time snapshot of counters already maintained — rendering
+// performs no simulation work and takes no long-held locks.
+func (s *Service) WriteMetrics(w io.Writer) error {
+	if err := s.exec.WriteMetrics(w); err != nil {
+		return err
+	}
+	var b strings.Builder
 	gauge(&b, "simd_inflight_requests",
 		"Requests currently holding an execution slot.", float64(len(s.sem)))
 	gauge(&b, "simd_queue_depth",
@@ -178,7 +191,6 @@ func (s *Service) WriteMetrics(w io.Writer) error {
 		"Async jobs queued or running.", float64(active))
 
 	s.latency.write(&b)
-	s.kernels.write(&b)
 
 	_, err := io.WriteString(w, b.String())
 	return err

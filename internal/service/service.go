@@ -3,16 +3,20 @@
 // serializable responses out, with nothing about Go closures or internal
 // types on the wire.
 //
-// A Service wraps one memoized, pooled run.Runner shared by every request —
-// so identical cells across requests simulate exactly once — and adds what
-// a long-running daemon needs that a library call does not: per-request
-// timeouts, admission control (a bounded in-flight limit fronted by a
-// bounded wait queue — requests wait for a slot up to their own deadline,
-// and only a full queue fails fast with ErrOverloaded), per-client token-
-// bucket rate limits, an async job lifecycle (SubmitJob/Job/CancelJob, see
-// jobs.go) and graceful drain (StartDrain/Drain, see drain.go). cmd/simd
-// fronts a Service with HTTP (see NewHandler); other transports (RPC,
-// queues, tests) call Batch/Sweep directly with the same request values.
+// A Service fronts one Executor (see executor.go) — by default a memoized,
+// pooled run.Runner shared by every request, so identical cells across
+// requests simulate exactly once; in a cluster, the coordinator's
+// dispatcher — and adds what a long-running daemon needs that a library
+// call does not: per-request timeouts, admission control (a bounded
+// in-flight limit fronted by a bounded wait queue — requests wait for a
+// slot up to their own deadline, and only a full queue fails fast with
+// ErrOverloaded), per-client token-bucket rate limits, an async job
+// lifecycle (SubmitJob/Job/CancelJob, see jobs.go) and graceful drain
+// (StartDrain/Drain, see drain.go). cmd/simd fronts a Service with HTTP
+// (see NewHandler); other transports (RPC, queues, tests) call Batch/Sweep
+// directly with the same request values. Both request shapes share one
+// path: plan (validate into a job list) → timeout → admit → Executor →
+// assemble.
 //
 // The admit → queue → run → drain state machine and the full failure
 // taxonomy are documented in DESIGN.md §9.
@@ -116,6 +120,11 @@ type Options struct {
 	// re-simulating. Nil gets the runner's default bounded in-memory store.
 	// Ignored when Runner is set (the runner already owns its store).
 	Store memostore.Store
+	// Executor replaces the local runner as the place admitted plans run;
+	// nil executes in-process on the Runner above. cluster.New passes the
+	// coordinator, which then serves this whole facade fleet-wide; Runner,
+	// Parallelism and Store are unused with it.
+	Executor Executor
 	// MaxInFlight bounds concurrently executing requests. 0 → 4.
 	MaxInFlight int
 	// MaxQueue bounds requests waiting for an execution slot; a waiting
@@ -157,14 +166,14 @@ type Options struct {
 
 // Service is the shared execution facade. Safe for concurrent use.
 type Service struct {
-	runner *run.Runner
+	exec   Executor
+	runner *run.Runner // the local executor's runner; nil under Options.Executor
 	opt    Options
 	sem    chan struct{}
 
 	queued    atomic.Int64 // requests waiting for a slot (≤ MaxQueue)
 	latencyNS atomic.Int64 // EWMA of observed execution latency, for Retry-After
 	latency   latencyHist  // coarse request-duration histogram, for /metrics
-	kernels   kernelHist   // per-kernel job-duration histograms, for /metrics
 	draining  atomic.Bool
 	limiter   *limiter
 	jobs      *jobStore
@@ -190,11 +199,14 @@ func New(opt Options) *Service {
 	if opt.MaxStoredJobs <= 0 {
 		opt.MaxStoredJobs = 256
 	}
-	r := opt.Runner
-	if r == nil {
-		r = run.New(run.Options{Parallelism: opt.Parallelism, Store: opt.Store})
+	s := &Service{exec: opt.Executor, opt: opt, sem: make(chan struct{}, opt.MaxInFlight)}
+	if s.exec == nil {
+		s.runner = opt.Runner
+		if s.runner == nil {
+			s.runner = run.New(run.Options{Parallelism: opt.Parallelism, Store: opt.Store})
+		}
+		s.exec = &localExecutor{runner: s.runner}
 	}
-	s := &Service{runner: r, opt: opt, sem: make(chan struct{}, opt.MaxInFlight)}
 	if opt.ClientRate > 0 {
 		s.limiter = newLimiter(opt.ClientRate, opt.ClientBurst)
 	}
@@ -210,7 +222,7 @@ func (s *Service) logf(format string, args ...any) {
 }
 
 // Runner exposes the service's underlying runner (for sharing its memo
-// cache with in-process callers).
+// cache with in-process callers); nil when a custom Executor runs the work.
 func (s *Service) Runner() *run.Runner { return s.runner }
 
 // RequestOptions are the per-request knobs every request type carries.
@@ -306,15 +318,7 @@ type WorkloadsInfo struct {
 }
 
 // Devices lists the device presets.
-func (s *Service) Devices() []DeviceInfo { return ListDevices() }
-
-// Workloads describes everything a request can name.
-func (s *Service) Workloads() WorkloadsInfo { return ListWorkloads() }
-
-// ListDevices lists the device presets. Package-level because the listing
-// is process-wide, not per-Service — the cluster coordinator serves it
-// without owning a Service.
-func ListDevices() []DeviceInfo {
+func (s *Service) Devices() []DeviceInfo {
 	all := machine.All()
 	out := make([]DeviceInfo, len(all))
 	for i, d := range all {
@@ -327,9 +331,8 @@ func ListDevices() []DeviceInfo {
 	return out
 }
 
-// ListWorkloads describes everything a request can name (see ListDevices
-// for why it is package-level).
-func ListWorkloads() WorkloadsInfo {
+// Workloads describes everything a request can name.
+func (s *Service) Workloads() WorkloadsInfo {
 	return WorkloadsInfo{
 		Kernels:    run.Kernels(),
 		Registered: run.Names(),
@@ -472,98 +475,11 @@ func (s *Service) Batch(ctx context.Context, req BatchRequest) (*Response, error
 	if err := s.checkAdmittable(ctx); err != nil {
 		return nil, err
 	}
-	jobs, err := s.prepareBatch(req)
+	p, err := s.planBatch(req)
 	if err != nil {
 		return nil, err
 	}
-	// The timeout is applied before admission: a request waits in the
-	// queue at most up to its own deadline.
-	ctx, cancel := s.timeoutCtx(ctx, req.Options)
-	defer cancel()
-	release, err := s.admit(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	return s.runBatch(ctx, jobs, nil), nil
-}
-
-// prepareBatch validates a BatchRequest into its job list; every failure is
-// a ValidationError.
-func (s *Service) prepareBatch(req BatchRequest) ([]run.Job, error) {
-	devices, err := resolveDevices(req.Devices)
-	if err != nil {
-		return nil, invalid(err)
-	}
-	workloads, err := resolveWorkloads(req.Workloads)
-	if err != nil {
-		return nil, invalid(err)
-	}
-	if n := len(devices) * len(workloads); n > s.opt.MaxJobs {
-		return nil, invalidf("service: request is %d jobs, limit %d", n, s.opt.MaxJobs)
-	}
-	return run.Cross(devices, workloads), nil
-}
-
-// observeProgress wraps a request's progress hook with the per-kernel
-// latency observation, so every job completion — batch, sweep, async,
-// cluster assignment — feeds the kernel histograms exactly once.
-func (s *Service) observeProgress(onProgress func(run.Progress)) func(run.Progress) {
-	return func(p run.Progress) {
-		if p.Job.Workload != nil {
-			s.kernels.observe(kernelLabel(p.Job.Workload.Name()), p.Elapsed)
-		}
-		if onProgress != nil {
-			onProgress(p)
-		}
-	}
-}
-
-// runBatch executes a prepared job list inside an already-admitted slot and
-// assembles the Response. onProgress (optional) observes each completion —
-// the async job path streams rows through it.
-func (s *Service) runBatch(ctx context.Context, jobs []run.Job, onProgress func(run.Progress)) *Response {
-	hits0, misses0 := s.runner.CacheStats()
-	tiers0 := s.runner.TierStats()
-	results, errs := s.runner.RunAllWithProgress(ctx, jobs, s.observeProgress(onProgress))
-	resp := &Response{Results: make([]ResultRow, len(jobs))}
-	// Jobs cut off by a dead context — skipped outright or abandoned
-	// mid-run — collapse into one Errors entry with a count: a timed-out
-	// 4096-job batch must not emit 4096 identical strings. errors.Is, not
-	// ==, so the runner's wrapped abandonment errors (and workloads
-	// wrapping their own context error) collapse too; each row still
-	// carries its individual error field.
-	skipped, ctxErr := 0, error(nil)
-	for i := range jobs {
-		row := ResultRow{Result: results[i]}
-		if errs[i] != nil {
-			row.Error = errs[i].Error()
-			// Identify the failed cell even without a Result.
-			row.Result.Workload = jobs[i].Workload.Name()
-			row.Result.Device = jobs[i].Device.Name
-			if errors.Is(errs[i], context.Canceled) || errors.Is(errs[i], context.DeadlineExceeded) {
-				skipped++
-				if ctxErr == nil {
-					ctxErr = context.Canceled
-					if errors.Is(errs[i], context.DeadlineExceeded) {
-						ctxErr = context.DeadlineExceeded
-					}
-				}
-			} else {
-				resp.Errors = append(resp.Errors, fmt.Sprintf("%s on %s: %v",
-					jobs[i].Workload.Name(), jobs[i].Device.Name, errs[i]))
-			}
-		}
-		resp.Results[i] = row
-	}
-	switch {
-	case skipped == 1:
-		resp.Errors = append(resp.Errors, fmt.Sprintf("1 job skipped: %v", ctxErr))
-	case skipped > 1:
-		resp.Errors = append(resp.Errors, fmt.Sprintf("%d jobs skipped: %v", skipped, ctxErr))
-	}
-	resp.Cache = s.cacheDelta(hits0, misses0, tiers0)
-	return resp
+	return s.run(ctx, p, req.Options)
 }
 
 // Sweep executes a device-parameter ablation. The axis grammar and
@@ -573,31 +489,43 @@ func (s *Service) Sweep(ctx context.Context, req SweepRequest) (*Response, error
 	if err := s.checkAdmittable(ctx); err != nil {
 		return nil, err
 	}
-	ps, err := s.prepareSweep(req)
+	p, err := PlanSweep(req, s.opt.MaxJobs)
 	if err != nil {
 		return nil, err
 	}
-	ctx, cancel := s.timeoutCtx(ctx, req.Options)
-	defer cancel()
-	release, err := s.admit(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	return s.runSweep(ctx, ps, nil)
+	return s.run(ctx, p, req.Options)
 }
 
-// preparedSweep is a validated sweep, ready to execute.
-type preparedSweep struct {
-	base      machine.Spec
-	axes      []sweep.Axis
-	workloads []run.Workload
-	jobCount  int
-}
-
-// prepareSweep validates a SweepRequest; every failure is a
+// planBatch validates a BatchRequest into its Plan; every failure is a
 // ValidationError.
-func (s *Service) prepareSweep(req SweepRequest) (*preparedSweep, error) {
+func (s *Service) planBatch(req BatchRequest) (*Plan, error) {
+	devices := machine.All() // an empty Devices list means all presets
+	if len(req.Devices) > 0 {
+		devices = make([]machine.Spec, len(req.Devices))
+		for i, name := range req.Devices {
+			spec, err := machine.ByName(name)
+			if err != nil {
+				return nil, invalid(err)
+			}
+			devices[i] = spec
+		}
+	}
+	workloads, err := resolveWorkloads(req.Workloads)
+	if err != nil {
+		return nil, invalid(err)
+	}
+	if n := len(devices) * len(workloads); n > s.opt.MaxJobs {
+		return nil, invalidf("service: request is %d jobs, limit %d", n, s.opt.MaxJobs)
+	}
+	return &Plan{Jobs: run.Cross(devices, workloads), Batch: &req}, nil
+}
+
+// PlanSweep validates a SweepRequest into its Plan; every failure is a
+// ValidationError. maxJobs > 0 bounds the grid before it is expanded (see
+// sweep.NewPlan). Exported for cluster workers, which re-derive the grid
+// the coordinator already bounded — passing 0 — to resolve their assigned
+// job indexes against the same job list.
+func PlanSweep(req SweepRequest, maxJobs int) (*Plan, error) {
 	if req.Device == "" {
 		return nil, invalidf("service: sweep request names no device")
 	}
@@ -613,46 +541,47 @@ func (s *Service) prepareSweep(req SweepRequest) (*preparedSweep, error) {
 	if err != nil {
 		return nil, invalid(err)
 	}
-	// Bound the cross-product from the axis point counts BEFORE expanding:
-	// Expand materializes every cell as a deep-cloned Spec, so an oversized
-	// request must be rejected before that allocation, not after.
-	cellCount := 1
-	for _, ax := range axes {
-		if len(ax.Points) == 0 {
-			continue // Expand reports the precise error
-		}
-		cellCount *= len(ax.Points)
-		if cellCount > s.opt.MaxJobs {
-			return nil, invalidf("service: sweep is at least %d cells, limit %d jobs", cellCount, s.opt.MaxJobs)
-		}
-	}
-	if n := cellCount * len(workloads); n > s.opt.MaxJobs {
-		return nil, invalidf("service: sweep is %d jobs, limit %d", n, s.opt.MaxJobs)
-	}
-	if _, err := sweep.Expand(base, axes); err != nil {
+	grid, err := sweep.NewPlan(base, axes, workloads, maxJobs)
+	if err != nil {
 		return nil, invalid(err)
 	}
-	return &preparedSweep{base: base, axes: axes, workloads: workloads,
-		jobCount: cellCount * len(workloads)}, nil
+	return &Plan{Jobs: grid.Jobs, Sweep: &req, grid: grid}, nil
 }
 
-// runSweep executes a prepared sweep inside an already-admitted slot.
-// onProgress (optional) observes per-cell completions with raw results;
-// the base-relative deltas arrive with the final Response.
-func (s *Service) runSweep(ctx context.Context, ps *preparedSweep, onProgress func(run.Progress)) (*Response, error) {
-	hits0, misses0 := s.runner.CacheStats()
-	tiers0 := s.runner.TierStats()
-	res, err := sweep.Run(ctx, sweep.Config{
-		Base: ps.base, Axes: ps.axes, Workloads: ps.workloads,
-		Runner: s.runner, OnProgress: s.observeProgress(onProgress),
-	})
+// run takes a planned request through the rest of the synchronous path.
+// The timeout is applied before admission: a request waits in the queue at
+// most up to its own deadline.
+func (s *Service) run(ctx context.Context, p *Plan, opt RequestOptions) (*Response, error) {
+	ctx, cancel := s.timeoutCtx(ctx, opt)
+	defer cancel()
+	release, err := s.admit(ctx)
 	if err != nil {
-		// The request validated (device, axes and workloads all resolved;
-		// the expansion in prepareSweep succeeded), so this is an
-		// execution failure.
+		return nil, err
+	}
+	defer release()
+	return s.execute(ctx, p, nil)
+}
+
+// execute hands a plan to the Executor inside an already-admitted slot and
+// assembles the Response. onProgress (optional) observes each completion
+// with the raw result — the async job path streams rows through it; a
+// sweep's base-relative deltas need the full grid and arrive with the
+// final Response.
+func (s *Service) execute(ctx context.Context, p *Plan, onProgress func(run.Progress)) (*Response, error) {
+	results, errs, cache, err := s.exec.Execute(ctx, p, onProgress)
+	if err != nil {
+		return nil, err
+	}
+	if p.grid == nil {
+		return assembleBatch(results, errs, cache), nil
+	}
+	res, err := p.grid.Assemble(results, errs)
+	if err != nil {
+		// The request validated (device, axes and workloads all resolved,
+		// the grid expanded), so this is an execution failure.
 		return nil, &ExecutionError{Err: err}
 	}
-	resp := &Response{Results: make([]ResultRow, len(res.PerCell))}
+	resp := &Response{Results: make([]ResultRow, len(res.PerCell)), Cache: cache}
 	for i, cr := range res.PerCell {
 		resp.Results[i] = ResultRow{
 			Result:          cr.Result,
@@ -661,8 +590,53 @@ func (s *Service) runSweep(ctx context.Context, ps *preparedSweep, onProgress fu
 			BandwidthVsBase: cr.BandwidthVsBase,
 		}
 	}
-	resp.Cache = s.cacheDelta(hits0, misses0, tiers0)
 	return resp, nil
+}
+
+// jobRow renders one job outcome as a response row; a failed job's Result
+// carries only the cell's names, as the executor reports it.
+func jobRow(res run.Result, err error) ResultRow {
+	row := ResultRow{Result: res}
+	if err != nil {
+		row.Error = err.Error()
+	}
+	return row
+}
+
+// assembleBatch renders positional job outcomes as a batch Response.
+func assembleBatch(results []run.Result, errs []error, cache CacheStats) *Response {
+	resp := &Response{Results: make([]ResultRow, len(results)), Cache: cache}
+	// Jobs cut off by a dead context — skipped outright or abandoned
+	// mid-run — collapse into one Errors entry with a count: a timed-out
+	// 4096-job batch must not emit 4096 identical strings. errors.Is, not
+	// ==, so the runner's wrapped abandonment errors (and workloads
+	// wrapping their own context error) collapse too; each row still
+	// carries its individual error field.
+	skipped, ctxErr := 0, error(nil)
+	for i := range results {
+		resp.Results[i] = jobRow(results[i], errs[i])
+		switch {
+		case errs[i] == nil:
+		case errors.Is(errs[i], context.Canceled) || errors.Is(errs[i], context.DeadlineExceeded):
+			skipped++
+			if ctxErr == nil {
+				ctxErr = context.Canceled
+				if errors.Is(errs[i], context.DeadlineExceeded) {
+					ctxErr = context.DeadlineExceeded
+				}
+			}
+		default:
+			// The executor's error already names its cell.
+			resp.Errors = append(resp.Errors, resp.Results[i].Error)
+		}
+	}
+	switch {
+	case skipped == 1:
+		resp.Errors = append(resp.Errors, fmt.Sprintf("1 job skipped: %v", ctxErr))
+	case skipped > 1:
+		resp.Errors = append(resp.Errors, fmt.Sprintf("%d jobs skipped: %v", skipped, ctxErr))
+	}
+	return resp
 }
 
 // ExecuteJobs runs an explicit, already-validated job list through the
@@ -693,33 +667,5 @@ func (s *Service) ExecuteJobs(ctx context.Context, jobs []run.Job, onProgress fu
 		return nil, err
 	}
 	defer release()
-	return s.runBatch(ctx, jobs, onProgress), nil
-}
-
-// cacheDelta snapshots the shared cache counters against a request-entry
-// baseline.
-func (s *Service) cacheDelta(hits0, misses0 uint64, tiers0 memostore.Stats) CacheStats {
-	hits, misses := s.runner.CacheStats()
-	tiers := s.runner.TierStats()
-	return CacheStats{
-		Hits: hits, Misses: misses,
-		RequestHits: hits - hits0, RequestMisses: misses - misses0,
-		Tiers: tiers, RequestTiers: tiers.Sub(tiers0),
-	}
-}
-
-// resolveDevices maps preset names to specs; empty means all presets.
-func resolveDevices(names []string) ([]machine.Spec, error) {
-	if len(names) == 0 {
-		return machine.All(), nil
-	}
-	out := make([]machine.Spec, len(names))
-	for i, name := range names {
-		spec, err := machine.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = spec
-	}
-	return out, nil
+	return s.execute(ctx, &Plan{Jobs: jobs}, onProgress)
 }

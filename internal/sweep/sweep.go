@@ -207,60 +207,96 @@ type Results struct {
 	BaseResults []run.Result
 }
 
-// Run expands the sweep and executes every cell × workload as one batch on
-// the (memoized, pooled) runner. The base cell is always measured — it is
-// part of every expansion — and each cell's deltas are computed against it.
-func Run(ctx context.Context, cfg Config) (*Results, error) {
-	if len(cfg.Workloads) == 0 {
+// Plan is one sweep's deterministic expansion: the cell grid, its reference
+// cell and the job list. Every executor of a sweep — Run on a local runner,
+// the service facade, the cluster coordinator's routing and each cluster
+// worker re-deriving its share — builds it from the same (base, axes,
+// workloads) recipe, so all of them agree on every job index.
+type Plan struct {
+	// Jobs is every cell × workload, cells outermost, workloads innermost.
+	Jobs []run.Job
+
+	base      machine.Spec
+	axes      []Axis
+	workloads []run.Workload
+	// cells is the reported grid in expansion order. When every axis omits
+	// the base point, a synthetic reference cell follows it: simulated as
+	// the deltas' denominator, never reported.
+	cells []Cell
+	// reported counts the leading cells that appear in Results.
+	reported int
+	// baseIdx is the reference (all-base) cell's index in cells.
+	baseIdx int
+}
+
+// NewPlan expands a sweep into its Plan. maxJobs > 0 bounds the grid from
+// the axis point counts BEFORE expanding — Expand materializes every cell
+// as a deep-cloned Spec, so an oversized request must be rejected before
+// that allocation, not after. Callers re-deriving a grid someone else
+// already bounded (cluster workers) pass 0.
+func NewPlan(base machine.Spec, axes []Axis, workloads []run.Workload, maxJobs int) (*Plan, error) {
+	if len(workloads) == 0 {
 		return nil, fmt.Errorf("sweep: no workloads")
 	}
-	cells, err := Expand(cfg.Base, cfg.Axes)
+	if maxJobs > 0 {
+		cellCount := 1
+		for _, ax := range axes {
+			if len(ax.Points) == 0 {
+				continue // Expand reports the precise error
+			}
+			cellCount *= len(ax.Points)
+			if cellCount > maxJobs {
+				return nil, fmt.Errorf("sweep: grid is at least %d cells, limit %d jobs", cellCount, maxJobs)
+			}
+		}
+		if n := cellCount * len(workloads); n > maxJobs {
+			return nil, fmt.Errorf("sweep: grid is %d jobs, limit %d", n, maxJobs)
+		}
+	}
+	cells, err := Expand(base, axes)
 	if err != nil {
 		return nil, err
 	}
-	baseIdx := -1
+	p := &Plan{base: base, axes: axes, workloads: workloads, reported: len(cells), baseIdx: -1}
 	for i, c := range cells {
 		if c.Base {
-			baseIdx = i
+			p.baseIdx = i
 			break
 		}
 	}
-	if baseIdx < 0 {
+	if p.baseIdx < 0 {
 		// Every axis omitted the base point; append a reference cell so
 		// deltas remain well-defined. It is not part of the reported grid.
-		cells = append(cells, Cell{Spec: cfg.Base, Base: true})
-		baseIdx = len(cells) - 1
+		cells = append(cells, Cell{Spec: base, Base: true})
+		p.baseIdx = len(cells) - 1
 	}
-	r := cfg.Runner
-	if r == nil {
-		r = run.New(run.Options{})
-	}
-	jobs := make([]run.Job, 0, len(cells)*len(cfg.Workloads))
+	p.cells = cells
+	p.Jobs = make([]run.Job, 0, len(cells)*len(workloads))
 	for _, c := range cells {
-		for _, w := range cfg.Workloads {
-			jobs = append(jobs, run.Job{Device: c.Spec, Workload: w})
+		for _, w := range workloads {
+			p.Jobs = append(p.Jobs, run.Job{Device: c.Spec, Workload: w})
 		}
 	}
-	results, err := r.RunWithProgress(ctx, jobs, cfg.OnProgress)
-	if err != nil {
-		return nil, fmt.Errorf("sweep on %s: %w", cfg.Base.Name, err)
+	return p, nil
+}
+
+// Assemble turns the positional outcomes of p.Jobs into Results, computing
+// each reported cell's deltas against the reference cell. Any job error
+// fails the sweep wholesale — base-relative deltas over a torn grid would
+// be meaningless.
+func (p *Plan) Assemble(results []run.Result, errs []error) (*Results, error) {
+	if err := run.JoinErrors(errs); err != nil {
+		return nil, fmt.Errorf("sweep on %s: %w", p.base.Name, err)
 	}
+	W := len(p.workloads)
 	res := &Results{
-		Base: cfg.Base, Axes: cfg.Axes,
-		BaseResults: make([]run.Result, len(cfg.Workloads)),
+		Base: p.base, Axes: p.axes, Cells: p.cells[:p.reported],
+		BaseResults: results[p.baseIdx*W : (p.baseIdx+1)*W : (p.baseIdx+1)*W],
+		PerCell:     make([]CellResult, 0, p.reported*W),
 	}
-	for wi := range cfg.Workloads {
-		res.BaseResults[wi] = results[baseIdx*len(cfg.Workloads)+wi]
-	}
-	reported := cells
-	if baseIdx == len(cells)-1 && !containsBasePoint(cfg.Axes) && len(cfg.Axes) > 0 {
-		reported = cells[:len(cells)-1] // drop the synthetic reference cell
-	}
-	res.Cells = reported
-	for ci, c := range reported {
-		for wi := range cfg.Workloads {
-			got := results[ci*len(cfg.Workloads)+wi]
-			base := res.BaseResults[wi]
+	for ci, c := range res.Cells {
+		for wi, base := range res.BaseResults {
+			got := results[ci*W+wi]
 			bwRatio := 0.0
 			if base.Bandwidth > 0 {
 				bwRatio = float64(got.Bandwidth) / float64(base.Bandwidth)
@@ -276,22 +312,19 @@ func Run(ctx context.Context, cfg Config) (*Results, error) {
 	return res, nil
 }
 
-// containsBasePoint reports whether any expansion cell can be all-base,
-// i.e. every axis carries a base point.
-func containsBasePoint(axes []Axis) bool {
-	for _, ax := range axes {
-		hasBase := false
-		for _, p := range ax.Points {
-			if p.Apply == nil {
-				hasBase = true
-				break
-			}
-		}
-		if !hasBase {
-			return false
-		}
+// Run expands the sweep and executes every cell × workload as one batch on
+// the (memoized, pooled) runner. The base cell is always measured — it is
+// part of every plan — and each cell's deltas are computed against it.
+func Run(ctx context.Context, cfg Config) (*Results, error) {
+	p, err := NewPlan(cfg.Base, cfg.Axes, cfg.Workloads, 0)
+	if err != nil {
+		return nil, err
 	}
-	return true
+	r := cfg.Runner
+	if r == nil {
+		r = run.New(run.Options{})
+	}
+	return p.Assemble(r.RunAllWithProgress(ctx, p.Jobs, cfg.OnProgress))
 }
 
 // Table renders the sweep as a report.Table: one axis column per dimension,

@@ -134,6 +134,7 @@ type Cache struct {
 	lines     []line   // all sets, contiguous
 	plru      []uint64 // per-set PLRU tree bits
 	seq       []uint64 // per-set FIFO insertion counters
+	touched   []int32  // sets installed into since the last Reset
 	ways      int
 	lineShift uint
 	setShift  uint
@@ -324,6 +325,9 @@ func (c *Cache) installAt(set, victim int, tag uint64, dirty bool, st *Stats) Re
 	if dirty {
 		meta |= lineDirty
 	}
+	if c.seq[set] == 0 {
+		c.touched = append(c.touched, int32(set))
+	}
 	c.seq[set]++
 	c.lines[base+victim] = line{meta: meta, used: c.clock}
 	if c.cfg.Policy == FIFO {
@@ -378,15 +382,16 @@ func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
 	return false, false
 }
 
-// Reset empties the cache and zeroes the statistics.
+// Reset empties the cache and zeroes the statistics. Its cost follows what
+// was used, not the capacity: installAt is the only place a line becomes
+// valid, so only the touched sets hold any state.
 func (c *Cache) Reset() {
-	for i := range c.lines {
-		c.lines[i] = line{}
+	for _, set := range c.touched {
+		clear(c.lines[int(set)*c.ways : (int(set)+1)*c.ways])
+		c.plru[set] = 0
+		c.seq[set] = 0
 	}
-	for i := range c.plru {
-		c.plru[i] = 0
-		c.seq[i] = 0
-	}
+	c.touched = c.touched[:0]
 	c.clock = 0
 	c.rng = c.cfg.Seed | 1
 	c.memo = [memoEntries]wayMemo{}

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -213,6 +214,42 @@ func TestResetClearsEverything(t *testing.T) {
 	}
 	if c.Access(0, false).Hit {
 		t.Fatal("hit after reset")
+	}
+}
+
+// TestResetRestoresFreshState: Reset clears only the sets installed into
+// since the last one, so it must still leave every structure exactly as New
+// builds it — under each policy, after demand accesses, prefetch installs
+// and invalidations over a working set that touches only some of the sets,
+// and again when the same cache is reset a second time.
+func TestResetRestoresFreshState(t *testing.T) {
+	for _, p := range []Policy{LRU, Random, FIFO, PLRU} {
+		cfg := Config{Name: "t", Size: 64 << 10, Ways: 4, LineSize: 64, Policy: p, Seed: 7}
+		fresh, c := MustNew(cfg), MustNew(cfg)
+		rng := rand.New(rand.NewSource(1))
+		for round := 0; round < 2; round++ {
+			for i := 0; i < 4000; i++ {
+				// 192 of the 256 sets, four times their capacity.
+				addr := uint64(rng.Intn(16)<<8|rng.Intn(192)) * 64
+				switch rng.Intn(8) {
+				case 0:
+					c.Install(addr, rng.Intn(2) == 0)
+				case 1:
+					c.Invalidate(addr)
+				default:
+					c.Access(addr, rng.Intn(2) == 0)
+				}
+			}
+			if len(c.touched) == 0 || len(c.touched) == len(c.seq) {
+				t.Fatalf("%v: %d of %d sets touched; the stream should dirty some, not all", p, len(c.touched), len(c.seq))
+			}
+			c.Reset()
+			if !slices.Equal(c.lines, fresh.lines) || !slices.Equal(c.plru, fresh.plru) ||
+				!slices.Equal(c.seq, fresh.seq) || len(c.touched) != 0 ||
+				c.clock != fresh.clock || c.rng != fresh.rng || c.memo != fresh.memo || c.Stats != fresh.Stats {
+				t.Fatalf("%v round %d: reset cache differs from a new one", p, round)
+			}
+		}
 	}
 }
 

@@ -3,8 +3,8 @@
 //
 // The hierarchy is the timing heart of the simulator. Every kernel load or
 // store resolves here into a cycle count, via two entry points split so the
-// discrete-event engine (internal/sim) can keep private-state operations
-// lock-free and serialize only the operations that touch shared state:
+// event engine (internal/sim) orders only the operations that touch shared
+// state and private-state operations never cause a core switch:
 //
 //   - AccessL1: the fused private path — TLB lookup (uTLB → L2 TLB → page
 //     walk) plus a single L1 tag walk that detects a hit and applies its
@@ -562,14 +562,15 @@ func (h *Hierarchy) Access(core int, now float64, addr uint64, write bool, issue
 }
 
 // Order serializes globally-shared sections (the miss path past L1) across
-// the cores of a multi-core region. The sim engine implements it; AccessLines
-// brackets every miss with Enter/Leave exactly where the split
-// AccessL1+MissRest path would, so batched and per-line multi-core runs see
-// identical global event orderings. A nil Order means the caller is the only
-// core touching shared state (single-core regions).
+// the cores of a multi-core region. The sim engine implements it: Enter
+// returns when the core's event at now is the earliest pending one, and the
+// core then owns the shared state until its next Enter. AccessLines calls it
+// before every miss exactly where the split AccessL1+MissRest path would, so
+// batched and per-line multi-core runs see identical global event orderings.
+// A nil Order means the caller is the only core touching shared state
+// (single-core regions).
 type Order interface {
 	Enter(core int, now float64)
-	Leave(core int, now float64)
 }
 
 // lineStreak is the steady state of a consecutive-miss line run inside one
@@ -614,8 +615,8 @@ type lineStreak struct {
 //     confirmed-stride transition without re-running stream matching, skip
 //     the per-candidate MSHR scans via the ring-contents invariant, pop the
 //     demand match from the ring head, and — in single-core regions, where
-//     no Enter/Leave bracket guards the shared counters — batch DRAM read
-//     statistics per call.
+//     no other core shares the counters — batch DRAM read statistics per
+//     call.
 func (h *Hierarchy) AccessLines(core int, now float64, addr uint64, nLines, perLine int, write bool, issue float64, post []float64, ord Order) float64 {
 	if h.linesPerPage == 0 {
 		panic("hier: AccessLines on a hierarchy without line batching (see BatchLines)")
@@ -626,9 +627,8 @@ func (h *Hierarchy) AccessLines(core int, now float64, addr uint64, nLines, perL
 	addr &^= h.lineMask
 	var l1b cache.Stats // bulk L1 stat increments, applied once at the end
 	// Deferred DRAM read counters are a single-core-region optimization:
-	// DRAM statistics are shared state, and the deferred flush would land
-	// outside the Enter/Leave bracket — so ordered regions count per miss,
-	// inside their serialized sections, like the generic path.
+	// DRAM statistics are shared state, so ordered regions count per miss,
+	// inside their ordered sections, like the generic path.
 	var dramLines uint64
 	dramDefer := &dramLines
 	if ord != nil {
@@ -683,9 +683,6 @@ func (h *Hierarchy) AccessLines(core int, now float64, addr uint64, nLines, perL
 					h.enterStreak(st, addr, &sk)
 				}
 				now += (done - now) * overlap
-				if ord != nil {
-					ord.Leave(core, now)
-				}
 				for _, p := range post {
 					now += p
 				}

@@ -12,6 +12,7 @@ import (
 	"riscvmem/internal/kernels/blur"
 	"riscvmem/internal/kernels/stream"
 	"riscvmem/internal/kernels/transpose"
+	"riscvmem/internal/leakcheck"
 	"riscvmem/internal/machine"
 	"riscvmem/internal/sim"
 )
@@ -265,6 +266,57 @@ func TestPanickedMachineIsDiscarded(t *testing.T) {
 	res, err := r.RunOne(context.Background(), spec, Transpose(transpose.Config{N: 64}))
 	if err != nil || res.Seconds <= 0 {
 		t.Errorf("runner unusable after a panic: %+v, %v", res, err)
+	}
+}
+
+// TestPanicOnSimulatedCoreIsJobError: a custom workload panics inside a
+// multi-core region, on core 1 of VisionFive while core 0 is parked
+// mid-stream. The panic must reach the job's own recover — a per-job error,
+// the rest of the batch intact — instead of dying on a goroutine nothing
+// guards, the machine must not be re-pooled, and no coroutine of the
+// abandoned region may outlive the job.
+func TestPanicOnSimulatedCoreIsJobError(t *testing.T) {
+	defer leakcheck.Check(t)()
+	var poisoned *sim.Machine
+	bad := NewFunc("test/panic-on-core-1",
+		func(ctx context.Context, m *sim.Machine) (Result, error) {
+			poisoned = m
+			a := m.MustNewF64(1 << 14)
+			m.Run(2, func(c *sim.Core) {
+				if c.ID() == 1 {
+					c.TouchRange(a.Addr(0), 8, 1<<10, false)
+					panic("kernel bug on core 1")
+				}
+				c.TouchRange(a.Addr(0), 8, a.Len(), false)
+			})
+			return Result{Seconds: 1}, nil
+		})
+	dev := machine.VisionFive()
+	r := New(Options{Parallelism: 1})
+	results, errs := r.RunAll(context.Background(), []Job{
+		{Device: dev, Workload: Transpose(transpose.Config{N: 64})},
+		{Device: dev, Workload: bad},
+		{Device: dev, Workload: Transpose(transpose.Config{N: 128})},
+	})
+	if errs[1] == nil || !strings.Contains(errs[1].Error(), "workload panicked: kernel bug on core 1") {
+		t.Errorf("panicking job error = %v, want a recovered panic", errs[1])
+	}
+	if errs[0] != nil || errs[2] != nil || results[0].Seconds <= 0 || results[2].Seconds <= 0 {
+		t.Errorf("jobs sharing the batch lost their rows: %+v, %v", results, errs)
+	}
+	r.mu.Lock()
+	for _, ms := range r.pool {
+		for _, m := range ms {
+			if m == poisoned {
+				t.Error("machine abandoned mid-region was re-pooled")
+			}
+		}
+	}
+	r.mu.Unlock()
+	// One machine serves the serial batch: pooled after job 0, poisoned by
+	// job 1, and job 2's replacement is the only one left.
+	if n := r.PoolSize(); n != 1 {
+		t.Errorf("PoolSize() = %d, want 1", n)
 	}
 }
 

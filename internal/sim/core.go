@@ -2,23 +2,16 @@ package sim
 
 import "riscvmem/internal/hier"
 
-// engineOrder adapts the discrete-event engine to hier.Order so the batched
-// line pipeline (hier.AccessLines) serializes its shared sections through
-// the same global (time, core ID) ordering as the split AccessL1+MissRest
-// path.
-type engineOrder struct{ e *engine }
-
-func (o engineOrder) Enter(core int, now float64) { o.e.enter(core, now) }
-func (o engineOrder) Leave(core int, now float64) { o.e.leave(core, now) }
-
 // Core is one simulated hardware thread inside a Run region. All methods
-// must be called only from the goroutine executing that core's body.
+// must be called only from that core's body. The bodies of a multi-core
+// region are coroutines resumed one at a time (see Machine.Run): a body must
+// not block waiting for another body of its region.
 type Core struct {
 	id  int
 	m   *Machine
 	h   *hier.Hierarchy // == m.h, cached to skip a chase per access
 	e   *engine         // nil in single-core regions
-	ord hier.Order      // e wrapped for hier.AccessLines; nil when e is nil
+	ord hier.Order      // e for hier.AccessLines; a nil interface when e is nil
 	now float64
 
 	// batch gates the bulk range APIs into hier.AccessLines (line size not
@@ -113,13 +106,13 @@ func (c *Core) access(addr, line uint64, write bool, issue float64) {
 		if res.Hit {
 			c.now += issue
 		} else {
-			// Miss: order globally, then walk the shared path. The exposed
-			// latency is scaled by the device's miss-overlap factor (out-
-			// of-order cores hide part of it behind independent work).
-			c.e.enter(c.id, c.now)
+			// Miss: order globally, then walk the shared path, which this
+			// core owns until its next Enter. The exposed latency is
+			// scaled by the device's miss-overlap factor (out-of-order
+			// cores hide part of it behind independent work).
+			c.e.Enter(c.id, c.now)
 			done := h.MissRest(c.id, c.now, addr, res)
 			c.now += (done - c.now) * c.m.missOverlap
-			c.e.leave(c.id, c.now)
 		}
 	}
 	key := line | 1

@@ -1,132 +1,95 @@
 package sim
 
 import (
-	"runtime"
-	"sync"
+	"iter"
+	"math"
 )
 
-// engine serializes shared-state operations (shared caches, DRAM channels,
-// dynamic-schedule work stealing) across the goroutines that execute the
-// simulated cores, granting access in global simulated-time order with core
-// ID as the deterministic tie-breaker. This is a conservative discrete-event
-// scheme: a core may only enter a shared section when every other live core
-// is known to have advanced at least as far, which the monotonicity of each
-// core's clock guarantees.
-//
-// Wakeups are targeted: at any instant at most one core is eligible (the
-// global (time, ID) order is total), so every state change wakes exactly
-// that core instead of broadcasting to all waiters — the difference between
-// O(n) and O(n²) futex traffic per shared event on a 10-core device.
+// engine orders the shared-state events of a multi-core region (misses past
+// L1 into shared caches and DRAM, dynamic-schedule work grabs) by simulated
+// time, with core ID as the tie-breaker. It is a sequential coroutine
+// scheduler: every core body runs under iter.Pull, exactly one runs at a
+// time, and every other live core is parked at a shared event whose time is
+// exact (a core that has not started yet counts as parked at the region
+// start). The scheduler always resumes the parked core with the smallest
+// (time, ID), so events are granted in that total order by construction —
+// no locks, and nothing depends on how the host schedules goroutines.
 type engine struct {
-	mu sync.Mutex
-	// bound[i] is a lower bound on core i's simulated time: exact while the
-	// core is blocked at a sync point, stale-but-valid while it runs local
-	// (per-core) work.
-	bound []float64
-	// waiting[i] is true while core i is blocked at a sync point.
-	waiting []bool
-	// done[i] is true once core i finished its body.
-	done []bool
-	// wake[i] carries at most one pending wakeup token for core i.
-	wake []chan struct{}
+	// at[i] is the time of core i's pending event while it is parked, and
+	// +Inf once its body has returned.
+	at    []float64
+	yield []func(struct{}) bool
+	// (horizonT, horizonID) is the earliest (time, ID) among the parked
+	// cores. It cannot change while one core runs, so that core passes every
+	// event ordered before it without a switch.
+	horizonT  float64
+	horizonID int
 }
 
-func newEngine(n int) *engine {
-	e := &engine{
-		bound:   make([]float64, n),
-		waiting: make([]bool, n),
-		done:    make([]bool, n),
-		wake:    make([]chan struct{}, n),
+// regionStopped unwinds a parked core body whose region is being abandoned
+// because another body panicked.
+type regionStopped struct{}
+
+// Enter returns once the event of core id at time t is the earliest pending
+// one; the caller then owns the shared state until its next Enter. It
+// implements hier.Order.
+func (e *engine) Enter(id int, t float64) {
+	if t < e.horizonT || (t == e.horizonT && id < e.horizonID) {
+		return
 	}
-	for i := range e.wake {
-		e.wake[i] = make(chan struct{}, 1)
+	e.at[id] = t
+	if !e.yield[id](struct{}{}) {
+		panic(regionStopped{})
+	}
+}
+
+// run executes body once per core, interleaved in (time, core ID) event
+// order, and returns when every body has. A panic in one body stops the
+// other coroutines and reaches the caller on its own goroutine.
+func (e *engine) run(cores []*Core, body func(c *Core)) {
+	next := make([]func() (struct{}, bool), len(cores))
+	for i, c := range cores {
+		var stop func()
+		next[i], stop = iter.Pull(func(yield func(struct{}) bool) {
+			e.yield[c.id] = yield
+			defer func() {
+				// regionStopped ends here: the panic that stopped the region
+				// is already on its way to the caller. Anything else is the
+				// body's own and goes on to iter.Pull, which hands it to next.
+				if p := recover(); p != nil && p != (regionStopped{}) {
+					panic(p)
+				}
+			}()
+			body(c)
+		})
+		defer stop()
+	}
+	for {
+		// One pass finds the earliest parked core and, for the horizon, the
+		// runner-up; strict comparisons leave ties with the smaller ID.
+		id, t := -1, math.Inf(1)
+		e.horizonT, e.horizonID = t, -1
+		for j, tj := range e.at {
+			if tj < t {
+				e.horizonT, e.horizonID = t, id
+				id, t = j, tj
+			} else if tj < e.horizonT {
+				e.horizonT, e.horizonID = tj, j
+			}
+		}
+		if id < 0 {
+			return
+		}
+		if _, parked := next[id](); !parked {
+			e.at[id] = math.Inf(1)
+		}
+	}
+}
+
+func newEngine(n int, start float64) *engine {
+	e := &engine{at: make([]float64, n), yield: make([]func(struct{}) bool, n)}
+	for i := range e.at {
+		e.at[i] = start
 	}
 	return e
-}
-
-// isMin reports whether core id, at time t, is the globally earliest live
-// core, with ties broken toward the smaller ID. A core that is running local
-// work only publishes a lower bound; if that bound could still produce an
-// earlier (or equally early, smaller-ID) shared event, id must wait — this
-// is what makes grant order a pure function of simulated time, independent
-// of host goroutine scheduling. Caller holds e.mu.
-func (e *engine) isMin(id int, t float64) bool {
-	for j := range e.bound {
-		if j == id || e.done[j] {
-			continue
-		}
-		if e.bound[j] < t || (e.bound[j] == t && j < id) {
-			return false
-		}
-	}
-	return true
-}
-
-// wakeEligibleLocked wakes the single waiter (if any) that now holds the
-// global minimum. Caller holds e.mu.
-func (e *engine) wakeEligibleLocked() {
-	for j := range e.bound {
-		if !e.waiting[j] || e.done[j] {
-			continue
-		}
-		if e.isMin(j, e.bound[j]) {
-			select {
-			case e.wake[j] <- struct{}{}:
-			default: // token already pending
-			}
-			return // the order is total: at most one eligible waiter
-		}
-	}
-}
-
-// enter blocks core id until it holds the global minimum at time t, then
-// claims the shared section. Every shared mutation between enter and leave
-// is therefore globally ordered by (time, core ID).
-func (e *engine) enter(id int, t float64) {
-	e.mu.Lock()
-	e.bound[id] = t
-	e.waiting[id] = true
-	// Raising this core's bound may be exactly what an earlier-ID waiter at
-	// the same or later time was blocked on.
-	e.wakeEligibleLocked()
-	// Shared sections are short (a few cache-model operations), so the
-	// predecessor usually leaves within microseconds: spin briefly before
-	// paying the futex round-trip of a channel park. The grant condition is
-	// identical either way, so simulated results do not depend on this.
-	for spin := 0; spin < 8 && !e.isMin(id, t); spin++ {
-		e.mu.Unlock()
-		runtime.Gosched()
-		e.mu.Lock()
-	}
-	for !e.isMin(id, t) {
-		e.mu.Unlock()
-		<-e.wake[id]
-		e.mu.Lock()
-	}
-	e.waiting[id] = false
-	// Drain any stale token so a future wait doesn't wake spuriously early
-	// (harmless, but avoids a wasted loop iteration).
-	select {
-	case <-e.wake[id]:
-	default:
-	}
-	e.mu.Unlock()
-}
-
-// leave publishes the core's post-section time and hands the section to the
-// next core in simulated-time order.
-func (e *engine) leave(id int, t float64) {
-	e.mu.Lock()
-	e.bound[id] = t
-	e.wakeEligibleLocked()
-	e.mu.Unlock()
-}
-
-// finish marks the core complete so it no longer constrains others.
-func (e *engine) finish(id int) {
-	e.mu.Lock()
-	e.done[id] = true
-	e.waiting[id] = false
-	e.wakeEligibleLocked()
-	e.mu.Unlock()
 }

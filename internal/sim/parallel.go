@@ -1,7 +1,5 @@
 package sim
 
-import "sync"
-
 // Schedule selects how ParallelFor distributes iterations, mirroring
 // OpenMP's schedule(static) and schedule(dynamic) clauses — the distinction
 // behind the paper's "Dynamic" transposition variant.
@@ -19,30 +17,6 @@ const (
 // (atomic increment plus contention); charged per chunk.
 const dynGrabCycles = 40
 
-// dispenser is the shared chunk counter for dynamic scheduling. Grabs are
-// serialized through the engine, so assignment order follows simulated time
-// deterministically.
-type dispenser struct {
-	mu    sync.Mutex
-	next  int
-	limit int
-}
-
-func (d *dispenser) grab(chunk int) (lo, hi int, ok bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.next >= d.limit {
-		return 0, 0, false
-	}
-	lo = d.next
-	hi = lo + chunk
-	if hi > d.limit {
-		hi = d.limit
-	}
-	d.next = hi
-	return lo, hi, true
-}
-
 // ParallelFor runs body for every i in [0,n) across `cores` simulated cores
 // under the given schedule. chunk applies to Dynamic (values < 1 become 1).
 // It returns the region result (wall time = slowest core).
@@ -59,7 +33,8 @@ func (m *Machine) ParallelFor(cores, n int, sched Schedule, chunk int, body func
 // share, or one dynamic chunk per grab). Scheduling, grab costs and event
 // ordering are identical to ParallelFor; the range form exists so bodies
 // can charge their memory traffic through the bulk range APIs
-// (Core.TouchRange / TouchSpans) instead of element by element.
+// (Core.TouchRange / TouchSpans) instead of element by element. As in
+// Machine.Run, bodies must not block on one another.
 func (m *Machine) ParallelRange(cores, n int, sched Schedule, chunk int, body func(c *Core, lo, hi int)) Result {
 	if cores > m.spec.Cores {
 		cores = m.spec.Cores
@@ -72,19 +47,22 @@ func (m *Machine) ParallelRange(cores, n int, sched Schedule, chunk int, body fu
 	}
 	switch sched {
 	case Dynamic:
-		d := &dispenser{limit: n}
+		next := 0 // the shared chunk counter
 		return m.Run(cores, func(c *Core) {
 			for {
-				// The grab is a shared event: order it like any other.
+				// The grab is a shared event: order it like any other, so
+				// chunks are assigned in simulated-time order.
 				if c.e != nil {
-					c.e.enter(c.id, c.now)
+					c.e.Enter(c.id, c.now)
 				}
-				lo, hi, ok := d.grab(chunk)
+				lo := next
+				hi := lo + chunk
+				if hi > n {
+					hi = n
+				}
+				next = hi
 				c.now += dynGrabCycles
-				if c.e != nil {
-					c.e.leave(c.id, c.now)
-				}
-				if !ok {
+				if lo >= n {
 					return
 				}
 				body(c, lo, hi)

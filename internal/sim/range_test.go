@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"riscvmem/internal/machine"
@@ -258,14 +259,15 @@ func TestRangePropertyOracle(t *testing.T) {
 	}
 }
 
-// TestParallelRangeOracle asserts the batched pipeline under the discrete-
-// event engine: a multi-core ParallelRange whose bodies stream TouchRange
-// bursts (read phase, then write phase) must be bit-identical to the same
-// schedule charged element by element, on every preset at its full core
-// count.
+// TestParallelRangeOracle asserts the batched pipeline under the event
+// engine: a multi-core ParallelRange whose bodies stream TouchRange bursts
+// (read phase, then write phase) must be bit-identical to the same schedule
+// charged element by element, on every preset at its full core count — and
+// both must read the same under 1, 2 and 4 host Ps.
 func TestParallelRangeOracle(t *testing.T) {
 	const elems = 1 << 14
-	run := func(spec machine.Spec, ranged bool) (float64, Summary) {
+	// run returns both regions' wall and per-core times, and the counters.
+	run := func(spec machine.Spec, ranged bool) ([]float64, Summary) {
 		m := MustNew(spec)
 		a := m.MustNewF64(elems)
 		body := func(c *Core, lo, hi int, write bool) {
@@ -283,15 +285,19 @@ func TestParallelRangeOracle(t *testing.T) {
 		res2 := m.ParallelRange(spec.Cores, elems, Dynamic, 64, func(c *Core, lo, hi int) {
 			body(c, lo, hi, true)
 		})
-		return res.Cycles + res2.Cycles, m.Stats()
+		times := append([]float64{res.Cycles, res2.Cycles}, res.PerCore...)
+		return append(times, res2.PerCore...), m.Stats()
 	}
 	for _, spec := range machine.All() {
 		refC, refS := run(spec, false)
-		gotC, gotS := run(spec, true)
-		if gotC != refC || gotS != refS {
-			t.Errorf("%s: parallel TouchRange diverges: got (%v,%+v) want (%v,%+v)",
-				spec.Name, gotC, gotS, refC, refS)
-		}
+		atHostProcs(func(procs int) {
+			for _, ranged := range []bool{false, true} {
+				if gotC, gotS := run(spec, ranged); !slices.Equal(gotC, refC) || gotS != refS {
+					t.Errorf("%s GOMAXPROCS=%d ranged=%v: parallel TouchRange diverges: got (%v,%+v) want (%v,%+v)",
+						spec.Name, procs, ranged, gotC, gotS, refC, refS)
+				}
+			}
+		})
 	}
 }
 

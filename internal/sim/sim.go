@@ -8,10 +8,10 @@
 // itself lives in ordinary Go slices so results stay functionally correct
 // and testable.
 //
-// Parallel regions run one goroutine per simulated core under a conservative
-// discrete-event engine that orders all shared-state events by simulated
-// time, making every run bit-for-bit deterministic regardless of host
-// scheduling.
+// Parallel regions run each simulated core's body as a coroutine under a
+// sequential scheduler (engine.go) that resumes one core at a time in
+// (simulated time, core ID) order of their shared-state events, so every run
+// is bit-for-bit deterministic and independent of host scheduling.
 // Deterministic by contract: bit-identical outputs across runs and
 // processes (see DESIGN.md §11); machine-checked by simlint.
 //simlint:deterministic
@@ -141,6 +141,13 @@ func (r Result) Seconds(spec machine.Spec) float64 {
 // Run executes body once per simulated core (cores index 0..n-1) and returns
 // the region wall time: the maximum core completion time minus the region
 // start. n must not exceed the device's core count.
+//
+// With n > 1 the bodies are coroutines on the caller's goroutine, one
+// running at a time and switched only at shared events (L1 misses, dynamic
+// work grabs). A body must therefore not block on another body of the
+// region (a channel, a WaitGroup): that never had a deterministic outcome
+// and now deadlocks. A panic in any body stops the others and propagates to
+// the caller, leaving the machine mid-region: Reset it or drop it.
 func (m *Machine) Run(n int, body func(c *Core)) Result {
 	if n < 1 || n > m.spec.Cores {
 		panic(fmt.Sprintf("sim: %d cores requested on %d-core %s", n, m.spec.Cores, m.spec.Name))
@@ -148,12 +155,10 @@ func (m *Machine) Run(n int, body func(c *Core)) Result {
 	start := m.clock
 	cores := make([]*Core, n)
 	var e *engine
-	if n > 1 {
-		e = newEngine(n)
-	}
 	var ord hier.Order
-	if e != nil {
-		ord = engineOrder{e: e}
+	if n > 1 {
+		e = newEngine(n, start)
+		ord = e
 	}
 	for i := range cores {
 		cores[i] = &Core{
@@ -167,17 +172,7 @@ func (m *Machine) Run(n int, body func(c *Core)) Result {
 	if n == 1 {
 		body(cores[0])
 	} else {
-		done := make(chan int, n)
-		for i := range cores {
-			go func(c *Core) {
-				body(c)
-				c.e.finish(c.id)
-				done <- c.id
-			}(cores[i])
-		}
-		for range cores {
-			<-done
-		}
+		e.run(cores, body)
 	}
 	res := Result{PerCore: make([]float64, n)}
 	end := start

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"math"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -141,24 +143,67 @@ func TestRunPanicsOnTooManyCores(t *testing.T) {
 	m.Run(2, func(c *Core) {})
 }
 
-func streamCycles(spec machine.Spec, cores, n int) float64 {
+func streamRun(spec machine.Spec, cores, n int) (Result, Summary) {
 	m := MustNew(spec)
 	a := m.MustNewF64(n)
 	b := m.MustNewF64(n)
 	r := m.ParallelFor(cores, n, Static, 0, func(c *Core, i int) {
 		a.Store(c, i, b.Load(c, i))
 	})
+	return r, m.Stats()
+}
+
+func streamCycles(spec machine.Spec, cores, n int) float64 {
+	r, _ := streamRun(spec, cores, n)
 	return r.Cycles
+}
+
+// atHostProcs runs f under 1, 2 and 4 host Ps: a multi-core region must not
+// depend on how many threads the Go scheduler has to spread goroutines over.
+func atHostProcs(f func(procs int)) {
+	for _, procs := range []int{1, 2, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		f(procs)
+		runtime.GOMAXPROCS(prev)
+	}
 }
 
 func TestParallelDeterminism(t *testing.T) {
 	spec := machine.XeonServer()
 	const n = 1 << 14
-	first := streamCycles(spec, 4, n)
-	for trial := 0; trial < 3; trial++ {
-		if got := streamCycles(spec, 4, n); got != first {
-			t.Fatalf("trial %d: %v cycles, first run %v — nondeterministic", trial, got, first)
+	first, firstStats := streamRun(spec, 4, n)
+	atHostProcs(func(procs int) {
+		for trial := 0; trial < 3; trial++ {
+			got, stats := streamRun(spec, 4, n)
+			if got.Cycles != first.Cycles || !slices.Equal(got.PerCore, first.PerCore) || stats != firstStats {
+				t.Fatalf("GOMAXPROCS=%d trial %d: (%+v, %+v), first run (%+v, %+v) — nondeterministic",
+					procs, trial, got, stats, first, firstStats)
+			}
 		}
+	})
+}
+
+// TestDynamicGrabOrder: dynamic chunks go to cores in simulated-time order
+// of their grabs, and two cores grabbing at the same time are served
+// smaller ID first.
+func TestDynamicGrabOrder(t *testing.T) {
+	owners := func(cost func(id int) float64) []int {
+		m := MustNew(machine.VisionFive())
+		got := make([]int, 3)
+		m.ParallelRange(2, len(got), Dynamic, 1, func(c *Core, lo, hi int) {
+			got[lo] = c.ID()
+			c.Cycles(cost(c.ID()))
+		})
+		return got
+	}
+	// Equal chunk costs: the cores tie at the region start and again after
+	// their first chunks, so core 0 wins both the first and the third grab.
+	if got := owners(func(int) float64 { return 100 }); !slices.Equal(got, []int{0, 1, 0}) {
+		t.Errorf("tied grabs: chunk owners %v, want [0 1 0]", got)
+	}
+	// Core 0 slower: core 1 is back first and takes the last chunk.
+	if got := owners(func(id int) float64 { return 200 - 100*float64(id) }); !slices.Equal(got, []int{0, 1, 1}) {
+		t.Errorf("core 1 earlier: chunk owners %v, want [0 1 1]", got)
 	}
 }
 

@@ -105,6 +105,15 @@ func DeviceByName(name string) (Device, error) { return machine.ByName(name) }
 // Both are defined to be exactly equivalent to the corresponding per-element
 // loop: simulated cycles bit for bit, identical cache/TLB/DRAM statistics
 // and replacement state. Oracle tests assert this on every device preset.
+//
+// # Parallel regions
+//
+// The core bodies of Machine.Run / ParallelFor / ParallelRange are
+// coroutines on the calling goroutine: one runs at a time, switched only at
+// shared events (a miss past L1, a dynamic work grab) in (simulated time,
+// core ID) order. The bodies of one region must therefore not block on each
+// other (channels, WaitGroups): that never had a deterministic outcome and
+// now deadlocks. A panic in any body propagates to the caller of the region.
 type (
 	Machine = sim.Machine
 	Core    = sim.Core

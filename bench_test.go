@@ -228,8 +228,10 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 
 // BenchmarkTouchRangeThroughput measures the same streaming element-access
 // pattern as BenchmarkSimulatorThroughput charged through the bulk range
-// API (F64.LoadRange → Core.TouchRange): one fused lookup per cache line
-// instead of per element. ns/op is still host time per simulated element.
+// API (F64.LoadRange → Core.TouchRange): one full lookup per cache line
+// instead of an L0-filter check per element. ns/op is still host time per
+// simulated element. A layer reading, not traffic: no kernel charges a
+// single forward unit-stride span (DESIGN.md §4.1).
 func BenchmarkTouchRangeThroughput(b *testing.B) {
 	dev := riscvmem.MangoPiD1()
 	m, err := riscvmem.NewMachine(dev)
@@ -254,12 +256,11 @@ func BenchmarkTouchRangeThroughput(b *testing.B) {
 	})
 }
 
-// BenchmarkParallelRangeThroughput measures multi-core streaming through the
-// engine-serialized batched miss pipeline: every VisionFive core TouchRanges
-// its static share of a shared array via Machine.ParallelRange, so line
-// batching, the discrete-event ordering of the shared miss path and the
-// prefetcher streak all run together. ns/op is host time per simulated
-// element summed over the cores.
+// BenchmarkParallelRangeThroughput measures multi-core streaming under the
+// event engine: every VisionFive core TouchRanges its static share of a
+// shared array via Machine.ParallelRange, so the per-line range loop and the
+// (time, core ID) ordering of the shared miss path run together. ns/op is
+// host time per simulated element summed over the cores.
 func BenchmarkParallelRangeThroughput(b *testing.B) {
 	dev := riscvmem.VisionFive()
 	m, err := riscvmem.NewMachine(dev)

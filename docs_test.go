@@ -1,0 +1,170 @@
+package riscvmem_test
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+)
+
+// checkedDocs are the documents whose backticked references must resolve.
+var checkedDocs = []string{"README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"}
+
+var (
+	codeSpan = regexp.MustCompile("`[^`\n]+`")
+	pathLike = regexp.MustCompile(`^(\./)?[\w.*-]+(/[\w.*-]+)*/?$`)
+	fileLike = regexp.MustCompile(`\.(go|md|json|sh|yml|mod)$`)
+	qualName = regexp.MustCompile(`\b([a-z][a-z0-9]*)\.([A-Z]\w*)`)
+)
+
+// TestDocsNameThingsThatExist fails when a checked document names, in
+// backticks, a repository path that does not exist or an exported
+// pkg.Identifier that no non-test file of that package declares (pkg being a
+// directory under internal/, or riscvmem; lower-case dotted names are
+// metrics, JSON fields and fault seams, not Go). Deleting or renaming code
+// then fails here until the prose that describes it is brought along.
+func TestDocsNameThingsThatExist(t *testing.T) {
+	decls := declaredNames(t)
+	baseNames := map[string]bool{}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.Name() == ".git" {
+			return filepath.SkipDir
+		}
+		baseNames[d.Name()] = true
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	refs := 0
+	for _, doc := range checkedDocs {
+		raw, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, span := range codeSpan.FindAllString(withoutFences(string(raw)), -1) {
+			span = strings.TrimSuffix(strings.Trim(span, "`"), "/...") // a package pattern names its directory
+			if pathLike.MatchString(span) {
+				first, _, nested := strings.Cut(strings.TrimPrefix(span, "./"), "/")
+				_, statErr := os.Stat(first)
+				switch {
+				case nested && statErr == nil:
+					// A path from the repository root; * globs.
+					refs++
+					if m, _ := filepath.Glob(span); len(m) == 0 {
+						t.Errorf("%s names the path `%s`, which does not exist", doc, span)
+					}
+					continue
+				case !nested && fileLike.MatchString(span):
+					// A bare file name: some file of the repository has it.
+					refs++
+					if !baseNames[span] {
+						t.Errorf("%s names the file `%s`; no file of the repository has that name", doc, span)
+					}
+					continue
+				}
+			}
+			for _, m := range qualName.FindAllStringSubmatch(span, -1) {
+				names, ok := decls[m[1]]
+				if !ok {
+					continue
+				}
+				refs++
+				if !names[m[2]] {
+					t.Errorf("%s names `%s.%s` (in `%s`); no non-test file of package %s declares %s",
+						doc, m[1], m[2], span, m[1], m[2])
+				}
+			}
+		}
+	}
+	t.Logf("%d references checked", refs)
+	if refs == 0 {
+		t.Error("no references found: the extraction is broken")
+	}
+}
+
+// withoutFences drops fenced code blocks, whose contents are shell and Go
+// rather than prose and whose fences would mispair the inline spans.
+func withoutFences(doc string) string {
+	var out []string
+	fenced := false
+	for _, line := range strings.Split(doc, "\n") {
+		if strings.HasPrefix(strings.TrimSpace(line), "```") {
+			fenced = !fenced
+			continue
+		}
+		if !fenced {
+			out = append(out, line)
+		}
+	}
+	return strings.Join(out, "\n")
+}
+
+// declaredNames maps each package name — riscvmem and every directory under
+// internal/, by its base name — to the identifiers its non-test files
+// declare: top-level funcs, types, vars and consts, methods, struct fields
+// and interface methods.
+func declaredNames(t *testing.T) map[string]map[string]bool {
+	decls := map[string]map[string]bool{}
+	add := func(pkg, dir string) {
+		names := decls[pkg]
+		if names == nil {
+			names = map[string]bool{}
+			decls[pkg] = names
+		}
+		files, _ := filepath.Glob(filepath.Join(dir, "*.go"))
+		for _, file := range files {
+			if strings.HasSuffix(file, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(token.NewFileSet(), file, nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.FuncDecl:
+					names[n.Name.Name] = true
+					return false
+				case *ast.TypeSpec:
+					names[n.Name.Name] = true
+				case *ast.ValueSpec:
+					for _, id := range n.Names {
+						names[id.Name] = true
+					}
+				case *ast.Field: // struct fields, interface methods
+					for _, id := range n.Names {
+						names[id.Name] = true
+					}
+				}
+				return true
+			})
+		}
+	}
+	add("riscvmem", ".")
+	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && d.Name() == "testdata" {
+			return filepath.SkipDir
+		}
+		if d.IsDir() && path != "internal" {
+			add(d.Name(), path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return decls
+}

@@ -236,23 +236,12 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 	return c.access(addr>>c.lineShift, write, &c.Stats)
 }
 
-// AccessLine is Access for a precomputed line number with caller-buffered
-// statistics: the hit/miss/writeback/install counts accumulate into *st
-// instead of c.Stats, so a line run (hier.AccessLines) applies them as one
-// bulk AddStats at the end instead of per access. Timing, replacement state
-// and the Result are identical to Access; callers that pass a private st
-// must AddStats it back before the counters are observed.
+// AccessLine is Access for a precomputed line number, counting into *st
+// instead of c.Stats; Result, timing and replacement state are identical.
+// Its only caller is bench/ladder.go's cache.access_ns rung; it goes when a
+// benchmark PR retires that rung.
 func (c *Cache) AccessLine(ln uint64, write bool, st *Stats) Result {
 	return c.access(ln, write, st)
-}
-
-// AddStats folds caller-buffered access counts (from AccessLine) into the
-// cache's statistics.
-func (c *Cache) AddStats(st Stats) {
-	c.Stats.Hits += st.Hits
-	c.Stats.Misses += st.Misses
-	c.Stats.Writebacks += st.Writebacks
-	c.Stats.Installs += st.Installs
 }
 
 // access is the fused demand path shared by Access and AccessLine.

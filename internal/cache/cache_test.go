@@ -351,16 +351,16 @@ func BenchmarkAccessMissStream(b *testing.B) {
 	}
 }
 
-// TestAccessLineEquivalence pins AccessLine with caller-buffered statistics
-// (plus one AddStats flush) to the plain Access path: identical Results,
-// replacement state and final counters on a mixed random workload, for every
-// policy.
+// TestAccessLineEquivalence pins AccessLine (a precomputed line number,
+// statistics counted into the caller's Stats) to the plain Access path:
+// identical Results, replacement state and counters on a mixed random
+// workload, for every policy.
 func TestAccessLineEquivalence(t *testing.T) {
 	for _, pol := range []Policy{LRU, Random, FIFO, PLRU} {
 		cfg := Config{Name: "t", Size: 4096, Ways: 4, LineSize: 64, Policy: pol, Seed: 7}
 		ref := MustNew(cfg)
 		got := MustNew(cfg)
-		var buf Stats
+		var gotStats Stats
 		rnd := uint64(0x1234567)
 		for i := 0; i < 5000; i++ {
 			rnd ^= rnd << 13
@@ -369,14 +369,13 @@ func TestAccessLineEquivalence(t *testing.T) {
 			addr := (rnd % 512) * 64
 			write := rnd&1 == 0
 			r1 := ref.Access(addr, write)
-			r2 := got.AccessLine(addr>>6, write, &buf)
+			r2 := got.AccessLine(addr>>6, write, &gotStats)
 			if r1 != r2 {
 				t.Fatalf("%v: access %d diverges: got %+v want %+v", pol, i, r2, r1)
 			}
 		}
-		got.AddStats(buf)
-		if got.Stats != ref.Stats {
-			t.Errorf("%v: stats diverge: got %+v want %+v", pol, got.Stats, ref.Stats)
+		if gotStats != ref.Stats {
+			t.Errorf("%v: stats diverge: got %+v want %+v", pol, gotStats, ref.Stats)
 		}
 		if got.ValidLines() != ref.ValidLines() {
 			t.Errorf("%v: valid lines diverge", pol)

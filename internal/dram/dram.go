@@ -161,19 +161,12 @@ func (m *Model) Request(now float64, addr uint64, bytes int64, write bool) (done
 	return done
 }
 
-// LineRead is Request for a line-sized read with caller-batched traffic
-// counters: timing is identical (same serve core), but Reads/BytesRead are
-// left for the caller to fold in as one AddLineReads at the end of a line
-// run (hier.AccessLines).
+// LineRead is the timing of a line-sized read Request (same serve core)
+// without its Reads/BytesRead counters.
+// Its only caller is bench/ladder.go's dram.request_ns rung; it goes when a
+// benchmark PR retires that rung.
 func (m *Model) LineRead(now float64, addr uint64) (done float64) {
 	return m.serve(now, addr, m.lineXfer)
-}
-
-// AddLineReads folds n caller-batched LineRead transfers into the traffic
-// statistics.
-func (m *Model) AddLineReads(n uint64) {
-	m.Stats.Reads += n
-	m.Stats.BytesRead += n * uint64(m.cfg.LineBytes)
 }
 
 // Posted serves a non-blocking transfer (write-back or prefetch fill): it

@@ -15,8 +15,8 @@
 //     prefetch training/issue. Calls must be globally ordered by time across
 //     cores; the sim engine guarantees that.
 //
-// Access combines both for single-call use; the split legacy entry points
-// (Translate, L1Hit, TouchL1, MissPath) remain for probes and tests.
+// Access combines both for single-call use in single-core regions. Both
+// routes end in the one miss path, missRestLine.
 //
 // Inclusive caches, write-back + write-allocate everywhere, posted (non-
 // blocking) write-backs, and demand fills that lazily install prefetched
@@ -144,7 +144,7 @@ type fill struct {
 }
 
 // physMemoEntries sizes the per-core direct-mapped VPN→PPN memo; a power of
-// two. The memo caches the splitmix64 page scatter (see phys), which is a
+// two. The memo caches the splitmix64 page scatter (see physPage), which is a
 // pure function of the VPN — memoization is exact, never invalidated. It is
 // deliberately small: page-grain reuse means a handful of hot pages cover a
 // kernel's inner loops, and a compact table stays resident in the host L1.
@@ -204,8 +204,9 @@ func (st *coreState) infRemove(k int) {
 	st.infLen--
 }
 
-// physFor is the memoized phys: one table probe replaces the three-multiply
-// mixer for every hot page.
+// physFor maps a virtual address to its physical address through the
+// memoized physPage: one table probe replaces the three-multiply mixer for
+// every hot page.
 func (st *coreState) physFor(addr uint64) uint64 {
 	vpn := addr >> 12
 	e := &st.physMemo[vpn&(physMemoEntries-1)]
@@ -221,12 +222,6 @@ type Hierarchy struct {
 	lineMask    uint64 // LineSize-1; line rounding is addr &^ lineMask
 	lineShift   uint   // log2(LineSize)
 	maxInflight int    // resolved MSHR count (cfg.MaxInflight, default 8)
-	// linesPerPage is the line count of one translation-run window for the
-	// batched pipeline (AccessLines): the lines that share both a uTLB page
-	// and a 4 KiB scattered physical frame. 0 disables batching (lines
-	// larger than the page — no preset does this).
-	linesPerPage int
-	pageMask     uint64 // the window size minus one
 	// monoFills: on a single-channel device with no L2/L3, every fill is a
 	// same-size DRAM request through one FIFO queue, so completion times
 	// are monotonic in issue order — if the oldest in-flight fill is not
@@ -250,14 +245,6 @@ func New(cfg Config) (*Hierarchy, error) {
 	h := &Hierarchy{cfg: cfg, lineMask: uint64(cfg.LineSize - 1), dramM: dram.MustNew(cfg.DRAM)}
 	for s := cfg.LineSize; s > 1; s >>= 1 {
 		h.lineShift++
-	}
-	pageShift := uint(12) // the phys scatter's 4 KiB frames
-	if cfg.UTLB.PageShift < pageShift {
-		pageShift = cfg.UTLB.PageShift // smaller pages bound the run window
-	}
-	if page := int64(1) << pageShift; page >= cfg.LineSize {
-		h.linesPerPage = int(page / cfg.LineSize)
-		h.pageMask = uint64(page - 1)
 	}
 	h.maxInflight = cfg.MaxInflight
 	if h.maxInflight <= 0 {
@@ -376,29 +363,14 @@ func (h *Hierarchy) l3For(core int) *cache.Cache {
 	return h.l3[core]
 }
 
-// SharedOnMiss reports whether an L1 miss on this machine touches globally
-// shared state (a shared L2/L3 or, always, DRAM). Single-core machines never
-// need cross-core ordering.
-func (h *Hierarchy) SharedOnMiss() bool { return h.cfg.Cores > 1 }
-
-// BatchLines reports whether the batched line pipeline (AccessLines) is
-// available on this hierarchy: the line size must not exceed the translation
-// window (true for every preset). Callers fall back to per-line accesses
-// otherwise.
-func (h *Hierarchy) BatchLines() bool { return h.linesPerPage > 0 }
-
-// phys maps a virtual address to the simulated physical address used for
-// cache set indexing and DRAM channel interleave. Pages are scattered by a
-// bijective 64-bit mixer (the splitmix64 finalizer), modelling the OS's
-// arbitrary physical page allocation behind physically-indexed caches —
-// without it, power-of-two row strides (the 8192² matrix!) alias into a
-// handful of sets, a pathology real systems don't exhibit. Offsets within a
-// page are preserved; TLBs and prefetch training stay virtual.
-func (h *Hierarchy) phys(addr uint64) uint64 {
-	return physPage(addr>>12) | addr&4095
-}
-
-// physPage scatters one virtual page number (the splitmix64 finalizer).
+// physPage maps a virtual page number to the simulated physical page
+// address used for cache set indexing and DRAM channel interleave. Pages are
+// scattered by a bijective 64-bit mixer (the splitmix64 finalizer),
+// modelling the OS's arbitrary physical page allocation behind
+// physically-indexed caches — without it, power-of-two row strides (the
+// 8192² matrix!) alias into a handful of sets, a pathology real systems
+// don't exhibit. Offsets within a page are preserved (see physFor); TLBs and
+// prefetch training stay virtual.
 func physPage(vpn uint64) uint64 {
 	z := vpn + 0x9e3779b97f4a7c15
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
@@ -407,12 +379,8 @@ func physPage(vpn uint64) uint64 {
 	return z << 12
 }
 
-// Translate charges the TLB path for a data access and returns its cycle
+// translate charges the TLB path for a data access and returns its cycle
 // cost. All state touched is private to the core.
-func (h *Hierarchy) Translate(core int, addr uint64) float64 {
-	return h.translate(&h.per[core], addr)
-}
-
 func (h *Hierarchy) translate(st *coreState, addr uint64) float64 {
 	if st.utlb.Lookup(addr) {
 		return 0
@@ -434,28 +402,11 @@ func (h *Hierarchy) translateMiss(st *coreState, addr uint64) float64 {
 	return cost
 }
 
-// L1Hit reports whether addr is resident in the core's L1 without mutating
-// replacement state.
-func (h *Hierarchy) L1Hit(core int, addr uint64) bool {
-	st := &h.per[core]
-	return st.l1.Probe(st.physFor(addr))
-}
-
-// TouchL1 performs the L1 hit-path update (recency, dirty bit) for an access
-// already known to hit, returning its cycle cost.
-func (h *Hierarchy) TouchL1(core int, addr uint64, write bool) float64 {
-	st := &h.per[core]
-	st.l1.Access(st.physFor(addr), write)
-	return h.cfg.L1HitCycles
-}
-
 // AccessL1 performs the private, per-core portion of one data access in a
 // single pass: the TLB path plus one fused L1 tag walk that either applies
 // the hit-path update or counts the demand miss and installs the line
-// (reporting the victim in res). It replaces the Translate + L1Hit + TouchL1
-// triple walk of the split API with exactly one TLB lookup and one cache
-// lookup; timing, statistics and replacement state are identical. On a miss
-// the caller must complete the access with MissRest.
+// (reporting the victim in res): exactly one TLB lookup and one cache
+// lookup. On a miss the caller must complete the access with MissRest.
 func (h *Hierarchy) AccessL1(core int, addr uint64, write bool) (tlbCycles float64, res cache.Result) {
 	st := &h.per[core]
 	tlbCycles = h.translate(st, addr)
@@ -471,14 +422,10 @@ func (h *Hierarchy) AccessL1(core int, addr uint64, write bool) (tlbCycles float
 // This is the only part of an access that touches globally shared state;
 // multi-core callers must invoke it in non-decreasing global time order.
 func (h *Hierarchy) MissRest(core int, now float64, addr uint64, res cache.Result) float64 {
-	return h.missRest(&h.per[core], core, now, addr, res)
+	return h.missRestLine(&h.per[core], core, now, addr&^h.lineMask, res)
 }
 
-func (h *Hierarchy) missRest(st *coreState, core int, now float64, addr uint64, res cache.Result) float64 {
-	return h.missRestLine(st, core, now, addr&^h.lineMask, res)
-}
-
-// missRestLine is missRest for an already line-aligned address.
+// missRestLine is the one miss path, for an already line-aligned address.
 func (h *Hierarchy) missRestLine(st *coreState, core int, now float64, line uint64, res cache.Result) float64 {
 	// The victim's write-back is posted down the hierarchy.
 	if res.EvictedValid && res.EvictedDirty {
@@ -530,16 +477,6 @@ func (h *Hierarchy) missRestLine(st *coreState, core int, now float64, line uint
 	return h.fill(core, now, st.physFor(line)) + h.cfg.L1HitCycles
 }
 
-// MissPath resolves an L1 miss at simulated time now and returns the access
-// completion time: the L1 demand access (miss count, line install, victim
-// selection) followed by MissRest. Multi-core callers must invoke MissPath
-// in non-decreasing global time order.
-func (h *Hierarchy) MissPath(core int, now float64, addr uint64, write bool) float64 {
-	st := &h.per[core]
-	res := st.l1.Access(st.physFor(addr), write)
-	return h.missRest(st, core, now, addr, res)
-}
-
 // Access resolves one data access end-to-end at simulated time now and
 // returns the core's new simulated time: translation, the fused L1 lookup
 // (plus issue, the caller's per-element L1-hit cost) on a hit, or the full
@@ -557,299 +494,50 @@ func (h *Hierarchy) Access(core int, now float64, addr uint64, write bool, issue
 	if res.Hit {
 		return now + issue
 	}
-	done := h.missRest(st, core, now, addr, res)
+	done := h.missRestLine(st, core, now, addr&^h.lineMask, res)
 	return now + (done-now)*h.cfg.MissOverlap
 }
 
 // Order serializes globally-shared sections (the miss path past L1) across
 // the cores of a multi-core region. The sim engine implements it: Enter
 // returns when the core's event at now is the earliest pending one, and the
-// core then owns the shared state until its next Enter. AccessLines calls it
-// before every miss exactly where the split AccessL1+MissRest path would, so
-// batched and per-line multi-core runs see identical global event orderings.
-// A nil Order means the caller is the only core touching shared state
-// (single-core regions).
+// core then owns the shared state until its next Enter.
 type Order interface {
 	Enter(core int, now float64)
 }
 
-// lineStreak is the steady state of a consecutive-miss line run inside one
-// AccessLines call. While ok, the MSHR ring is known to consist of skip
-// frozen stale fills (left over from an earlier pattern — the run's demands
-// never match them, no sweeps fire in streak mode, and pops preserve their
-// positions) followed by exactly the consecutive lines
-// [current demand line, tail] in issue order; pf fast-forwards the stride
-// prefetcher. Any deviation (an L1 hit breaking the miss chain, a resident
-// or dropped prefetch candidate, a full-ring retirement sweep, a foreign
-// stream interfering with matching) clears ok, and the next miss re-enters
-// through the generic path plus a ring check.
-type lineStreak struct {
-	ok   bool
-	pf   prefetch.Steady
-	prev uint64 // virtual line address of the previous miss
-	tail uint64 // virtual line address of the newest in-flight fill
-	skip int    // frozen stale fills at the ring head
-	// stale holds the skip frozen lines: a prefetch candidate matching one
-	// is already in flight and must be skipped exactly like a ring-scan hit.
-	stale [16]uint64
-}
-
-// AccessLines is the batched line-stream pipeline: it charges nLines
-// consecutive line-granular accesses (each covering perLine elements of
-// issue cost, each element followed by the post charges) starting at the
-// line containing addr, in one call. It is exactly equivalent — simulated
-// cycles bit for bit, statistics, replacement and prefetcher state — to
-// resolving each line through Access (or AccessL1+MissRest under ord) and
-// accumulating the element charges per line, which the oracle tests in
-// internal/sim assert against the per-element path on every preset. The
-// equivalences it exploits, per run:
-//
-//   - translation: lines sharing a uTLB page cost one real lookup; the rest
-//     fold into the TLB's repeat batcher as one bulk Repeat.
-//   - physical addresses: the page scatter preserves offsets, so paddr and
-//     the L1 line number advance by one line within a page instead of being
-//     re-derived (and re-memoized) per line.
-//   - L1 statistics accumulate in a local buffer, applied as one bulk
-//     AddStats at the end.
-//   - steady miss streaks (lineStreak) apply the stride prefetcher's
-//     confirmed-stride transition without re-running stream matching, skip
-//     the per-candidate MSHR scans via the ring-contents invariant, pop the
-//     demand match from the ring head, and — in single-core regions, where
-//     no other core shares the counters — batch DRAM read statistics per
-//     call.
+// AccessLines charges nLines consecutive lines starting at the line
+// containing addr: per line the AccessL1 + MissRest split path (with
+// ord.Enter before a miss when ord is non-nil), which is exactly what
+// Access does, then the line's remaining perLine-1 element issue charges,
+// each element followed by the post charges.
+// Its only caller is bench/ladder.go's hier.line_ns rung; it goes when a
+// benchmark PR retires that rung.
 func (h *Hierarchy) AccessLines(core int, now float64, addr uint64, nLines, perLine int, write bool, issue float64, post []float64, ord Order) float64 {
-	if h.linesPerPage == 0 {
-		panic("hier: AccessLines on a hierarchy without line batching (see BatchLines)")
-	}
-	st := &h.per[core]
-	overlap := h.cfg.MissOverlap
-	lineSize := h.lineMask + 1
 	addr &^= h.lineMask
-	var l1b cache.Stats // bulk L1 stat increments, applied once at the end
-	// Deferred DRAM read counters are a single-core-region optimization:
-	// DRAM statistics are shared state, so ordered regions count per miss,
-	// inside their ordered sections, like the generic path.
-	var dramLines uint64
-	dramDefer := &dramLines
-	if ord != nil {
-		dramDefer = nil
-	}
-	var sk lineStreak
-	for nLines > 0 {
-		// Lines left in this translation window (page).
-		k := int((h.pageMask + 1 - addr&h.pageMask) >> h.lineShift)
-		if k > nLines {
-			k = nLines
-		}
-		// One real uTLB path for the window; the k-1 same-page lookups the
-		// per-line path would make are exactly the repeat batcher's deferred
-		// hits, folded in bulk. Only the first line can miss (its insert
-		// covers the rest), so the whole window charges tcost once, before
-		// its first access — the same position in the cycle chain.
-		if st.utlb.Lookup(addr) {
-			if k > 1 {
-				st.utlb.Repeat(uint64(k - 1))
-			}
+	for ; nLines > 0; nLines-- {
+		tlbCycles, res := h.AccessL1(core, addr, write)
+		now += tlbCycles
+		if res.Hit {
+			now += issue
 		} else {
-			now += h.translateMiss(st, addr)
-			if k > 1 {
-				st.utlb.Lookup(addr) // cold re-hit re-arms the batcher
-				if k > 2 {
-					st.utlb.Repeat(uint64(k - 2))
-				}
+			if ord != nil {
+				ord.Enter(core, now)
+			}
+			done := h.MissRest(core, now, addr, res)
+			now += (done - now) * h.cfg.MissOverlap
+		}
+		for e := 0; e < perLine; e++ {
+			if e > 0 {
+				now += issue
+			}
+			for _, p := range post {
+				now += p
 			}
 		}
-		paddr := st.physFor(addr)
-		ln := paddr >> h.lineShift
-		nLines -= k
-		for ; k > 0; k-- {
-			res := st.l1.AccessLine(ln, write, &l1b)
-			if res.Hit {
-				now += issue
-				for _, p := range post {
-					now += p
-				}
-			} else {
-				if ord != nil {
-					ord.Enter(core, now)
-				}
-				var done float64
-				if sk.ok && addr == sk.prev+lineSize && int64(addr>>h.lineShift) < sk.pf.Stop() {
-					done = h.missSteady(st, core, now, addr, paddr, res, &sk, dramDefer)
-					sk.prev = addr
-				} else {
-					sk.ok = false
-					done = h.missRestLine(st, core, now, addr, res)
-					h.enterStreak(st, addr, &sk)
-				}
-				now += (done - now) * overlap
-				for _, p := range post {
-					now += p
-				}
-			}
-			for e := 1; e < perLine; e++ {
-				now += issue
-				for _, p := range post {
-					now += p
-				}
-			}
-			addr += lineSize
-			paddr += lineSize
-			ln++
-		}
-	}
-	st.l1.AddStats(l1b)
-	if dramLines > 0 {
-		h.dramM.AddLineReads(dramLines)
+		addr += h.lineMask + 1
 	}
 	return now
-}
-
-// enterStreak attempts to put the run into steady streak mode after a miss
-// at vline was resolved generically: the stride prefetcher must report a
-// confirmed unit-stride stream and the MSHR ring must end in the consecutive
-// line run following vline (the invariant missSteady maintains), with at
-// most len(stale) foreign fills frozen ahead of it.
-func (h *Hierarchy) enterStreak(st *coreState, vline uint64, sk *lineStreak) {
-	// The streak's line-unit bookkeeping (SteadyAt/Advance) must agree with
-	// the prefetcher's own line granularity; a custom device could configure
-	// them apart, in which case only the generic path is exact.
-	if st.stridePref == nil || st.infLen == 0 || st.stridePref.LineSize() != h.cfg.LineSize {
-		return
-	}
-	pf, ok := st.stridePref.SteadyAt(int64(vline >> h.lineShift))
-	if !ok {
-		return
-	}
-	lineSize := h.lineMask + 1
-	j := -1
-	for k := 0; k < st.infLen; k++ {
-		if st.infAt(k).line == vline+lineSize {
-			j = k
-			break
-		}
-	}
-	if j < 0 || j > len(sk.stale) {
-		return
-	}
-	for k := j + 1; k < st.infLen; k++ {
-		if st.infAt(k).line != vline+uint64(k-j+1)*lineSize {
-			return
-		}
-	}
-	*sk = lineStreak{ok: true, pf: pf, prev: vline, skip: j,
-		tail: vline + uint64(st.infLen-j)*lineSize}
-	for k := 0; k < j; k++ {
-		sk.stale[k] = st.infAt(k).line
-	}
-}
-
-// missSteady resolves one miss of a steady consecutive-miss streak: the
-// exact state transition of missRestLine, with the stream matching, window
-// materialization and per-candidate MSHR scans strength-reduced away via the
-// streak invariants (see lineStreak). Deviations clear sk.ok so the next
-// miss falls back to the generic path.
-func (h *Hierarchy) missSteady(st *coreState, core int, now float64, vline, paddr uint64, res cache.Result, sk *lineStreak, dramLines *uint64) float64 {
-	lineSize := h.lineMask + 1
-	if res.EvictedValid && res.EvictedDirty {
-		h.postWriteback(core, now, res.Evicted)
-	}
-
-	// Prefetch: the confirmed-stride transition, then only the candidates
-	// beyond the in-flight tail — the ones at or below it are in the ring
-	// (invariant) and the generic scan would skip them statelessly.
-	d := sk.pf.Advance(int64(vline >> h.lineShift))
-	end := vline + uint64(d)*lineSize
-	start := sk.tail
-	if start < vline {
-		start = vline // empty ring: the window begins after the demand line
-	}
-	if end > start {
-		if st.infLen+int((end-start)>>h.lineShift) > h.maxInflight {
-			// A push could trigger the full-ring retirement sweep, which
-			// rewrites the ring (and, through retirements, L1) mid-loop:
-			// process the new candidates fully generically — live ring scan,
-			// not the frozen stale snapshot — and leave streak mode after
-			// this line. (Skipping the candidates at or below the tail via
-			// the loop bound stays exact: they precede every push, so no
-			// sweep can have touched the ring when they are considered.)
-			sk.ok = false
-		sweep:
-			for c := start + lineSize; c <= end; c += lineSize {
-				for k := st.infLen - 1; k >= 0; k-- {
-					if st.infAt(k).line == c {
-						continue sweep
-					}
-				}
-				pa := st.physFor(c)
-				if st.l1.Probe(pa) {
-					continue
-				}
-				h.startFill(st, core, now, c, pa)
-			}
-		} else {
-		cands:
-			for c := start + lineSize; c <= end; c += lineSize {
-				for s := 0; s < sk.skip; s++ {
-					if sk.stale[s] == c {
-						// Already in flight as a frozen stale fill: the
-						// generic ring scan would skip it with no state
-						// change. The run gains a gap the demand-side head
-						// check will detect when it gets there.
-						continue cands
-					}
-				}
-				pa := st.physFor(c)
-				if st.l1.Probe(pa) {
-					sk.ok = false // gap: the ring run is no longer contiguous
-					continue
-				}
-				var ready float64
-				if h.monoFills && dramLines != nil {
-					ready = h.dramM.LineRead(now, pa)
-					*dramLines++
-				} else {
-					ready = h.fill(core, now, pa)
-				}
-				st.infPush(fill{line: c, paddr: pa, ready: ready})
-				h.PrefetchFills++
-			}
-		}
-		sk.tail = end
-	}
-
-	// Demand: the invariant puts the demanded line right after the frozen
-	// stale prefix (at the ring head proper when there is none).
-	if st.infLen > sk.skip {
-		if f := st.infAt(sk.skip); f.line == vline {
-			done := f.ready
-			st.infRemove(sk.skip)
-			if now > done {
-				done = now
-			}
-			return done + h.cfg.L1HitCycles
-		}
-	}
-	// The head is not the demanded line (resident-candidate gaps or sweeps
-	// rewrote the ring): generic match, then a demand fill.
-	sk.ok = false
-	for k := 0; k < st.infLen; k++ {
-		f := st.infAt(k)
-		if f.line != vline {
-			continue
-		}
-		done := f.ready
-		st.infRemove(k)
-		if now > done {
-			done = now
-		}
-		return done + h.cfg.L1HitCycles
-	}
-	if h.monoFills && dramLines != nil {
-		*dramLines++
-		return h.dramM.LineRead(now, paddr) + h.cfg.L1HitCycles
-	}
-	return h.fill(core, now, paddr) + h.cfg.L1HitCycles
 }
 
 // fill walks L2 → L3 → DRAM for the given *physical* line, installing it at

@@ -255,7 +255,7 @@ func TestNewHierarchyWorks(t *testing.T) {
 			t.Errorf("%s: line size %d", s.Name, h.LineSize())
 		}
 		// A cold miss must complete in finite positive time.
-		if done := h.MissPath(0, 0, 4096, false); done <= 0 {
+		if done := h.Access(0, 0, 4096, false, 1); done <= 0 {
 			t.Errorf("%s: cold miss done = %v", s.Name, done)
 		}
 	}

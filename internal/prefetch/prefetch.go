@@ -148,10 +148,6 @@ type Stride struct {
 	// empty slots without touching their memory (tables are ≤64 streams).
 	validMask uint64
 	clock     uint64
-	// lastMatch is the table index the most recent Observe matched (updated
-	// against), or -1 when it allocated a new stream instead; consumed by
-	// SteadyAt.
-	lastMatch int
 	// Issued counts candidate lines proposed since construction/Reset.
 	Issued uint64
 }
@@ -159,16 +155,12 @@ type Stride struct {
 // NewStride returns a stride prefetcher with the given configuration.
 func NewStride(cfg StrideConfig) *Stride {
 	cfg = cfg.withDefaults()
-	p := &Stride{cfg: cfg, table: make([]stream, cfg.Streams), lastMatch: -1}
+	p := &Stride{cfg: cfg, table: make([]stream, cfg.Streams)}
 	if units.IsPow2(cfg.LineSize) {
 		p.lineShift, p.pow2Line = units.Log2(cfg.LineSize), true
 	}
 	return p
 }
-
-// LineSize returns the configured line size (callers batching observations,
-// like hier.AccessLines, must match their line units against it).
-func (p *Stride) LineSize() int64 { return p.cfg.LineSize }
 
 // Observe implements Prefetcher.
 func (p *Stride) Observe(lineAddr uint64, out []uint64) []uint64 {
@@ -214,7 +206,6 @@ func (p *Stride) Observe(lineAddr uint64, out []uint64) []uint64 {
 
 	if best < 0 {
 		// Allocate a new stream over the least recently used slot.
-		p.lastMatch = -1
 		victim := 0
 		for i := range p.table {
 			if !p.table[i].valid {
@@ -230,7 +221,6 @@ func (p *Stride) Observe(lineAddr uint64, out []uint64) []uint64 {
 		return out
 	}
 
-	p.lastMatch = best
 	s := &p.table[best]
 	s.lastUse = p.clock
 	delta := line - s.lastLine
@@ -287,102 +277,5 @@ func (p *Stride) Reset() {
 	}
 	p.validMask = 0
 	p.clock = 0
-	p.lastMatch = -1
 	p.Issued = 0
-}
-
-// Steady is a fast-forward handle over one tracked stream in confirmed
-// forward unit-stride state, used by the batched miss pipeline
-// (hier.AccessLines) to apply the per-observation state transition without
-// re-running stream matching or re-materializing the candidate window.
-// Advance is exactly equivalent to Observe for the observations it accepts;
-// the equivalence argument lives with SteadyAt.
-type Steady struct {
-	p *Stride
-	s *stream
-	// stop is the first line index at which another tracked stream could
-	// capture (distance 0) or win a tie (distance 1, lower table index)
-	// against this stream's distance-1 match; the caller must fall back to
-	// Observe at or beyond it. Lines strictly below stop are guaranteed to
-	// match s exactly as Observe would.
-	stop int64
-}
-
-// Stop returns the first line index Advance must not be called with.
-func (st *Steady) Stop() int64 { return st.stop }
-
-// SteadyAt returns a Steady handle when the most recent Observe call — whose
-// line argument must be passed here — matched a stream that is now in
-// confirmed +1-line-stride state with training complete (conf at or past the
-// threshold, so every further confirmation proposes candidates). ok is false
-// otherwise, and the caller keeps using Observe.
-//
-// Exactness: between Observes only the matched stream s mutates (the table
-// is per-core private, and Advance mutates nothing else), so every other
-// stream's position is frozen while the handle is live. Observing line+1
-// next finds s at distance 1; Observe would pick another stream j over s
-// only if j sits at distance 0 (strictly closer), or at distance 1 with a
-// lower table index (the ascending scan keeps the first of equal distances).
-// Both conditions depend only on j's frozen position p_j, giving a precise
-// per-j interference set {p_j} ∪ {p_j−1, p_j+1 if j < idx(s)}; stop is the
-// minimum of those sets above line. Below stop, Observe's match, stride
-// confirmation (delta 1 is never "too big": MaxStrideLines is 0 or ≥ 1),
-// ramp rule and window [line+1, line+distance] are all forced, which is
-// exactly what Advance applies.
-func (p *Stride) SteadyAt(line int64) (Steady, bool) {
-	if p.lastMatch < 0 || p.cfg.MatchWindowLines < 1 {
-		return Steady{}, false
-	}
-	s := &p.table[p.lastMatch]
-	if s.stride != 1 || s.conf < p.cfg.TrainThreshold || s.lastLine != line {
-		return Steady{}, false
-	}
-	stop := int64(1)<<62 - 1
-	for live := p.validMask; live != 0; live &= live - 1 {
-		j := bits.TrailingZeros64(live)
-		if j == p.lastMatch {
-			continue
-		}
-		// j interferes when it captures outright (distance 0, at p_j) or —
-		// for lower table indices, which win distance-1 ties — when it sits
-		// one line off (p_j±1). Take the smallest such line above ours.
-		pj, at := p.table[j].lastLine, int64(0)
-		switch {
-		case j < p.lastMatch && pj-1 > line:
-			at = pj - 1
-		case pj > line:
-			at = pj
-		case j < p.lastMatch && pj+1 > line:
-			at = pj + 1
-		default:
-			continue
-		}
-		if at < stop {
-			stop = at
-		}
-	}
-	return Steady{p: p, s: s, stop: stop}, true
-}
-
-// Advance consumes one observation of line, which must be the previous
-// observation's line+1 and strictly below Stop (the caller checks both; the
-// demand-miss stream it serves advances one line at a time by construction).
-// It applies Observe's exact transition — clock, recency, confidence, the
-// distance ramp and the Issued accounting — and returns the current prefetch
-// distance d: the candidate window is [line+1, line+d], of which the caller
-// materializes only the lines beyond its already-in-flight tail.
-func (st *Steady) Advance(line int64) int {
-	p, s := st.p, st.s
-	p.clock++
-	s.lastUse = p.clock
-	s.lastLine = line
-	s.conf++
-	if p.cfg.Ramp && s.distance < p.cfg.MaxDistance {
-		s.distance *= 2
-		if s.distance > p.cfg.MaxDistance {
-			s.distance = p.cfg.MaxDistance
-		}
-	}
-	p.Issued += uint64(s.distance)
-	return s.distance
 }

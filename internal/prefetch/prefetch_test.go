@@ -225,65 +225,3 @@ func TestPropertyProposalsLineAligned(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// TestSteadyAdvanceEquivalence drives two identical Stride prefetchers down
-// a unit-stride demand stream — one through Observe every time, one
-// switching to the SteadyAt/Advance fast-forward as soon as it engages — and
-// requires identical issue accounting, window depths and post-stream
-// behaviour (training state, via the candidates a subsequent pattern draws).
-func TestSteadyAdvanceEquivalence(t *testing.T) {
-	for _, cfg := range []StrideConfig{
-		{LineSize: 64, Streams: 8, MaxStrideLines: 16, TrainThreshold: 2, InitDistance: 2, MaxDistance: 8},
-		{LineSize: 64, Streams: 8, TrainThreshold: 2, InitDistance: 1, MaxDistance: 8, Ramp: true},
-		{LineSize: 64, Streams: 16, TrainThreshold: 2, InitDistance: 4, MaxDistance: 32, Ramp: true},
-	} {
-		ref := NewStride(cfg)
-		fast := NewStride(cfg)
-		// A parked foreign stream ahead of the run exercises the stop bound.
-		ref.Observe(500*64, nil)
-		fast.Observe(500*64, nil)
-
-		var steady *Steady
-		engaged := 0
-		for line := int64(1); line < 600; line++ {
-			refOut := ref.Observe(uint64(line*64), nil)
-			var fastOut []uint64
-			if steady != nil && line < steady.Stop() {
-				engaged++
-				d := steady.Advance(line)
-				// Reconstruct the window Observe materializes.
-				for k := 1; k <= d; k++ {
-					fastOut = append(fastOut, uint64((line+int64(k))*64))
-				}
-			} else {
-				steady = nil
-				fastOut = fast.Observe(uint64(line*64), nil)
-				if s, ok := fast.SteadyAt(line); ok {
-					steady = &s
-				}
-			}
-			if len(refOut) != len(fastOut) {
-				t.Fatalf("cfg %+v line %d: window size diverges: got %d want %d", cfg, line, len(fastOut), len(refOut))
-			}
-			for i := range refOut {
-				if refOut[i] != fastOut[i] {
-					t.Fatalf("cfg %+v line %d: candidate %d diverges: got %#x want %#x", cfg, line, i, fastOut[i], refOut[i])
-				}
-			}
-		}
-		if engaged == 0 {
-			t.Fatalf("cfg %+v: steady fast path never engaged", cfg)
-		}
-		if ref.Issued != fast.Issued {
-			t.Errorf("cfg %+v: Issued diverges: got %d want %d", cfg, fast.Issued, ref.Issued)
-		}
-		// Post-stream: a fresh pattern must train identically on both.
-		for line := int64(2000); line < 2010; line++ {
-			a := ref.Observe(uint64(line*64), nil)
-			b := fast.Observe(uint64(line*64), nil)
-			if len(a) != len(b) {
-				t.Fatalf("cfg %+v: post-stream behaviour diverges at %d", cfg, line)
-			}
-		}
-	}
-}

@@ -11,12 +11,7 @@ type Core struct {
 	m   *Machine
 	h   *hier.Hierarchy // == m.h, cached to skip a chase per access
 	e   *engine         // nil in single-core regions
-	ord hier.Order      // e for hier.AccessLines; a nil interface when e is nil
 	now float64
-
-	// batch gates the bulk range APIs into hier.AccessLines (line size not
-	// exceeding the translation window; true on every preset).
-	batch bool
 
 	// Hot-path constants copied from the machine at region start.
 	lineMask    uint64

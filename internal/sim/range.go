@@ -2,18 +2,15 @@ package sim
 
 // Bulk range APIs: line-granular charging of unit-stride access streams.
 //
-// A kernel inner loop that touches elements one at a time pays the full
-// lookup machinery per element. The range APIs charge the same accesses
-// line-at-a-time, and feed eligible runs — unit-stride, full cache lines,
-// page-bounded windows — to the hierarchy's batched miss pipeline
-// (hier.AccessLines), which hoists translation, prefetcher detection and
-// MSHR/DRAM bookkeeping out of the per-miss loop; partial head/tail lines
-// and ineligible patterns fall back to the per-line loop. Both paths are
-// defined to be *exactly* equivalent to the corresponding per-element Touch
-// loop — same simulated cycles bit for bit, same cache/TLB/DRAM statistics,
-// same replacement and prefetcher state — which the oracle and property
-// tests in range_test.go and the kernel packages assert on every device
-// preset.
+// A kernel inner loop that touches elements one at a time pays the L0 filter
+// check and the issue charge per element. The range APIs charge the same
+// accesses line-at-a-time: one full lookup (Core.access) per line touched,
+// the line's other elements by repeated addition of the issue and post
+// charges. They are defined to be *exactly* equivalent to the corresponding
+// per-element Touch loop — same simulated cycles bit for bit, same
+// cache/TLB/DRAM statistics, same replacement and prefetcher state — which
+// the oracle and property tests in range_test.go and the kernel packages
+// assert on every device preset.
 
 // Span describes one unit-stride element stream inside a TouchSpans batch.
 type Span struct {
@@ -27,8 +24,7 @@ type Span struct {
 // equivalent to calling Touch(addr+i*elemBytes, elemBytes, write) for every
 // i in [0,n). Elements sharing a cache line are satisfied by the L0 line
 // filter after the line's first access, so the full lookup path runs once
-// per line touched — and full-line stretches run through the batched miss
-// pipeline, once per *call*.
+// per line touched.
 func (c *Core) TouchRange(addr uint64, elemBytes, n int, write bool) {
 	if n <= 0 {
 		return
@@ -38,84 +34,22 @@ func (c *Core) TouchRange(addr uint64, elemBytes, n int, write bool) {
 	} else {
 		c.Loads += uint64(n)
 	}
-	c.touchRun(addr, uint64(elemBytes), n, write, c.issueCost(elemBytes), nil)
+	c.touchLines(addr, uint64(elemBytes), n, write, c.issueCost(elemBytes), nil)
 }
 
-// touchRun charges n unit-stride elemBytes-wide accesses from addr, each
+// touchLines charges n unit-stride elemBytes-wide accesses from addr, each
 // element followed by the post charges — exactly the per-element loop
-// { Touch(addr+i*step); for _, p := range post { Cycles(p) } }. Access
-// counters are the caller's. The middle full-line stretch goes through
-// hier.AccessLines when the element size divides the line; the partial
-// head and tail (and a first middle line the L0 filter would satisfy)
-// take the per-line slow path.
-func (c *Core) touchRun(addr uint64, step uint64, n int, write bool, issue float64, post []float64) {
-	lineSize := c.lineMask + 1
-	perLine := 0
-	if lineSize%step == 0 {
-		perLine = int(lineSize / step)
-	}
-	if perLine > 0 && c.batch {
-		// Elements before the first whole-line span: when the stream enters
-		// its first line at an offset of a whole element stride or more, that
-		// line holds fewer than perLine elements.
-		head := 0
-		if off := addr & c.lineMask; off >= step {
-			head = int((lineSize - off + step - 1) / step)
-			if head > n {
-				head = n
-			}
-		}
-		if mid := (n - head) / perLine; mid > 0 {
-			if head > 0 {
-				c.touchSlow(addr, step, head, write, issue, post, perLine)
-				addr += uint64(head) * step
-			}
-			n -= head
-			// The L0 line filter may satisfy the first middle line (the
-			// caller touched it just before); the batched pipeline starts
-			// after it. Later middle lines can never match — each access
-			// leaves the filter on its own, different line.
-			line := addr &^ c.lineMask
-			want, key := line|1, c.lastKey&^2
-			if write {
-				want, key = line|3, c.lastKey
-			}
-			if key == want {
-				c.touchSlow(addr, step, perLine, write, issue, post, perLine)
-				addr += uint64(perLine) * step
-				n -= perLine
-				mid--
-			}
-			if mid > 0 {
-				c.now = c.h.AccessLines(c.id, c.now, addr, mid, perLine, write, issue, post, c.ord)
-				last := (addr &^ c.lineMask) + uint64(mid-1)*lineSize
-				c.lastKey = last | 1
-				if write {
-					c.lastKey = last | 3
-				}
-				addr += uint64(mid) * uint64(perLine) * step
-				n -= mid * perLine
-			}
-		}
-	}
-	c.touchSlow(addr, step, n, write, issue, post, perLine)
-}
-
-// touchSlow is the per-line fallback: the L0 filter check and one full
-// lookup per line touched, with issue and post charges accumulated element
-// by element (repeated addition, not multiplication: bit-identical float
-// rounding to the per-element path is part of the API contract).
-func (c *Core) touchSlow(addr uint64, step uint64, n int, write bool, issue float64, post []float64, perLine int) {
+// { Touch(addr+i*step); for _, p := range post { Cycles(p) } }, line by
+// line: the L0 filter check and one full lookup per line touched, with issue
+// and post charges accumulated element by element (repeated addition, not
+// multiplication: bit-identical float rounding to the per-element path is
+// part of the API contract). Access counters are the caller's.
+func (c *Core) touchLines(addr uint64, step uint64, n int, write bool, issue float64, post []float64) {
 	lineSize := c.lineMask + 1
 	for n > 0 {
 		line := addr &^ c.lineMask
 		// Elements whose start address lies within this line.
-		var span int
-		if perLine > 0 && addr == line {
-			span = perLine
-		} else {
-			span = int((line + lineSize - addr + step - 1) / step)
-		}
+		span := int((line + lineSize - addr + step - 1) / step)
 		if span > n {
 			span = n
 		}
@@ -158,8 +92,8 @@ func (c *Core) touchSlow(addr uint64, step uint64, n int, write bool, issue floa
 // and change the simulated timing. post carries the loop body's non-memory
 // charges (Flops/IntOps costs precomputed via FlopCycles and friends).
 // Callers may reuse the spans slice across calls, mutating Addr in place.
-// A single forward unit-stride span has no interleaving to preserve and
-// rides the batched pipeline like TouchRange.
+// A single forward unit-stride span has no interleaving to preserve and is
+// charged line by line like TouchRange.
 func (c *Core) TouchSpans(n int, spans []Span, post []float64) {
 	if n <= 0 {
 		return
@@ -171,7 +105,7 @@ func (c *Core) TouchSpans(n int, spans []Span, post []float64) {
 		} else {
 			c.Loads += uint64(n)
 		}
-		c.touchRun(s.Addr, uint64(s.Bytes), n, s.Write, c.issueCost(s.Bytes), post)
+		c.touchLines(s.Addr, uint64(s.Bytes), n, s.Write, c.issueCost(s.Bytes), post)
 		return
 	}
 	var issueBuf [4]float64

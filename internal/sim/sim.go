@@ -155,18 +155,15 @@ func (m *Machine) Run(n int, body func(c *Core)) Result {
 	start := m.clock
 	cores := make([]*Core, n)
 	var e *engine
-	var ord hier.Order
 	if n > 1 {
 		e = newEngine(n, start)
-		ord = e
 	}
 	for i := range cores {
 		cores[i] = &Core{
-			id: i, m: m, h: m.h, e: e, ord: ord, now: start,
+			id: i, m: m, h: m.h, e: e, now: start,
 			lineMask:    m.lineMask,
 			issueScalar: m.l1HitCycles,
 			autoVec:     m.spec.AutoVecBytes > 0,
-			batch:       m.h.BatchLines(),
 		}
 	}
 	if n == 1 {

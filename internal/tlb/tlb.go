@@ -152,16 +152,6 @@ func (t *TLB) Lookup(vaddr uint64) bool {
 	return t.lookupCold(vpn)
 }
 
-// Repeat records n additional lookups of the page the immediately preceding
-// Lookup hit — the bulk entry point for line runs that stay within one page
-// (hier.AccessLines). It is exactly equivalent to calling Lookup n more
-// times with the same address: each such call only increments the deferred
-// repeat counter (see flush), so the bulk form charges the batcher once.
-// Callers must have just observed Lookup return true for the page.
-func (t *TLB) Repeat(n uint64) {
-	t.pending += n
-}
-
 // lookupCold handles a lookup of a page other than the immediately
 // preceding one: fold any deferred hits, then walk memo and set.
 func (t *TLB) lookupCold(vpn uint64) bool {

@@ -173,48 +173,3 @@ func TestStrideAsymmetry(t *testing.T) {
 		t.Errorf("sequential walk missed %d/1000", seqMisses)
 	}
 }
-
-// TestRepeatEquivalence pins the bulk Repeat entry point to n individual
-// Lookups of the same page: identical statistics, recency and subsequent
-// replacement behaviour.
-func TestRepeatEquivalence(t *testing.T) {
-	cfg := Config{Name: "t", Entries: 8, Ways: 2, PageShift: 12}
-	drive := func(bulk bool) (Stats, []bool) {
-		tl := MustNew(cfg)
-		for p := 0; p < 6; p++ { // warm a few pages
-			tl.Insert(uint64(p) << 12)
-		}
-		if bulk {
-			if !tl.Lookup(3 << 12) {
-				t.Fatal("expected hit")
-			}
-			tl.Repeat(63)
-		} else {
-			for i := 0; i < 64; i++ {
-				if !tl.Lookup(3 << 12) {
-					t.Fatal("expected hit")
-				}
-			}
-		}
-		// Evict through the set and observe which pages survive: recency
-		// stamps (the folded clock) decide, so divergence would show here.
-		for p := 16; p < 20; p++ {
-			tl.Insert(uint64(p) << 12)
-		}
-		var present []bool
-		for p := 0; p < 20; p++ {
-			present = append(present, tl.Lookup(uint64(p)<<12))
-		}
-		return tl.Stats(), present
-	}
-	sRef, pRef := drive(false)
-	sGot, pGot := drive(true)
-	if sGot != sRef {
-		t.Errorf("Repeat stats diverge: got %+v want %+v", sGot, sRef)
-	}
-	for i := range pRef {
-		if pGot[i] != pRef[i] {
-			t.Errorf("page %d residency diverges: got %v want %v", i, pGot[i], pRef[i])
-		}
-	}
-}

@@ -92,10 +92,9 @@ func DeviceByName(name string) (Device, error) { return machine.ByName(name) }
 // Element accesses can be charged one at a time (F64.Load / F64.Store /
 // Core.Touch) or line-granularly in bulk:
 //
-//   - Core.TouchRange charges n consecutive unit-stride accesses: one fused
-//     TLB+L1 lookup per cache line touched instead of per element, with
-//     whole-line stretches resolving through the batched miss pipeline
-//     (one hierarchy call per run; DESIGN.md §4.1).
+//   - Core.TouchRange charges n consecutive unit-stride accesses: one full
+//     hierarchy lookup per cache line touched, the line's other elements by
+//     repeated addition of their issue cost (DESIGN.md §4.1).
 //   - Core.TouchSpans charges n interleaved accesses across several element
 //     streams (Span) plus fixed per-iteration cycle charges — the shape of
 //     real kernel loops (load b[i], load c[i], store a[i], flops).

@@ -2,8 +2,8 @@
 # Record simulator throughput in BENCH_simthroughput.json so the perf
 # trajectory is tracked across PRs. Appends one record per run with the
 # current commit, date, ns/op of the two single-core streaming benchmarks,
-# the multi-core ParallelRange streaming benchmark (engine-serialized
-# batched miss pipeline), the batched-runner throughput — cold (every job
+# the multi-core ParallelRange streaming benchmark (the range loop under
+# the event engine), the batched-runner throughput — cold (every job
 # simulates) vs cached (the memoized Runner replays the identical 8-job
 # batch with zero new simulations) — the service-layer request throughput
 # (the same warm 8-job batch as a full BatchRequest through the Service

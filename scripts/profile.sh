@@ -31,7 +31,7 @@ stream)
     cpu="$out/stream.cpu.pprof"
     ;;
 sweep)
-    # A default sweep that exercises the batched miss pipeline and the
+    # A default sweep that exercises the simulator's miss path and the
     # memoized runner; any explicit args replace it.
     if [ "$#" -eq 0 ]; then
         set -- -device MangoPi -axis maxinflight=1,2,4,8 \

@@ -23,9 +23,9 @@
 //     service as a standalone daemon — the full endpoint table below,
 //     queued admission, rate limits, async jobs, drain — over a cluster
 //     executor instead of a local runner: every admitted request's cells
-//     are sharded across registered workers with a consistent-hash ring
-//     keyed by the memo store's own coordinates (device identity +
-//     workload cache key) and its rows reassembled in job order. The
+//     are sharded across registered workers by rendezvous hashing of
+//     the memo store's own coordinates (device identity + workload cache
+//     key) and its rows reassembled in job order. The
 //     admission, timeout and drain flags apply as in standalone mode;
 //     -parallelism, -cache-dir and -cache-mem do not (nothing executes or
 //     is cached here). Workers register and poll over /cluster/v1/*;
@@ -40,7 +40,7 @@
 //   - worker: wraps the ordinary Service (all flags above apply,
 //     -cache-dir included) and executes cells assigned by the
 //     -coordinator URL. -worker-id defaults to hostname+addr; keep it
-//     stable across restarts to keep the worker's ring shard — and its
+//     stable across restarts to keep the worker's shard — and its
 //     warm disk cache — intact. SIGTERM announces drain: unfinished cells
 //     requeue immediately to surviving workers.
 //
@@ -147,7 +147,7 @@ func main() {
 	flag.StringVar(&f.cacheDir, "cache-dir", "", "directory for the persistent result-cache tier; empty = memory-only")
 	flag.IntVar(&f.cacheMem, "cache-mem", 0, "in-memory cache tier capacity in entries; 0 = default (65536)")
 	flag.StringVar(&f.coordinator, "coordinator", "", "coordinator base URL (worker mode; required)")
-	flag.StringVar(&f.workerID, "worker-id", "", "stable worker identity on the hash ring (worker mode); default hostname+addr")
+	flag.StringVar(&f.workerID, "worker-id", "", "stable worker identity that cells are routed by (worker mode); default hostname+addr")
 	flag.DurationVar(&f.heartbeat, "heartbeat", time.Second, "heartbeat interval advertised to workers (coordinator mode)")
 	flag.DurationVar(&f.lease, "lease", 0, "worker liveness lease (coordinator mode); 0 = 3×heartbeat")
 	flag.IntVar(&f.maxCellAttempts, "max-cell-attempts", 0, "per-cell failure budget before quarantine (coordinator mode); 0 = default (3)")

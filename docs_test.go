@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -20,6 +21,7 @@ var (
 	pathLike = regexp.MustCompile(`^(\./)?[\w.*-]+(/[\w.*-]+)*/?$`)
 	fileLike = regexp.MustCompile(`\.(go|md|json|sh|yml|mod)$`)
 	qualName = regexp.MustCompile(`\b([a-z][a-z0-9]*)\.([A-Z]\w*)`)
+	series   = regexp.MustCompile(`simd_[a-z_]+`)
 )
 
 // TestDocsNameThingsThatExist fails when a checked document names, in
@@ -92,6 +94,44 @@ func TestDocsNameThingsThatExist(t *testing.T) {
 	}
 }
 
+// TestDocsNameSeriesThatExist fails when README.md or DESIGN.md mentions a
+// /metrics series (any simd_… name, fenced or not) that no non-test file
+// under internal/ carries as a string literal: the exposition is written
+// from literals, so a renamed or deleted series fails here until the prose
+// follows.
+func TestDocsNameSeriesThatExist(t *testing.T) {
+	literals := map[string]bool{}
+	for _, dir := range internalDirs(t) {
+		for _, f := range parseNonTest(t, dir) {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					if v, err := strconv.Unquote(lit.Value); err == nil {
+						literals[v] = true
+					}
+				}
+				return true
+			})
+		}
+	}
+	names := map[string]bool{}
+	for _, doc := range []string{"README.md", "DESIGN.md"} {
+		raw, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range series.FindAllString(string(raw), -1) {
+			names[name] = true
+			if !literals[name] {
+				t.Errorf("%s names the series %s; no non-test file under internal/ has that string literal", doc, name)
+			}
+		}
+	}
+	t.Logf("%d distinct series checked", len(names))
+	if len(names) == 0 {
+		t.Error("no series found: the extraction is broken")
+	}
+}
+
 // withoutFences drops fenced code blocks, whose contents are shell and Go
 // rather than prose and whose fences would mispair the inline spans.
 func withoutFences(doc string) string {
@@ -121,15 +161,7 @@ func declaredNames(t *testing.T) map[string]map[string]bool {
 			names = map[string]bool{}
 			decls[pkg] = names
 		}
-		files, _ := filepath.Glob(filepath.Join(dir, "*.go"))
-		for _, file := range files {
-			if strings.HasSuffix(file, "_test.go") {
-				continue
-			}
-			f, err := parser.ParseFile(token.NewFileSet(), file, nil, parser.SkipObjectResolution)
-			if err != nil {
-				t.Fatal(err)
-			}
+		for _, f := range parseNonTest(t, dir) {
 			ast.Inspect(f, func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.FuncDecl:
@@ -151,6 +183,15 @@ func declaredNames(t *testing.T) map[string]map[string]bool {
 		}
 	}
 	add("riscvmem", ".")
+	for _, dir := range internalDirs(t) {
+		add(filepath.Base(dir), dir)
+	}
+	return decls
+}
+
+// internalDirs lists every directory under internal/, testdata excluded.
+func internalDirs(t *testing.T) []string {
+	var dirs []string
 	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -159,12 +200,29 @@ func declaredNames(t *testing.T) map[string]map[string]bool {
 			return filepath.SkipDir
 		}
 		if d.IsDir() && path != "internal" {
-			add(d.Name(), path)
+			dirs = append(dirs, path)
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return decls
+	return dirs
+}
+
+// parseNonTest parses the non-test Go files directly in dir.
+func parseNonTest(t *testing.T, dir string) []*ast.File {
+	var parsed []*ast.File
+	files, _ := filepath.Glob(filepath.Join(dir, "*.go"))
+	for _, file := range files {
+		if strings.HasSuffix(file, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), file, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parsed = append(parsed, f)
+	}
+	return parsed
 }

@@ -31,7 +31,7 @@ func init() {
 
 // chaosSweep is the grid the chaos tests replay: small enough to converge
 // fast under injected faults, varied enough that cells spread across both
-// workers' ring shards.
+// workers' shards.
 func chaosSweep() service.SweepRequest {
 	return service.SweepRequest{
 		Device: "MangoPi",
@@ -399,7 +399,7 @@ func TestChaosPoisonCellQuarantine(t *testing.T) {
 		}
 		owner := findOwner(kill)
 		if kill < 3 {
-			// Keep the ring populated: a replacement joins before each of
+			// Keep the fleet populated: a replacement joins before each of
 			// the first two kills, so the poison always has somewhere to go.
 			id := fmt.Sprintf("w%d", next)
 			next++

@@ -137,7 +137,7 @@ func postJSON(t *testing.T, url string, req any) *service.Response {
 // two real workers — bit-identical to the standalone service over the full
 // kernel × device cross-product, with every workload requested twice:
 // the duplicate cells must be deduplicated cluster-wide (the consistent
-// ring sends both copies to the same worker, whose memo dedups them), and
+// routing sends both copies to the same worker, whose memo dedups them), and
 // a warm rerun must cause zero new simulations.
 func TestClusterBatchOracle(t *testing.T) {
 	if testing.Short() {
@@ -180,7 +180,7 @@ func TestClusterBatchOracle(t *testing.T) {
 
 	// Cluster-wide dedup: of devices × (2 × kernels) cells, only the
 	// distinct devices × kernels simulate — the duplicates are memo hits on
-	// their ring owner — and the sum of the two workers' own runner misses
+	// their owner — and the sum of the two workers' own runner misses
 	// accounts for every distinct cell exactly once.
 	distinct := uint64(len(want.Results)) / 2
 	total := uint64(len(want.Results))
@@ -197,7 +197,7 @@ func TestClusterBatchOracle(t *testing.T) {
 			m1, m2, m1+m2, distinct)
 	}
 
-	// Warm rerun: the ring is stable, so every cell lands back on the
+	// Warm rerun: routing is stable, so every cell lands back on the
 	// worker whose memo already holds it — zero new simulations anywhere.
 	warm := postJSON(t, srv.URL+"/v1/batch", req)
 	if warm.Cache.RequestMisses != 0 {
@@ -537,60 +537,5 @@ func TestClusterWorkerKillMidSweep(t *testing.T) {
 	// undercount but never exceed the job count.
 	if got := resp.Cache.RequestHits + resp.Cache.RequestMisses; got > totalJobs {
 		t.Errorf("cache stats count %d cells, more than the %d jobs: requeued work double-counted", got, totalJobs)
-	}
-}
-
-// TestRingAffinityAndStability pins the two properties scheduling relies
-// on: the key → worker mapping is deterministic across rebuilds (affinity —
-// and, because the hash is FNV-1a, across processes), and removing one
-// worker moves only that worker's keys (stability under churn).
-func TestRingAffinityAndStability(t *testing.T) {
-	workers := []string{"alpha", "beta", "gamma"}
-	r1 := buildRing(workers)
-	r2 := buildRing([]string{"gamma", "beta", "alpha"}) // order must not matter
-
-	keys := make([]string, 0, 200)
-	for _, spec := range oracleSpecs() {
-		keys = append(keys, "dev\x00"+spec.String())
-	}
-	for i := 0; i < 100; i++ {
-		keys = append(keys, string(rune('a'+i%26))+"\x00key")
-	}
-
-	owned := map[string]int{}
-	for _, k := range keys {
-		o1, o2 := r1.owner(k), r2.owner(k)
-		if o1 != o2 {
-			t.Fatalf("key %q: owner %q vs %q across identical rebuilds", k, o1, o2)
-		}
-		owned[o1]++
-	}
-	for _, w := range workers {
-		if owned[w] == 0 {
-			t.Errorf("worker %s owns no keys of %d — ring badly unbalanced", w, len(keys))
-		}
-	}
-
-	shrunk := buildRing([]string{"alpha", "beta"})
-	moved := 0
-	for _, k := range keys {
-		before, after := r1.owner(k), shrunk.owner(k)
-		if before == "gamma" {
-			if after == "gamma" {
-				t.Fatalf("key %q still owned by removed worker", k)
-			}
-			moved++
-			continue
-		}
-		if before != after {
-			t.Errorf("key %q moved %s → %s though its owner never left", k, before, after)
-		}
-	}
-	if moved == 0 {
-		t.Error("removed worker owned no keys; stability not exercised")
-	}
-
-	if got := buildRing(nil).owner("anything"); got != "" {
-		t.Errorf("empty ring owner = %q, want \"\"", got)
 	}
 }

@@ -8,7 +8,7 @@
 // talk to an ordinary service.Service built over it — the standalone
 // daemon's validation, timeouts, admission, async jobs, drain and encoding,
 // unchanged — and every admitted plan arrives at Execute, which routes each
-// cell to a worker with a consistent-hash ring keyed by (device
+// cell to a worker by rendezvous hashing (route.go) of (device
 // IdentityString, workload CacheKey) — the persistent memo store's own
 // coordinates, so identical cells always land on the same worker and are
 // deduplicated cluster-wide by that worker's singleflight and warm memo
@@ -19,7 +19,7 @@
 // Liveness is lease-based: workers heartbeat on the interval the
 // coordinator advertises at registration, and a worker silent past its
 // lease is marked lost — its unfinished cells are requeued onto the
-// surviving ring and its late row returns are revoked, so every response
+// survivors and its late row returns are revoked, so every response
 // row is delivered exactly once even across worker loss. A draining worker
 // (SIGTERM) announces itself and gets the same requeue, just politely.
 //
@@ -112,9 +112,8 @@ type Coordinator struct {
 
 	mu         sync.Mutex
 	workers    map[string]*workerState
-	ring       *ring
 	dispatches map[string]*dispatch
-	unassigned []*cellTask // cells with no live owner (empty ring, requeue fault)
+	unassigned []*cellTask // cells with no live owner (no workers, requeue fault)
 	seq        uint64      // dispatch/assignment ID counter
 
 	// Counters for /metrics, guarded by mu.
@@ -136,6 +135,7 @@ type Coordinator struct {
 // workerState is the coordinator's view of one registered worker.
 type workerState struct {
 	id        string
+	hash      uint64 // hashKey(id), route's worker coordinate
 	addr      string
 	lastBeat  time.Time
 	queue     []*cellTask            // routed here, not yet delivered
@@ -184,12 +184,12 @@ type dispatch struct {
 }
 
 // cellTask is one routable unit of work: the wire cell, its dispatch, the
-// shard key that pins it to a ring position, and the failed attempts it has
-// accumulated against the quarantine budget.
+// hash of the shard key that route pins it to a worker by, and the failed
+// attempts it has accumulated against the quarantine budget.
 type cellTask struct {
 	d        *dispatch
 	cell     protocol.Cell
-	key      string
+	hash     uint64
 	attempts int
 }
 
@@ -210,7 +210,6 @@ func New(opt Options) *Coordinator {
 	c := &Coordinator{
 		opt:         opt,
 		workers:     map[string]*workerState{},
-		ring:        buildRing(nil),
 		dispatches:  map[string]*dispatch{},
 		closed:      make(chan struct{}),
 		janitorDone: make(chan struct{}),
@@ -289,18 +288,9 @@ func (c *Coordinator) expire(now time.Time) {
 	sort.Slice(lapsed, func(a, b int) bool { return lapsed[a].id < lapsed[b].id })
 	for _, ws := range lapsed {
 		c.workersLost++
+		delete(c.workers, ws.id)
 		c.dropWorkerLocked(ws, "lost (lease expired)")
 	}
-}
-
-// rebuildRingLocked rebuilds the ring over the current workers.
-func (c *Coordinator) rebuildRingLocked() {
-	ids := make([]string, 0, len(c.workers))
-	for id := range c.workers {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	c.ring = buildRing(ids)
 }
 
 // wake nudges a blocked poll; non-blocking, coalescing.
@@ -311,13 +301,12 @@ func (ws *workerState) wakeUp() {
 	}
 }
 
-// scheduleLocked routes tasks to their ring owners' queues, or to the
-// unassigned pool when no live worker can own them. Caller holds mu.
+// scheduleLocked routes tasks to their owners' queues, or to the unassigned
+// pool when no worker is live. Caller holds mu.
 func (c *Coordinator) scheduleLocked(tasks []*cellTask) {
 	for _, t := range tasks {
-		owner := c.ring.owner(t.key)
-		ws := c.workers[owner]
-		if owner == "" || ws == nil {
+		ws := route(c.workers, t.hash)
+		if ws == nil {
 			c.unassigned = append(c.unassigned, t)
 			continue
 		}
@@ -326,10 +315,10 @@ func (c *Coordinator) scheduleLocked(tasks []*cellTask) {
 	}
 }
 
-// reassignLocked drains the unassigned pool through the current ring.
-// Caller holds mu; a no-op while the ring is empty.
+// reassignLocked drains the unassigned pool onto the current workers.
+// Caller holds mu; a no-op while there are none.
 func (c *Coordinator) reassignLocked() {
-	if len(c.unassigned) == 0 || len(c.ring.points) == 0 {
+	if len(c.unassigned) == 0 || len(c.workers) == 0 {
 		return
 	}
 	tasks := c.unassigned
@@ -359,16 +348,51 @@ func (c *Coordinator) quarantineLocked(t *cellTask, cause string) {
 		t.cell.Index, d.id, t.attempts)
 }
 
-// dropWorkerLocked removes a worker (lost or draining), revokes its
-// delivered assignments and requeues every cell it had not completed onto
-// the surviving ring. Cells that were actually in flight (delivered, not
-// just queued) are charged one failed attempt; a cell whose budget is
-// spent is quarantined instead of requeued — this is what stops a poison
-// cell from serially killing the whole fleet. Returns the requeued cell
+// byDispatchRow orders cells by (dispatch ID, row index). Cells are
+// collected out of maps; charging and requeueing them in a fixed order keeps
+// queues, logs and quarantine rows reproducible.
+func byDispatchRow(cells []*cellTask) {
+	sort.Slice(cells, func(a, b int) bool {
+		if cells[a].d.id != cells[b].d.id {
+			return cells[a].d.id < cells[b].d.id
+		}
+		return cells[a].cell.Index < cells[b].cell.Index
+	})
+}
+
+// chargeLocked is the failure budget's one site: each cell that was in
+// flight and produced no row — its worker was lost, its execution failed, or
+// its assignment closed without it — is charged one attempt. A cell whose
+// budget is spent is quarantined with cause (this is what stops a poison
+// cell from serially killing the whole fleet); the rest are returned, counted
+// as requeued, for the caller to route. Cells of failed dispatches are
+// dropped uncharged. Caller holds mu and must maybeCompleteLocked the cells'
+// dispatches afterwards.
+func (c *Coordinator) chargeLocked(cells []*cellTask, cause string) []*cellTask {
+	byDispatchRow(cells)
+	requeue := cells[:0]
+	for _, t := range cells {
+		if t.d.failed {
+			continue
+		}
+		t.attempts++
+		if t.attempts >= c.opt.MaxCellAttempts {
+			c.quarantineLocked(t, cause)
+			continue
+		}
+		requeue = append(requeue, t)
+	}
+	c.cellsRequeued += uint64(len(requeue))
+	return requeue
+}
+
+// dropWorkerLocked revokes the delivered assignments of a worker incarnation
+// the caller has already taken out of c.workers (lost, draining, or replaced
+// by a re-registration) and requeues every cell it had not completed onto
+// the workers registered now. Cells that were actually in flight (delivered,
+// not just queued) are charged one failed attempt. Returns the requeued cell
 // count. Caller holds mu.
 func (c *Coordinator) dropWorkerLocked(ws *workerState, reason string) int {
-	delete(c.workers, ws.id)
-	c.rebuildRingLocked()
 	// Queued-but-undelivered cells requeue free of charge: the worker
 	// never started them, so its loss says nothing about them.
 	var tasks []*cellTask
@@ -377,43 +401,21 @@ func (c *Coordinator) dropWorkerLocked(ws *workerState, reason string) int {
 			tasks = append(tasks, t)
 		}
 	}
+	c.cellsRequeued += uint64(len(tasks))
 	var inflight []*cellTask
 	touched := map[*dispatch]struct{}{}
 	for _, asn := range ws.delivered {
 		for _, t := range asn.cells {
-			if !t.d.failed {
-				inflight = append(inflight, t)
-			}
+			inflight = append(inflight, t)
 		}
 		asn.d.outstanding--
 		touched[asn.d] = struct{}{}
 	}
 	ws.queue, ws.delivered = nil, nil // revoked: late returns find nothing
-	// Map iteration above is unordered; charge and requeue deterministically.
-	sort.Slice(inflight, func(a, b int) bool {
-		if inflight[a].d.id != inflight[b].d.id {
-			return inflight[a].d.id < inflight[b].d.id
-		}
-		return inflight[a].cell.Index < inflight[b].cell.Index
-	})
-	quarantined := 0
-	for _, t := range inflight {
-		t.attempts++
-		if t.attempts >= c.opt.MaxCellAttempts {
-			c.quarantineLocked(t, "")
-			touched[t.d] = struct{}{}
-			quarantined++
-			continue
-		}
-		tasks = append(tasks, t)
-	}
-	sort.Slice(tasks, func(a, b int) bool {
-		if tasks[a].d.id != tasks[b].d.id {
-			return tasks[a].d.id < tasks[b].d.id
-		}
-		return tasks[a].cell.Index < tasks[b].cell.Index
-	})
-	c.cellsRequeued += uint64(len(tasks))
+	before := c.cellsQuarantined
+	tasks = append(tasks, c.chargeLocked(inflight, "")...)
+	quarantined := c.cellsQuarantined - before
+	byDispatchRow(tasks)
 	if len(tasks) > 0 {
 		if err := faultinject.Fire(faultinject.ClusterRequeue); err != nil {
 			// Injected requeue fault: divert to the pool — never drop. The
@@ -429,7 +431,7 @@ func (c *Coordinator) dropWorkerLocked(ws *workerState, reason string) int {
 		c.maybeCompleteLocked(d)
 		d.nudgeLocked()
 	}
-	// Pool-bound cells (requeue fault, or empty ring) are picked up by
+	// Pool-bound cells (requeue fault, or no workers) are picked up by
 	// polls; wake every survivor so none sleeps through the handoff.
 	for _, other := range c.workers {
 		other.wakeUp()
@@ -444,27 +446,27 @@ func (c *Coordinator) dropWorkerLocked(ws *workerState, reason string) int {
 }
 
 // Register announces a worker (see protocol.RegisterRequest). Registering
-// an ID that is already present replaces the old incarnation: its
-// unfinished cells are requeued first, then the worker rejoins the ring
-// fresh.
+// an ID that is already present replaces the old incarnation: the new one
+// takes the ID first, so the old one's unfinished cells — whose results its
+// disk tier may already hold — requeue to the same ID, not onto the others.
 func (c *Coordinator) Register(ctx context.Context, req protocol.RegisterRequest) (protocol.RegisterResponse, error) {
 	if req.WorkerID == "" {
 		return protocol.RegisterResponse{}, errors.New("cluster: register with empty worker_id")
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if old := c.workers[req.WorkerID]; old != nil {
-		c.dropWorkerLocked(old, "replaced by re-registration")
-	}
-	ws := &workerState{
+	old := c.workers[req.WorkerID]
+	c.workers[req.WorkerID] = &workerState{
 		id:        req.WorkerID,
+		hash:      hashKey(req.WorkerID),
 		addr:      req.Addr,
 		lastBeat:  time.Now(),
 		delivered: map[string]*assignment{},
 		wake:      make(chan struct{}, 1),
 	}
-	c.workers[req.WorkerID] = ws
-	c.rebuildRingLocked()
+	if old != nil {
+		c.dropWorkerLocked(old, "replaced by re-registration")
+	}
 	c.reassignLocked()
 	// Membership changed: cells queued on other workers keep their queues
 	// (only the pool is rerouted — moving already-queued cells would churn
@@ -630,7 +632,6 @@ func (c *Coordinator) ReturnRows(ctx context.Context, req protocol.RowReturn) (p
 		return protocol.RowAck{Revoked: true}, nil
 	}
 	accepted := 0
-	quarantined := false
 	for _, row := range req.Rows {
 		t, ok := asn.cells[row.Index]
 		if !ok {
@@ -647,27 +648,15 @@ func (c *Coordinator) ReturnRows(ctx context.Context, req protocol.RowReturn) (p
 			// retry elsewhere, or quarantine when the budget is spent. Never
 			// delivered to the client as-is.
 			c.cellFailures++
-			t.attempts++
 			c.logf("cluster: cell %d of dispatch %s failed on %s (attempt %d): %s",
-				row.Index, d.id, req.WorkerID, t.attempts, row.Error)
-			if t.attempts >= c.opt.MaxCellAttempts {
-				c.quarantineLocked(t, row.Error)
-				quarantined = true
-			} else {
-				c.cellsRequeued++
-				c.scheduleLocked([]*cellTask{t})
-			}
+				row.Index, d.id, req.WorkerID, t.attempts+1, row.Error)
+			c.scheduleLocked(c.chargeLocked([]*cellTask{t}, row.Error))
 			continue
 		}
 		d.fillLocked(row)
 		accepted++
 	}
 	c.rowsAccepted += uint64(accepted)
-	if quarantined && !req.Done {
-		// A quarantined cell may have been the dispatch's last open row and
-		// this call carries no Done close-out to check for us.
-		c.maybeCompleteLocked(asn.d)
-	}
 	if req.Done {
 		if req.Cache != nil && !asn.d.failed {
 			asn.d.cacheHits += req.Cache.Hits
@@ -679,32 +668,22 @@ func (c *Coordinator) ReturnRows(ctx context.Context, req protocol.RowReturn) (p
 		if len(asn.cells) > 0 {
 			// The worker declared the assignment finished without returning
 			// every row (a worker-local failure it could not attribute to
-			// cells, or the dispatch deadline cut it off); each leftover is
-			// charged one failed attempt — the cell was in flight and
-			// produced nothing — then requeued or quarantined.
-			var leftovers []*cellTask
+			// cells, or the dispatch deadline cut it off): the leftovers were
+			// in flight and produced nothing.
+			leftovers := make([]*cellTask, 0, len(asn.cells))
 			for _, t := range asn.cells {
-				if !t.d.failed {
-					leftovers = append(leftovers, t)
-				}
+				leftovers = append(leftovers, t)
 			}
-			sort.Slice(leftovers, func(a, b int) bool { return leftovers[a].cell.Index < leftovers[b].cell.Index })
-			var tasks []*cellTask
-			for _, t := range leftovers {
-				t.attempts++
-				if t.attempts >= c.opt.MaxCellAttempts {
-					c.quarantineLocked(t, "")
-					continue
-				}
-				tasks = append(tasks, t)
-			}
-			c.cellsRequeued += uint64(len(tasks))
+			tasks := c.chargeLocked(leftovers, "")
 			c.scheduleLocked(tasks)
 			c.logf("cluster: assignment %s finished incomplete on %s: %d cell(s) requeued",
 				req.AssignmentID, req.WorkerID, len(tasks))
 		}
-		c.maybeCompleteLocked(asn.d)
 	}
+	// Done closed the assignment out, and a quarantine above may have filled
+	// the dispatch's last open row; without Done the assignment is still
+	// outstanding and this is a no-op.
+	c.maybeCompleteLocked(asn.d)
 	asn.d.nudgeLocked()
 	return protocol.RowAck{Accepted: accepted}, nil
 }
@@ -752,6 +731,7 @@ func (c *Coordinator) DrainWorker(ctx context.Context, req protocol.DrainRequest
 		return protocol.DrainResponse{}, nil
 	}
 	c.workersDrained++
+	delete(c.workers, ws.id)
 	n := c.dropWorkerLocked(ws, "draining")
 	return protocol.DrainResponse{Requeued: n}, nil
 }
@@ -765,7 +745,7 @@ func (c *Coordinator) Workers() int {
 
 // ---- service.Executor ----------------------------------------------------
 
-// shardKey builds a cell's ring coordinate: the device's canonical
+// shardKey builds a cell's routing coordinate: the device's canonical
 // identity encoding plus the workload's cache key — exactly the persistent
 // memo store's key coordinates, so cells co-locate with their cached
 // results. Workloads that are not Keyed fall back to their Name (no cached
@@ -818,7 +798,7 @@ func (c *Coordinator) Execute(ctx context.Context, p *service.Plan, onProgress f
 		if d.sweep == nil {
 			cell = protocol.Cell{Index: i, Device: job.Device.Name, Workload: p.BatchSpec(i)}
 		}
-		tasks[i] = &cellTask{d: d, cell: cell, key: shardKey(job.Device, job.Workload)}
+		tasks[i] = &cellTask{d: d, cell: cell, hash: hashKey(shardKey(job.Device, job.Workload))}
 	}
 	c.mu.Lock()
 	c.seq++

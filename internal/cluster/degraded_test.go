@@ -371,3 +371,56 @@ func TestClusterReregisterRacesReturnRows(t *testing.T) {
 		t.Errorf("rowsAccepted=%d rowsRevoked=%d, want 1/1 (no drop, no double delivery)", accepted, revoked)
 	}
 }
+
+// TestReRegistrationKeepsShard pins what a stable -worker-id promises: a
+// worker that restarts inside its lease re-registers under the same ID, and
+// the cells queued for the old incarnation — the ones its disk tier may
+// already hold — stay on that ID instead of being pushed onto the other
+// workers a moment before it rejoins.
+func TestReRegistrationKeepsShard(t *testing.T) {
+	ctx := context.Background()
+	coord := New(Options{Logf: t.Logf})
+	defer coord.Close()
+	for _, id := range []string{"a", "b"} {
+		if _, err := coord.Register(ctx, protocol.RegisterRequest{WorkerID: id}); err != nil {
+			t.Fatalf("register %s: %v", id, err)
+		}
+	}
+	var specs []string
+	for _, elems := range []string{"64", "128", "256", "512", "1024", "2048", "4096", "8192"} {
+		specs = append(specs, "stream:test=COPY,reps=1,elems="+elems, "stream:test=TRIAD,reps=1,elems="+elems)
+	}
+	respCh, errCh := startBatch(t, coord, service.RequestOptions{}, specs...)
+	queued := func() (a, b int) {
+		coord.mu.Lock()
+		defer coord.mu.Unlock()
+		return len(coord.workers["a"].queue), len(coord.workers["b"].queue)
+	}
+	waitFor(t, "the batch's cells to be queued", func() bool {
+		a, b := queued()
+		return a+b == len(specs)
+	})
+	wantA, wantB := queued()
+	if wantA == 0 || wantB == 0 {
+		t.Fatalf("cells queued a=%d b=%d: both workers must own some for the test to mean anything", wantA, wantB)
+	}
+
+	coord.mu.Lock()
+	old := coord.workers["a"]
+	coord.mu.Unlock()
+	if _, err := coord.Register(ctx, protocol.RegisterRequest{WorkerID: "a"}); err != nil {
+		t.Fatalf("re-register: %v", err)
+	}
+	coord.mu.Lock()
+	replaced := coord.workers["a"] != old
+	coord.mu.Unlock()
+	if !replaced {
+		t.Fatal("re-registration kept the old incarnation")
+	}
+	if a, b := queued(); a != wantA || b != wantB {
+		t.Errorf("after re-registering a: queued a=%d b=%d, want a=%d b=%d (a's shard stays with a)", a, b, wantA, wantB)
+	}
+	coord.Close() // nobody polls: end the batch before the test's logger goes away
+	<-respCh
+	<-errCh
+}

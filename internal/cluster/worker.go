@@ -13,13 +13,14 @@ import (
 
 	"riscvmem/internal/cluster/protocol"
 	"riscvmem/internal/machine"
+	"riscvmem/internal/obs"
 	"riscvmem/internal/run"
 	"riscvmem/internal/service"
 )
 
 // WorkerOptions configures a worker agent.
 type WorkerOptions struct {
-	// ID is the worker's ring identity; required. A stable ID across
+	// ID is the identity cells are routed by; required. A stable ID across
 	// restarts keeps the worker's shard assignment — and with it, its warm
 	// disk cache — intact.
 	ID string
@@ -68,13 +69,13 @@ type Worker struct {
 // to its service /metrics page.
 func (w *Worker) WriteMetrics(out io.Writer) error {
 	var b strings.Builder
-	ccounter(&b, "simd_cluster_worker_registrations_total",
+	obs.Counter(&b, "simd_cluster_worker_registrations_total",
 		"Successful registrations with the coordinator (first join and rejoins).", w.registrations.Load())
-	ccounter(&b, "simd_cluster_worker_returns_abandoned_total",
+	obs.Counter(&b, "simd_cluster_worker_returns_abandoned_total",
 		"RowReturn calls abandoned after exhausting transport retries.", w.returnsAbandoned.Load())
-	ccounter(&b, "simd_cluster_worker_rows_abandoned_total",
+	obs.Counter(&b, "simd_cluster_worker_rows_abandoned_total",
 		"Rows carried by abandoned RowReturn calls (requeued by the coordinator at lease expiry).", w.rowsAbandoned.Load())
-	ccounter(&b, "simd_cluster_worker_cell_failures_total",
+	obs.Counter(&b, "simd_cluster_worker_cell_failures_total",
 		"Panics contained in assignment execution and reported as cell failures.", w.cellFailures.Load())
 	_, err := io.WriteString(out, b.String())
 	return err
@@ -422,7 +423,7 @@ func (w *Worker) execute(ctx context.Context, a *protocol.Assignment) {
 		// Worker-local refusal (admission, local drain): close the
 		// assignment out with whatever completed; the coordinator requeues
 		// the rest. The pause keeps a persistently refusing worker from
-		// requeue-spinning against its own ring shard.
+		// requeue-spinning against its own shard.
 		w.logf("cluster: worker %s: assignment %s refused: %v", w.opt.ID, a.ID, err)
 		sleepCtx(ctx, 250*time.Millisecond)
 		flush(true, nil)

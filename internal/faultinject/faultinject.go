@@ -58,7 +58,7 @@ const (
 	// returns are revoked rather than double-counted.
 	ClusterHeartbeat Point = "cluster.heartbeat"
 	// ClusterRequeue fires in cluster.Coordinator as cells from a lost or
-	// draining worker are rehashed onto the surviving ring; a handler
+	// draining worker are routed onto the surviving workers; a handler
 	// error diverts the cells to the unassigned pool instead of a direct
 	// queue placement. Guards: requeue is never lossy — pooled cells are
 	// still delivered by the next poll.

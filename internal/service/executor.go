@@ -4,6 +4,7 @@ import (
 	"context"
 	"io"
 
+	"riscvmem/internal/obs"
 	"riscvmem/internal/run"
 	"riscvmem/internal/sweep"
 )
@@ -48,7 +49,7 @@ type Executor interface {
 // shared by every request, so identical cells simulate exactly once.
 type localExecutor struct {
 	runner  *run.Runner
-	kernels kernelHist // per-kernel job-duration histograms, for /metrics
+	kernels *obs.Histogram // per-kernel job-duration histograms, for /metrics
 }
 
 func (e *localExecutor) Execute(ctx context.Context, p *Plan, onProgress func(run.Progress)) ([]run.Result, []error, CacheStats, error) {
@@ -58,7 +59,7 @@ func (e *localExecutor) Execute(ctx context.Context, p *Plan, onProgress func(ru
 	// feeds the kernel histograms exactly once.
 	results, errs := e.runner.RunAllWithProgress(ctx, p.Jobs, func(pr run.Progress) {
 		if pr.Job.Workload != nil {
-			e.kernels.observe(kernelLabel(pr.Job.Workload.Name()), pr.Elapsed)
+			e.kernels.Observe(kernelLabel(pr.Job.Workload.Name()), pr.Elapsed)
 		}
 		if onProgress != nil {
 			onProgress(pr)

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"regexp"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -161,20 +162,23 @@ func TestMetricsEndpoint(t *testing.T) {
 // TestLatencyHistBuckets pins bucket assignment at and around the decade
 // boundaries (a bound is inclusive: observe(bound) lands in its bucket).
 func TestLatencyHistBuckets(t *testing.T) {
-	var h latencyHist
-	h.observe(500 * time.Microsecond) // ≤ 1ms
-	h.observe(time.Millisecond)       // ≤ 1ms (inclusive)
-	h.observe(2 * time.Millisecond)   // ≤ 10ms
-	h.observe(time.Second)            // ≤ 1s
-	h.observe(time.Minute)            // +Inf
-	want := []uint64{2, 1, 0, 1, 0, 1}
-	for i, w := range want {
-		if got := h.counts[i].Load(); got != w {
-			t.Errorf("bucket %d count = %d, want %d", i, got, w)
+	h := newLatencyHist()
+	h.Observe("", 500*time.Microsecond) // ≤ 1ms
+	h.Observe("", time.Millisecond)     // ≤ 1ms (inclusive)
+	h.Observe("", 2*time.Millisecond)   // ≤ 10ms
+	h.Observe("", time.Second)          // ≤ 1s
+	h.Observe("", time.Minute)          // +Inf
+	var b strings.Builder
+	h.Write(&b)
+	body := b.String()
+	// Cumulative: per-bucket counts 2, 1, 0, 1, 0, 1.
+	for le, want := range map[string]float64{"0.001": 2, "0.01": 3, "0.1": 3, "1": 4, "10": 4, "+Inf": 5} {
+		if got := metricValue(t, body, `simd_request_duration_seconds_bucket{le="`+le+`"}`); got != want {
+			t.Errorf("bucket le=%s cumulative count = %v, want %v", le, got, want)
 		}
 	}
 	wantSum := 500*time.Microsecond + 3*time.Millisecond + time.Second + time.Minute
-	if got := time.Duration(h.sumNS.Load()); got != wantSum {
-		t.Errorf("sum = %v, want %v", got, wantSum)
+	if got := metricValue(t, body, "simd_request_duration_seconds_sum"); got != wantSum.Seconds() {
+		t.Errorf("sum = %v, want %v", got, wantSum.Seconds())
 	}
 }

@@ -7,9 +7,11 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"riscvmem/internal/leakcheck"
+	"riscvmem/internal/obs"
 )
 
 // TestKernelHistogramOnMetrics pins the per-kernel latency histogram on the
@@ -58,26 +60,23 @@ func TestKernelHistogramOnMetrics(t *testing.T) {
 // instead of growing the scrape without limit. No observation is dropped.
 func TestKernelHistogramCardinalityCap(t *testing.T) {
 	const extra = 5
-	var k kernelHist
-	for i := 0; i < maxKernelSeries+extra; i++ {
-		k.observe(fmt.Sprintf("kernel%03d", i), 0)
+	k := newKernelHist()
+	for i := 0; i < obs.MaxSeries+extra; i++ {
+		k.Observe(fmt.Sprintf("kernel%03d", i), 0)
 	}
+	var b strings.Builder
+	k.Write(&b)
+	body := b.String()
 
-	distinct := 0
-	k.m.Range(func(_, _ any) bool { distinct++; return true })
-	if distinct != maxKernelSeries+1 { // the cap's worth of labels plus "other"
-		t.Errorf("distinct series = %d, want %d", distinct, maxKernelSeries+1)
+	distinct := strings.Count(body, "simd_kernel_duration_seconds_count{")
+	if distinct != obs.MaxSeries+1 { // the cap's worth of labels plus "other"
+		t.Errorf("distinct series = %d, want %d", distinct, obs.MaxSeries+1)
 	}
-	v, ok := k.m.Load("other")
-	if !ok {
+	if !strings.Contains(body, `simd_kernel_duration_seconds_count{kernel="other"}`) {
 		t.Fatal(`no "other" series after exceeding the cardinality cap`)
 	}
-	other := uint64(0)
-	for i := range v.(*kernelSeries).counts {
-		other += v.(*kernelSeries).counts[i].Load()
-	}
-	if other != extra {
-		t.Errorf(`"other" holds %d observations, want %d`, other, extra)
+	if other := metricValue(t, body, `simd_kernel_duration_seconds_count{kernel="other"}`); other != extra {
+		t.Errorf(`"other" holds %v observations, want %d`, other, extra)
 	}
 }
 

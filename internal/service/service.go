@@ -37,6 +37,7 @@ import (
 	"riscvmem/internal/faultinject"
 	"riscvmem/internal/machine"
 	"riscvmem/internal/memostore"
+	"riscvmem/internal/obs"
 	"riscvmem/internal/run"
 	"riscvmem/internal/sweep"
 )
@@ -171,9 +172,9 @@ type Service struct {
 	opt    Options
 	sem    chan struct{}
 
-	queued    atomic.Int64 // requests waiting for a slot (≤ MaxQueue)
-	latencyNS atomic.Int64 // EWMA of observed execution latency, for Retry-After
-	latency   latencyHist  // coarse request-duration histogram, for /metrics
+	queued    atomic.Int64   // requests waiting for a slot (≤ MaxQueue)
+	latencyNS atomic.Int64   // EWMA of observed execution latency, for Retry-After
+	latency   *obs.Histogram // coarse request-duration histogram, for /metrics
 	draining  atomic.Bool
 	limiter   *limiter
 	jobs      *jobStore
@@ -199,13 +200,13 @@ func New(opt Options) *Service {
 	if opt.MaxStoredJobs <= 0 {
 		opt.MaxStoredJobs = 256
 	}
-	s := &Service{exec: opt.Executor, opt: opt, sem: make(chan struct{}, opt.MaxInFlight)}
+	s := &Service{exec: opt.Executor, opt: opt, sem: make(chan struct{}, opt.MaxInFlight), latency: newLatencyHist()}
 	if s.exec == nil {
 		s.runner = opt.Runner
 		if s.runner == nil {
 			s.runner = run.New(run.Options{Parallelism: opt.Parallelism, Store: opt.Store})
 		}
-		s.exec = &localExecutor{runner: s.runner}
+		s.exec = &localExecutor{runner: s.runner, kernels: newKernelHist()}
 	}
 	if opt.ClientRate > 0 {
 		s.limiter = newLimiter(opt.ClientRate, opt.ClientBurst)
@@ -388,7 +389,7 @@ func (s *Service) releaseFunc() func() {
 // the value is a hint, and a lost update under concurrent completions is
 // harmless.
 func (s *Service) observeLatency(d time.Duration) {
-	s.latency.observe(d)
+	s.latency.Observe("", d)
 	old := s.latencyNS.Load()
 	if old == 0 {
 		s.latencyNS.Store(int64(d))

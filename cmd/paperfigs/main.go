@@ -10,7 +10,7 @@
 //
 // -scale divides the paper's workload sizes (default 8); -full is shorthand
 // for -scale 1, the paper's exact sizes (expect a long run). -device limits
-// the run to one machine. -csv is a deprecated alias for -format csv.
+// the run to one machine.
 package main
 
 import (
@@ -29,20 +29,12 @@ func main() {
 	scale := flag.Int("scale", 8, "divide paper workload sizes by this factor")
 	full := flag.Bool("full", false, "paper-scale run (overrides -scale; slow)")
 	verify := flag.Bool("verify", false, "verify kernel results against references")
-	csv := flag.Bool("csv", false, "deprecated alias for -format csv")
 	format := flag.String("format", "table", "output format: table, csv or json")
 	device := flag.String("device", "", "restrict to one device (Xeon, RaspberryPi4, VisionFive, MangoPi)")
 	flag.Parse()
 
-	formatSet := false
-	flag.Visit(func(f *flag.Flag) { formatSet = formatSet || f.Name == "format" })
-	if *csv && !formatSet { // the alias never overrides an explicit -format
-		*format = "csv"
-	}
-	switch *format {
-	case "table", "csv", "json":
-	default:
-		fatal(fmt.Errorf("unknown format %q (want table, csv or json)", *format))
+	if err := report.CheckFormat(*format); err != nil {
+		fatal(err)
 	}
 
 	opt := core.Options{Scale: *scale, Verify: *verify}

@@ -142,6 +142,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "sweep:", err)
 		os.Exit(1)
 	}
+	if err := report.CheckFormat(*format); err != nil {
+		fail(err)
+	}
 
 	stopProf, err := profiling.Start(*cpuprofile, *memprofile)
 	if err != nil {

@@ -22,6 +22,12 @@ var (
 	fileLike = regexp.MustCompile(`\.(go|md|json|sh|yml|mod)$`)
 	qualName = regexp.MustCompile(`\b([a-z][a-z0-9]*)\.([A-Z]\w*)`)
 	series   = regexp.MustCompile(`simd_[a-z_]+`)
+	// cmdLine is a ./cmd/NAME invocation and its arguments, up to the end of
+	// the inline span or the shell command; quoted arguments may hold
+	// separators.
+	cmdLine  = regexp.MustCompile("\\./cmd/(\\w+)((?:'[^'\n]*'|\"[^\"\n]*\"|[^`\n|>#&;])*)")
+	flagName = regexp.MustCompile(`^--?([A-Za-z][\w-]*)`)
+	flagDecl = regexp.MustCompile(`\.(?:String|Int|Int64|Uint|Uint64|Bool|Float64|Duration|\w*Var\([^,]+,\s*)\(?"([\w-]+)"`)
 )
 
 // TestDocsNameThingsThatExist fails when a checked document names, in
@@ -100,19 +106,7 @@ func TestDocsNameThingsThatExist(t *testing.T) {
 // from literals, so a renamed or deleted series fails here until the prose
 // follows.
 func TestDocsNameSeriesThatExist(t *testing.T) {
-	literals := map[string]bool{}
-	for _, dir := range internalDirs(t) {
-		for _, f := range parseNonTest(t, dir) {
-			ast.Inspect(f, func(n ast.Node) bool {
-				if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
-					if v, err := strconv.Unquote(lit.Value); err == nil {
-						literals[v] = true
-					}
-				}
-				return true
-			})
-		}
-	}
+	literals := internalLiterals(t)
 	names := map[string]bool{}
 	for _, doc := range []string{"README.md", "DESIGN.md"} {
 		raw, err := os.ReadFile(doc)
@@ -129,6 +123,86 @@ func TestDocsNameSeriesThatExist(t *testing.T) {
 	t.Logf("%d distinct series checked", len(names))
 	if len(names) == 0 {
 		t.Error("no series found: the extraction is broken")
+	}
+}
+
+// TestDocsCoverEverySeries is the converse: every simd_… name that is a
+// string literal in non-test code under internal/ — the exposition is
+// written from exactly those — appears in README.md.
+func TestDocsCoverEverySeries(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	documented := map[string]bool{}
+	for _, name := range series.FindAllString(string(readme), -1) {
+		documented[name] = true
+	}
+	for lit := range internalLiterals(t) {
+		if lit != "" && series.FindString(lit) == lit && !documented[lit] {
+			t.Errorf("README.md does not mention the series %s", lit)
+		}
+	}
+}
+
+// TestScrapedSeriesStayUnlabelled pins the four series bench reads off
+// /metrics by bare name: each is on the golden pages of the roles that
+// expose it, as one sample with no label set.
+func TestScrapedSeriesStayUnlabelled(t *testing.T) {
+	for name, roles := range map[string][]string{
+		"simd_queue_depth":                     {"standalone", "coordinator", "worker"},
+		"simd_cluster_cells_requeued_total":    {"coordinator"},
+		"simd_cluster_workers_lost_total":      {"coordinator"},
+		"simd_cluster_cells_quarantined_total": {"coordinator"},
+	} {
+		sample := regexp.MustCompile(`(?m)^` + name + ` [0-9.e+-]+$`)
+		for _, role := range roles {
+			page, err := os.ReadFile("internal/cluster/testdata/metrics_" + role + ".txt")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := len(sample.FindAll(page, -1)); n != 1 || strings.Contains(string(page), name+"{") {
+				t.Errorf("metrics_%s.txt: %d unlabelled samples of %s, want exactly 1 and none labelled", role, n, name)
+			}
+		}
+	}
+}
+
+// TestDocsUseFlagsThatExist fails when a checked document shows a
+// ./cmd/NAME command line (inline or fenced) with a -flag that no
+// flag.String("flag", …)-style or flag.Var(…, "flag", …)-style call in
+// cmd/NAME/*.go registers.
+func TestDocsUseFlagsThatExist(t *testing.T) {
+	lines := 0
+	for _, doc := range checkedDocs {
+		raw, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		joined := strings.ReplaceAll(string(raw), "\\\n", " ") // shell line continuations
+		for _, m := range cmdLine.FindAllStringSubmatch(joined, -1) {
+			lines++
+			registered := map[string]bool{}
+			sources, _ := filepath.Glob(filepath.Join("cmd", m[1], "*.go"))
+			for _, file := range sources {
+				src, err := os.ReadFile(file)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, reg := range flagDecl.FindAllSubmatch(src, -1) {
+					registered[string(reg[1])] = true
+				}
+			}
+			for _, tok := range strings.Fields(m[2]) {
+				if f := flagName.FindStringSubmatch(tok); f != nil && !registered[f[1]] {
+					t.Errorf("%s gives ./cmd/%s the flag -%s, which it does not register", doc, m[1], f[1])
+				}
+			}
+		}
+	}
+	t.Logf("%d command lines checked", lines)
+	if lines == 0 {
+		t.Error("no command lines found: the extraction is broken")
 	}
 }
 
@@ -187,6 +261,25 @@ func declaredNames(t *testing.T) map[string]map[string]bool {
 		add(filepath.Base(dir), dir)
 	}
 	return decls
+}
+
+// internalLiterals is the set of string literals in non-test code under
+// internal/.
+func internalLiterals(t *testing.T) map[string]bool {
+	literals := map[string]bool{}
+	for _, dir := range internalDirs(t) {
+		for _, f := range parseNonTest(t, dir) {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					if v, err := strconv.Unquote(lit.Value); err == nil {
+						literals[v] = true
+					}
+				}
+				return true
+			})
+		}
+	}
+	return literals
 }
 
 // internalDirs lists every directory under internal/, testdata excluded.

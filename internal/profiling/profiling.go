@@ -1,5 +1,5 @@
 // Package profiling wires the standard pprof profiles into the command-line
-// tools (-cpuprofile/-memprofile on cmd/stream and cmd/sweep), so the next
+// tools (-cpuprofile/-memprofile on cmd/kernel and cmd/sweep), so the next
 // performance investigation starts from a profile of a real workload instead
 // of guesswork. scripts/profile.sh packages the common invocations.
 package profiling

@@ -101,6 +101,16 @@ func CSV(w io.Writer, headers []string, rows [][]string) {
 	}
 }
 
+// CheckFormat reports whether Emit knows the format, so a command can
+// refuse a mistyped -format before it simulates anything.
+func CheckFormat(format string) error {
+	switch format {
+	case "", "table", "csv", "json":
+		return nil
+	}
+	return fmt.Errorf("report: unknown format %q (want table, csv or json)", format)
+}
+
 // Emit renders the table's headers and rows in the given format: "table"
 // (aligned text, the default), "csv", or "json". The title is printed only
 // in table form.
@@ -115,7 +125,7 @@ func Emit(w io.Writer, format string, t Table) error {
 	case "json":
 		return JSON(w, t.Headers, t.Rows)
 	}
-	return fmt.Errorf("report: unknown format %q (want table, csv or json)", format)
+	return CheckFormat(format)
 }
 
 // JSON writes rows as a JSON array of objects keyed by the headers,

@@ -128,6 +128,9 @@ func TestEmit(t *testing.T) {
 	tb := Table{Title: "T", Headers: []string{"a"}, Rows: [][]string{{"1"}}}
 	for _, format := range []string{"", "table", "csv", "json"} {
 		var b strings.Builder
+		if err := CheckFormat(format); err != nil {
+			t.Errorf("CheckFormat(%q): %v", format, err)
+		}
 		if err := Emit(&b, format, tb); err != nil {
 			t.Errorf("Emit(%q): %v", format, err)
 		}
@@ -135,7 +138,7 @@ func TestEmit(t *testing.T) {
 			t.Errorf("Emit(%q) lost the row:\n%s", format, b.String())
 		}
 	}
-	if err := Emit(io.Discard, "xml", tb); err == nil {
+	if Emit(io.Discard, "xml", tb) == nil || CheckFormat("xml") == nil {
 		t.Error("unknown format accepted")
 	}
 }

@@ -161,7 +161,7 @@ type (
 	// RunnerProgress reports one completed job of a batch.
 	RunnerProgress = run.Progress
 	// MemSummary is the per-level memory-system counter block carried by
-	// Result.Mem and the kernel-specific result types.
+	// Result.Mem.
 	MemSummary = sim.Summary
 	// Keyed is the opt-in memoization contract: a Workload that also
 	// implements CacheKey() string declares its Result a pure function of
@@ -402,8 +402,6 @@ type (
 	StreamTest = stream.Test
 	// StreamConfig sizes one STREAM measurement.
 	StreamConfig = stream.Config
-	// StreamMeasurement is the result, with the best bandwidth achieved.
-	StreamMeasurement = stream.Measurement
 )
 
 // The four STREAM tests.
@@ -417,12 +415,6 @@ const (
 // StreamTests returns all four tests in reporting order.
 func StreamTests() []StreamTest { return stream.Tests() }
 
-// RunStream executes one STREAM measurement on a fresh simulated device.
-//
-// Deprecated: use StreamWorkload with a Runner, which pools machines and
-// returns the unified Result type. RunStream remains as a thin wrapper.
-func RunStream(d Device, cfg StreamConfig) (StreamMeasurement, error) { return stream.Run(d, cfg) }
-
 // StreamLevels derives the measurable memory levels of a device, sized per
 // the paper's method (scale divides only the DRAM working set).
 func StreamLevels(d Device, scale int) []stream.Level { return stream.Levels(d, scale) }
@@ -433,8 +425,6 @@ type (
 	TransposeVariant = transpose.Variant
 	// TransposeConfig sizes one run.
 	TransposeConfig = transpose.Config
-	// TransposeResult carries the simulated time.
-	TransposeResult = transpose.Result
 )
 
 // The five transposition variants of Fig. 2.
@@ -449,22 +439,12 @@ const (
 // TransposeVariants returns the five variants in figure order.
 func TransposeVariants() []TransposeVariant { return transpose.Variants() }
 
-// RunTranspose executes one transposition variant on a fresh device.
-//
-// Deprecated: use TransposeWorkload with a Runner, which pools machines and
-// returns the unified Result type. RunTranspose remains as a thin wrapper.
-func RunTranspose(d Device, cfg TransposeConfig) (TransposeResult, error) {
-	return transpose.Run(d, cfg)
-}
-
 // Gaussian blur (§4.3).
 type (
 	// BlurVariant is one of the five implementations.
 	BlurVariant = blur.Variant
 	// BlurConfig sizes one run.
 	BlurConfig = blur.Config
-	// BlurResult carries the simulated time.
-	BlurResult = blur.Result
 )
 
 // The five blur variants of Fig. 6.
@@ -478,12 +458,6 @@ const (
 
 // BlurVariants returns the five variants in figure order.
 func BlurVariants() []BlurVariant { return blur.Variants() }
-
-// RunBlur executes one blur variant on a fresh device.
-//
-// Deprecated: use BlurWorkload with a Runner, which pools machines and
-// returns the unified Result type. RunBlur remains as a thin wrapper.
-func RunBlur(d Device, cfg BlurConfig) (BlurResult, error) { return blur.Run(d, cfg) }
 
 // Experiment suite: regenerates the paper's figures.
 type (

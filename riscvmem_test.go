@@ -27,36 +27,6 @@ func TestDevicesFacade(t *testing.T) {
 	}
 }
 
-func TestKernelFacades(t *testing.T) {
-	dev := riscvmem.MangoPiD1()
-
-	m, err := riscvmem.RunStream(dev, riscvmem.StreamConfig{Test: riscvmem.StreamTriad, Elems: 1024, Reps: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Best <= 0 {
-		t.Error("stream reported no bandwidth")
-	}
-
-	tr, err := riscvmem.RunTranspose(dev, riscvmem.TransposeConfig{
-		N: 128, Variant: riscvmem.TransposeBlocking, Verify: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Seconds <= 0 {
-		t.Error("transpose took no time")
-	}
-
-	bl, err := riscvmem.RunBlur(dev, riscvmem.BlurConfig{
-		W: 24, H: 20, C: 3, F: 5, Variant: riscvmem.BlurOneD, Verify: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bl.Seconds <= 0 {
-		t.Error("blur took no time")
-	}
-}
-
 func TestVariantEnumerations(t *testing.T) {
 	if len(riscvmem.StreamTests()) != 4 {
 		t.Error("expected 4 STREAM tests")
@@ -125,9 +95,8 @@ func TestPaperConstants(t *testing.T) {
 }
 
 func TestRunnerFacade(t *testing.T) {
-	// The Workload/Runner surface: batch a device × workload cross-product,
-	// a deprecated wrapper, and a registered custom workload, and check the
-	// unified Result agrees with the legacy per-kernel path bit for bit.
+	// The Workload/Runner surface: batch a device × workload cross-product
+	// with verification on, and run a registered custom workload.
 	dev := riscvmem.MangoPiD1()
 	runner := riscvmem.NewRunner(riscvmem.RunnerOptions{})
 	ctx := context.Background()
@@ -146,24 +115,10 @@ func TestRunnerFacade(t *testing.T) {
 	if len(results) != 3 {
 		t.Fatalf("got %d results", len(results))
 	}
-
-	legacyStream, err := riscvmem.RunStream(dev, riscvmem.StreamConfig{
-		Test: riscvmem.StreamTriad, Elems: 1024, Reps: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if results[0].Bandwidth != legacyStream.Best || results[0].Mem != legacyStream.Mem {
-		t.Errorf("stream workload diverges from deprecated wrapper: %v vs %v",
-			results[0].Bandwidth, legacyStream.Best)
-	}
-	legacyTr, err := riscvmem.RunTranspose(dev, riscvmem.TransposeConfig{
-		N: 128, Variant: riscvmem.TransposeBlocking, Verify: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if results[1].Seconds != legacyTr.Seconds || results[1].Cycles != legacyTr.Cycles {
-		t.Errorf("transpose workload %.9f s, deprecated wrapper %.9f s",
-			results[1].Seconds, legacyTr.Seconds)
+	for _, res := range results {
+		if res.Seconds <= 0 || res.Bandwidth <= 0 {
+			t.Errorf("%s: %v s, %v", res.Workload, res.Seconds, res.Bandwidth)
+		}
 	}
 	if results[1].Workload != "transpose/Blocking" || results[1].Device != "MangoPi" {
 		t.Errorf("result identification: %q on %q", results[1].Workload, results[1].Device)

@@ -3,32 +3,30 @@
 # workload, so the next performance PR starts from data instead of guesswork.
 #
 # Usage:
-#   scripts/profile.sh                    # profile the TouchRange benchmark
-#   scripts/profile.sh bench [pattern]    # profile a benchmark (default Throughput)
-#   scripts/profile.sh stream [args...]   # profile cmd/stream (args forwarded)
-#   scripts/profile.sh sweep  [args...]   # profile cmd/sweep  (args forwarded)
+#   scripts/profile.sh                    # profile a DRAM-level STREAM TRIAD on MangoPi
+#   scripts/profile.sh kernel [args...]   # profile cmd/kernel (args replace the default)
+#   scripts/profile.sh sweep  [args...]   # profile cmd/sweep  (args replace the default)
 #
 # Profiles land in ./profiles/<mode>.{cpu,mem}.pprof; the script prints the
 # top CPU consumers and the `go tool pprof` line to dig further.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-mode="${1:-bench}"
+mode="${1:-kernel}"
 [ "$#" -gt 0 ] && shift
 out="profiles"
 mkdir -p "$out"
 
 case "$mode" in
-bench)
-    pattern="${1:-TouchRangeThroughput}"
-    go test -run '^$' -bench "$pattern" -benchtime "${BENCHTIME:-100000000x}" \
-        -cpuprofile "$out/bench.cpu.pprof" -memprofile "$out/bench.mem.pprof" . >/dev/null
-    cpu="$out/bench.cpu.pprof"
-    ;;
-stream)
-    go run ./cmd/stream -cpuprofile "$out/stream.cpu.pprof" \
-        -memprofile "$out/stream.mem.pprof" "$@" >/dev/null
-    cpu="$out/stream.cpu.pprof"
+kernel)
+    # Single-core streaming at full DRAM size: the range path and the miss
+    # path under it; any explicit args replace it.
+    if [ "$#" -eq 0 ]; then
+        set -- -device MangoPi -scale 1 stream/TRIAD
+    fi
+    go run ./cmd/kernel -cpuprofile "$out/kernel.cpu.pprof" \
+        -memprofile "$out/kernel.mem.pprof" "$@" >/dev/null
+    cpu="$out/kernel.cpu.pprof"
     ;;
 sweep)
     # A default sweep that exercises the simulator's miss path and the
@@ -42,7 +40,7 @@ sweep)
     cpu="$out/sweep.cpu.pprof"
     ;;
 *)
-    echo "profile.sh: unknown mode '$mode' (bench, stream, sweep)" >&2
+    echo "profile.sh: unknown mode '$mode' (kernel, sweep)" >&2
     exit 1
     ;;
 esac

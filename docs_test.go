@@ -1,12 +1,14 @@
 package riscvmem_test
 
 import (
+	"encoding/json"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
@@ -28,6 +30,8 @@ var (
 	cmdLine  = regexp.MustCompile("\\./cmd/(\\w+)((?:'[^'\n]*'|\"[^\"\n]*\"|[^`\n|>#&;])*)")
 	flagName = regexp.MustCompile(`^--?([A-Za-z][\w-]*)`)
 	flagDecl = regexp.MustCompile(`\.(?:String|Int|Int64|Uint|Uint64|Bool|Float64|Duration|\w*Var\([^,]+,\s*)\(?"([\w-]+)"`)
+	// benchName is a dotted name with a bench metric's unit suffix.
+	benchName = regexp.MustCompile(`\b[a-z][a-z0-9_]*(?:\.[a-z][a-z0-9_]*)*_(?:ns|us|ms|ratio|per_op|per_cell)\b`)
 )
 
 // TestDocsNameThingsThatExist fails when a checked document names, in
@@ -204,6 +208,73 @@ func TestDocsUseFlagsThatExist(t *testing.T) {
 	if lines == 0 {
 		t.Error("no command lines found: the extraction is broken")
 	}
+}
+
+// TestDocsNameBenchMetricsThatExist fails when a checked document names, in
+// backticks, something with a bench metric's unit suffix (_ns, _us, _ms,
+// _ratio, _per_op, _per_cell) that BENCHMARK.json does not list as an
+// end_to_end or per_layer metric. A name whose last dotted part is a JSON
+// field of a wire type (`options.timeout_ms`) is a request field, not a
+// metric, and is skipped.
+func TestDocsNameBenchMetricsThatExist(t *testing.T) {
+	raw, err := os.ReadFile("BENCHMARK.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bench struct {
+		EndToEnd []struct{ Name string } `json:"end_to_end"`
+		PerLayer []struct{ Name string } `json:"per_layer"`
+	}
+	if err := json.Unmarshal(raw, &bench); err != nil {
+		t.Fatalf("BENCHMARK.json: %v", err)
+	}
+	metrics := map[string]bool{}
+	for _, m := range append(bench.EndToEnd, bench.PerLayer...) {
+		metrics[m.Name] = true
+	}
+	fields := jsonFields(t)
+	names := 0
+	for _, doc := range checkedDocs {
+		raw, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, span := range codeSpan.FindAllString(withoutFences(string(raw)), -1) {
+			for _, name := range benchName.FindAllString(span, -1) {
+				if fields[name[strings.LastIndex(name, ".")+1:]] {
+					continue
+				}
+				names++
+				if !metrics[name] {
+					t.Errorf("%s names the bench metric `%s`, which BENCHMARK.json does not list", doc, name)
+				}
+			}
+		}
+	}
+	t.Logf("%d bench metric names checked", names)
+	if names == 0 {
+		t.Error("no bench metric names found: the extraction is broken")
+	}
+}
+
+// jsonFields is the set of JSON field names that struct tags in non-test
+// code under internal/ declare.
+func jsonFields(t *testing.T) map[string]bool {
+	fields := map[string]bool{}
+	for _, dir := range internalDirs(t) {
+		for _, f := range parseNonTest(t, dir) {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if field, ok := n.(*ast.Field); ok && field.Tag != nil {
+					if tag, err := strconv.Unquote(field.Tag.Value); err == nil {
+						name, _, _ := strings.Cut(reflect.StructTag(tag).Get("json"), ",")
+						fields[name] = true
+					}
+				}
+				return true
+			})
+		}
+	}
+	return fields
 }
 
 // withoutFences drops fenced code blocks, whose contents are shell and Go

@@ -750,8 +750,17 @@ func (c *Coordinator) Workers() int {
 // memo store's key coordinates, so cells co-locate with their cached
 // results. Workloads that are not Keyed fall back to their Name (no cached
 // result exists to co-locate with; the key only needs determinism).
-func shardKey(spec machine.Spec, w run.Workload) string {
-	id, _ := spec.IdentityString()
+//
+// devIDs memoizes the identity encoding (a ~1 KB fmt rendering) per
+// Spec.Identity(), as run.Runner does for its cell keys, so a dispatch
+// renders each distinct device once rather than once per cell.
+func shardKey(devIDs map[any]string, spec machine.Spec, w run.Workload) string {
+	dev := spec.Identity()
+	id, ok := devIDs[dev]
+	if !ok {
+		id, _ = spec.IdentityString()
+		devIDs[dev] = id
+	}
 	wkey := w.Name()
 	if kw, ok := w.(run.Keyed); ok {
 		wkey = kw.CacheKey()
@@ -793,12 +802,13 @@ func (c *Coordinator) Execute(ctx context.Context, p *service.Plan, onProgress f
 		d.wake = make(chan struct{}, 1)
 	}
 	tasks := make([]*cellTask, n)
+	devIDs := map[any]string{}
 	for i, job := range p.Jobs {
 		cell := protocol.Cell{Index: i, SweepJob: i}
 		if d.sweep == nil {
 			cell = protocol.Cell{Index: i, Device: job.Device.Name, Workload: p.BatchSpec(i)}
 		}
-		tasks[i] = &cellTask{d: d, cell: cell, hash: hashKey(shardKey(job.Device, job.Workload))}
+		tasks[i] = &cellTask{d: d, cell: cell, hash: hashKey(shardKey(devIDs, job.Device, job.Workload))}
 	}
 	c.mu.Lock()
 	c.seq++

@@ -38,13 +38,14 @@ func workerIDs(n int) []string {
 // oracleKeys are the shard keys of every oracle spec on every preset.
 func oracleKeys(t *testing.T) []string {
 	var keys []string
+	devIDs := map[any]string{}
 	for _, spec := range oracleSpecs() {
 		w, err := run.NewWorkload(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, dev := range machine.All() {
-			keys = append(keys, shardKey(dev, w))
+			keys = append(keys, shardKey(devIDs, dev, w))
 		}
 	}
 	return keys
@@ -149,10 +150,10 @@ func TestRoutingJoinMovesOnlyToTheJoiner(t *testing.T) {
 	}
 }
 
-// benchGridKeys rebuilds the 256 shard keys of the cluster_sweep benchmark
-// (bench/cluster.go: MangoPi, 4 × 4 axis grid, 12 STREAM + 4 transpose
-// specs) through the planner the coordinator itself uses.
-func benchGridKeys(t *testing.T) []string {
+// benchGridJobs plans the cluster_sweep benchmark's grid (bench/cluster.go:
+// MangoPi, 4 × 4 axis grid, 12 STREAM + 4 transpose specs) through the
+// planner the coordinator itself uses.
+func benchGridJobs(t *testing.T) []run.Job {
 	var specs []run.WorkloadSpec
 	for _, test := range []string{"COPY", "SCALE", "SUM", "TRIAD"} {
 		for _, n := range []int{1024, 2048, 4096} {
@@ -171,10 +172,16 @@ func benchGridKeys(t *testing.T) []string {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return plan.jobs
+}
+
+// benchGridKeys rebuilds the 256 shard keys of the cluster_sweep benchmark.
+func benchGridKeys(t *testing.T) []string {
 	seen := map[string]bool{}
 	var keys []string
-	for _, job := range plan.jobs {
-		if k := shardKey(job.Device, job.Workload); !seen[k] {
+	devIDs := map[any]string{}
+	for _, job := range benchGridJobs(t) {
+		if k := shardKey(devIDs, job.Device, job.Workload); !seen[k] {
 			seen[k] = true
 			keys = append(keys, k)
 		}
@@ -183,6 +190,22 @@ func benchGridKeys(t *testing.T) []string {
 		t.Fatalf("bench grid has %d distinct shard keys, want 256", len(keys))
 	}
 	return keys
+}
+
+// TestShardKeyMemoIsExact pins that the per-dispatch device memo moves no
+// routing key: over the bench grid a shared memo renders each of the 16
+// devices once and yields, cell by cell, the bytes of a fresh rendering.
+func TestShardKeyMemoIsExact(t *testing.T) {
+	shared := map[any]string{}
+	for _, job := range benchGridJobs(t) {
+		got := shardKey(shared, job.Device, job.Workload)
+		if want := shardKey(map[any]string{}, job.Device, job.Workload); got != want {
+			t.Fatalf("%s on %s: memoized key differs from a fresh rendering", job.Workload.Name(), job.Device.Name)
+		}
+	}
+	if len(shared) != 16 {
+		t.Errorf("memo holds %d device renderings, want one per distinct device (16)", len(shared))
+	}
 }
 
 // TestRoutingBalance holds the busiest worker to 1.15 × the mean share — the

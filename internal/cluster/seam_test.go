@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -9,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -62,6 +64,22 @@ func exchange(t *testing.T, method, url, body string) (int, http.Header, map[str
 	return resp.StatusCode, resp.Header, decoded
 }
 
+// parityRequests is a table of requests — good, bad and partially failing —
+// for a handler built with MaxJobs 16.
+var parityRequests = []struct{ name, path, body string }{
+	{"valid batch", "/v1/batch", `{"devices":["MangoPi","VisionFive"],
+		"workloads":["stream:test=TRIAD,elems=4096,reps=1","transpose:variant=Blocking,n=128"]}`},
+	{"valid sweep", "/v1/sweep", `{"device":"MangoPi","axes":["l2=128KiB,256KiB"],
+		"workloads":["stream:test=TRIAD,elems=4096,reps=1","transpose:variant=Blocking,n=128"]}`},
+	{"unknown device", "/v1/batch", `{"devices":["PDP-11"],"workloads":["stream/TRIAD"]}`},
+	{"no workloads", "/v1/batch", `{"devices":["MangoPi"]}`},
+	{"oversized grid", "/v1/sweep", `{"device":"MangoPi","axes":["maxinflight=1,2,4,8","dramlat=50,100,200"],
+		"workloads":["stream/TRIAD","stream/COPY"]}`},
+	{"unknown JSON field", "/v1/batch", `{"devices":["MangoPi"],"workload":["stream/TRIAD"]}`},
+	{"over-RAM cell", "/v1/batch", `{"devices":["MangoPi"],
+		"workloads":["stream:test=COPY,elems=400000000,reps=1","stream:test=COPY,elems=4096,reps=1"]}`},
+}
+
 // TestWireParityWithStandalone posts one table of requests — good, bad and
 // partially failing — to a standalone daemon's handler and to a coordinator
 // with two workers, and requires the same HTTP status and the same body,
@@ -73,20 +91,7 @@ func TestWireParityWithStandalone(t *testing.T) {
 	defer alone.Close()
 	_, clustered := httpCluster(t, Options{MaxJobs: maxJobs})
 
-	cases := []struct{ name, path, body string }{
-		{"valid batch", "/v1/batch", `{"devices":["MangoPi","VisionFive"],
-			"workloads":["stream:test=TRIAD,elems=4096,reps=1","transpose:variant=Blocking,n=128"]}`},
-		{"valid sweep", "/v1/sweep", `{"device":"MangoPi","axes":["l2=128KiB,256KiB"],
-			"workloads":["stream:test=TRIAD,elems=4096,reps=1","transpose:variant=Blocking,n=128"]}`},
-		{"unknown device", "/v1/batch", `{"devices":["PDP-11"],"workloads":["stream/TRIAD"]}`},
-		{"no workloads", "/v1/batch", `{"devices":["MangoPi"]}`},
-		{"oversized grid", "/v1/sweep", `{"device":"MangoPi","axes":["maxinflight=1,2,4,8","dramlat=50,100,200"],
-			"workloads":["stream/TRIAD","stream/COPY"]}`},
-		{"unknown JSON field", "/v1/batch", `{"devices":["MangoPi"],"workload":["stream/TRIAD"]}`},
-		{"over-RAM cell", "/v1/batch", `{"devices":["MangoPi"],
-			"workloads":["stream:test=COPY,elems=400000000,reps=1","stream:test=COPY,elems=4096,reps=1"]}`},
-	}
-	for _, tc := range cases {
+	for _, tc := range parityRequests {
 		t.Run(tc.name, func(t *testing.T) {
 			wantStatus, _, want := exchange(t, http.MethodPost, alone.URL+tc.path, tc.body)
 			gotStatus, _, got := exchange(t, http.MethodPost, clustered+tc.path, tc.body)
@@ -111,6 +116,67 @@ func TestWireParityWithStandalone(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestRepliesAreOneCompactEncoding requires every JSON reply — the parity
+// table, health, a listing, a job's submission and status, a 404 — from a
+// standalone handler and from a coordinator to be one compact encoding sent
+// with its Content-Length, never chunked.
+func TestRepliesAreOneCompactEncoding(t *testing.T) {
+	const maxJobs = 16
+	alone := httptest.NewServer(service.NewHandler(service.New(service.Options{MaxJobs: maxJobs})))
+	defer alone.Close()
+	_, clustered := httpCluster(t, Options{MaxJobs: maxJobs})
+
+	type request struct{ method, path, body string }
+	reqs := []request{
+		{http.MethodGet, "/healthz", ""},
+		{http.MethodGet, "/v1/devices", ""},
+		{http.MethodGet, "/v1/jobs/deadbeef00000000", ""},
+		{http.MethodPost, "/v1/jobs", `{"batch":{"devices":["MangoPi"],"workloads":["stream:test=COPY,elems=4096,reps=1"]}}`},
+	}
+	for _, tc := range parityRequests {
+		reqs = append(reqs, request{http.MethodPost, tc.path, tc.body})
+	}
+	for _, base := range []string{alone.URL, clustered} {
+		for _, rq := range reqs {
+			if loc := compactReply(t, rq.method, base+rq.path, rq.body); loc != "" {
+				compactReply(t, http.MethodGet, base+loc, "") // the job's status
+			}
+		}
+	}
+}
+
+// compactReply performs one request, checks that its reply is one compact
+// JSON encoding with an exact Content-Length, and returns its Location.
+func compactReply(t *testing.T, method, url, body string) string {
+	t.Helper()
+	req, err := http.NewRequest(method, url, strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("%s %s: %v", method, url, err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("%s %s: %v", method, url, err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("%s %s: reading the body: %v", method, url, err)
+	}
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, raw); err != nil {
+		t.Errorf("%s %s: HTTP %d body is not JSON: %v", method, url, resp.StatusCode, err)
+	} else if compact.String() != strings.TrimSuffix(string(raw), "\n") {
+		t.Errorf("%s %s: HTTP %d body is not compact:\n%s", method, url, resp.StatusCode, raw)
+	}
+	if cl := resp.Header.Get("Content-Length"); cl != strconv.Itoa(len(raw)) {
+		t.Errorf("%s %s: Content-Length %q for a %d-byte body", method, url, cl, len(raw))
+	}
+	if len(resp.TransferEncoding) > 0 {
+		t.Errorf("%s %s: Transfer-Encoding %v, want none", method, url, resp.TransferEncoding)
+	}
+	return resp.Header.Get("Location")
 }
 
 // TestCoordinatorAsyncJob submits a batch to the coordinator as an async

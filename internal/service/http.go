@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -8,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 )
 
@@ -30,7 +32,9 @@ const maxBodyBytes = 1 << 20
 //	                       polling — pass the previous snapshot's next_after)
 //	DELETE /v1/jobs/{id}   request cancellation; returns the snapshot
 //
-// Request and response bodies are JSON. Errors are {"error": "..."}:
+// Request and response bodies are JSON; a reply is one compact encoding
+// sent with its Content-Length (WriteJSON), and the contract is the JSON
+// value, not its whitespace. Errors are {"error": "..."}:
 // 400 for malformed or unresolvable requests (ValidationError), 429 with a
 // Retry-After header when the admission queue or the client's rate limit
 // is exhausted, 503 while draining, 504 when the request's own deadline
@@ -203,17 +207,42 @@ func WriteError(w http.ResponseWriter, err error, logf func(format string, args 
 	WriteJSON(w, status, map[string]string{"error": err.Error()}, logf)
 }
 
-// WriteJSON writes a JSON response. Encode failures past the status line
-// cannot reach the client anymore, but they must not vanish: they are the
-// only trace of a torn response (marshalling bug, dead connection); they
-// go to logf (nil discards).
+// replyBufs recycles WriteJSON's encode buffers across requests.
+var replyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// maxPooledReply caps the buffers returned to replyBufs, so one outsized
+// reply (a large sweep or job listing) does not stay pinned in the pool.
+const maxPooledReply = 1 << 20
+
+// WriteJSON writes a JSON response: v is marshalled once, compact, into a
+// pooled buffer, and only then are the status line, Content-Length and body
+// written. A value encoding/json refuses (a NaN in a result, say) is
+// therefore a clean 500 {"error": ...} rather than a 200 with a torn body.
+// Encode and write failures go to logf (nil discards): a write failure is
+// the only trace of a reply lost to a dead connection.
 func WriteJSON(w http.ResponseWriter, status int, v any, logf func(format string, args ...any)) {
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Content-Type-Options", "nosniff")
+	buf := replyBufs.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= maxPooledReply {
+			buf.Reset()
+			replyBufs.Put(buf)
+		}
+	}()
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		if logf != nil {
+			logf("service: encoding %d response: %v", status, err)
+		}
+		status = http.StatusInternalServerError
+		buf.Reset()
+		// A map of strings always encodes.
+		_ = json.NewEncoder(buf).Encode(map[string]string{"error": fmt.Sprintf("encoding response: %v", err)})
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("X-Content-Type-Options", "nosniff")
+	h.Set("Content-Length", strconv.Itoa(buf.Len()))
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil && logf != nil {
+	if _, err := w.Write(buf.Bytes()); err != nil && logf != nil {
 		logf("service: writing %d response: %v", status, err)
 	}
 }

@@ -5,12 +5,19 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
+
+	"riscvmem/internal/run"
+	"riscvmem/internal/sim"
 )
 
 // TestHTTPEndpoints drives the full wire protocol through a live listener:
@@ -155,6 +162,55 @@ func TestHTTPSweepExecutionFailure(t *testing.T) {
 	body, _ := io.ReadAll(resp.Body)
 	if resp.StatusCode != http.StatusInternalServerError {
 		t.Fatalf("sweep execution failure: %d %s, want 500", resp.StatusCode, body)
+	}
+}
+
+// nanOnce registers the NaN workload once: the registry is process-wide.
+var nanOnce sync.Once
+
+// TestHTTPUnencodableReplyIs500 pins that a reply encoding/json refuses —
+// here a registered workload's NaN seconds — is a complete 500 with an
+// error body and a log line, never a 200 status line over a torn body.
+func TestHTTPUnencodableReplyIs500(t *testing.T) {
+	nanOnce.Do(func() {
+		err := run.Register(run.NewFunc("svc-test-nan",
+			func(ctx context.Context, m *sim.Machine) (run.Result, error) {
+				return run.Result{Seconds: math.NaN()}, nil
+			}))
+		if err != nil {
+			panic(err)
+		}
+	})
+	var (
+		mu     sync.Mutex
+		logged []string
+	)
+	svc := New(Options{Logf: func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		logged = append(logged, fmt.Sprintf(format, args...))
+	}})
+	ts := httptest.NewServer(NewHandler(svc))
+	defer ts.Close()
+
+	resp, err := http.Post(ts.URL+"/v1/batch", "application/json",
+		strings.NewReader(`{"devices":["MangoPi"],"workloads":["svc-test-nan"]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("unencodable reply: HTTP %d %q, want 500", resp.StatusCode, body)
+	}
+	var e map[string]string
+	if err := json.Unmarshal(body, &e); err != nil || !strings.Contains(e["error"], "NaN") {
+		t.Errorf("500 body %q (%v), want an error naming the NaN", body, err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if !slices.ContainsFunc(logged, func(line string) bool { return strings.Contains(line, "NaN") }) {
+		t.Errorf("logged %q, want a line naming the encode failure", logged)
 	}
 }
 

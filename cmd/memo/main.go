@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"riscvmem/internal/memostore"
 	"riscvmem/internal/run"
@@ -89,7 +88,6 @@ func cmdLs(args []string) error {
 	fs := flag.NewFlagSet("memo ls", flag.ExitOnError)
 	dir := fs.String("dir", "", "cache directory")
 	damaged := fs.Bool("damaged", false, "list only entries that fail validation")
-	full := fs.Bool("full", false, "print the full device identity string, not just the device name")
 	fs.Parse(args)
 	d, err := openDisk(*dir)
 	if err != nil {
@@ -109,12 +107,8 @@ func cmdLs(args []string) error {
 			if info.Key.Version != run.CacheVersion {
 				stale = "  [stale version]"
 			}
-			device := info.Key.Device
-			if !*full {
-				device = deviceName(device)
-			}
-			fmt.Printf("%-12s %8d B  %-14s %s%s\n",
-				info.Key.Version, info.Size, device, info.Key.Workload, stale)
+			fmt.Printf("%-12s %8d B  %s  %s%s\n",
+				info.Key.Version, info.Size, info.Key.Device, info.Key.Workload, stale)
 		}
 		return nil
 	})
@@ -124,23 +118,6 @@ func cmdLs(args []string) error {
 	fmt.Fprintf(os.Stderr, "memo: %d entries, %d bytes, %d damaged (version %s)\n",
 		entries, bytes, bad, run.CacheVersion)
 	return nil
-}
-
-// deviceName extracts the preset name from a device identity string — the
-// key stores the full rendered identity (`machine.identity{name:"Xeon",
-// ...}`) so that parameter changes address different entries, but for a
-// listing the name is what a human wants.
-func deviceName(identity string) string {
-	const marker = `name:"`
-	i := strings.Index(identity, marker)
-	if i < 0 {
-		return identity
-	}
-	rest := identity[i+len(marker):]
-	if j := strings.IndexByte(rest, '"'); j >= 0 {
-		return rest[:j]
-	}
-	return identity
 }
 
 func cmdExport(args []string) error {

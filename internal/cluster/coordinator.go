@@ -9,7 +9,7 @@
 // daemon's validation, timeouts, admission, async jobs, drain and encoding,
 // unchanged — and every admitted plan arrives at Execute, which routes each
 // cell to a worker by rendezvous hashing (route.go) of (device
-// IdentityString, workload CacheKey) — the persistent memo store's own
+// Identity, workload CacheKey) — the persistent memo store's own
 // coordinates, so identical cells always land on the same worker and are
 // deduplicated cluster-wide by that worker's singleflight and warm memo
 // tiers — and hands the returned rows back in job order. Workers own all
@@ -745,27 +745,17 @@ func (c *Coordinator) Workers() int {
 
 // ---- service.Executor ----------------------------------------------------
 
-// shardKey builds a cell's routing coordinate: the device's canonical
-// identity encoding plus the workload's cache key — exactly the persistent
-// memo store's key coordinates, so cells co-locate with their cached
-// results. Workloads that are not Keyed fall back to their Name (no cached
-// result exists to co-locate with; the key only needs determinism).
-//
-// devIDs memoizes the identity encoding (a ~1 KB fmt rendering) per
-// Spec.Identity(), as run.Runner does for its cell keys, so a dispatch
-// renders each distinct device once rather than once per cell.
-func shardKey(devIDs map[any]string, spec machine.Spec, w run.Workload) string {
-	dev := spec.Identity()
-	id, ok := devIDs[dev]
-	if !ok {
-		id, _ = spec.IdentityString()
-		devIDs[dev] = id
-	}
+// shardKey builds a cell's routing coordinate: the device identity plus the
+// workload's cache key — exactly the persistent memo store's key
+// coordinates, so cells co-locate with their cached results. Workloads that
+// are not Keyed fall back to their Name (no cached result exists to
+// co-locate with; the key only needs determinism).
+func shardKey(spec machine.Spec, w run.Workload) string {
 	wkey := w.Name()
 	if kw, ok := w.(run.Keyed); ok {
 		wkey = kw.CacheKey()
 	}
-	return id + "\x00" + wkey
+	return spec.Identity() + "\x00" + wkey
 }
 
 // Execute runs one admitted plan across the cluster (service.Executor): it
@@ -802,13 +792,12 @@ func (c *Coordinator) Execute(ctx context.Context, p *service.Plan, onProgress f
 		d.wake = make(chan struct{}, 1)
 	}
 	tasks := make([]*cellTask, n)
-	devIDs := map[any]string{}
 	for i, job := range p.Jobs {
 		cell := protocol.Cell{Index: i, SweepJob: i}
 		if d.sweep == nil {
 			cell = protocol.Cell{Index: i, Device: job.Device.Name, Workload: p.BatchSpec(i)}
 		}
-		tasks[i] = &cellTask{d: d, cell: cell, hash: hashKey(shardKey(devIDs, job.Device, job.Workload))}
+		tasks[i] = &cellTask{d: d, cell: cell, hash: hashKey(shardKey(job.Device, job.Workload))}
 	}
 	c.mu.Lock()
 	c.seq++

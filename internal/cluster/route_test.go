@@ -38,14 +38,13 @@ func workerIDs(n int) []string {
 // oracleKeys are the shard keys of every oracle spec on every preset.
 func oracleKeys(t *testing.T) []string {
 	var keys []string
-	devIDs := map[any]string{}
 	for _, spec := range oracleSpecs() {
 		w, err := run.NewWorkload(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, dev := range machine.All() {
-			keys = append(keys, shardKey(devIDs, dev, w))
+			keys = append(keys, shardKey(dev, w))
 		}
 	}
 	return keys
@@ -179,9 +178,8 @@ func benchGridJobs(t *testing.T) []run.Job {
 func benchGridKeys(t *testing.T) []string {
 	seen := map[string]bool{}
 	var keys []string
-	devIDs := map[any]string{}
 	for _, job := range benchGridJobs(t) {
-		if k := shardKey(devIDs, job.Device, job.Workload); !seen[k] {
+		if k := shardKey(job.Device, job.Workload); !seen[k] {
 			seen[k] = true
 			keys = append(keys, k)
 		}
@@ -190,22 +188,6 @@ func benchGridKeys(t *testing.T) []string {
 		t.Fatalf("bench grid has %d distinct shard keys, want 256", len(keys))
 	}
 	return keys
-}
-
-// TestShardKeyMemoIsExact pins that the per-dispatch device memo moves no
-// routing key: over the bench grid a shared memo renders each of the 16
-// devices once and yields, cell by cell, the bytes of a fresh rendering.
-func TestShardKeyMemoIsExact(t *testing.T) {
-	shared := map[any]string{}
-	for _, job := range benchGridJobs(t) {
-		got := shardKey(shared, job.Device, job.Workload)
-		if want := shardKey(map[any]string{}, job.Device, job.Workload); got != want {
-			t.Fatalf("%s on %s: memoized key differs from a fresh rendering", job.Workload.Name(), job.Device.Name)
-		}
-	}
-	if len(shared) != 16 {
-		t.Errorf("memo holds %d device renderings, want one per distinct device (16)", len(shared))
-	}
 }
 
 // TestRoutingBalance holds the busiest worker to 1.15 × the mean share — the

@@ -66,16 +66,8 @@ type Config struct {
 	// miss-level parallelism of out-of-order cores.
 	MissOverlap float64
 
-	// NewPrefetcher builds one data prefetcher per core; nil disables
-	// prefetching (unless Prefetch is set). When both are given,
-	// NewPrefetcher wins — it is the escape hatch for custom prefetcher
-	// implementations.
-	NewPrefetcher func() prefetch.Prefetcher
-
-	// Prefetch declaratively configures one stride prefetcher per core.
-	// Unlike NewPrefetcher it is plain data: device sweeps can copy and
-	// mutate it (distance, ramp), and machine.Spec.Identity compares it by
-	// value rather than by factory code pointer.
+	// Prefetch configures one stride prefetcher per core; nil disables
+	// prefetching.
 	Prefetch *prefetch.StrideConfig
 
 	// MaxInflight caps concurrent outstanding fills per core (the MSHR
@@ -160,10 +152,7 @@ type coreState struct {
 	utlb   *tlb.TLB
 	jtlb   *tlb.TLB // nil when absent
 	walker tlb.Walker
-	pref   prefetch.Prefetcher // nil when absent
-	// stridePref is pref devirtualized when it is the stock Stride model
-	// (every preset): the per-miss Observe call is then direct.
-	stridePref *prefetch.Stride
+	pref   *prefetch.Stride // nil when absent
 	// inflight is the MSHR file: outstanding prefetch fills in issue order,
 	// held in a small power-of-two ring (bounded by MaxInflight) so the
 	// common head operations — matching the oldest fill, retiring ready
@@ -286,12 +275,8 @@ func New(cfg Config) (*Hierarchy, error) {
 		if cfg.JTLB != nil {
 			st.jtlb = tlb.MustNew(*cfg.JTLB)
 		}
-		if cfg.NewPrefetcher != nil {
-			st.pref = cfg.NewPrefetcher()
-			st.stridePref, _ = st.pref.(*prefetch.Stride)
-		} else if cfg.Prefetch != nil {
-			st.stridePref = prefetch.NewStride(*cfg.Prefetch)
-			st.pref = st.stridePref
+		if cfg.Prefetch != nil {
+			st.pref = prefetch.NewStride(*cfg.Prefetch)
 		}
 		h.per[i] = st
 	}
@@ -437,11 +422,7 @@ func (h *Hierarchy) missRestLine(st *coreState, core int, now float64, line uint
 	// already resident) are open-coded here: the miss path is the
 	// simulator's hottest loop and the call frames are measurable.
 	if st.pref != nil {
-		if st.stridePref != nil {
-			st.buf = st.stridePref.Observe(line, st.buf[:0])
-		} else {
-			st.buf = st.pref.Observe(line, st.buf[:0])
-		}
+		st.buf = st.pref.Observe(line, st.buf[:0])
 	cands:
 		for _, cand := range st.buf {
 			pline := cand &^ h.lineMask

@@ -179,10 +179,8 @@ func TestDirtyEvictionPostsWriteback(t *testing.T) {
 
 func TestPrefetchShortensDemandMiss(t *testing.T) {
 	cfg := flat()
-	cfg.NewPrefetcher = func() prefetch.Prefetcher {
-		return prefetch.NewStride(prefetch.StrideConfig{
-			LineSize: 64, TrainThreshold: 2, InitDistance: 4, MaxDistance: 4})
-	}
+	cfg.Prefetch = &prefetch.StrideConfig{
+		LineSize: 64, TrainThreshold: 2, InitDistance: 4, MaxDistance: 4}
 	pf := MustNew(cfg)
 	base := MustNew(flat())
 
@@ -206,13 +204,11 @@ func TestPrefetchShortensDemandMiss(t *testing.T) {
 func TestPrefetchConsumesChannelTime(t *testing.T) {
 	cfg := flat()
 	cfg.DRAM.BytesPerCycle = 0.1 // starved channel, VisionFive-style
-	cfg.NewPrefetcher = func() prefetch.Prefetcher {
-		return prefetch.NewStride(prefetch.StrideConfig{
-			LineSize: 64, TrainThreshold: 1, InitDistance: 8, MaxDistance: 8})
-	}
+	cfg.Prefetch = &prefetch.StrideConfig{
+		LineSize: 64, TrainThreshold: 1, InitDistance: 8, MaxDistance: 8}
 	pf := MustNew(cfg)
 	noPF := cfg
-	noPF.NewPrefetcher = nil
+	noPF.Prefetch = nil
 	base := MustNew(noPF)
 
 	// A stride-2-line stream: the prefetcher fetches useless intermediate

@@ -7,14 +7,21 @@
 // calibrated so that simulated STREAM bandwidth lands in the ballpark the
 // paper's Fig. 1 reports (the *ordering* and rough ratios between devices are
 // what the downstream experiments rely on; see DESIGN.md §5).
+//
+// A device is plain data: every parameter, the prefetcher included, is a
+// field of the Spec tree, so one function (Spec.Identity) names a device
+// for machine pooling, the memo store and cluster routing alike.
 // Deterministic by contract: bit-identical outputs across runs and
 // processes (see DESIGN.md §11); machine-checked by simlint.
 //simlint:deterministic
 package machine
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
-	"reflect"
+	"math"
 	"strings"
 
 	"riscvmem/internal/cache"
@@ -70,100 +77,110 @@ func (s Spec) Validate() error {
 // NewHierarchy instantiates the device's memory system.
 func (s Spec) NewHierarchy() *hier.Hierarchy { return hier.MustNew(s.Mem) }
 
-// identity is the comparable projection of a Spec used by Identity.
-type identity struct {
-	name, cpu, isa string
-	cores          int
-	freqGHz        float64
-	ramBytes       int64
-	issueWidth     int
-	flopsPerCycle  float64
-	autoVecBytes   int
-
-	memCores     int
-	lineSize     int64
-	l1           cache.Config
-	l1HitCycles  float64
-	l2, l3       hier.Level
-	hasL2, hasL3 bool
-	utlb         tlb.Config
-	jtlb         tlb.Config
-	hasJTLB      bool
-	jtlbPenalty  float64
-	walkLevels   int
-	walkCycles   float64
-	dram         dram.Config
-	missOverlap  float64
-	maxInflight  int
-	prefFactory  uintptr
-	pref         prefetch.StrideConfig
-	hasPref      bool
+// Identity returns the device's canonical identity: the Name, "#", and 32
+// hex digits of the SHA-256 of a fixed-order binary encoding of every field
+// of the Spec tree. Two specs share an identity exactly when every parameter
+// matches (barring a 128-bit digest collision), whatever their pointer
+// addresses, so a mutated preset is distinguished from its base even when
+// its Name was left unchanged. The one string is the Runner's machine-pool
+// key, the Device coordinate of every memo store key, and the cluster's
+// routing coordinate; it is cheap enough to compute per job.
+//
+// The format is stability-critical: a change orphans every persisted memo
+// entry, so it goes with a run.CacheVersion key-format bump. The encoding
+// writes numbers as fixed-width little-endian, length-prefixes strings, and
+// puts a presence byte before each optional component.
+func (s Spec) Identity() string {
+	var buf [1024]byte
+	b := s.appendCanonical(buf[:0])
+	sum := sha256.Sum256(b)
+	b = append(append(b[:0], s.Name...), '#')
+	return string(hex.AppendEncode(b, sum[:16]))
 }
 
-// Identity returns a comparable value that distinguishes device
-// parameterizations: two Specs yield equal identities only when every
-// simulation-relevant parameter matches. The pooled runner (internal/run)
-// keys machine reuse on this, so a modified preset never shares pooled
-// machines with its base even if the Name was left unchanged.
-//
-// One caveat: a custom prefetcher factory (Mem.NewPrefetcher) is a function
-// and is compared by code pointer. Closures created at the same source
-// location but capturing different state are indistinguishable — give such
-// variants distinct Names, or use the declarative Mem.Prefetch config, which
-// is compared by value (all built-in presets and every sweep axis use it, so
-// they are always distinguished).
-func (s Spec) Identity() any {
-	id := identity{
-		name: s.Name, cpu: s.CPU, isa: s.ISA,
-		cores: s.Cores, freqGHz: s.FreqGHz, ramBytes: s.RAMBytes,
-		issueWidth: s.IssueWidth, flopsPerCycle: s.FlopsPerCycle, autoVecBytes: s.AutoVecBytes,
+// appendCanonical appends the encoding Identity digests; it must read every
+// field of the Spec tree (TestIdentityCoversAllSpecFields enforces it).
+func (s *Spec) appendCanonical(b []byte) []byte {
+	b = appendString(b, s.Name)
+	b = appendString(b, s.CPU)
+	b = appendString(b, s.ISA)
+	b = appendInt(b, int64(s.Cores))
+	b = appendFloat(b, s.FreqGHz)
+	b = appendInt(b, s.RAMBytes)
+	b = appendInt(b, int64(s.IssueWidth))
+	b = appendFloat(b, s.FlopsPerCycle)
+	b = appendInt(b, int64(s.AutoVecBytes))
 
-		memCores: s.Mem.Cores, lineSize: s.Mem.LineSize,
-		l1: s.Mem.L1, l1HitCycles: s.Mem.L1HitCycles,
-		jtlbPenalty: s.Mem.JTLBPenalty, utlb: s.Mem.UTLB,
-		walkLevels: s.Mem.WalkLevels, walkCycles: s.Mem.WalkCycles,
-		dram: s.Mem.DRAM, missOverlap: s.Mem.MissOverlap, maxInflight: s.Mem.MaxInflight,
+	m := &s.Mem
+	b = appendInt(b, int64(m.Cores))
+	b = appendInt(b, m.LineSize)
+	b = appendCache(b, &m.L1)
+	b = appendFloat(b, m.L1HitCycles)
+	for _, lv := range [...]*hier.Level{m.L2, m.L3} {
+		b = appendBool(b, lv != nil)
+		if lv != nil {
+			b = appendCache(b, &lv.Cache)
+			b = appendFloat(b, lv.HitCycles)
+			b = appendBool(b, lv.Shared)
+		}
 	}
-	if s.Mem.L2 != nil {
-		id.hasL2, id.l2 = true, *s.Mem.L2
+	b = appendTLB(b, &m.UTLB)
+	b = appendBool(b, m.JTLB != nil)
+	if m.JTLB != nil {
+		b = appendTLB(b, m.JTLB)
 	}
-	if s.Mem.L3 != nil {
-		id.hasL3, id.l3 = true, *s.Mem.L3
+	b = appendFloat(b, m.JTLBPenalty)
+	b = appendInt(b, int64(m.WalkLevels))
+	b = appendFloat(b, m.WalkCycles)
+	b = appendString(b, m.DRAM.Name)
+	b = appendInt(b, int64(m.DRAM.Channels))
+	b = appendFloat(b, m.DRAM.BytesPerCycle)
+	b = appendFloat(b, m.DRAM.LatencyCycles)
+	b = appendInt(b, m.DRAM.LineBytes)
+	b = appendFloat(b, m.MissOverlap)
+	b = appendBool(b, m.Prefetch != nil)
+	if p := m.Prefetch; p != nil {
+		b = appendInt(b, p.LineSize)
+		b = appendInt(b, int64(p.Streams))
+		b = appendInt(b, p.MaxStrideLines)
+		b = appendInt(b, p.MatchWindowLines)
+		b = appendInt(b, int64(p.TrainThreshold))
+		b = appendInt(b, int64(p.InitDistance))
+		b = appendInt(b, int64(p.MaxDistance))
+		b = appendBool(b, p.Ramp)
 	}
-	if s.Mem.JTLB != nil {
-		id.hasJTLB, id.jtlb = true, *s.Mem.JTLB
-	}
-	if s.Mem.NewPrefetcher != nil {
-		id.prefFactory = reflect.ValueOf(s.Mem.NewPrefetcher).Pointer()
-	} else if s.Mem.Prefetch != nil {
-		// The declarative config only takes effect when no factory is set
-		// (mirroring hier construction), so fold it in under the same
-		// condition — and by value, so mutated sweeps are distinguished.
-		id.hasPref, id.pref = true, *s.Mem.Prefetch
-	}
-	return id
+	return appendInt(b, int64(m.MaxInflight))
 }
 
-// IdentityString renders the spec's Identity as a canonical string — the
-// device coordinate of the persistent memo store's key. Two specs yield
-// equal strings exactly when their Identities are equal: the string is the
-// Go-syntax rendering of the identity projection, which names every field,
-// quotes (and escapes) every string, and renders floats in shortest
-// round-trip form, so it is deterministic across processes and never
-// ambiguous across field boundaries.
-//
-// persistable is false when the spec carries a custom prefetcher factory
-// (Mem.NewPrefetcher): such an identity embeds a code pointer that is only
-// meaningful inside this process, so the encoding must not be used as a
-// cross-process cache key — the memo store keeps those entries in the
-// memory tier only (memostore.Key.Volatile).
-//
-// Note the encoding is *stability-critical downward only*: changing it (or
-// the identity struct it mirrors) silently orphans persisted cache entries,
-// which is safe — orphaned entries are simply re-simulated — but wasteful,
-// so treat the format with the same care as a model-version bump.
-func (s Spec) IdentityString() (id string, persistable bool) {
-	return fmt.Sprintf("%#v", s.Identity()), s.Mem.NewPrefetcher == nil
+func appendCache(b []byte, c *cache.Config) []byte {
+	b = appendString(b, c.Name)
+	b = appendInt(b, c.Size)
+	b = appendInt(b, int64(c.Ways))
+	b = appendInt(b, c.LineSize)
+	b = appendInt(b, int64(c.Policy))
+	return binary.LittleEndian.AppendUint64(b, c.Seed)
+}
+
+func appendTLB(b []byte, c *tlb.Config) []byte {
+	b = appendString(b, c.Name)
+	b = appendInt(b, int64(c.Entries))
+	b = appendInt(b, int64(c.Ways))
+	return appendInt(b, int64(c.PageShift))
+}
+
+func appendInt(b []byte, v int64) []byte { return binary.LittleEndian.AppendUint64(b, uint64(v)) }
+
+func appendFloat(b []byte, v float64) []byte {
+	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+}
+
+func appendString(b []byte, v string) []byte { return append(appendInt(b, int64(len(v))), v...) }
+
+func appendBool(b []byte, v bool) []byte {
+	if v {
+		return append(b, 1)
+	}
+	return append(b, 0)
 }
 
 // Fits reports whether a working set of the given size fits in device RAM

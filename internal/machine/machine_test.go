@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"riscvmem/internal/cache"
-	"riscvmem/internal/hier"
 	"riscvmem/internal/units"
 )
 
@@ -70,41 +69,81 @@ func TestByNameErrorPaths(t *testing.T) {
 	}
 }
 
-// TestIdentityCoversAllSpecFields is the drift guard for Spec.Identity: it
-// pins the exact field sets of Spec and hier.Config that Identity mirrors
-// into its comparable projection. Adding a field to either struct fails
-// this test until the new field is (a) added to the identity struct in
-// machine.go and (b) appended to the pinned list here — which is the
-// reminder the pooled runner needs, since a field missing from Identity
-// would let devices differing only in that field share pooled machines.
+// TestIdentityCoversAllSpecFields is the drift guard for Spec.Identity. It
+// walks the Spec type tree through pointers and, on a fresh XeonServer (the
+// preset that sets every optional pointer), perturbs one leaf field at a
+// time: every perturbation, and every optional pointer set to nil, must
+// change the identity. A field added anywhere in the tree and left out of
+// the encoding fails here, and so does a field that is not plain data.
 func TestIdentityCoversAllSpecFields(t *testing.T) {
-	check := func(typ reflect.Type, want []string) {
-		t.Helper()
-		var got []string
-		for i := 0; i < typ.NumField(); i++ {
-			got = append(got, typ.Field(i).Name)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s fields changed:\n got %v\nwant %v\nupdate Spec.Identity and this pin together",
-				typ, got, want)
+	base := XeonServer()
+	want := base.Identity()
+	if other := XeonServer(); other.Mem.L2 == base.Mem.L2 || other.Identity() != want {
+		t.Fatal("separately built presets (distinct pointers) have distinct identities")
+	}
+
+	type leaf struct {
+		path string
+		at   func(*Spec) reflect.Value // the field inside the given spec
+		nils bool                      // set the pointer nil instead of perturbing
+	}
+	var leaves []leaf
+	var walk func(path string, typ reflect.Type, at func(*Spec) reflect.Value)
+	walk = func(path string, typ reflect.Type, at func(*Spec) reflect.Value) {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := range typ.NumField() {
+				walk(path+"."+typ.Field(i).Name, typ.Field(i).Type,
+					func(s *Spec) reflect.Value { return at(s).Field(i) })
+			}
+		case reflect.Pointer:
+			leaves = append(leaves, leaf{path: path, at: at, nils: true})
+			walk(path, typ.Elem(), func(s *Spec) reflect.Value { return at(s).Elem() })
+		default:
+			leaves = append(leaves, leaf{path: path, at: at})
 		}
 	}
-	check(reflect.TypeOf(Spec{}), []string{
-		"Name", "CPU", "ISA", "Cores", "FreqGHz", "RAMBytes",
-		"IssueWidth", "FlopsPerCycle", "AutoVecBytes", "Mem",
-	})
-	check(reflect.TypeOf(hier.Config{}), []string{
-		"Cores", "LineSize", "L1", "L1HitCycles", "L2", "L3",
-		"UTLB", "JTLB", "JTLBPenalty", "WalkLevels", "WalkCycles",
-		"DRAM", "MissOverlap", "NewPrefetcher", "Prefetch", "MaxInflight",
-	})
-	// The leaf config structs (cache/tlb/dram.Config, hier.Level) are
-	// embedded in the identity by value, so new fields there participate
-	// in pooling equality automatically — no pin needed.
+	walk("Spec", reflect.TypeOf(Spec{}), func(s *Spec) reflect.Value { return reflect.ValueOf(s).Elem() })
+
+	for _, l := range leaves {
+		s := XeonServer()
+		v := l.at(&s)
+		switch {
+		case l.nils:
+			if v.IsNil() {
+				t.Fatalf("%s: XeonServer leaves it nil, so the walk cannot reach its fields", l.path)
+			}
+			v.Set(reflect.Zero(v.Type()))
+		case v.CanInt():
+			v.SetInt(v.Int() + 1)
+		case v.CanUint():
+			v.SetUint(v.Uint() + 1)
+		case v.CanFloat():
+			v.SetFloat(v.Float() + 0.5)
+		case v.Kind() == reflect.String:
+			v.SetString(v.String() + "x")
+		case v.Kind() == reflect.Bool:
+			v.SetBool(!v.Bool())
+		default:
+			t.Errorf("%s: a %s is not plain data and cannot be part of a device's identity", l.path, v.Kind())
+			continue
+		}
+		if s.Identity() == want {
+			what := "perturbing"
+			if l.nils {
+				what = "setting nil"
+			}
+			t.Errorf("%s %s does not change the identity: add the field to Spec.appendCanonical", what, l.path)
+		}
+	}
+	if len(leaves) < 50 {
+		t.Errorf("walked %d leaves; the Spec tree has more", len(leaves))
+	}
 }
 
-// TestIdentityDistinguishesVariants spot-checks the projection: identical
-// presets share an identity, any parameter tweak breaks it.
+// TestIdentityDistinguishesVariants spot-checks the encoding with named
+// ablations: identical presets share an identity, any parameter tweak
+// breaks it.
 func TestIdentityDistinguishesVariants(t *testing.T) {
 	if VisionFive().Identity() != VisionFive().Identity() {
 		t.Fatal("identical presets have distinct identities")
@@ -119,21 +158,39 @@ func TestIdentityDistinguishesVariants(t *testing.T) {
 		"no prefetch":   func(s *Spec) { s.Mem.Prefetch = nil },
 		"pref distance": func(s *Spec) { s.Mem.Prefetch.MaxDistance *= 2 },
 		"pref ramp":     func(s *Spec) { s.Mem.Prefetch.Ramp = !s.Mem.Prefetch.Ramp },
+		"policy":        func(s *Spec) { s.Mem.L1.Policy = cache.FIFO },
 	}
 	base := VisionFive().Identity()
 	for name, mutate := range mutations {
 		s := VisionFive()
-		if s.Mem.L2 != nil { // deep-copy the pointed-to levels before mutating
-			l2 := *s.Mem.L2
-			s.Mem.L2 = &l2
-		}
-		if s.Mem.JTLB != nil {
-			j := *s.Mem.JTLB
-			s.Mem.JTLB = &j
-		}
 		mutate(&s)
 		if s.Identity() == base {
 			t.Errorf("mutation %q does not change the identity", name)
+		}
+	}
+}
+
+// TestIdentityPinsPresetFormat pins the presets' identities byte for byte.
+// They are persisted memo keys: a change here orphans every disk entry and
+// must come with a run.CacheVersion key-format bump. They must also be
+// printable ASCII, since the disk envelope carries them in JSON and a
+// non-UTF-8 Device would fail the mislabel cross-check on every read.
+func TestIdentityPinsPresetFormat(t *testing.T) {
+	want := map[string]string{
+		"Xeon":         "Xeon#88a100b430a232f09c303102c39f40c2",
+		"RaspberryPi4": "RaspberryPi4#bb0638db9d650de9e1c25073b290eaad",
+		"VisionFive":   "VisionFive#4811da6ba06b54850490a6ae2e059882",
+		"MangoPi":      "MangoPi#3d4d79aafed21cddc8c241c3b5f75b35",
+	}
+	for _, s := range All() {
+		got := s.Identity()
+		if got != want[s.Name] {
+			t.Errorf("%s.Identity() = %q, pinned %q", s.Name, got, want[s.Name])
+		}
+		for i := 0; i < len(got); i++ {
+			if got[i] < 0x20 || got[i] > 0x7e {
+				t.Errorf("%s.Identity() byte %d is %#x, not printable ASCII", s.Name, i, got[i])
+			}
 		}
 	}
 }
@@ -258,60 +315,5 @@ func TestNewHierarchyWorks(t *testing.T) {
 		if done := h.Access(0, 0, 4096, false, 1); done <= 0 {
 			t.Errorf("%s: cold miss done = %v", s.Name, done)
 		}
-	}
-}
-
-// TestIdentityStringMirrorsIdentity pins the canonical device encoding the
-// persistent memo store keys on: it must be deterministic, and it must
-// distinguish exactly what Identity distinguishes — every mutation that
-// changes the identity changes the string, and equal identities render
-// equally.
-func TestIdentityStringMirrorsIdentity(t *testing.T) {
-	a, _ := VisionFive().IdentityString()
-	b, _ := VisionFive().IdentityString()
-	if a != b {
-		t.Fatal("IdentityString is not deterministic")
-	}
-	if a == "" {
-		t.Fatal("empty identity string")
-	}
-	if !strings.Contains(a, `"VisionFive"`) {
-		t.Errorf("identity string does not quote the device name: %s", a)
-	}
-	mutations := map[string]func(*Spec){
-		"clock":        func(s *Spec) { s.FreqGHz = 2.0 },
-		"L2 size":      func(s *Spec) { s.Mem.L2.Cache.Size *= 2 },
-		"drop L2":      func(s *Spec) { s.Mem.L2 = nil },
-		"miss overlap": func(s *Spec) { s.Mem.MissOverlap = 0.5 },
-		"no prefetch":  func(s *Spec) { s.Mem.Prefetch = nil },
-		"policy":       func(s *Spec) { s.Mem.L1.Policy = cache.FIFO },
-	}
-	for name, mutate := range mutations {
-		s := VisionFive()
-		if s.Mem.L2 != nil {
-			l2 := *s.Mem.L2
-			s.Mem.L2 = &l2
-		}
-		mutate(&s)
-		got, persistable := s.IdentityString()
-		if !persistable {
-			t.Errorf("mutation %q not persistable", name)
-		}
-		if got == a {
-			t.Errorf("mutation %q does not change the identity string", name)
-		}
-	}
-}
-
-// TestIdentityStringFactorySpecsAreVolatile pins that a custom prefetcher
-// factory — whose identity is a process-local code pointer — is flagged
-// non-persistable, so the memo store never writes such keys to disk.
-func TestIdentityStringFactorySpecsAreVolatile(t *testing.T) {
-	if _, persistable := VisionFive().IdentityString(); !persistable {
-		t.Fatal("preset flagged non-persistable")
-	}
-	s := specWithFactoryDistance(2)
-	if _, persistable := s.IdentityString(); persistable {
-		t.Fatal("factory-built spec flagged persistable")
 	}
 }

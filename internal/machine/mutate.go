@@ -14,7 +14,7 @@ import (
 )
 
 // Clone returns a deep copy of the spec: the optional pointer-typed memory
-// components (L2, L3, second-level TLB, declarative prefetcher) are copied,
+// components (L2, L3, second-level TLB, prefetcher) are copied,
 // so mutating the clone never aliases the original.
 func (s Spec) Clone() Spec {
 	if s.Mem.L2 != nil {
@@ -145,21 +145,12 @@ func (s Spec) WithPolicy(p cache.Policy) Spec {
 	return s
 }
 
-// HasDeclarativePrefetcher reports whether the spec's prefetcher is the
-// declarative stride config that the prefetcher mutation helpers (and sweep
-// axes) can rewrite. All built-in presets qualify; specs using a custom
-// NewPrefetcher factory do not.
-func (s Spec) HasDeclarativePrefetcher() bool {
-	return s.Mem.NewPrefetcher == nil && s.Mem.Prefetch != nil
-}
-
 // WithPrefetchDistance returns a copy whose stride prefetcher looks ahead at
-// most max strides (InitDistance is clamped down to it). It requires a
-// declarative prefetcher (HasDeclarativePrefetcher); other specs are
-// returned unchanged apart from the deep copy.
+// most max strides (InitDistance is clamped down to it). A spec without a
+// prefetcher is returned unchanged apart from the deep copy.
 func (s Spec) WithPrefetchDistance(max int) Spec {
 	s = s.Clone()
-	if !s.HasDeclarativePrefetcher() {
+	if s.Mem.Prefetch == nil {
 		return s
 	}
 	s.Mem.Prefetch.MaxDistance = max
@@ -172,10 +163,10 @@ func (s Spec) WithPrefetchDistance(max int) Spec {
 // WithPrefetchRamp returns a copy whose stride prefetcher does (or does not)
 // automatically ramp its look-ahead distance — the VisionFive behaviour that
 // Fig. 6 shows crowding out demand traffic on a starved memory channel. Like
-// WithPrefetchDistance it requires a declarative prefetcher.
+// WithPrefetchDistance it leaves a spec without a prefetcher unchanged.
 func (s Spec) WithPrefetchRamp(ramp bool) Spec {
 	s = s.Clone()
-	if !s.HasDeclarativePrefetcher() {
+	if s.Mem.Prefetch == nil {
 		return s
 	}
 	s.Mem.Prefetch.Ramp = ramp
@@ -185,7 +176,6 @@ func (s Spec) WithPrefetchRamp(ramp bool) Spec {
 // WithoutPrefetcher returns a copy with data prefetching disabled entirely.
 func (s Spec) WithoutPrefetcher() Spec {
 	s = s.Clone()
-	s.Mem.NewPrefetcher = nil
 	s.Mem.Prefetch = nil
 	return s
 }

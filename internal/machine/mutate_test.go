@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"riscvmem/internal/cache"
-	"riscvmem/internal/prefetch"
 	"riscvmem/internal/units"
 )
 
@@ -125,55 +124,20 @@ func TestWithoutL2DropsL3(t *testing.T) {
 	}
 }
 
+// TestPrefetchHelpersRequireDeclarativeConfig: the prefetcher helpers
+// rewrite Mem.Prefetch and leave a spec without one unchanged.
 func TestPrefetchHelpersRequireDeclarativeConfig(t *testing.T) {
-	custom := MangoPiD1()
-	custom.Mem.Prefetch = nil
-	custom.Mem.NewPrefetcher = func() prefetch.Prefetcher {
-		return prefetch.NewStride(prefetch.StrideConfig{LineSize: 64, Streams: 4,
-			TrainThreshold: 2, InitDistance: 1, MaxDistance: 2})
+	none := MangoPiD1().WithoutPrefetcher()
+	if got := none.WithPrefetchDistance(64); got.Identity() != none.Identity() {
+		t.Error("WithPrefetchDistance changed a spec without a prefetcher")
 	}
-	if custom.HasDeclarativePrefetcher() {
-		t.Fatal("factory-built spec claims a declarative prefetcher")
-	}
-	if got := custom.WithPrefetchDistance(64); got.Identity() != custom.Identity() {
-		t.Error("WithPrefetchDistance modified a factory-built prefetcher")
-	}
-	if !MangoPiD1().HasDeclarativePrefetcher() {
-		t.Error("preset lacks a declarative prefetcher")
+	if got := none.WithPrefetchRamp(true); got.Identity() != none.Identity() {
+		t.Error("WithPrefetchRamp changed a spec without a prefetcher")
 	}
 	if got := MangoPiD1().WithPrefetchDistance(1); got.Mem.Prefetch.InitDistance != 1 {
 		t.Errorf("InitDistance not clamped: %d", got.Mem.Prefetch.InitDistance)
 	}
-}
-
-// TestIdentityPrefetcherFactoryCaveat pins the documented caveat: two custom
-// NewPrefetcher closures created at the same source location but capturing
-// different state compare equal by code pointer, so Identity alone cannot
-// tell them apart — such variants need distinct Names (or the declarative
-// Mem.Prefetch config, which the following assertion shows is compared by
-// value and has no such blind spot).
-func TestIdentityPrefetcherFactoryCaveat(t *testing.T) {
-	if specWithFactoryDistance(2).Identity() != specWithFactoryDistance(32).Identity() {
-		t.Error("caveat no longer holds — closures are now distinguished; update the Identity docs")
-	}
-	// The declarative path distinguishes the same variation by value.
 	if MangoPiD1().WithPrefetchDistance(2).Identity() == MangoPiD1().WithPrefetchDistance(32).Identity() {
-		t.Error("declarative prefetch configs with different distances share an identity")
+		t.Error("prefetch configs with different distances share an identity")
 	}
-}
-
-// specWithFactoryDistance builds the closure at one fixed source location.
-// noinline keeps the compiler from constant-specializing the closure body per
-// call site, which would (accidentally, and only for constant arguments)
-// give the two variants distinct code pointers.
-//
-//go:noinline
-func specWithFactoryDistance(dist int) Spec {
-	s := MangoPiD1()
-	s.Mem.Prefetch = nil
-	s.Mem.NewPrefetcher = func() prefetch.Prefetcher {
-		return prefetch.NewStride(prefetch.StrideConfig{LineSize: 64, Streams: 4,
-			TrainThreshold: 2, InitDistance: 1, MaxDistance: dist})
-	}
-	return s
 }

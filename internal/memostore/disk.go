@@ -142,13 +142,9 @@ func (d *Disk) logf(format string, args ...any) {
 	}
 }
 
-// Get loads, validates, and decodes the entry for the key. Volatile keys
-// are never on disk. Any validation failure quarantines the entry and
-// reports a miss.
+// Get loads, validates, and decodes the entry for the key. Any validation
+// failure quarantines the entry and reports a miss.
 func (d *Disk) Get(key Key) (any, Tier, bool) {
-	if key.Volatile {
-		return nil, TierNone, false
-	}
 	path := d.entryPath(key)
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -201,9 +197,6 @@ func (d *Disk) quarantine(path string, reason error) {
 // atomic — temp file in the entry's directory, fsync, rename — so readers
 // never see a partial entry and a crash leaves only a temp file behind.
 func (d *Disk) Put(key Key, v any) {
-	if key.Volatile {
-		return
-	}
 	if err := d.put(key, v); err != nil {
 		d.writeErrs.Add(1)
 		d.logf("memostore: persisting entry: %v", err)

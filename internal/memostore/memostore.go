@@ -8,13 +8,13 @@
 // cached value is a pure function of its Key, and every coordinate of the
 // Key is a canonical, order-stable encoding —
 //
-//   - Version: the cache namespace, a model-version constant plus the module
-//     identity (run.CacheVersion). Any change that legitimately alters
-//     golden cycle counts bumps it, which cleanly orphans every stale
+//   - Version: the cache namespace: module identity, model version and
+//     key-format version (run.CacheVersion). Any change that legitimately
+//     alters golden cycle counts, or changes how a key coordinate is
+//     encoded, bumps it, which cleanly orphans every stale
 //     on-disk entry: old entries are simply never looked up again, and
 //     `memo gc` reclaims them.
-//   - Device: the device's canonical parameter encoding
-//     (machine.Spec.IdentityString).
+//   - Device: the device's parameter digest (machine.Spec.Identity).
 //   - Workload: the workload's self-declared CacheKey (the canonical
 //     WorkloadSpec encoding for the built-in kernels).
 //
@@ -38,11 +38,6 @@ type Key struct {
 	Device string
 	// Workload is the workload's canonical cache key.
 	Workload string
-	// Volatile marks a key whose Device encoding is only meaningful inside
-	// this process (a device built with a custom prefetcher factory compares
-	// by code pointer). Volatile entries live in the memory tier only; the
-	// disk tier never stores or serves them.
-	Volatile bool
 }
 
 // Tier says which tier served a Get.

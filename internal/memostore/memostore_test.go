@@ -169,37 +169,6 @@ func TestTieredPromotion(t *testing.T) {
 	}
 }
 
-// TestTieredVolatileNeverPersisted pins the Volatile guard: process-local
-// device identities stay in memory and never reach disk in either
-// direction.
-func TestTieredVolatileNeverPersisted(t *testing.T) {
-	disk, err := OpenDisk(t.TempDir(), testCodec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := NewTiered(NewMemory(64), disk)
-	k := testKey(1)
-	k.Volatile = true
-	st.Put(k, "v")
-	if v, tier, ok := st.Get(k); !ok || tier != TierMemory || v != "v" {
-		t.Fatalf("volatile Get = (%v, %v, %v), want memory hit", v, tier, ok)
-	}
-	if s := disk.Stats(); s.DiskWrites != 0 {
-		t.Fatalf("volatile key was persisted: %+v", s)
-	}
-	n := 0
-	if err := disk.Walk(func(EntryInfo) error { n++; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if n != 0 {
-		t.Fatalf("found %d on-disk entries for a volatile-only store", n)
-	}
-	// Direct disk access is equally guarded.
-	if _, _, ok := disk.Get(k); ok {
-		t.Fatal("disk served a volatile key")
-	}
-}
-
 func TestKeyHashOrderIndependence(t *testing.T) {
 	// Distinct coordinate splits must not collide: the separator keeps
 	// (device="ab", workload="c") apart from (device="a", workload="bc").

@@ -2,10 +2,7 @@ package memostore
 
 // Tiered composes the memory LRU over the disk store: Get falls through
 // memory to disk (promoting disk hits into memory, so a key pays the disk
-// read once per process), Put writes through to both. Volatile keys — whose
-// Device encoding is process-local — bypass the disk tier entirely in both
-// directions; the Disk methods enforce the same guard themselves, so the
-// invariant holds even for direct Disk use.
+// read once per process), Put writes through to both.
 type Tiered struct {
 	mem  *Memory
 	disk *Disk
@@ -32,7 +29,7 @@ func (t *Tiered) Get(key Key) (any, Tier, bool) {
 	if v, tier, ok := t.mem.Get(key); ok {
 		return v, tier, ok
 	}
-	if t.disk == nil || key.Volatile {
+	if t.disk == nil {
 		return nil, TierNone, false
 	}
 	v, tier, ok := t.disk.Get(key)
@@ -42,7 +39,7 @@ func (t *Tiered) Get(key Key) (any, Tier, bool) {
 	return v, tier, ok
 }
 
-// Put stores into memory and, for persistable keys, through to disk.
+// Put stores into memory and through to disk.
 func (t *Tiered) Put(key Key, v any) {
 	t.mem.Put(key, v)
 	if t.disk != nil {

@@ -23,64 +23,6 @@ import (
 	"riscvmem/internal/units"
 )
 
-// Prefetcher observes the demand-access stream of one core and proposes
-// lines to fetch ahead of it.
-type Prefetcher interface {
-	// Observe records a demand access to the given line-aligned byte address
-	// and appends any prefetch candidates (line-aligned byte addresses) to
-	// out, returning the extended slice. The lineSize is fixed at
-	// construction.
-	Observe(lineAddr uint64, out []uint64) []uint64
-	// Reset clears all training state.
-	Reset()
-}
-
-// None is the absent prefetcher (e.g. for ablation benchmarks).
-type None struct{}
-
-// Observe implements Prefetcher; it never proposes anything.
-func (None) Observe(_ uint64, out []uint64) []uint64 { return out }
-
-// Reset implements Prefetcher.
-func (None) Reset() {}
-
-// NextLine prefetches the next Degree consecutive lines on every observed
-// access — the classic instruction-side scheme (the C906 prefetches "the next
-// consecutive cache line" for instructions). Kept mostly for ablations on the
-// data side.
-type NextLine struct {
-	LineSize int64
-	Degree   int // how many lines ahead; 0 behaves as 1
-	last     uint64
-	warm     bool
-}
-
-// NewNextLine returns a next-line prefetcher for the given line size.
-func NewNextLine(lineSize int64, degree int) *NextLine {
-	if degree < 1 {
-		degree = 1
-	}
-	return &NextLine{LineSize: lineSize, Degree: degree}
-}
-
-// Observe implements Prefetcher.
-func (p *NextLine) Observe(lineAddr uint64, out []uint64) []uint64 {
-	// Only fire when the stream moves to a new line; repeated accesses to
-	// the same line must not multiply traffic.
-	if p.warm && p.last == lineAddr {
-		return out
-	}
-	p.warm = true
-	p.last = lineAddr
-	for i := 1; i <= p.Degree; i++ {
-		out = append(out, lineAddr+uint64(i)*uint64(p.LineSize))
-	}
-	return out
-}
-
-// Reset implements Prefetcher.
-func (p *NextLine) Reset() { p.warm = false; p.last = 0 }
-
 // StrideConfig parameterizes a Stride prefetcher.
 type StrideConfig struct {
 	LineSize int64
@@ -162,7 +104,9 @@ func NewStride(cfg StrideConfig) *Stride {
 	return p
 }
 
-// Observe implements Prefetcher.
+// Observe records a demand access to the given line-aligned byte address
+// and appends any prefetch candidates (line-aligned byte addresses) to out,
+// returning the extended slice.
 func (p *Stride) Observe(lineAddr uint64, out []uint64) []uint64 {
 	var line int64
 	if p.pow2Line {
@@ -270,7 +214,7 @@ func (p *Stride) Observe(lineAddr uint64, out []uint64) []uint64 {
 	return out
 }
 
-// Reset implements Prefetcher.
+// Reset clears all training state.
 func (p *Stride) Reset() {
 	for i := range p.table {
 		p.table[i] = stream{}

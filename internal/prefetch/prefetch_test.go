@@ -7,57 +7,12 @@ import (
 
 const line = 64
 
-func observeAll(p Prefetcher, addrs []uint64) []uint64 {
+func observeAll(p *Stride, addrs []uint64) []uint64 {
 	var out []uint64
 	for _, a := range addrs {
 		out = p.Observe(a, out)
 	}
 	return out
-}
-
-func TestNoneNeverPrefetches(t *testing.T) {
-	var p None
-	out := p.Observe(0, nil)
-	out = p.Observe(64, out)
-	if len(out) != 0 {
-		t.Fatalf("None proposed %v", out)
-	}
-	p.Reset() // must not panic
-}
-
-func TestNextLine(t *testing.T) {
-	p := NewNextLine(line, 1)
-	out := p.Observe(0, nil)
-	if len(out) != 1 || out[0] != line {
-		t.Fatalf("Observe(0) = %v, want [64]", out)
-	}
-	// Re-touching the same line must not fire again.
-	out = p.Observe(0, nil)
-	if len(out) != 0 {
-		t.Fatalf("repeat observation fired: %v", out)
-	}
-	out = p.Observe(2*line, nil)
-	if len(out) != 1 || out[0] != 3*line {
-		t.Fatalf("Observe(128) = %v, want [192]", out)
-	}
-}
-
-func TestNextLineDegree(t *testing.T) {
-	p := NewNextLine(line, 3)
-	out := p.Observe(0, nil)
-	want := []uint64{64, 128, 192}
-	if len(out) != len(want) {
-		t.Fatalf("got %v, want %v", out, want)
-	}
-	for i := range want {
-		if out[i] != want[i] {
-			t.Fatalf("got %v, want %v", out, want)
-		}
-	}
-	// Degree < 1 behaves as 1.
-	if NewNextLine(line, 0).Degree != 1 {
-		t.Fatal("degree clamp failed")
-	}
 }
 
 func TestStrideDetectsUnitForward(t *testing.T) {

@@ -8,10 +8,7 @@ import (
 	"strings"
 	"testing"
 
-	"riscvmem/internal/kernels/transpose"
-	"riscvmem/internal/machine"
 	"riscvmem/internal/memostore"
-	"riscvmem/internal/prefetch"
 )
 
 // openTestStore builds a tiered store over dir, failing the test on error.
@@ -171,41 +168,5 @@ func TestPersistCorruptionRecovery(t *testing.T) {
 	}
 	if _, m := healed.CacheStats(); m != 0 {
 		t.Errorf("healed store still re-simulated %d cells", m)
-	}
-}
-
-// TestPersistVolatileSpecStaysOffDisk pins the persistability gate: a spec
-// with a custom prefetcher factory (process-local function pointer in its
-// identity) is memoized in memory but never written to disk — a restarted
-// process must re-simulate rather than trust a pointer-derived key.
-func TestPersistVolatileSpecStaysOffDisk(t *testing.T) {
-	spec := machine.MangoPiD1()
-	spec.Name = "volatile-pref"
-	spec.Mem.NewPrefetcher = func() prefetch.Prefetcher { return prefetch.None{} }
-	w := Transpose(transpose.Config{N: 64, Variant: transpose.Naive})
-	dir := t.TempDir()
-
-	r := New(Options{Parallelism: 1, Store: openTestStore(t, dir)})
-	for i := 0; i < 2; i++ {
-		if _, err := r.RunOne(context.Background(), spec, w); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if hits, misses := r.CacheStats(); hits != 1 || misses != 1 {
-		t.Errorf("hits, misses = %d, %d; want 1, 1 (memory tier still memoizes)", hits, misses)
-	}
-	if ts := r.TierStats(); ts.DiskWrites != 0 {
-		t.Errorf("volatile cell was persisted: %d disk writes", ts.DiskWrites)
-	}
-	if files := memoFiles(t, dir); len(files) != 0 {
-		t.Errorf("found %d entries on disk, want none", len(files))
-	}
-
-	restarted := New(Options{Parallelism: 1, Store: openTestStore(t, dir)})
-	if _, err := restarted.RunOne(context.Background(), spec, w); err != nil {
-		t.Fatal(err)
-	}
-	if _, misses := restarted.CacheStats(); misses != 1 {
-		t.Errorf("restarted process misses = %d, want 1 (volatile cell re-simulated)", misses)
 	}
 }

@@ -86,13 +86,12 @@ type Options struct {
 // restored with Machine.Reset between jobs instead of being re-constructed,
 // so a batch pays at most Parallelism constructions per distinct device —
 // and a modified spec never shares pooled machines with its base, even
-// when the Name was left unchanged (see Identity's prefetcher-factory
-// caveat).
+// when the Name was left unchanged.
 //
 // On top of pooling, the Runner memoizes Results for workloads that opt in
 // through the Keyed interface: completed Results live in a tiered memo
-// store (Options.Store) keyed by (CacheVersion, device identity encoding,
-// workload cache key) and are deduplicated in flight, so an identical cell
+// store (Options.Store) keyed by (CacheVersion, device identity, workload
+// cache key) and are deduplicated in flight, so an identical cell
 // — within one batch, across batches, across overlapping sweeps, and (with
 // a disk-backed store) across process restarts — simulates exactly once.
 // The simulator is deterministic (pinned by the oracle tests), so a cached
@@ -102,8 +101,8 @@ type Options struct {
 type Runner struct {
 	opt   Options
 	store memostore.Store
-	mu    sync.Mutex // guards pool
-	pool  map[any][]*sim.Machine
+	mu    sync.Mutex                // guards pool
+	pool  map[string][]*sim.Machine // by machine.Spec.Identity
 
 	// flights holds only the cells currently simulating (singleflight): the
 	// first job to claim a key simulates, identical jobs arriving meanwhile
@@ -112,21 +111,11 @@ type Runner struct {
 	// large parallel batches of distinct cells stop serializing on one
 	// mutex. Counters are atomics for the same reason — a cache hit must
 	// not take the runner lock just to count itself.
-	flights [cacheShards]flightShard
-	seed    maphash.Seed
-	// devKeys memoizes machine.Spec.IdentityString per device identity: the
-	// canonical encoding is a ~hundred-field rendering, computed once per
-	// distinct device per process instead of once per job.
-	devKeys   sync.Map      // Spec.Identity() -> devKey
+	flights   [cacheShards]flightShard
+	seed      maphash.Seed
 	hits      atomic.Uint64 // results served without a new simulation
 	misses    atomic.Uint64 // simulations actually executed for keyed jobs
 	abandoned atomic.Uint64 // runs left behind by an expired job context
-}
-
-// devKey is the cached device coordinate of a cell key.
-type devKey struct {
-	id       string
-	volatile bool
 }
 
 // cacheShards is the in-flight map's shard count; a power of two.
@@ -153,25 +142,6 @@ func (r *Runner) shard(key memostore.Key) *flightShard {
 	return &r.flights[h&(cacheShards-1)]
 }
 
-// cellKey builds the store key for one keyed job, memoizing the device
-// coordinate (a large canonical rendering) per device identity.
-func (r *Runner) cellKey(devID any, spec machine.Spec, workloadKey string) memostore.Key {
-	var dk devKey
-	if cached, ok := r.devKeys.Load(devID); ok {
-		dk = cached.(devKey)
-	} else {
-		id, persistable := spec.IdentityString()
-		dk = devKey{id: id, volatile: !persistable}
-		r.devKeys.Store(devID, dk)
-	}
-	return memostore.Key{
-		Version:  CacheVersion,
-		Device:   dk.id,
-		Workload: workloadKey,
-		Volatile: dk.volatile,
-	}
-}
-
 // flight is one singleflight cache slot: the first job to claim a key
 // simulates and closes done; identical jobs arriving meanwhile (or later)
 // wait on done and share the result.
@@ -186,7 +156,7 @@ func New(opt Options) *Runner {
 	r := &Runner{
 		opt:   opt,
 		store: opt.Store,
-		pool:  map[any][]*sim.Machine{},
+		pool:  map[string][]*sim.Machine{},
 		seed:  maphash.MakeSeed(),
 	}
 	if r.store == nil {
@@ -237,7 +207,7 @@ func (r *Runner) PoolSize() int {
 
 // acquire pops an idle machine for the device identity, resetting it to
 // power-on, or constructs one when the pool is empty.
-func (r *Runner) acquire(spec machine.Spec, key any) (*sim.Machine, error) {
+func (r *Runner) acquire(spec machine.Spec, key string) (*sim.Machine, error) {
 	if err := faultinject.Fire(faultinject.RunnerAcquire); err != nil {
 		return nil, err
 	}
@@ -253,9 +223,8 @@ func (r *Runner) acquire(spec machine.Spec, key any) (*sim.Machine, error) {
 	return sim.New(spec)
 }
 
-// release returns a machine to the pool, keyed by its memoized identity.
-func (r *Runner) release(m *sim.Machine) {
-	key := m.Identity()
+// release returns a machine to the pool under its device identity.
+func (r *Runner) release(m *sim.Machine, key string) {
 	r.mu.Lock()
 	r.pool[key] = append(r.pool[key], m)
 	r.mu.Unlock()
@@ -272,13 +241,13 @@ func (r *Runner) runJob(ctx context.Context, job Job) (Result, CacheOutcome, err
 	if err := ctx.Err(); err != nil {
 		return Result{}, CacheNone, err
 	}
-	devID := job.Device.Identity() // computed once per job: keys both cache and pool
+	dev := job.Device.Identity() // keys both the pool and the store
 	kw, keyed := job.Workload.(Keyed)
 	if !keyed || r.opt.DisableCache {
-		res, err := r.simulate(ctx, job, devID)
+		res, err := r.simulate(ctx, job, dev)
 		return res, CacheNone, err
 	}
-	key := r.cellKey(devID, job.Device, kw.CacheKey())
+	key := memostore.Key{Version: CacheVersion, Device: dev, Workload: kw.CacheKey()}
 	sh := r.shard(key)
 	for {
 		sh.mu.Lock()
@@ -320,7 +289,7 @@ func (r *Runner) runJob(ctx context.Context, job Job) (Result, CacheOutcome, err
 		sh.m[key] = f
 		r.misses.Add(1)
 		sh.mu.Unlock()
-		f.res, f.err = r.simulate(ctx, job, devID)
+		f.res, f.err = r.simulate(ctx, job, dev)
 		if f.err == nil {
 			// Publish before the flight is removed (see above). Errors are
 			// never stored: a later identical job retries.
@@ -351,8 +320,8 @@ type simOutcome struct {
 // workload finally returns. (Go cannot preempt the computation itself: a
 // workload that stalls forever pins one goroutine until process exit — see
 // the fault taxonomy in DESIGN.md §9.)
-func (r *Runner) simulate(ctx context.Context, job Job, devID any) (Result, error) {
-	m, err := r.acquire(job.Device, devID)
+func (r *Runner) simulate(ctx context.Context, job Job, dev string) (Result, error) {
+	m, err := r.acquire(job.Device, dev)
 	if err != nil {
 		return Result{}, fmt.Errorf("%s on %s: %w", job.Workload.Name(), job.Device.Name, err)
 	}
@@ -393,7 +362,7 @@ func (r *Runner) simulate(ctx context.Context, job Job, devID any) (Result, erro
 		// genuinely zero memory activity).
 		res.Mem = m.Stats()
 	}
-	r.release(m)
+	r.release(m, dev)
 	if err != nil {
 		return Result{}, fmt.Errorf("%s on %s: %w", job.Workload.Name(), job.Device.Name, err)
 	}

@@ -10,11 +10,17 @@ import (
 )
 
 // CacheVersion is the namespace every persisted memo entry lives under: the
-// module identity plus the simulation model version. A sim.ModelVersion
-// bump changes it, which cleanly orphans every previously persisted result
-// (see the versioning contract on sim.ModelVersion); `memo gc -stale`
-// reclaims the orphans.
-const CacheVersion = "riscvmem/v" + sim.ModelVersion
+// module identity, the simulation model version, and the key-format
+// version. Two rules change it, and either one cleanly orphans every
+// previously persisted result, which `memo gc -stale` then reclaims:
+//
+//   - sim.ModelVersion is bumped when simulated results change (see its
+//     versioning contract);
+//   - the ".kN" suffix is bumped when a key coordinate's encoding changes
+//     (machine.Spec.Identity, a workload CacheKey) while results do not.
+//
+// k2: the Device coordinate became the Spec.Identity digest.
+const CacheVersion = "riscvmem/v" + sim.ModelVersion + ".k2"
 
 // ResultCodec converts Results to and from the canonical byte payload the
 // disk tier persists: JSON, which round-trips every Result field

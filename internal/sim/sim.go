@@ -42,11 +42,6 @@ type Machine struct {
 	lineMask    uint64  // LineSize-1
 	l1HitCycles float64 // hierarchy L1 hit cost
 	missOverlap float64 // exposed fraction of miss latency
-
-	// identity memoizes spec.Identity() — a pure (and not free: it boxes a
-	// ~30-field struct) function of the immutable spec, recomputed on every
-	// pool release before this cache existed.
-	identity any
 }
 
 // New instantiates a machine from a validated spec.
@@ -59,7 +54,6 @@ func New(spec machine.Spec) (*Machine, error) {
 		lineMask:    uint64(spec.Mem.LineSize - 1),
 		l1HitCycles: spec.Mem.L1HitCycles,
 		missOverlap: spec.Mem.MissOverlap,
-		identity:    spec.Identity(),
 	}, nil
 }
 
@@ -75,11 +69,6 @@ func MustNew(spec machine.Spec) *Machine {
 
 // Spec returns the device description.
 func (m *Machine) Spec() machine.Spec { return m.spec }
-
-// Identity returns the memoized machine.Spec.Identity() of the immutable
-// spec — the pooling key the batch Runner (internal/run) uses on every
-// acquire/release.
-func (m *Machine) Identity() any { return m.identity }
 
 // Reset restores the machine to its power-on state: the global clock returns
 // to zero, the allocator rewinds, and every structural component of the

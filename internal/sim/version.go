@@ -17,4 +17,7 @@ package sim
 // Pure refactors, API changes, and performance work that the oracle tests
 // pin as bit-identical do NOT bump it — that is the point: the fast paths
 // of PRs 1/5 would have invalidated nothing.
+//
+// A change to how a memo key is encoded bumps run.CacheVersion's key-format
+// suffix instead.
 const ModelVersion = "1"

@@ -56,13 +56,13 @@ type Axis struct {
 	Name   string
 	Points []Point
 	// MutatesPrefetcher declares that this axis's points rewrite the
-	// declarative stride-prefetcher config (as prefdist/preframp do).
-	// Such mutations silently no-op on specs without one (custom
-	// NewPrefetcher factories, or a prefetcher removed by another axis),
-	// so Expand rejects those combinations instead of producing
-	// misleadingly labelled duplicate cells. Set it on programmatically
-	// built axes whose Apply uses WithPrefetchDistance/WithPrefetchRamp
-	// to get the same protection as the parsed grammar.
+	// stride-prefetcher config (as prefdist/preframp do). Such mutations
+	// silently no-op on specs without one (a device with no prefetcher, or
+	// one removed by another axis), so Expand rejects those combinations
+	// instead of producing misleadingly labelled duplicate cells. Set it on
+	// programmatically built axes whose Apply uses
+	// WithPrefetchDistance/WithPrefetchRamp to get the same protection as
+	// the parsed grammar.
 	MutatesPrefetcher bool
 }
 
@@ -94,18 +94,18 @@ func Expand(base machine.Spec, axes []Axis) ([]Cell, error) {
 			return nil, fmt.Errorf("sweep: axis %q declared twice", ax.Name)
 		}
 		seen[ax.Name] = true
-		if ax.MutatesPrefetcher && !base.HasDeclarativePrefetcher() {
-			return nil, fmt.Errorf("sweep: axis %q requires a declarative prefetcher config (machine.Spec.Mem.Prefetch), but device %s uses a custom factory",
+		if ax.MutatesPrefetcher && base.Mem.Prefetch == nil {
+			return nil, fmt.Errorf("sweep: axis %q mutates the prefetcher, but device %s has no prefetcher",
 				ax.Name, base.Name)
 		}
 	}
 	type partial struct {
 		cell Cell
 		muts []string // labels of the non-base points, for the cell name
-		// declLabel remembers the first mutating point taken on a
-		// declarative-prefetcher axis, to diagnose cells where a later (or
+		// prefLabel remembers the first mutating point taken on a
+		// prefetcher-mutating axis, to diagnose cells where a later (or
 		// earlier) pref=off made that mutation a silent no-op.
-		declLabel string
+		prefLabel string
 	}
 	parts := []partial{{cell: Cell{Spec: base, Base: true}}}
 	for _, ax := range axes {
@@ -120,17 +120,17 @@ func Expand(base machine.Spec, axes []Axis) ([]Cell, error) {
 						Base:   pc.cell.Base && p.Apply == nil,
 					},
 					muts:      pc.muts,
-					declLabel: pc.declLabel,
+					prefLabel: pc.prefLabel,
 				}
 				if p.Apply != nil {
-					if ax.MutatesPrefetcher && !nc.cell.Spec.HasDeclarativePrefetcher() {
+					if ax.MutatesPrefetcher && nc.cell.Spec.Mem.Prefetch == nil {
 						return nil, fmt.Errorf("sweep: cell [%s]: axis %s has nothing to mutate — an earlier axis disabled the prefetcher",
 							strings.Join(nc.cell.Labels, ","), ax.Name)
 					}
 					nc.cell.Spec = p.Apply(nc.cell.Spec)
 					nc.muts = append(append([]string{}, pc.muts...), label)
-					if ax.MutatesPrefetcher && nc.declLabel == "" {
-						nc.declLabel = label
+					if ax.MutatesPrefetcher && nc.prefLabel == "" {
+						nc.prefLabel = label
 					}
 				}
 				next = append(next, nc)
@@ -140,12 +140,12 @@ func Expand(base machine.Spec, axes []Axis) ([]Cell, error) {
 	}
 	cells := make([]Cell, len(parts))
 	for i, pc := range parts {
-		if pc.declLabel != "" && !pc.cell.Spec.HasDeclarativePrefetcher() {
+		if pc.prefLabel != "" && pc.cell.Spec.Mem.Prefetch == nil {
 			// A later axis (pref=off) erased the prefetcher this cell's
 			// earlier mutation targeted; the row would be labelled with a
 			// distance/ramp that took no effect.
 			return nil, fmt.Errorf("sweep: cell [%s]: %s took no effect — a later axis disabled the prefetcher",
-				strings.Join(pc.cell.Labels, ","), pc.declLabel)
+				strings.Join(pc.cell.Labels, ","), pc.prefLabel)
 		}
 		cells[i] = pc.cell
 		if !pc.cell.Base {

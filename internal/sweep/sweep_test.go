@@ -7,7 +7,6 @@ import (
 
 	"riscvmem/internal/kernels/transpose"
 	"riscvmem/internal/machine"
-	"riscvmem/internal/prefetch"
 	"riscvmem/internal/run"
 	"riscvmem/internal/units"
 )
@@ -95,7 +94,7 @@ func TestExpand(t *testing.T) {
 	}
 	// All four identities are distinct — no pooled-machine or cached-result
 	// sharing between cells.
-	ids := map[any]int{}
+	ids := map[string]int{}
 	for i, c := range cells {
 		if j, dup := ids[c.Spec.Identity()]; dup {
 			t.Errorf("cells %d and %d share an identity", j, i)
@@ -113,15 +112,11 @@ func TestExpand(t *testing.T) {
 	}
 }
 
-func TestExpandRejectsPrefetchAxesOnFactorySpecs(t *testing.T) {
-	custom := machine.MangoPiD1()
-	custom.Mem.Prefetch = nil
-	custom.Mem.NewPrefetcher = func() prefetch.Prefetcher {
-		return prefetch.NewStride(prefetch.StrideConfig{LineSize: 64, Streams: 4,
-			TrainThreshold: 2, InitDistance: 1, MaxDistance: 2})
-	}
-	if _, err := Expand(custom, []Axis{MustParseAxis("prefdist=2,8")}); err == nil {
-		t.Error("prefdist axis accepted on a factory-built prefetcher")
+func TestExpandRejectsPrefetchAxesWithoutPrefetcher(t *testing.T) {
+	custom := machine.MangoPiD1().WithoutPrefetcher()
+	_, err := Expand(custom, []Axis{MustParseAxis("prefdist=2,8")})
+	if err == nil || !strings.Contains(err.Error(), "has no prefetcher") {
+		t.Errorf("prefdist axis on a device without a prefetcher: err = %v", err)
 	}
 	if _, err := Expand(custom, []Axis{MustParseAxis("maxinflight=2,8")}); err != nil {
 		t.Errorf("unrelated axis rejected: %v", err)
@@ -132,7 +127,7 @@ func TestExpandRejectsPrefetchAxesOnFactorySpecs(t *testing.T) {
 		{Label: "2", Apply: func(s machine.Spec) machine.Spec { return s.WithPrefetchDistance(2) }},
 	}}
 	if _, err := Expand(custom, []Axis{prog}); err == nil {
-		t.Error("programmatic prefetch axis accepted on a factory-built prefetcher")
+		t.Error("programmatic prefetch axis accepted on a device without a prefetcher")
 	}
 	if _, err := Expand(machine.MangoPiD1(), []Axis{{Name: "empty"}}); err == nil {
 		t.Error("empty axis accepted")

@@ -193,9 +193,10 @@ type (
 	ResultTierStats = memostore.Stats
 )
 
-// ResultCacheVersion namespaces persisted results: module identity plus the
-// simulation model version. A model change that alters golden cycle counts
-// bumps it, cleanly orphaning all previously persisted entries.
+// ResultCacheVersion namespaces persisted results: module identity, the
+// simulation model version and the key-format version. A model change that
+// alters golden cycle counts, or a change of key encoding, bumps it,
+// cleanly orphaning all previously persisted entries.
 const ResultCacheVersion = run.CacheVersion
 
 // OpenResultStore builds the standard tiered result store: a bounded

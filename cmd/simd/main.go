@@ -109,20 +109,20 @@ import (
 
 // flags collects every command-line knob; which ones apply depends on -mode.
 type flags struct {
-	mode        string
-	addr        string
-	maxInFlight int
-	maxQueue    int
-	maxJobs     int
-	parallelism int
-	timeout     time.Duration
-	maxTimeout  time.Duration
-	drainBudget time.Duration
-	jobTTL      time.Duration
-	clientRate  float64
-	clientBurst int
-	cacheDir    string
-	cacheMem    int
+	mode            string
+	addr            string
+	maxInFlight     int
+	maxQueue        int
+	maxJobs         int
+	parallelism     int
+	timeout         time.Duration
+	maxTimeout      time.Duration
+	drainBudget     time.Duration
+	jobTTL          time.Duration
+	clientRate      float64
+	clientBurst     int
+	cacheDir        string
+	cacheMem        int
 	coordinator     string
 	workerID        string
 	heartbeat       time.Duration

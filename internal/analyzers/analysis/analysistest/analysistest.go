@@ -100,8 +100,10 @@ func (m wantMap) match(key posKey, msg string) bool {
 	return false
 }
 
-// wantRE extracts the quoted regexps of one want comment:
-// `// want "re1" `re2`` → [re1 re2].
+// wantRE extracts the quoted regexps of one want comment, in either
+// quoting:
+//
+//	// want "re1" `re2`   →   [re1 re2]
 var wantRE = regexp.MustCompile("`[^`]*`|\"(?:[^\"\\\\]|\\\\.)*\"")
 
 func collectWants(t *testing.T, pkgs []*analysis.Package) wantMap {

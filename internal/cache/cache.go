@@ -9,6 +9,7 @@
 // x86/ARM parts, random replacement on the SiFive U74's L1 and L2).
 // Deterministic by contract: bit-identical outputs across runs and
 // processes (see DESIGN.md §11); machine-checked by simlint.
+//
 //simlint:deterministic
 package cache
 

@@ -769,7 +769,7 @@ func shardKey(spec machine.Spec, w run.Workload) string {
 // row that arrived in time is kept and every open slot becomes a deadline
 // error — instead of blocking on cells that will never land (e.g. every
 // poll blackholed). Only the caller's cancellation or Close fails the call.
-func (c *Coordinator) Execute(ctx context.Context, p *service.Plan, onProgress func(run.Progress)) ([]run.Result, []error, service.CacheStats, error) {
+func (c *Coordinator) Execute(ctx context.Context, p *service.Plan, onProgress func(run.Progress)) (service.Outcome, error) {
 	n := len(p.Jobs)
 	d := &dispatch{
 		kind:      "batch",
@@ -783,7 +783,7 @@ func (c *Coordinator) Execute(ctx context.Context, p *service.Plan, onProgress f
 		d.kind = "sweep"
 		d.sweep = &protocol.SweepGrid{Device: p.Sweep.Device, Axes: p.Sweep.Axes, Workloads: p.Sweep.Workloads}
 	case p.Batch == nil:
-		return nil, nil, service.CacheStats{}, errors.New("cluster: plan carries no wire request to dispatch")
+		return service.Outcome{}, errors.New("cluster: plan carries no wire request to dispatch")
 	}
 	// The request's absolute deadline is stamped onto every assignment so
 	// workers stop at the same instant the response settles.
@@ -841,7 +841,7 @@ wait:
 		}
 	}
 	if err = c.settle(d, err); err != nil {
-		return nil, nil, service.CacheStats{}, err
+		return service.Outcome{}, err
 	}
 	if onProgress != nil {
 		report()
@@ -854,11 +854,12 @@ wait:
 	}
 	// Request-scoped on both axes: the coordinator holds no cache of its
 	// own, so lifetime counters of individual workers would mislead here.
-	return results, errs, service.CacheStats{
+	// Rows arrive decoded, so there is no stored JSON to splice.
+	return service.Outcome{Results: results, Errs: errs, Cache: service.CacheStats{
 		Hits: d.cacheHits, Misses: d.cacheMisses,
 		RequestHits: d.cacheHits, RequestMisses: d.cacheMisses,
 		Tiers: d.cacheTiers, RequestTiers: d.cacheTiers,
-	}, nil
+	}}, nil
 }
 
 // rowError lifts a wire row's error string back into the executor's

@@ -11,6 +11,7 @@
 // (Fig. 6, "Unit-stride" discussion).
 // Deterministic by contract: bit-identical outputs across runs and
 // processes (see DESIGN.md §11); machine-checked by simlint.
+//
 //simlint:deterministic
 package dram
 

@@ -23,6 +23,7 @@
 // lines match the first-order behaviour of the paper's devices.
 // Deterministic by contract: bit-identical outputs across runs and
 // processes (see DESIGN.md §11); machine-checked by simlint.
+//
 //simlint:deterministic
 package hier
 

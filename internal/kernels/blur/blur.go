@@ -16,6 +16,7 @@
 // against a plain Go reference implementation.
 // Deterministic by contract: bit-identical outputs across runs and
 // processes (see DESIGN.md §11); machine-checked by simlint.
+//
 //simlint:deterministic
 package blur
 

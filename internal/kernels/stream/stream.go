@@ -16,6 +16,7 @@
 // keeps the maximum.
 // Deterministic by contract: bit-identical outputs across runs and
 // processes (see DESIGN.md §11); machine-checked by simlint.
+//
 //simlint:deterministic
 package stream
 

@@ -8,6 +8,7 @@
 // measured on a functionally identical computation.
 // Deterministic by contract: bit-identical outputs across runs and
 // processes (see DESIGN.md §11); machine-checked by simlint.
+//
 //simlint:deterministic
 package transpose
 

@@ -13,6 +13,7 @@
 // for machine pooling, the memo store and cluster routing alike.
 // Deterministic by contract: bit-identical outputs across runs and
 // processes (see DESIGN.md §11); machine-checked by simlint.
+//
 //simlint:deterministic
 package machine
 

@@ -103,6 +103,21 @@ func (e *envelope) validate(expect *Key) error {
 	return nil
 }
 
+// parseEntry decodes and validates one entry file's bytes; expect, when
+// non-nil, pins the key coordinates. The payload it returns is a copy, never
+// a view of raw (json.RawMessage's UnmarshalJSON copies), so a decoded value
+// that keeps its payload does not pin the file's whole read buffer.
+func parseEntry(raw []byte, expect *Key) (*envelope, error) {
+	var env envelope
+	if err := json.Unmarshal(raw, &env); err != nil {
+		return nil, fmt.Errorf("unparseable entry: %w", err)
+	}
+	if err := env.validate(expect); err != nil {
+		return nil, err
+	}
+	return &env, nil
+}
+
 // OpenDisk opens (creating if needed) a disk tier rooted at dir.
 func OpenDisk(dir string, codec Codec) (*Disk, error) {
 	if dir == "" {
@@ -157,12 +172,8 @@ func (d *Disk) Get(key Key) (any, Tier, bool) {
 		}
 		return nil, TierNone, false
 	}
-	var env envelope
-	if err := json.Unmarshal(raw, &env); err != nil {
-		d.quarantine(path, fmt.Errorf("unparseable entry: %w", err))
-		return nil, TierNone, false
-	}
-	if err := env.validate(&key); err != nil {
+	env, err := parseEntry(raw, &key)
+	if err != nil {
 		d.quarantine(path, err)
 		return nil, TierNone, false
 	}

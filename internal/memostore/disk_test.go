@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"unsafe"
 )
 
 // entryFile returns the single entry file a one-Put store holds.
@@ -21,6 +22,27 @@ func entryFile(t *testing.T, d *Disk) string {
 		t.Fatalf("store holds %d entries, want 1", n)
 	}
 	return path
+}
+
+// TestParsedPayloadIsACopy pins that an entry's payload does not alias the
+// file's read buffer: the memory tier keeps the Runner's decoded payload
+// for as long as the entry lives, and a view would pin the whole file.
+func TestParsedPayloadIsACopy(t *testing.T) {
+	env := envelope{Magic: entryMagic, Format: entryFormat, Version: "v", Device: "d", Workload: "w",
+		Result: json.RawMessage(`{"payload":true}`)}
+	env.Sum = env.sum()
+	raw, err := json.Marshal(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parsed, err := parseEntry(raw, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(raw)))
+	if p := uintptr(unsafe.Pointer(unsafe.SliceData(parsed.Result))); p >= lo && p < lo+uintptr(cap(raw)) {
+		t.Error("the parsed payload is a view of the file's bytes, not a copy")
+	}
 }
 
 func TestDiskRoundTrip(t *testing.T) {

@@ -6,10 +6,11 @@ import (
 	"sync/atomic"
 )
 
-// DefaultMemoryEntries is the memory tier's default capacity. Entries are a
-// few hundred bytes (a Result plus its key strings), so the default bounds
-// the tier to a few tens of MB while still holding every cell of any
-// realistic sweep.
+// DefaultMemoryEntries is the memory tier's default capacity. Entries are
+// under a kilobyte: the Runner's entry is a Result, its key strings and the
+// Result's ≈ 370-byte JSON row (the rows alone are about 24 MiB across
+// 65 536 entries). So the default bounds the tier to a few tens of MB while
+// still holding every cell of any realistic sweep.
 const DefaultMemoryEntries = 65536
 
 // memShards is the memory tier's shard count; a power of two. Sharding

@@ -132,9 +132,11 @@ type Store interface {
 // Codec converts between the in-memory value the caller caches and the
 // canonical byte payload the disk tier persists. Encode must be
 // deterministic enough that Decode(Encode(v)) is semantically identical to
-// v; the Runner's codec round-trips run.Result through JSON, which
+// v. The disk tier persists Encode's bytes verbatim and hands Decode a
+// payload it owns (a copy, never a view of the file it read), so a decoded
+// value may keep it. The Runner's codec stores a run.Result's JSON, which
 // preserves every field bit-for-bit (Go renders float64 in shortest
-// round-trip form).
+// round-trip form), and keeps the payload as the value's encoding.
 type Codec struct {
 	Encode func(v any) ([]byte, error)
 	Decode func(data []byte) (any, error)

@@ -84,14 +84,7 @@ func readEntry(path string) (*envelope, error) {
 	if err != nil {
 		return nil, err
 	}
-	var env envelope
-	if err := json.Unmarshal(raw, &env); err != nil {
-		return nil, fmt.Errorf("unparseable entry: %w", err)
-	}
-	if err := env.validate(nil); err != nil {
-		return nil, err
-	}
-	return &env, nil
+	return parseEntry(raw, nil)
 }
 
 // ExportStats reports what Export wrote.

@@ -3,6 +3,7 @@
 // utilization that makes low-power and server devices comparable.
 // Deterministic by contract: bit-identical outputs across runs and
 // processes (see DESIGN.md §11); machine-checked by simlint.
+//
 //simlint:deterministic
 package metrics
 

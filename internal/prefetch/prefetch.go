@@ -14,6 +14,7 @@
 // resident or in flight and charges channel time for real fills.
 // Deterministic by contract: bit-identical outputs across runs and
 // processes (see DESIGN.md §11); machine-checked by simlint.
+//
 //simlint:deterministic
 package prefetch
 

@@ -1,13 +1,17 @@
 package run
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"riscvmem/internal/kernels/stream"
+	"riscvmem/internal/machine"
 	"riscvmem/internal/memostore"
 )
 
@@ -169,4 +173,93 @@ func TestPersistCorruptionRecovery(t *testing.T) {
 	if _, m := healed.CacheStats(); m != 0 {
 		t.Errorf("healed store still re-simulated %d cells", m)
 	}
+}
+
+// readEntryFile returns a memo entry file's key and its payload as stored.
+func readEntryFile(t *testing.T, path string) (memostore.Key, []byte) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var env struct {
+		Version, Device, Workload string
+		Result                    json.RawMessage
+	}
+	if err := json.Unmarshal(raw, &env); err != nil {
+		t.Fatal(err)
+	}
+	return memostore.Key{Version: env.Version, Device: env.Device, Workload: env.Workload}, env.Result
+}
+
+// checkServedPayload reads the entry at path through a fresh store over dir
+// and requires the served row's bytes to be the file's payload and
+// json.Marshal of the served Result.
+func checkServedPayload(t *testing.T, dir, path string) []byte {
+	t.Helper()
+	key, payload := readEntryFile(t, path)
+	v, tier, ok := openTestStore(t, dir).Get(key)
+	if !ok || tier != memostore.TierDisk {
+		t.Fatalf("fresh store: Get = ok %v from tier %v, want a disk hit", ok, tier)
+	}
+	row, isRow := v.(*memoRow)
+	if !isRow {
+		t.Fatalf("fresh store served %T, want *memoRow", v)
+	}
+	if !bytes.Equal(row.json, payload) {
+		t.Errorf("served bytes differ from the file's payload:\n got %s\nwant %s", row.json, payload)
+	}
+	if want, err := json.Marshal(row.res); err != nil || !bytes.Equal(row.json, want) {
+		t.Errorf("served bytes are not json.Marshal of the served Result (%v):\n got %s\nwant %s", err, row.json, want)
+	}
+	return payload
+}
+
+// TestMemoPayloadIsTheRow pins that a memoized result is encoded once: the
+// JSON the runner publishes is the disk tier's payload, and a fresh store
+// (a restarted process) serves those exact bytes — to the runner's
+// Progress.JSON too. An entry written by the codec that still encoded at
+// Put time (testdata/memo-k2) is served with its bytes unchanged, which is
+// why the payload change needs no CacheVersion bump.
+func TestMemoPayloadIsTheRow(t *testing.T) {
+	dev, err := machine.ByName("MangoPi")
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := []Job{{Device: dev, Workload: Stream(stream.Config{Test: stream.Triad, Elems: 1024, Reps: 1})}}
+	runJSON := func(r *Runner) (Result, []byte) {
+		t.Helper()
+		var js []byte
+		res, err := r.RunWithProgress(context.Background(), jobs, func(p Progress) { js = p.JSON })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res[0], js
+	}
+
+	dir := t.TempDir()
+	res, published := runJSON(New(Options{Store: openTestStore(t, dir)}))
+	if want, err := json.Marshal(res); err != nil || !bytes.Equal(published, want) {
+		t.Fatalf("published JSON %s, want json.Marshal of the result %s (%v)", published, want, err)
+	}
+	files := memoFiles(t, dir)
+	if len(files) != 1 {
+		t.Fatalf("persisted %d entries, want 1", len(files))
+	}
+	if payload := checkServedPayload(t, dir, files[0]); !bytes.Equal(payload, published) {
+		t.Errorf("disk payload %s, want the published JSON %s", payload, published)
+	}
+	if _, js := runJSON(New(Options{Store: openTestStore(t, dir)})); !bytes.Equal(js, published) {
+		t.Errorf("a restarted runner reports JSON %s, want %s", js, published)
+	}
+
+	legacy := t.TempDir()
+	if err := os.CopyFS(legacy, os.DirFS(filepath.Join("testdata", "memo-k2"))); err != nil {
+		t.Fatal(err)
+	}
+	files = memoFiles(t, legacy)
+	if len(files) != 1 {
+		t.Fatalf("testdata/memo-k2 holds %d entries, want 1", len(files))
+	}
+	checkServedPayload(t, legacy, files[0])
 }

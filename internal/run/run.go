@@ -23,6 +23,7 @@
 // over the full kernel×variant×device cross-product.
 // Deterministic by contract: bit-identical outputs across runs and
 // processes (see DESIGN.md §11); machine-checked by simlint.
+//
 //simlint:deterministic
 package run
 

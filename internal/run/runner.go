@@ -36,7 +36,12 @@ type Progress struct {
 	Job         Job
 	Result      Result
 	Err         error
-	Elapsed     time.Duration
+	// JSON is json.Marshal(Result) as the memo store holds it — encoded
+	// once, when the result was first stored — for a result served from or
+	// published to the store; nil for unkeyed and cache-disabled jobs and
+	// for failures. It is shared with the store: read it, never modify it.
+	JSON    []byte
+	Elapsed time.Duration
 	// Cache is the job's memoization outcome, mirroring the CacheStats
 	// counters per job: CacheHit for a result served without a new
 	// simulation (store tier or joined flight), CacheMiss for a simulation
@@ -144,10 +149,10 @@ func (r *Runner) shard(key memostore.Key) *flightShard {
 
 // flight is one singleflight cache slot: the first job to claim a key
 // simulates and closes done; identical jobs arriving meanwhile (or later)
-// wait on done and share the result.
+// wait on done and share the stored row (nil when err is set).
 type flight struct {
 	done chan struct{}
-	res  Result
+	row  *memoRow
 	err  error
 }
 
@@ -233,19 +238,20 @@ func (r *Runner) release(m *sim.Machine, key string) {
 // runJob executes one job, serving it from the memoization cache when the
 // workload is Keyed (and caching enabled) and simulating it on a pooled
 // machine otherwise. The returned CacheOutcome mirrors, per job, exactly
-// what the hits/misses counters recorded for it.
-func (r *Runner) runJob(ctx context.Context, job Job) (Result, CacheOutcome, error) {
+// what the hits/misses counters recorded for it; the returned bytes are the
+// result's stored JSON (Progress.JSON).
+func (r *Runner) runJob(ctx context.Context, job Job) (Result, []byte, CacheOutcome, error) {
 	if job.Workload == nil {
-		return Result{}, CacheNone, errors.New("run: job with nil workload")
+		return Result{}, nil, CacheNone, errors.New("run: job with nil workload")
 	}
 	if err := ctx.Err(); err != nil {
-		return Result{}, CacheNone, err
+		return Result{}, nil, CacheNone, err
 	}
 	dev := job.Device.Identity() // keys both the pool and the store
 	kw, keyed := job.Workload.(Keyed)
 	if !keyed || r.opt.DisableCache {
 		res, err := r.simulate(ctx, job, dev)
-		return res, CacheNone, err
+		return res, nil, CacheNone, err
 	}
 	key := memostore.Key{Version: CacheVersion, Device: dev, Workload: kw.CacheKey()}
 	sh := r.shard(key)
@@ -268,19 +274,22 @@ func (r *Runner) runJob(ctx context.Context, job Job) (Result, CacheOutcome, err
 				// actually served — not on joins that end in a retry or in
 				// this job's own cancellation.
 				r.hits.Add(1)
-				return f.res, CacheHit, f.err
+				if f.err != nil {
+					return Result{}, nil, CacheHit, f.err
+				}
+				return f.row.res, f.row.json, CacheHit, nil
 			case <-ctx.Done():
-				return Result{}, CacheNone, ctx.Err()
+				return Result{}, nil, CacheNone, ctx.Err()
 			}
 		}
 		// The store lookup happens under the shard lock, after the flight
 		// check: a leader publishes its Result to the store BEFORE removing
 		// its flight, so a racer always finds the cell in one of the two.
 		if v, _, ok := r.store.Get(key); ok {
-			if res, isResult := v.(Result); isResult {
+			if row, isRow := v.(*memoRow); isRow {
 				sh.mu.Unlock()
 				r.hits.Add(1)
-				return res, CacheHit, nil
+				return row.res, row.json, CacheHit, nil
 			}
 			// A store serving a foreign type (misconfigured codec) is
 			// treated as a miss: correctness over reuse.
@@ -289,19 +298,26 @@ func (r *Runner) runJob(ctx context.Context, job Job) (Result, CacheOutcome, err
 		sh.m[key] = f
 		r.misses.Add(1)
 		sh.mu.Unlock()
-		f.res, f.err = r.simulate(ctx, job, dev)
-		if f.err == nil {
-			// Publish before the flight is removed (see above). Errors are
-			// never stored: a later identical job retries.
-			r.store.Put(key, f.res)
+		res, err := r.simulate(ctx, job, dev)
+		if err == nil {
+			// Publish before the flight is removed (see above). This is the
+			// one place a result enters the store, so its JSON is encoded
+			// here, once, for every tier and every reply. Errors are never
+			// stored: a later identical job retries.
+			f.row = newMemoRow(res)
+			r.store.Put(key, f.row)
 		}
+		f.err = err
 		sh.mu.Lock()
 		delete(sh.m, key)
 		sh.mu.Unlock()
 		// Removal precedes close so retrying waiters never re-join this
 		// flight; jobs already waiting share the outcome either way.
 		close(f.done)
-		return f.res, CacheMiss, f.err
+		if err != nil {
+			return Result{}, nil, CacheMiss, err
+		}
+		return res, f.row.json, CacheMiss, nil
 	}
 }
 
@@ -444,7 +460,7 @@ func (r *Runner) RunAllWithProgress(ctx context.Context, jobs []Job, onProgress 
 	}
 	var progressMu sync.Mutex
 	done := 0
-	report := func(i int, elapsed time.Duration, cache CacheOutcome) {
+	report := func(i int, js []byte, elapsed time.Duration, cache CacheOutcome) {
 		if onProgress == nil {
 			return
 		}
@@ -452,7 +468,7 @@ func (r *Runner) RunAllWithProgress(ctx context.Context, jobs []Job, onProgress 
 		done++
 		onProgress(Progress{
 			Done: done, Total: len(jobs), Index: i,
-			Job: jobs[i], Result: results[i], Err: errs[i],
+			Job: jobs[i], Result: results[i], Err: errs[i], JSON: js,
 			Elapsed: elapsed, Cache: cache,
 		})
 		progressMu.Unlock()
@@ -461,8 +477,11 @@ func (r *Runner) RunAllWithProgress(ctx context.Context, jobs []Job, onProgress 
 	// data (the service's kernel histograms), never simulated state.
 	timeJob := func(i int) {
 		start := time.Now() //simlint:allow determinism -- host-side timing feeds Progress.Elapsed (observability), never the simulated Result
-		var cache CacheOutcome
-		results[i], cache, errs[i] = r.runJob(ctx, jobs[i])
+		var (
+			js    []byte
+			cache CacheOutcome
+		)
+		results[i], js, cache, errs[i] = r.runJob(ctx, jobs[i])
 		if errs[i] != nil && jobs[i].Workload != nil {
 			// A failed job has no measurement; its slot (and its Progress)
 			// still names the cell, so every consumer reporting per-job
@@ -470,7 +489,7 @@ func (r *Runner) RunAllWithProgress(ctx context.Context, jobs []Job, onProgress 
 			// identifies it without re-deriving the names.
 			results[i] = Result{Workload: jobs[i].Workload.Name(), Device: jobs[i].Device.Name}
 		}
-		report(i, time.Since(start), cache) //simlint:allow determinism -- same: host-side observability timing
+		report(i, js, time.Since(start), cache) //simlint:allow determinism -- same: host-side observability timing
 	}
 
 	if workers <= 1 {
@@ -535,6 +554,6 @@ func JoinErrors(errs []error) error {
 
 // RunOne executes a single workload on a single device through the pool.
 func (r *Runner) RunOne(ctx context.Context, d machine.Spec, w Workload) (Result, error) {
-	res, _, err := r.runJob(ctx, Job{Device: d, Workload: w})
+	res, _, _, err := r.runJob(ctx, Job{Device: d, Workload: w})
 	return res, err
 }

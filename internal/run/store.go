@@ -22,20 +22,47 @@ import (
 // k2: the Device coordinate became the Spec.Identity digest.
 const CacheVersion = "riscvmem/v" + sim.ModelVersion + ".k2"
 
-// ResultCodec converts Results to and from the canonical byte payload the
-// disk tier persists: JSON, which round-trips every Result field
-// bit-for-bit (Go renders float64 in shortest round-trip form, and the
-// simulator never produces NaN or Inf). Decoding is strict — an entry
-// whose payload carries fields the current Result does not know is treated
-// as corrupt (quarantined, re-simulated) rather than silently half-read.
+// memoRow is one memoized cell as the memo store holds it: the Result and
+// its JSON encoding. The encoding is produced once, by newMemoRow when the
+// runner first stores the result; the disk tier persists exactly those
+// bytes, and the service splices them into every reply that serves the
+// cell. A memoRow is immutable once stored.
+type memoRow struct {
+	res  Result
+	json []byte // json.Marshal(res); nil when res does not encode
+}
+
+// newMemoRow encodes a freshly simulated result. The simulator never
+// produces NaN or Inf; a custom workload that does keeps its result in the
+// memory tier without an encoding, so the disk tier refuses to persist it
+// and a reply that carries it fails to encode, as it would without a memo.
+func newMemoRow(res Result) *memoRow {
+	js, err := json.Marshal(res)
+	if err != nil {
+		js = nil
+	}
+	return &memoRow{res: res, json: js}
+}
+
+// ResultCodec converts memoized Results to and from the canonical byte
+// payload the disk tier persists: json.Marshal of the Result, which
+// round-trips every field bit-for-bit (Go renders float64 in shortest
+// round-trip form). Encode returns the bytes the row already holds; Decode
+// keeps the payload it reads as the row's encoding, so a result served from
+// disk is never encoded again. Decoding is strict — an entry whose payload
+// carries fields the current Result does not know is treated as corrupt
+// (quarantined, re-simulated) rather than silently half-read.
 func ResultCodec() memostore.Codec {
 	return memostore.Codec{
 		Encode: func(v any) ([]byte, error) {
-			res, ok := v.(Result)
+			row, ok := v.(*memoRow)
 			if !ok {
-				return nil, fmt.Errorf("run: memo store asked to encode %T, not run.Result", v)
+				return nil, fmt.Errorf("run: memo store asked to encode %T, not a memoized run.Result", v)
 			}
-			return json.Marshal(res)
+			if row.json == nil {
+				return nil, fmt.Errorf("run: %s on %s: result has no JSON encoding", row.res.Workload, row.res.Device)
+			}
+			return row.json, nil
 		},
 		Decode: func(data []byte) (any, error) {
 			var res Result
@@ -44,7 +71,7 @@ func ResultCodec() memostore.Codec {
 			if err := dec.Decode(&res); err != nil {
 				return nil, err
 			}
-			return res, nil
+			return &memoRow{res: res, json: data}, nil
 		},
 	}
 }

@@ -150,9 +150,17 @@ func BlurSpec(cfg blur.Config) WorkloadSpec {
 // Result's Cycles/Seconds are the fastest repetition's region time,
 // Bandwidth is the benchmark's best (ScaleBy-scaled) figure, and Bytes the
 // STREAM-counted traffic of one repetition.
-func Stream(cfg stream.Config) Workload { return streamWorkload{cfg} }
+func Stream(cfg stream.Config) Workload {
+	return streamWorkload{cfg: cfg, key: StreamSpec(cfg).String()}
+}
 
-type streamWorkload struct{ cfg stream.Config }
+// The adapters render their CacheKey once, at construction: one workload
+// value keys every job of a cross-product, and rendering builds, sorts and
+// joins a map.
+type streamWorkload struct {
+	cfg stream.Config
+	key string
+}
 
 func (w streamWorkload) Name() string { return "stream/" + w.cfg.Test.String() }
 
@@ -163,7 +171,7 @@ func (w streamWorkload) Spec() WorkloadSpec { return StreamSpec(w.cfg) }
 // independent of Config's field layout, and pinned by golden tests — the
 // memoization identity survives struct refactors that fmt "%+v" keys did
 // not.
-func (w streamWorkload) CacheKey() string { return w.Spec().String() }
+func (w streamWorkload) CacheKey() string { return w.key }
 
 func (w streamWorkload) Run(ctx context.Context, m *sim.Machine) (Result, error) {
 	if err := ctx.Err(); err != nil {
@@ -187,9 +195,14 @@ func (w streamWorkload) Run(ctx context.Context, m *sim.Machine) (Result, error)
 
 // Transpose adapts one in-place transposition configuration as a Workload.
 // Bytes is the mandatory 16·N² traffic of the §3.3 utilization metric.
-func Transpose(cfg transpose.Config) Workload { return transposeWorkload{cfg} }
+func Transpose(cfg transpose.Config) Workload {
+	return transposeWorkload{cfg: cfg, key: TransposeSpec(cfg).String()}
+}
 
-type transposeWorkload struct{ cfg transpose.Config }
+type transposeWorkload struct {
+	cfg transpose.Config
+	key string
+}
 
 func (w transposeWorkload) Name() string {
 	return fmt.Sprintf("transpose/%s", w.cfg.Variant)
@@ -199,7 +212,7 @@ func (w transposeWorkload) Name() string {
 func (w transposeWorkload) Spec() WorkloadSpec { return TransposeSpec(w.cfg) }
 
 // CacheKey is the canonical spec string (see streamWorkload.CacheKey).
-func (w transposeWorkload) CacheKey() string { return w.Spec().String() }
+func (w transposeWorkload) CacheKey() string { return w.key }
 
 func (w transposeWorkload) Run(ctx context.Context, m *sim.Machine) (Result, error) {
 	if err := ctx.Err(); err != nil {
@@ -223,9 +236,14 @@ func (w transposeWorkload) Run(ctx context.Context, m *sim.Machine) (Result, err
 
 // Blur adapts one Gaussian-blur configuration as a Workload. Bytes is the
 // mandatory separable-blur traffic of the §3.3 utilization metric.
-func Blur(cfg blur.Config) Workload { return blurWorkload{cfg} }
+func Blur(cfg blur.Config) Workload {
+	return blurWorkload{cfg: cfg, key: BlurSpec(cfg).String()}
+}
 
-type blurWorkload struct{ cfg blur.Config }
+type blurWorkload struct {
+	cfg blur.Config
+	key string
+}
 
 func (w blurWorkload) Name() string {
 	return fmt.Sprintf("gblur/%s", w.cfg.Variant)
@@ -235,7 +253,7 @@ func (w blurWorkload) Name() string {
 func (w blurWorkload) Spec() WorkloadSpec { return BlurSpec(w.cfg) }
 
 // CacheKey is the canonical spec string (see streamWorkload.CacheKey).
-func (w blurWorkload) CacheKey() string { return w.Spec().String() }
+func (w blurWorkload) CacheKey() string { return w.key }
 
 func (w blurWorkload) Run(ctx context.Context, m *sim.Machine) (Result, error) {
 	if err := ctx.Err(); err != nil {

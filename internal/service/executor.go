@@ -29,17 +29,29 @@ func (p *Plan) BatchSpec(i int) *run.WorkloadSpec {
 	return &p.Batch.Workloads[i%len(p.Batch.Workloads)]
 }
 
+// Outcome is an executed Plan: the jobs' outcomes positionally (Errs[i] is
+// nil exactly when Results[i] is valid) with the cache work the execution
+// caused.
+type Outcome struct {
+	Results []run.Result
+	Errs    []error
+	// JSON[i], when set, is json.Marshal(Results[i]) as the memo store
+	// holds it (run.Progress.JSON); the reply writer splices it instead of
+	// encoding the row again. An Executor without stored rows leaves it nil.
+	JSON  [][]byte
+	Cache CacheStats
+}
+
 // Executor runs a Plan's jobs. It is the one seam between the request
 // facade (validation, timeouts, admission, async jobs, drain, encoding —
 // everything in this package) and where simulation happens: in-process on
 // the pooled run.Runner, or sharded over a fleet by cluster.Coordinator.
 type Executor interface {
-	// Execute returns the jobs' outcomes positionally (errs[i] is nil
-	// exactly when results[i] is valid) with the cache work this call
-	// caused. onProgress (optional) observes each completion serially, in
-	// completion order. A non-nil error means the plan could not be
-	// executed at all; per-job failures belong in errs.
-	Execute(ctx context.Context, p *Plan, onProgress func(run.Progress)) (results []run.Result, errs []error, cache CacheStats, err error)
+	// Execute runs the plan's jobs. onProgress (optional) observes each
+	// completion serially, in completion order. A non-nil error means the
+	// plan could not be executed at all; per-job failures belong in
+	// Outcome.Errs.
+	Execute(ctx context.Context, p *Plan, onProgress func(run.Progress)) (Outcome, error)
 	// WriteMetrics renders the executor's own series in Prometheus text
 	// exposition format; the service's /metrics page leads with them.
 	WriteMetrics(w io.Writer) error
@@ -52,12 +64,14 @@ type localExecutor struct {
 	kernels *obs.Histogram // per-kernel job-duration histograms, for /metrics
 }
 
-func (e *localExecutor) Execute(ctx context.Context, p *Plan, onProgress func(run.Progress)) ([]run.Result, []error, CacheStats, error) {
+func (e *localExecutor) Execute(ctx context.Context, p *Plan, onProgress func(run.Progress)) (Outcome, error) {
 	hits0, misses0 := e.runner.CacheStats()
 	tiers0 := e.runner.TierStats()
+	js := make([][]byte, len(p.Jobs))
 	// Every job completion — batch, sweep, async, cluster assignment —
 	// feeds the kernel histograms exactly once.
 	results, errs := e.runner.RunAllWithProgress(ctx, p.Jobs, func(pr run.Progress) {
+		js[pr.Index] = pr.JSON
 		if pr.Job.Workload != nil {
 			e.kernels.Observe(kernelLabel(pr.Job.Workload.Name()), pr.Elapsed)
 		}
@@ -67,9 +81,9 @@ func (e *localExecutor) Execute(ctx context.Context, p *Plan, onProgress func(ru
 	})
 	hits, misses := e.runner.CacheStats()
 	tiers := e.runner.TierStats()
-	return results, errs, CacheStats{
+	return Outcome{Results: results, Errs: errs, JSON: js, Cache: CacheStats{
 		Hits: hits, Misses: misses,
 		RequestHits: hits - hits0, RequestMisses: misses - misses0,
 		Tiers: tiers, RequestTiers: tiers.Sub(tiers0),
-	}, nil
+	}}, nil
 }

@@ -66,30 +66,8 @@ func NewHandler(s *Service) http.Handler {
 	mux.HandleFunc("GET /v1/workloads", func(w http.ResponseWriter, r *http.Request) {
 		s.writeJSON(w, http.StatusOK, s.Workloads())
 	})
-	mux.HandleFunc("POST /v1/batch", func(w http.ResponseWriter, r *http.Request) {
-		var req BatchRequest
-		if !s.readJSON(w, r, &req) {
-			return
-		}
-		resp, err := s.Batch(clientCtx(r), req)
-		if err != nil {
-			s.writeError(w, err)
-			return
-		}
-		s.writeJSON(w, http.StatusOK, resp)
-	})
-	mux.HandleFunc("POST /v1/sweep", func(w http.ResponseWriter, r *http.Request) {
-		var req SweepRequest
-		if !s.readJSON(w, r, &req) {
-			return
-		}
-		resp, err := s.Sweep(clientCtx(r), req)
-		if err != nil {
-			s.writeError(w, err)
-			return
-		}
-		s.writeJSON(w, http.StatusOK, resp)
-	})
+	mux.HandleFunc("POST /v1/batch", serveResponse(s, s.batch))
+	mux.HandleFunc("POST /v1/sweep", serveResponse(s, s.sweep))
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		var req JobRequest
 		if !s.readJSON(w, r, &req) {
@@ -133,6 +111,24 @@ func NewHandler(s *Service) http.Handler {
 		s.writeJSON(w, http.StatusOK, js)
 	})
 	return mux
+}
+
+// serveResponse is the handler of a request answered by a Response: decode
+// the request, serve it, and write the reply with the rows' stored JSON
+// spliced in (writeResponse).
+func serveResponse[Req any](s *Service, serve func(context.Context, Req) (*Response, [][]byte, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req Req
+		if !s.readJSON(w, r, &req) {
+			return
+		}
+		resp, rowJSON, err := serve(clientCtx(r), req)
+		if err != nil {
+			s.writeError(w, err)
+			return
+		}
+		writeResponse(w, resp, rowJSON, s.opt.Logf)
+	}
 }
 
 // clientCtx tags the request context with the caller's identity for rate
@@ -222,12 +218,7 @@ const maxPooledReply = 1 << 20
 // the only trace of a reply lost to a dead connection.
 func WriteJSON(w http.ResponseWriter, status int, v any, logf func(format string, args ...any)) {
 	buf := replyBufs.Get().(*bytes.Buffer)
-	defer func() {
-		if buf.Cap() <= maxPooledReply {
-			buf.Reset()
-			replyBufs.Put(buf)
-		}
-	}()
+	defer putReplyBuf(buf)
 	if err := json.NewEncoder(buf).Encode(v); err != nil {
 		if logf != nil {
 			logf("service: encoding %d response: %v", status, err)
@@ -237,12 +228,87 @@ func WriteJSON(w http.ResponseWriter, status int, v any, logf func(format string
 		// A map of strings always encodes.
 		_ = json.NewEncoder(buf).Encode(map[string]string{"error": fmt.Sprintf("encoding response: %v", err)})
 	}
+	writeBody(w, status, buf.Bytes(), logf)
+}
+
+// putReplyBuf returns an encode buffer to replyBufs.
+func putReplyBuf(buf *bytes.Buffer) {
+	if buf.Cap() <= maxPooledReply {
+		buf.Reset()
+		replyBufs.Put(buf)
+	}
+}
+
+// writeResponse writes a 200 Response reply with exactly the bytes
+// WriteJSON would write for resp — json.Marshal(resp) and a newline —
+// without encoding again what the memo store already holds encoded. Row i
+// is spliced from rowJSON[i] when that is set and the row carries nothing
+// beyond its run.Result: those bytes are json.Marshal of that Result, made
+// once when it was first stored, and a bare ResultRow encodes as its
+// embedded Result. Every other row and the envelope's fields are encoded
+// here by encoding/json. A reply that does not encode (a NaN) falls back
+// to WriteJSON, which turns it into its clean 500.
+func writeResponse(w http.ResponseWriter, resp *Response, rowJSON [][]byte, logf func(format string, args ...any)) {
+	buf := replyBufs.Get().(*bytes.Buffer)
+	defer putReplyBuf(buf)
+	if err := spliceResponse(buf, resp, rowJSON); err != nil {
+		WriteJSON(w, http.StatusOK, resp, logf)
+		return
+	}
+	writeBody(w, http.StatusOK, buf.Bytes(), logf)
+}
+
+// spliceResponse appends resp's reply to buf: Response's fields in
+// declaration order, with its omitempty rule for Errors.
+func spliceResponse(buf *bytes.Buffer, resp *Response, rowJSON [][]byte) error {
+	enc := json.NewEncoder(buf)
+	encode := func(v any) error {
+		if err := enc.Encode(v); err != nil {
+			return err
+		}
+		buf.Truncate(buf.Len() - 1) // the newline Encode ends every value with
+		return nil
+	}
+	buf.WriteString(`{"results":`)
+	if resp.Results == nil {
+		buf.WriteString("null")
+	} else {
+		buf.WriteByte('[')
+		for i := range resp.Results {
+			if i > 0 {
+				buf.WriteByte(',')
+			}
+			row := &resp.Results[i]
+			if i < len(rowJSON) && rowJSON[i] != nil && row.bare() {
+				buf.Write(rowJSON[i])
+			} else if err := encode(row); err != nil {
+				return err
+			}
+		}
+		buf.WriteByte(']')
+	}
+	buf.WriteString(`,"cache":`)
+	if err := encode(&resp.Cache); err != nil {
+		return err
+	}
+	if len(resp.Errors) > 0 {
+		buf.WriteString(`,"errors":`)
+		if err := encode(resp.Errors); err != nil {
+			return err
+		}
+	}
+	buf.WriteString("}\n")
+	return nil
+}
+
+// writeBody sends one encoded reply with its Content-Length.
+func writeBody(w http.ResponseWriter, status int, body []byte, logf func(format string, args ...any)) {
 	h := w.Header()
 	h.Set("Content-Type", "application/json")
 	h.Set("X-Content-Type-Options", "nosniff")
-	h.Set("Content-Length", strconv.Itoa(buf.Len()))
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
-	if _, err := w.Write(buf.Bytes()); err != nil && logf != nil {
+	if _, err := w.Write(body); err != nil && logf != nil {
 		logf("service: writing %d response: %v", status, err)
 	}
 }

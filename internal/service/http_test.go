@@ -214,6 +214,41 @@ func TestHTTPUnencodableReplyIs500(t *testing.T) {
 	}
 }
 
+// TestBatchCarriesStoredRows pins that the reply writer has rows to
+// splice: cold and warm, every keyed row of a batch reaches the handler
+// with json.Marshal of its Result from the memo store, and a row of an
+// unkeyed (here failing) workload with none.
+func TestBatchCarriesStoredRows(t *testing.T) {
+	registerFailing()
+	svc := New(Options{})
+	req := BatchRequest{Devices: []string{"MangoPi"}, Workloads: []run.WorkloadSpec{
+		run.MustParseWorkloadSpec("stream:test=COPY,elems=1024,reps=1"),
+		run.MustParseWorkloadSpec("transpose:variant=Naive,n=64"),
+		{Kernel: "svc-test-fail"},
+	}}
+	for _, pass := range []string{"cold", "warm"} {
+		resp, rowJSON, err := svc.batch(context.Background(), req)
+		if err != nil {
+			t.Fatalf("%s batch: %v", pass, err)
+		}
+		if len(rowJSON) != len(resp.Results) {
+			t.Fatalf("%s batch: %d stored rows for %d results", pass, len(rowJSON), len(resp.Results))
+		}
+		for i, row := range resp.Results[:2] {
+			want, err := json.Marshal(row.Result)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(rowJSON[i], want) {
+				t.Errorf("%s row %d: stored JSON %q, want %q", pass, i, rowJSON[i], want)
+			}
+		}
+		if rowJSON[2] != nil {
+			t.Errorf("%s: the failed row carries stored JSON %q", pass, rowJSON[2])
+		}
+	}
+}
+
 // TestHTTPOverload maps ErrOverloaded to 429 with a Retry-After hint.
 func TestHTTPOverload(t *testing.T) {
 	svc := New(Options{MaxInFlight: 1, MaxQueue: -1}) // no queue: saturation 429s

@@ -239,7 +239,7 @@ func (s *Service) executeJob(j *job) {
 	j.started = time.Now()
 	s.jobs.mu.Unlock()
 
-	resp, err := s.execute(ctx, j.plan, func(p run.Progress) {
+	resp, _, err := s.execute(ctx, j.plan, func(p run.Progress) {
 		row := jobRow(p.Result, p.Err)
 		s.jobs.mu.Lock()
 		j.rows = append(j.rows, row)

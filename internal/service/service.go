@@ -287,6 +287,12 @@ type ResultRow struct {
 	Error           string  `json:"error,omitempty"`
 }
 
+// bare reports whether the row carries nothing beyond its run.Result, so
+// that it encodes exactly as the Result alone.
+func (row *ResultRow) bare() bool {
+	return len(row.Cell) == 0 && row.Speedup == 0 && row.BandwidthVsBase == 0 && row.Error == ""
+}
+
 // Response is the outcome of one Batch or Sweep request. Results are in
 // request order (devices outermost for batches, cells outermost for
 // sweeps). Errors collects the failing rows' messages; a response with a
@@ -473,12 +479,19 @@ func resolveWorkloads(specs []run.WorkloadSpec) ([]run.Workload, error) {
 // the call; per-job simulation failures land in the Response rows instead,
 // so one bad cell does not void the rest of the request.
 func (s *Service) Batch(ctx context.Context, req BatchRequest) (*Response, error) {
+	resp, _, err := s.batch(ctx, req)
+	return resp, err
+}
+
+// batch is Batch plus each row's stored JSON (see execute), which the HTTP
+// handler splices into its reply.
+func (s *Service) batch(ctx context.Context, req BatchRequest) (*Response, [][]byte, error) {
 	if err := s.checkAdmittable(ctx); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	p, err := s.planBatch(req)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	return s.run(ctx, p, req.Options)
 }
@@ -487,12 +500,18 @@ func (s *Service) Batch(ctx context.Context, req BatchRequest) (*Response, error
 // semantics are exactly cmd/sweep's; every cell row carries its axis
 // labels and base-relative deltas.
 func (s *Service) Sweep(ctx context.Context, req SweepRequest) (*Response, error) {
+	resp, _, err := s.sweep(ctx, req)
+	return resp, err
+}
+
+// sweep is Sweep plus each row's stored JSON (see execute).
+func (s *Service) sweep(ctx context.Context, req SweepRequest) (*Response, [][]byte, error) {
 	if err := s.checkAdmittable(ctx); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	p, err := PlanSweep(req, s.opt.MaxJobs)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	return s.run(ctx, p, req.Options)
 }
@@ -552,12 +571,12 @@ func PlanSweep(req SweepRequest, maxJobs int) (*Plan, error) {
 // run takes a planned request through the rest of the synchronous path.
 // The timeout is applied before admission: a request waits in the queue at
 // most up to its own deadline.
-func (s *Service) run(ctx context.Context, p *Plan, opt RequestOptions) (*Response, error) {
+func (s *Service) run(ctx context.Context, p *Plan, opt RequestOptions) (*Response, [][]byte, error) {
 	ctx, cancel := s.timeoutCtx(ctx, opt)
 	defer cancel()
 	release, err := s.admit(ctx)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer release()
 	return s.execute(ctx, p, nil)
@@ -567,22 +586,24 @@ func (s *Service) run(ctx context.Context, p *Plan, opt RequestOptions) (*Respon
 // assembles the Response. onProgress (optional) observes each completion
 // with the raw result — the async job path streams rows through it; a
 // sweep's base-relative deltas need the full grid and arrive with the
-// final Response.
-func (s *Service) execute(ctx context.Context, p *Plan, onProgress func(run.Progress)) (*Response, error) {
-	results, errs, cache, err := s.exec.Execute(ctx, p, onProgress)
+// final Response. Beside the Response travels the Executor's stored JSON
+// of each row's run.Result (nil entries where it has none), aligned with
+// Response.Results, for the reply writer to splice.
+func (s *Service) execute(ctx context.Context, p *Plan, onProgress func(run.Progress)) (*Response, [][]byte, error) {
+	out, err := s.exec.Execute(ctx, p, onProgress)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if p.grid == nil {
-		return assembleBatch(results, errs, cache), nil
+		return assembleBatch(out.Results, out.Errs, out.Cache), out.JSON, nil
 	}
-	res, err := p.grid.Assemble(results, errs)
+	res, err := p.grid.Assemble(out.Results, out.Errs)
 	if err != nil {
 		// The request validated (device, axes and workloads all resolved,
 		// the grid expanded), so this is an execution failure.
-		return nil, &ExecutionError{Err: err}
+		return nil, nil, &ExecutionError{Err: err}
 	}
-	resp := &Response{Results: make([]ResultRow, len(res.PerCell)), Cache: cache}
+	resp := &Response{Results: make([]ResultRow, len(res.PerCell)), Cache: out.Cache}
 	for i, cr := range res.PerCell {
 		resp.Results[i] = ResultRow{
 			Result:          cr.Result,
@@ -591,7 +612,8 @@ func (s *Service) execute(ctx context.Context, p *Plan, onProgress func(run.Prog
 			BandwidthVsBase: cr.BandwidthVsBase,
 		}
 	}
-	return resp, nil
+	// PerCell[i] is job i's result, so the stored rows stay aligned.
+	return resp, out.JSON, nil
 }
 
 // jobRow renders one job outcome as a response row; a failed job's Result
@@ -668,5 +690,6 @@ func (s *Service) ExecuteJobs(ctx context.Context, jobs []run.Job, onProgress fu
 		return nil, err
 	}
 	defer release()
-	return s.execute(ctx, &Plan{Jobs: jobs}, onProgress)
+	resp, _, err := s.execute(ctx, &Plan{Jobs: jobs}, onProgress)
+	return resp, err
 }

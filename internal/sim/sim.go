@@ -14,6 +14,7 @@
 // is bit-for-bit deterministic and independent of host scheduling.
 // Deterministic by contract: bit-identical outputs across runs and
 // processes (see DESIGN.md §11); machine-checked by simlint.
+//
 //simlint:deterministic
 package sim
 

@@ -26,6 +26,7 @@
 // and re-runs nearly free: identical cells simulate exactly once.
 // Deterministic by contract: bit-identical outputs across runs and
 // processes (see DESIGN.md §11); machine-checked by simlint.
+//
 //simlint:deterministic
 package sweep
 

@@ -9,6 +9,7 @@
 // locality, which is part of why it wins on every device.
 // Deterministic by contract: bit-identical outputs across runs and
 // processes (see DESIGN.md §11); machine-checked by simlint.
+//
 //simlint:deterministic
 package tlb
 

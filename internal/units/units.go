@@ -7,6 +7,7 @@
 // STREAM convention of decimal units (1 GB/s = 1e9 bytes per second).
 // Deterministic by contract: bit-identical outputs across runs and
 // processes (see DESIGN.md §11); machine-checked by simlint.
+//
 //simlint:deterministic
 package units
 

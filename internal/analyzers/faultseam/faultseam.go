@@ -2,13 +2,12 @@
 // untagged builds and honest in tagged ones.
 //
 // The faultinject package is a build-tag pair: every build sees Fire (a
-// no-op stub without the tag), Enabled, and the Point constants; the
-// handler registry (Set, Clear, Reset, Fired, Handler, FailTimes,
-// AlwaysFail) exists only under `-tags faultinject`. The compiler already
-// refuses tag-only symbols in untagged builds — but only in the build
-// that's actually run, and a `go vet -tags faultinject` or test-tagged
-// tree compiles fine while silently committing an ordinary file to the
-// chaos-only API. The analyzer pins the discipline structurally:
+// no-op stub without the tag) and the Point constants; the handler registry
+// (Set, Clear, Reset, Fired, Handler, FailTimes, AlwaysFail) exists only
+// under `-tags faultinject`. The compiler already refuses tag-only symbols
+// in untagged builds — but only in the build that's actually run, and a
+// `go vet -tags faultinject` or test-tagged tree compiles fine while
+// silently committing an ordinary file to the chaos-only API. The analyzer pins the discipline structurally:
 //
 //   - tag-only API referenced from a file without a faultinject build
 //     constraint is flagged, whatever tags the analysis itself ran with;
@@ -35,7 +34,7 @@ import (
 // Analyzer is the fault-seam discipline check.
 var Analyzer = &analysis.Analyzer{
 	Name: "faultseam",
-	Doc: "restrict faultinject usage to the always-built API (Fire/Enabled/Point " +
+	Doc: "restrict faultinject usage to the always-built API (Fire/Point " +
 		"constants) outside //go:build faultinject files; require Fire errors to be " +
 		"consulted and Fire points to be declared constants",
 	Run: run,
@@ -43,7 +42,7 @@ var Analyzer = &analysis.Analyzer{
 
 // alwaysBuilt are the faultinject symbols present in every build.
 var alwaysBuilt = map[string]bool{
-	"Fire": true, "Enabled": true, "Point": true,
+	"Fire": true, "Point": true,
 }
 
 func run(pass *analysis.Pass) error {

@@ -1,6 +1,6 @@
 // Package faultinject models the repo's fault-injection API for the
 // faultseam fixtures: same name, same exported surface. In the real
-// package everything below Fire/Enabled/Point is build-tag gated; here it
+// package everything below Fire/Point is build-tag gated; here it
 // is all present so the fixture load compiles with and without the tag —
 // the analyzer's judgment is about the *referencing* file's build
 // constraint, not about how this package was built.
@@ -14,9 +14,6 @@ const (
 	PointA Point = "a"
 	PointB Point = "b"
 )
-
-// Enabled reports whether the harness is compiled in.
-const Enabled = false
 
 // Fire consults the point's handler.
 func Fire(Point) error { return nil }

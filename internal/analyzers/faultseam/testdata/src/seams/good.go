@@ -16,10 +16,3 @@ func Acquire() error {
 	}
 	return nil
 }
-
-// Guarded bookkeeping behind the Enabled constant is always allowed.
-func Guarded() {
-	if faultinject.Enabled {
-		fmt.Println("harness compiled in")
-	}
-}

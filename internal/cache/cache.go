@@ -88,17 +88,6 @@ type Stats struct {
 	Installs   uint64 // lines brought in (demand misses + explicit installs)
 }
 
-// Accesses returns the total number of demand accesses observed.
-func (s Stats) Accesses() uint64 { return s.Hits + s.Misses }
-
-// HitRate returns hits/accesses, or 0 when no accesses were made.
-func (s Stats) HitRate() float64 {
-	if a := s.Accesses(); a > 0 {
-		return float64(s.Hits) / float64(a)
-	}
-	return 0
-}
-
 // line packs one cache line's metadata into two words so a set scan loads
 // half the memory of a field-per-flag layout and the tag+valid match is a
 // single masked compare: meta holds tag<<2 | dirty<<1 | valid, used holds
@@ -185,12 +174,6 @@ func MustNew(cfg Config) *Cache {
 	}
 	return c
 }
-
-// Config returns the configuration the cache was built with.
-func (c *Cache) Config() Config { return c.cfg }
-
-// LineSize returns the cache line size in bytes.
-func (c *Cache) LineSize() int64 { return c.cfg.LineSize }
 
 // find returns the index into c.lines holding line number ln, consulting the
 // way memo before falling back to the associative scan, or -1 on a miss.
@@ -360,18 +343,6 @@ func (c *Cache) Install(addr uint64, dirty bool) Result {
 	return c.install(set, tag, dirty)
 }
 
-// Invalidate drops the line containing addr if present, reporting whether it
-// was dirty (the caller owns the resulting writeback traffic).
-func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
-	ln := addr >> c.lineShift
-	set, tag := int(ln&c.setMask), ln>>c.setShift
-	if i := c.find(set*c.ways, ln, tag); i >= 0 {
-		c.lines[i].meta &^= lineValid
-		return true, c.lines[i].meta&lineDirty != 0
-	}
-	return false, false
-}
-
 // Reset empties the cache and zeroes the statistics. Its cost follows what
 // was used, not the capacity: installAt is the only place a line becomes
 // valid, so only the touched sets hold any state.
@@ -386,17 +357,6 @@ func (c *Cache) Reset() {
 	c.rng = c.cfg.Seed | 1
 	c.memo = [memoEntries]wayMemo{}
 	c.Stats = Stats{}
-}
-
-// ValidLines counts currently valid lines (used by capacity invariant tests).
-func (c *Cache) ValidLines() int {
-	n := 0
-	for i := range c.lines {
-		if c.lines[i].meta&lineValid != 0 {
-			n++
-		}
-	}
-	return n
 }
 
 func (c *Cache) install(set int, tag uint64, dirty bool) Result {

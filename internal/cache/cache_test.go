@@ -13,6 +13,17 @@ func tiny(p Policy) *Cache {
 	return MustNew(Config{Name: "t", Size: 256, Ways: 2, LineSize: 64, Policy: p, Seed: 42})
 }
 
+// validLines counts the cache's valid lines.
+func validLines(c *Cache) int {
+	n := 0
+	for i := range c.lines {
+		if c.lines[i].meta&lineValid != 0 {
+			n++
+		}
+	}
+	return n
+}
+
 func TestConfigValidate(t *testing.T) {
 	bad := []Config{
 		{Name: "zero", Size: 0, Ways: 1, LineSize: 64},
@@ -120,7 +131,7 @@ func TestWritebackOnDirtyEviction(t *testing.T) {
 func TestInstallDoesNotCountDemand(t *testing.T) {
 	c := tiny(LRU)
 	c.Install(0, false)
-	if c.Stats.Accesses() != 0 {
+	if c.Stats.Hits+c.Stats.Misses != 0 {
 		t.Fatalf("Install counted as demand access: %+v", c.Stats)
 	}
 	if !c.Access(0, false).Hit {
@@ -136,22 +147,6 @@ func TestInstallRefreshesExistingLine(t *testing.T) {
 	r := c.Access(512, false)
 	if r.Evicted != 256 {
 		t.Fatalf("evicted %#x, want 256 after refresh", r.Evicted)
-	}
-}
-
-func TestInvalidate(t *testing.T) {
-	c := tiny(LRU)
-	c.Access(0, true)
-	present, dirty := c.Invalidate(0)
-	if !present || !dirty {
-		t.Fatalf("Invalidate = (%v,%v), want (true,true)", present, dirty)
-	}
-	if c.Probe(0) {
-		t.Fatal("line survived invalidation")
-	}
-	present, _ = c.Invalidate(0)
-	if present {
-		t.Fatal("double invalidation reported present")
 	}
 }
 
@@ -209,7 +204,7 @@ func TestResetClearsEverything(t *testing.T) {
 	if c.Stats != (Stats{}) {
 		t.Fatalf("stats not cleared: %+v", c.Stats)
 	}
-	if c.ValidLines() != 0 {
+	if validLines(c) != 0 {
 		t.Fatal("lines survived reset")
 	}
 	if c.Access(0, false).Hit {
@@ -219,9 +214,9 @@ func TestResetClearsEverything(t *testing.T) {
 
 // TestResetRestoresFreshState: Reset clears only the sets installed into
 // since the last one, so it must still leave every structure exactly as New
-// builds it — under each policy, after demand accesses, prefetch installs
-// and invalidations over a working set that touches only some of the sets,
-// and again when the same cache is reset a second time.
+// builds it — under each policy, after demand accesses and prefetch installs
+// over a working set that touches only some of the sets, and again when the
+// same cache is reset a second time.
 func TestResetRestoresFreshState(t *testing.T) {
 	for _, p := range []Policy{LRU, Random, FIFO, PLRU} {
 		cfg := Config{Name: "t", Size: 64 << 10, Ways: 4, LineSize: 64, Policy: p, Seed: 7}
@@ -231,12 +226,9 @@ func TestResetRestoresFreshState(t *testing.T) {
 			for i := 0; i < 4000; i++ {
 				// 192 of the 256 sets, four times their capacity.
 				addr := uint64(rng.Intn(16)<<8|rng.Intn(192)) * 64
-				switch rng.Intn(8) {
-				case 0:
+				if rng.Intn(8) == 0 {
 					c.Install(addr, rng.Intn(2) == 0)
-				case 1:
-					c.Invalidate(addr)
-				default:
+				} else {
 					c.Access(addr, rng.Intn(2) == 0)
 				}
 			}
@@ -250,17 +242,6 @@ func TestResetRestoresFreshState(t *testing.T) {
 				t.Fatalf("%v round %d: reset cache differs from a new one", p, round)
 			}
 		}
-	}
-}
-
-func TestStatsHitRate(t *testing.T) {
-	var s Stats
-	if s.HitRate() != 0 {
-		t.Fatal("empty stats hit rate != 0")
-	}
-	s = Stats{Hits: 3, Misses: 1}
-	if got := s.HitRate(); got != 0.75 {
-		t.Fatalf("HitRate = %v, want 0.75", got)
 	}
 }
 
@@ -281,11 +262,11 @@ func TestPropertyCapacityInvariant(t *testing.T) {
 		f := func(seed int64) bool {
 			rng := rand.New(rand.NewSource(seed))
 			c := MustNew(Config{Name: "q", Size: 2 << 10, Ways: 4, LineSize: 64, Policy: p, Seed: uint64(seed) + 1})
-			capacity := int(c.Config().Size / c.Config().LineSize)
+			capacity := int(c.cfg.Size / c.cfg.LineSize)
 			for i := 0; i < 2000; i++ {
 				addr := uint64(rng.Intn(1 << 16))
 				r := c.Access(addr, rng.Intn(2) == 0)
-				if c.ValidLines() > capacity {
+				if validLines(c) > capacity {
 					return false
 				}
 				if r.EvictedValid && c.Probe(r.Evicted) {
@@ -311,7 +292,7 @@ func TestPropertyLRUNoCapacityMissesWithinWays(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		c := MustNew(Config{Name: "w", Size: 8 << 10, Ways: 8, LineSize: 64, Policy: LRU})
 		// Pick up to 8 distinct lines that all map to the same set.
-		sets := c.Config().Sets()
+		sets := c.cfg.Sets()
 		set := uint64(rng.Intn(int(sets)))
 		lines := make([]uint64, 8)
 		for i := range lines {
@@ -377,7 +358,7 @@ func TestAccessLineEquivalence(t *testing.T) {
 		if gotStats != ref.Stats {
 			t.Errorf("%v: stats diverge: got %+v want %+v", pol, gotStats, ref.Stats)
 		}
-		if got.ValidLines() != ref.ValidLines() {
+		if validLines(got) != validLines(ref) {
 			t.Errorf("%v: valid lines diverge", pol)
 		}
 	}

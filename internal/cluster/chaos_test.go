@@ -96,7 +96,7 @@ func TestChaosKillWorkerMidSweep(t *testing.T) {
 	respCh := make(chan *service.Response, 1)
 	errCh := make(chan error, 1)
 	go func() {
-		resp, err := coord.Sweep(context.Background(), req)
+		resp, err := coord.Service().Sweep(context.Background(), req)
 		respCh <- resp
 		errCh <- err
 	}()
@@ -167,7 +167,7 @@ func TestChaosHeartbeatBlackhole(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	resp, err := coord.Sweep(ctx, req)
+	resp, err := coord.Service().Sweep(ctx, req)
 	if err != nil {
 		t.Fatalf("cluster sweep under heartbeat blackhole: %v", err)
 	}
@@ -227,7 +227,7 @@ func TestChaosRequeueFaultDivertsToPool(t *testing.T) {
 	respCh := make(chan *service.Response, 1)
 	errCh := make(chan error, 1)
 	go func() {
-		resp, err := coord.Batch(ctx, req)
+		resp, err := coord.Service().Batch(ctx, req)
 		respCh <- resp
 		errCh <- err
 	}()
@@ -294,7 +294,7 @@ func TestChaosDispatchFaultDelaysAssignment(t *testing.T) {
 
 	cctx, cancel := context.WithTimeout(ctx, 30*time.Second)
 	defer cancel()
-	resp, err := coord.Batch(cctx, req)
+	resp, err := coord.Service().Batch(cctx, req)
 	if err != nil {
 		t.Fatalf("cluster batch under dispatch fault: %v", err)
 	}
@@ -363,7 +363,7 @@ func TestChaosPoisonCellQuarantine(t *testing.T) {
 	errCh := make(chan error, 1)
 	start := time.Now()
 	go func() {
-		resp, err := coord.Batch(ctx, req)
+		resp, err := coord.Service().Batch(ctx, req)
 		respCh <- resp
 		errCh <- err
 	}()
@@ -433,9 +433,6 @@ func TestChaosPoisonCellQuarantine(t *testing.T) {
 	if poison.Result != (run.Result{}) {
 		t.Errorf("poison row carries a result %+v alongside its quarantine error", poison.Result)
 	}
-	if kind := service.ClassifyRowError(poison.Error); kind != service.RowErrorQuarantined {
-		t.Errorf("poison row classifies as %q, want %q", kind, service.RowErrorQuarantined)
-	}
 
 	coord.mu.Lock()
 	accepted, quarantined, expired := coord.rowsAccepted, coord.cellsQuarantined, coord.dispatchesExpired
@@ -483,7 +480,7 @@ func TestChaosBlackholedPollsDeadlineBounded(t *testing.T) {
 		Options: service.RequestOptions{TimeoutMS: 400},
 	}
 	start := time.Now()
-	resp, err := coord.Batch(context.Background(), req)
+	resp, err := coord.Service().Batch(context.Background(), req)
 	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatalf("cluster batch under poll blackhole: %v (deadline must degrade, not error)", err)
@@ -495,8 +492,8 @@ func TestChaosBlackholedPollsDeadlineBounded(t *testing.T) {
 		t.Fatalf("degraded batch: %d rows, want %d", len(resp.Results), len(req.Workloads))
 	}
 	for i, row := range resp.Results {
-		if kind := service.ClassifyRowError(row.Error); kind != service.RowErrorDeadline {
-			t.Errorf("row %d error %q classifies as %q, want %q", i, row.Error, kind, service.RowErrorDeadline)
+		if row.Error != service.DeadlineRowError() {
+			t.Errorf("row %d error %q, want %q", i, row.Error, service.DeadlineRowError())
 		}
 	}
 	if sent, _ := flaky.Drops(); sent == 0 {
@@ -539,7 +536,7 @@ func TestChaosRowsDropRetries(t *testing.T) {
 	w := startWorker(t, flaky, "w1", nil)
 	waitForWorkers(t, coord, 1)
 
-	resp, err := coord.Batch(ctx, req)
+	resp, err := coord.Service().Batch(ctx, req)
 	if err != nil {
 		t.Fatalf("cluster batch under dropped returns: %v", err)
 	}

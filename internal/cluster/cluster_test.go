@@ -281,7 +281,7 @@ func TestClusterExactlyOnceUnderRevocation(t *testing.T) {
 	respCh := make(chan *service.Response, 1)
 	errCh := make(chan error, 1)
 	go func() {
-		resp, err := coord.Batch(ctx, service.BatchRequest{
+		resp, err := coord.Service().Batch(ctx, service.BatchRequest{
 			Devices:   []string{"MangoPi"},
 			Workloads: []run.WorkloadSpec{run.MustParseWorkloadSpec("stream:test=COPY,elems=64,reps=1")},
 		})
@@ -376,7 +376,7 @@ func TestClusterLeaseExpiry(t *testing.T) {
 	respCh := make(chan *service.Response, 1)
 	errCh := make(chan error, 1)
 	go func() {
-		resp, err := coord.Batch(ctx, service.BatchRequest{
+		resp, err := coord.Service().Batch(ctx, service.BatchRequest{
 			Devices:   []string{"MangoPi"},
 			Workloads: []run.WorkloadSpec{run.MustParseWorkloadSpec("stream:test=COPY,elems=64,reps=1")},
 		})
@@ -469,7 +469,7 @@ func TestClusterWorkerKillMidSweep(t *testing.T) {
 	respCh := make(chan *service.Response, 1)
 	errCh := make(chan error, 1)
 	go func() {
-		resp, err := coord.Sweep(ctx, req)
+		resp, err := coord.Service().Sweep(ctx, req)
 		respCh <- resp
 		errCh <- err
 	}()

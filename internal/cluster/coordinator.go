@@ -903,13 +903,3 @@ func (c *Coordinator) settle(d *dispatch, waitErr error) error {
 	}
 	return nil
 }
-
-// Batch and Sweep serve a client request through the embedded service —
-// the in-process form of POSTing it to NewCoordinatorHandler.
-func (c *Coordinator) Batch(ctx context.Context, req service.BatchRequest) (*service.Response, error) {
-	return c.svc.Batch(ctx, req)
-}
-
-func (c *Coordinator) Sweep(ctx context.Context, req service.SweepRequest) (*service.Response, error) {
-	return c.svc.Sweep(ctx, req)
-}

@@ -23,7 +23,7 @@ func startBatch(t *testing.T, coord *Coordinator, opt service.RequestOptions, sp
 	respCh := make(chan *service.Response, 1)
 	errCh := make(chan error, 1)
 	go func() {
-		resp, err := coord.Batch(context.Background(), service.BatchRequest{
+		resp, err := coord.Service().Batch(context.Background(), service.BatchRequest{
 			Devices:   []string{"MangoPi"},
 			Workloads: workloads,
 			Options:   opt,
@@ -106,9 +106,6 @@ func TestClusterQuarantineAfterRepeatedLoss(t *testing.T) {
 	if resp.Results[1].Error != wantErr {
 		t.Errorf("poison row error %q, want %q", resp.Results[1].Error, wantErr)
 	}
-	if k := service.ClassifyRowError(resp.Results[1].Error); k != service.RowErrorQuarantined {
-		t.Errorf("poison row classifies as %q, want %q", k, service.RowErrorQuarantined)
-	}
 	if len(resp.Errors) != 1 || resp.Errors[0] != wantErr {
 		t.Errorf("response errors %v, want exactly the quarantine error", resp.Errors)
 	}
@@ -170,9 +167,6 @@ func TestClusterFailureRowRequeueAndBudget(t *testing.T) {
 	if !strings.Contains(got, "panic: boom") {
 		t.Errorf("row error %q does not carry the failure cause", got)
 	}
-	if k := service.ClassifyRowError(got); k != service.RowErrorQuarantined {
-		t.Errorf("row classifies as %q, want %q", k, service.RowErrorQuarantined)
-	}
 
 	coord.mu.Lock()
 	failures, quarantined, requeued := coord.cellFailures, coord.cellsQuarantined, coord.cellsRequeued
@@ -197,7 +191,7 @@ func TestClusterDispatchDeadlineDegrades(t *testing.T) {
 	defer coord.Close()
 
 	start := time.Now()
-	resp, err := coord.Batch(context.Background(), service.BatchRequest{
+	resp, err := coord.Service().Batch(context.Background(), service.BatchRequest{
 		Devices: []string{"MangoPi"},
 		Workloads: []run.WorkloadSpec{
 			run.MustParseWorkloadSpec("stream:test=COPY,elems=64,reps=1"),
@@ -218,9 +212,6 @@ func TestClusterDispatchDeadlineDegrades(t *testing.T) {
 	for i, row := range resp.Results {
 		if row.Error != service.DeadlineRowError() {
 			t.Errorf("row %d error %q, want %q", i, row.Error, service.DeadlineRowError())
-		}
-		if k := service.ClassifyRowError(row.Error); k != service.RowErrorDeadline {
-			t.Errorf("row %d classifies as %q, want %q", i, k, service.RowErrorDeadline)
 		}
 	}
 	if len(resp.Errors) != 2 {
@@ -244,7 +235,7 @@ func TestClusterSweepDeadlineReturnsError(t *testing.T) {
 	defer coord.Close()
 
 	start := time.Now()
-	_, err := coord.Sweep(context.Background(), service.SweepRequest{
+	_, err := coord.Service().Sweep(context.Background(), service.SweepRequest{
 		Device:    "MangoPi",
 		Axes:      []string{"l2=base,128KiB"},
 		Workloads: []run.WorkloadSpec{run.MustParseWorkloadSpec("stream:test=COPY,elems=64,reps=1")},

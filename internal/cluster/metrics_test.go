@@ -64,7 +64,7 @@ func TestMetricsGolden(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- worker.Run(workerCtx) }()
 	waitForWorkers(t, coord, 1)
-	if _, err := coord.Batch(ctx, req); err != nil {
+	if _, err := coord.Service().Batch(ctx, req); err != nil {
 		t.Fatal(err)
 	}
 	checkMetricsGolden(t, "metrics_coordinator.txt", func(b *strings.Builder) error { return coord.Service().WriteMetrics(b) })

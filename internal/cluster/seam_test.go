@@ -345,7 +345,7 @@ func TestCoordinatorDrain(t *testing.T) {
 	if !coord.Service().StartDrain() {
 		t.Fatal("StartDrain did not flip the state")
 	}
-	if _, err := coord.Batch(ctx, service.BatchRequest{
+	if _, err := coord.Service().Batch(ctx, service.BatchRequest{
 		Devices:   []string{"MangoPi"},
 		Workloads: []run.WorkloadSpec{run.MustParseWorkloadSpec("stream:test=COPY,elems=64,reps=1")},
 	}); !errors.Is(err, service.ErrDraining) {

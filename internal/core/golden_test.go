@@ -7,6 +7,7 @@ import (
 	"riscvmem/internal/kernels/blur"
 	"riscvmem/internal/kernels/transpose"
 	"riscvmem/internal/machine"
+	"riscvmem/internal/sim"
 )
 
 // TestGoldenCycleCounts pins exact simulated cycle counts for one fixed
@@ -31,14 +32,14 @@ func TestGoldenCycleCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr, err := transpose.Run(spec, transpose.Config{N: 256, Variant: transpose.Blocking})
+		tr, err := transpose.RunOn(sim.MustNew(spec), transpose.Config{N: 256, Variant: transpose.Blocking})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if math.Abs(tr.Cycles-g.trCycles) > 0.01 {
 			t.Errorf("%s transpose: %.4f cycles, golden %.4f", g.device, tr.Cycles, g.trCycles)
 		}
-		bl, err := blur.Run(spec, blur.Config{W: 48, H: 40, C: 3, F: 9, Variant: blur.OneD})
+		bl, err := blur.RunOn(sim.MustNew(spec), blur.Config{W: 48, H: 40, C: 3, F: 9, Variant: blur.OneD})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -77,7 +77,6 @@ func (s Stats) Bytes() uint64 { return s.BytesRead + s.BytesWritten }
 type Model struct {
 	cfg      Config
 	nextFree []float64
-	busy     []float64 // accumulated busy cycles per channel
 	lineMask uint64
 	shift    uint
 	// chanMask is Channels-1 when the channel count is a power of two
@@ -101,7 +100,6 @@ func New(cfg Config) (*Model, error) {
 	return &Model{
 		cfg:      cfg,
 		nextFree: make([]float64, cfg.Channels),
-		busy:     make([]float64, cfg.Channels),
 		shift:    units.Log2(cfg.LineBytes),
 		chanMask: chanMask,
 		lineXfer: float64(cfg.LineBytes) / cfg.BytesPerCycle,
@@ -116,9 +114,6 @@ func MustNew(cfg Config) *Model {
 	}
 	return m
 }
-
-// Config returns the construction configuration.
-func (m *Model) Config() Config { return m.cfg }
 
 func (m *Model) channel(addr uint64) int {
 	if m.chanMask >= 0 {
@@ -138,7 +133,6 @@ func (m *Model) serve(now float64, addr uint64, xfer float64) (done float64) {
 		start = m.nextFree[ch]
 	}
 	m.nextFree[ch] = start + xfer
-	m.busy[ch] += xfer
 	return start + m.cfg.LatencyCycles + xfer
 }
 
@@ -178,14 +172,8 @@ func (m *Model) Posted(now float64, addr uint64, bytes int64, write bool) (done 
 	return m.Request(now, addr, bytes, write)
 }
 
-// BusyCycles returns the accumulated busy time of channel ch.
-func (m *Model) BusyCycles(ch int) float64 { return m.busy[ch] }
-
 // Reset clears queue state and statistics.
 func (m *Model) Reset() {
-	for i := range m.nextFree {
-		m.nextFree[i] = 0
-		m.busy[i] = 0
-	}
+	clear(m.nextFree)
 	m.Stats = Stats{}
 }

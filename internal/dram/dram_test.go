@@ -2,6 +2,7 @@ package dram
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -96,14 +97,18 @@ func TestWriteAccounting(t *testing.T) {
 	}
 }
 
+// TestBusyCyclesAndReset: a request keeps its channel busy for its transfer
+// time, which the next request on the channel queues behind, and Reset
+// frees the channel and zeroes the statistics.
 func TestBusyCyclesAndReset(t *testing.T) {
 	m := MustNew(cfg(1, 2.0))
 	m.Request(0, 0, 64, false) // 32 cycles of transfer
-	if got := m.BusyCycles(0); got != 32 {
-		t.Fatalf("BusyCycles = %v, want 32", got)
+	m.Request(0, 64, 64, false)
+	if got := m.Stats.QueueCycles; got != 32 {
+		t.Fatalf("QueueCycles = %v, want the first transfer's 32 busy cycles", got)
 	}
 	m.Reset()
-	if m.BusyCycles(0) != 0 || m.Stats != (Stats{}) {
+	if m.Stats != (Stats{}) {
 		t.Fatal("Reset incomplete")
 	}
 	if done := m.Request(0, 0, 64, false); done != 132 {
@@ -176,9 +181,7 @@ func TestLineReadEquivalence(t *testing.T) {
 	if got.Stats.QueueCycles != ref.Stats.QueueCycles {
 		t.Errorf("queue cycles diverge: got %v want %v", got.Stats.QueueCycles, ref.Stats.QueueCycles)
 	}
-	for ch := 0; ch < cfg.Channels; ch++ {
-		if got.BusyCycles(ch) != ref.BusyCycles(ch) {
-			t.Errorf("channel %d busy cycles diverge: got %v want %v", ch, got.BusyCycles(ch), ref.BusyCycles(ch))
-		}
+	if !slices.Equal(got.nextFree, ref.nextFree) {
+		t.Errorf("channel state diverges: got %v want %v", got.nextFree, ref.nextFree)
 	}
 }

@@ -2,11 +2,6 @@
 
 package faultinject
 
-// Enabled reports whether the harness is compiled in. The constant false
-// lets callers guard optional bookkeeping with `if faultinject.Enabled`
-// and have the block elided entirely.
-const Enabled = false
-
 // Fire is the disabled stub: always nil, trivially inlined, so the seams
 // cost nothing in ordinary builds.
 func Fire(Point) error { return nil }

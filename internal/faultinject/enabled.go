@@ -4,9 +4,6 @@ package faultinject
 
 import "sync"
 
-// Enabled reports whether the harness is compiled in.
-const Enabled = true
-
 // Handler decides one activation of a point: return nil to let the call
 // proceed, non-nil to inject that failure.
 type Handler func() error

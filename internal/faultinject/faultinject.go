@@ -8,10 +8,9 @@
 //
 // The package has two builds:
 //
-//   - Default (no build tag): Fire is a no-op stub returning nil and
-//     Enabled is the constant false. The calls at the seams compile to
-//     nothing — the hooks are free in production binaries; the happy path
-//     pays zero cost for being injectable.
+//   - Default (no build tag): Fire is a no-op stub returning nil. The calls
+//     at the seams compile to nothing — the hooks are free in production
+//     binaries; the happy path pays zero cost for being injectable.
 //   - `-tags faultinject`: Fire consults a process-wide handler registry
 //     (Set/Clear/Reset) and counts activations (Fired). The chaos suites in
 //     internal/run and internal/service build only under this tag and run
@@ -63,18 +62,18 @@ const (
 	// queue placement. Guards: requeue is never lossy — pooled cells are
 	// still delivered by the next poll.
 	ClusterRequeue Point = "cluster.requeue"
-	// ClusterSend fires in cluster.FlakyTransport before a protocol request
-	// is delivered to the coordinator; a handler error drops the request on
-	// the floor — it never reaches the coordinator, the caller sees a
-	// transport failure. Guards: a lossy request channel delays work but
+	// ClusterSend fires in the cluster tests' flaky transport before a
+	// protocol request is delivered to the coordinator; a handler error
+	// drops the request on the floor — it never reaches the coordinator,
+	// the caller sees a transport failure. Guards: a lossy request channel delays work but
 	// never loses or duplicates rows (the worker's retry discipline plus
 	// the coordinator's per-index dedup), and a total poll blackhole still
 	// yields a deadline-bounded degraded response.
 	ClusterSend Point = "cluster.send"
-	// ClusterRecv fires in cluster.FlakyTransport after the coordinator
-	// produced a response; a handler error drops the response on the way
-	// back — the coordinator's side effects happened, the caller sees a
-	// transport failure. Guards: a lost ack makes the worker retransmit an
+	// ClusterRecv fires in the cluster tests' flaky transport after the
+	// coordinator produced a response; a handler error drops the response
+	// on the way back — the coordinator's side effects happened, the caller
+	// sees a transport failure. Guards: a lost ack makes the worker retransmit an
 	// already-delivered RowReturn, and the coordinator must keep row
 	// delivery exactly-once under that duplication.
 	ClusterRecv Point = "cluster.recv"

@@ -293,12 +293,6 @@ func MustNew(cfg Config) *Hierarchy {
 	return h
 }
 
-// Config returns the construction configuration.
-func (h *Hierarchy) Config() Config { return h.cfg }
-
-// LineSize returns the machine's cache line size.
-func (h *Hierarchy) LineSize() int64 { return h.cfg.LineSize }
-
 // DRAM exposes the memory model (for bandwidth statistics).
 func (h *Hierarchy) DRAM() *dram.Model { return h.dramM }
 
@@ -610,9 +604,6 @@ func (h *Hierarchy) postWriteback(core int, now float64, victim uint64) {
 	}
 	h.dramM.Posted(now, victim, h.cfg.LineSize, true)
 }
-
-// MissOverlap returns the configured exposure factor for miss latency.
-func (h *Hierarchy) MissOverlap() float64 { return h.cfg.MissOverlap }
 
 // Reset restores all structural state (caches, TLBs, prefetchers, DRAM
 // queues) and statistics to power-on.

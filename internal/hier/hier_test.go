@@ -273,10 +273,10 @@ func TestReset(t *testing.T) {
 	if h.DRAM().Stats.Reads != 0 {
 		t.Error("DRAM stats survived reset")
 	}
-	if st := h.L1Stats(0); st.Accesses() != 0 {
+	if st := h.L1Stats(0); st.Hits+st.Misses != 0 {
 		t.Error("L1 stats survived reset")
 	}
-	if ts, walks := h.TLBStats(0); ts.Accesses() != 0 || walks != 0 {
+	if ts, walks := h.TLBStats(0); ts.Hits+ts.Misses != 0 || walks != 0 {
 		t.Error("TLB stats survived reset")
 	}
 	if h.PrefetchFills != 0 {
@@ -284,14 +284,6 @@ func TestReset(t *testing.T) {
 	}
 	if cycles, res := h.AccessL1(0, 0, false); res.Hit || cycles == 0 {
 		t.Errorf("L1 or TLB content survived reset: hit=%v, translation %v cycles", res.Hit, cycles)
-	}
-}
-
-func TestMissOverlapAccessor(t *testing.T) {
-	cfg := flat()
-	cfg.MissOverlap = 0.25
-	if got := MustNew(cfg).MissOverlap(); got != 0.25 {
-		t.Fatalf("MissOverlap() = %v", got)
 	}
 }
 

@@ -25,7 +25,6 @@ import (
 	"math"
 	"strings"
 
-	"riscvmem/internal/machine"
 	"riscvmem/internal/sim"
 )
 
@@ -132,18 +131,8 @@ type Result struct {
 // numerator the §3.3 utilization metric uses for Fig. 7.
 func BytesMoved(w, h, c int) int64 { return 16 * int64(w) * int64(h) * int64(c) }
 
-// Run executes one blur variant on a fresh simulated machine.
-func Run(spec machine.Spec, cfg Config) (Result, error) {
-	m, err := sim.New(spec)
-	if err != nil {
-		return Result{}, err
-	}
-	return RunOn(m, cfg)
-}
-
 // RunOn executes one blur variant on the given machine, which must be in its
-// power-on state (freshly constructed or Reset) — the pooled-runner entry
-// point that skips per-run Machine construction.
+// power-on state (freshly constructed or Reset by the runner's pool).
 func RunOn(m *sim.Machine, cfg Config) (Result, error) {
 	spec := m.Spec()
 	if cfg.W <= 0 || cfg.H <= 0 || cfg.C <= 0 {
@@ -207,10 +196,6 @@ func RunOn(m *sim.Machine, cfg Config) (Result, error) {
 	return out, nil
 }
 
-// elementwise switches the kernels to the scalar element-by-element path;
-// the oracle test flips it to assert the range-API path is bit-identical.
-var elementwise = false
-
 // naive is Listing 4: for each output pixel and channel, walk the 2D kernel.
 // With interleaved channels the inner reads stride by C elements. The
 // kernel-row walk (f strided reads plus their flop/intop charges) goes
@@ -225,17 +210,7 @@ func naive(c *sim.Core, src, dst *sim.F32, k2 []float32, w, h, ch, f int) {
 			for cc := 0; cc < ch; cc++ {
 				var sum float32
 				for iF := 0; iF < f; iF++ {
-					posI := (i + iF) * wc
-					if elementwise {
-						for jF := 0; jF < f; jF++ {
-							posJ := (j+jF)*ch + cc
-							sum += src.Load(c, posI+posJ) * k2[iF*f+jF]
-							c.Flops32(2)
-							c.IntOps(2)
-						}
-						continue
-					}
-					base := posI + j*ch + cc
+					base := (i+iF)*wc + j*ch + cc
 					span[0].Addr = src.Addr(base)
 					c.TouchSpans(f, span[:], post[:])
 					for jF := 0; jF < f; jF++ {
@@ -264,14 +239,6 @@ func unitStride(c *sim.Core, src, dst *sim.F32, k2 []float32, w, h, ch, f int) {
 				for jF := 0; jF < f; jF++ {
 					base := posI + (j+jF)*ch
 					kv := k2[iF*f+jF]
-					if elementwise {
-						for cc := 0; cc < ch; cc++ {
-							sums[cc] += src.Load(c, base+cc) * kv
-							c.Flops32(2)
-							c.IntOps(1)
-						}
-						continue
-					}
 					span[0].Addr = src.Addr(base)
 					c.TouchSpans(ch, span[:], post[:])
 					for cc := 0; cc < ch; cc++ {
@@ -300,19 +267,11 @@ func oneD(c *sim.Core, src, tmp, dst *sim.F32, k1 []float32, w, h, ch, f int) {
 	for i := 0; i <= h-f; i++ {
 		for j := 0; j < wc; j++ {
 			var sum float32
-			if elementwise {
-				for iF := 0; iF < f; iF++ {
-					sum += src.Load(c, (i+iF)*wc+j) * k1[iF]
-					c.Flops32(2)
-					c.IntOps(2)
-				}
-			} else {
-				base := i*wc + j
-				span[0] = sim.Span{Addr: src.Addr(base), Stride: int64(wc) * 4, Bytes: 4}
-				c.TouchSpans(f, span[:], post[:])
-				for iF := 0; iF < f; iF++ {
-					sum += src.Data[base+iF*wc] * k1[iF]
-				}
+			base := i*wc + j
+			span[0] = sim.Span{Addr: src.Addr(base), Stride: int64(wc) * 4, Bytes: 4}
+			c.TouchSpans(f, span[:], post[:])
+			for iF := 0; iF < f; iF++ {
+				sum += src.Data[base+iF*wc] * k1[iF]
 			}
 			tmp.Store(c, (i+mid)*wc+j, sum)
 		}
@@ -322,19 +281,11 @@ func oneD(c *sim.Core, src, tmp, dst *sim.F32, k1 []float32, w, h, ch, f int) {
 		for j := 0; j <= w-f; j++ {
 			for cc := 0; cc < ch; cc++ {
 				var sum float32
-				if elementwise {
-					for jF := 0; jF < f; jF++ {
-						sum += tmp.Load(c, i*wc+(j+jF)*ch+cc) * k1[jF]
-						c.Flops32(2)
-						c.IntOps(2)
-					}
-				} else {
-					base := i*wc + j*ch + cc
-					span[0] = sim.Span{Addr: tmp.Addr(base), Stride: int64(ch) * 4, Bytes: 4}
-					c.TouchSpans(f, span[:], post[:])
-					for jF := 0; jF < f; jF++ {
-						sum += tmp.Data[base+jF*ch] * k1[jF]
-					}
+				base := i*wc + j*ch + cc
+				span[0] = sim.Span{Addr: tmp.Addr(base), Stride: int64(ch) * 4, Bytes: 4}
+				c.TouchSpans(f, span[:], post[:])
+				for jF := 0; jF < f; jF++ {
+					sum += tmp.Data[base+jF*ch] * k1[jF]
 				}
 				dst.Store(c, i*wc+(j+mid)*ch+cc, sum)
 			}
@@ -359,18 +310,6 @@ func memoryOrdered(m *sim.Machine, src, tmp, dst *sim.F32, k1 []float32, w, h, c
 		for iF := 0; iF < f; iF++ {
 			posI := (i + iF) * wc
 			kv := k1[iF]
-			if elementwise {
-				for j := 0; j < wc; j++ {
-					acc := tmp.Load(c, out+j)
-					if iF == 0 {
-						acc = 0
-					}
-					tmp.Store(c, out+j, acc+src.Load(c, posI+j)*kv)
-					c.Flops32(2)
-					c.IntOps(1)
-				}
-				continue
-			}
 			spans := [3]sim.Span{
 				{Addr: tmp.Addr(out), Stride: 4, Bytes: 4},
 				{Addr: src.Addr(posI), Stride: 4, Bytes: 4},
@@ -398,18 +337,6 @@ func memoryOrdered(m *sim.Machine, src, tmp, dst *sim.F32, k1 []float32, w, h, c
 		for jF := 0; jF < f; jF++ {
 			kv := k1[jF]
 			off := jF * ch
-			if elementwise {
-				for j := 0; j < span; j++ {
-					acc := dst.Load(c, row+mid*ch+j)
-					if jF == 0 {
-						acc = 0
-					}
-					dst.Store(c, row+mid*ch+j, acc+tmp.Load(c, row+off+j)*kv)
-					c.Flops32(2)
-					c.IntOps(1)
-				}
-				continue
-			}
 			spans := [3]sim.Span{
 				{Addr: dst.Addr(row + mid*ch), Stride: 4, Bytes: 4},
 				{Addr: tmp.Addr(row + off), Stride: 4, Bytes: 4},

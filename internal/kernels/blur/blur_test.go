@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"riscvmem/internal/machine"
+	"riscvmem/internal/sim"
 )
 
 func TestVariantMetadata(t *testing.T) {
@@ -69,11 +70,11 @@ func TestRejectsBadConfig(t *testing.T) {
 	}
 	for _, cfg := range bad {
 		cfg.Variant = Naive
-		if _, err := Run(d1, cfg); err == nil {
+		if _, err := RunOn(sim.MustNew(d1), cfg); err == nil {
 			t.Errorf("config %+v accepted", cfg)
 		}
 	}
-	if _, err := Run(d1, Config{W: 16, H: 16, C: 1, F: 3, Variant: Variant(42)}); err == nil {
+	if _, err := RunOn(sim.MustNew(d1), Config{W: 16, H: 16, C: 1, F: 3, Variant: Variant(42)}); err == nil {
 		t.Error("unknown variant accepted")
 	}
 }
@@ -82,7 +83,7 @@ func TestAllVariantsMatchReference(t *testing.T) {
 	// Small color image, every variant, two very different devices.
 	for _, spec := range []machine.Spec{machine.MangoPiD1(), machine.XeonServer()} {
 		for _, v := range Variants() {
-			res, err := Run(spec, Config{W: 24, H: 20, C: 3, F: 5, Variant: v, Verify: true})
+			res, err := RunOn(sim.MustNew(spec), Config{W: 24, H: 20, C: 3, F: 5, Variant: v, Verify: true})
 			if err != nil {
 				t.Errorf("%s/%v: %v", spec.Name, v, err)
 				continue
@@ -96,7 +97,7 @@ func TestAllVariantsMatchReference(t *testing.T) {
 
 func TestSingleChannelWorks(t *testing.T) {
 	for _, v := range Variants() {
-		if _, err := Run(machine.VisionFive(), Config{W: 20, H: 18, C: 1, F: 3, Variant: v, Verify: true}); err != nil {
+		if _, err := RunOn(sim.MustNew(machine.VisionFive()), Config{W: 20, H: 18, C: 1, F: 3, Variant: v, Verify: true}); err != nil {
 			t.Errorf("%v on 1-channel: %v", v, err)
 		}
 	}
@@ -108,13 +109,13 @@ func TestOneDFasterThanNaive(t *testing.T) {
 	for _, spec := range machine.All() {
 		n := cfg
 		n.Variant = Naive
-		rn, err := Run(spec, n)
+		rn, err := RunOn(sim.MustNew(spec), n)
 		if err != nil {
 			t.Fatal(err)
 		}
 		o := cfg
 		o.Variant = OneD
-		ro, err := Run(spec, o)
+		ro, err := RunOn(sim.MustNew(spec), o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,13 +134,13 @@ func TestMemoryBeatsOneD(t *testing.T) {
 	for _, spec := range []machine.Spec{machine.XeonServer(), machine.MangoPiD1()} {
 		o := cfg
 		o.Variant = OneD
-		ro, err := Run(spec, o)
+		ro, err := RunOn(sim.MustNew(spec), o)
 		if err != nil {
 			t.Fatal(err)
 		}
 		mo := cfg
 		mo.Variant = Memory
-		rm, err := Run(spec, mo)
+		rm, err := RunOn(sim.MustNew(spec), mo)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,13 +159,13 @@ func TestXeonMemoryGetsVectorizationBoost(t *testing.T) {
 	speedup := func(spec machine.Spec) float64 {
 		n := cfg
 		n.Variant = Naive
-		rn, err := Run(spec, n)
+		rn, err := RunOn(sim.MustNew(spec), n)
 		if err != nil {
 			t.Fatal(err)
 		}
 		m := cfg
 		m.Variant = Memory
-		rm, err := Run(spec, m)
+		rm, err := RunOn(sim.MustNew(spec), m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,13 +181,13 @@ func TestParallelHelpsOnMultiCore(t *testing.T) {
 	cfg := Config{W: 96, H: 64, C: 3, F: 9}
 	m := cfg
 	m.Variant = Memory
-	rm, err := Run(machine.XeonServer(), m)
+	rm, err := RunOn(sim.MustNew(machine.XeonServer()), m)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := cfg
 	p.Variant = Parallel
-	rp, err := Run(machine.XeonServer(), p)
+	rp, err := RunOn(sim.MustNew(machine.XeonServer()), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +204,7 @@ func TestBytesMoved(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	run := func() float64 {
-		r, err := Run(machine.RaspberryPi4(), Config{W: 32, H: 24, C: 3, F: 5, Variant: Parallel})
+		r, err := RunOn(sim.MustNew(machine.RaspberryPi4()), Config{W: 32, H: 24, C: 3, F: 5, Variant: Parallel})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -144,41 +144,8 @@ type Measurement struct {
 	Mem sim.Summary
 }
 
-// elementwise switches Run to the scalar element-by-element path; the
-// oracle test flips it to assert the range-API path is bit-identical.
-var elementwise = false
-
-// elementwiseBody is one scalar STREAM iteration — the reference semantics
-// the TouchSpans-based path must reproduce exactly.
-func elementwiseBody(c *sim.Core, t Test, a, b, cArr *sim.F64, d float64, i int) {
-	switch t {
-	case Copy:
-		a.Store(c, i, b.Load(c, i))
-	case Scale:
-		a.Store(c, i, d*b.Load(c, i))
-		c.Flops(1)
-	case Sum:
-		a.Store(c, i, b.Load(c, i)+cArr.Load(c, i))
-		c.Flops(1)
-	case Triad:
-		a.Store(c, i, b.Load(c, i)+d*cArr.Load(c, i))
-		c.Flops(2)
-	}
-	c.IntOps(1)
-}
-
-// Run executes one STREAM measurement on a fresh machine.
-func Run(spec machine.Spec, cfg Config) (Measurement, error) {
-	m, err := sim.New(spec)
-	if err != nil {
-		return Measurement{}, err
-	}
-	return RunOn(m, cfg)
-}
-
 // RunOn executes one STREAM measurement on the given machine, which must be
-// in its power-on state (freshly constructed or Reset) — the pooled-runner
-// entry point that skips per-run Machine construction.
+// in its power-on state (freshly constructed or Reset by the runner's pool).
 func RunOn(m *sim.Machine, cfg Config) (Measurement, error) {
 	if cfg.Elems <= 0 {
 		return Measurement{}, fmt.Errorf("stream: non-positive array size %d", cfg.Elems)
@@ -207,8 +174,8 @@ func RunOn(m *sim.Machine, cfg Config) (Measurement, error) {
 	// Timing runs through the bulk range API: per chunk, TouchSpans charges
 	// the interleaved element accesses (load b[i], [load c[i],] store a[i],
 	// flops, intops — the exact order of the scalar loop) line-granularly,
-	// and the arithmetic itself runs as a plain Go loop. elementwiseBody is
-	// the scalar oracle the range path is tested against.
+	// and the arithmetic itself runs as a plain Go loop. The oracle test
+	// holds it to that scalar loop.
 	body := func(c *sim.Core, lo, hi int) {
 		// STREAM loops auto-vectorize on toolchains that support it; the
 		// flag is a no-op on the scalar RISC-V presets.
@@ -252,15 +219,6 @@ func RunOn(m *sim.Machine, cfg Config) (Measurement, error) {
 			}
 		}
 	}
-	if elementwise {
-		body = func(c *sim.Core, lo, hi int) {
-			c.Vec = true
-			for i := lo; i < hi; i++ {
-				elementwiseBody(c, cfg.Test, a, b, cArr, d, i)
-			}
-		}
-	}
-
 	meas := Measurement{Config: cfg, Device: spec.Name}
 	bytes := cfg.Test.BytesPerIter() * int64(n)
 	meas.Bytes = bytes

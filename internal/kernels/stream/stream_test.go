@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"riscvmem/internal/machine"
+	"riscvmem/internal/sim"
 )
 
 func TestTestMetadata(t *testing.T) {
@@ -35,14 +36,14 @@ func TestTestMetadata(t *testing.T) {
 }
 
 func TestRunRejectsBadConfig(t *testing.T) {
-	if _, err := Run(machine.MangoPiD1(), Config{Test: Copy, Elems: 0}); err == nil {
+	if _, err := RunOn(sim.MustNew(machine.MangoPiD1()), Config{Test: Copy, Elems: 0}); err == nil {
 		t.Fatal("zero-size run accepted")
 	}
 }
 
 func TestRunComputesAndMeasures(t *testing.T) {
 	for _, tst := range Tests() {
-		meas, err := Run(machine.MangoPiD1(), Config{Test: tst, Elems: 2048, Reps: 2})
+		meas, err := RunOn(sim.MustNew(machine.MangoPiD1()), Config{Test: tst, Elems: 2048, Reps: 2})
 		if err != nil {
 			t.Fatalf("%v: %v", tst, err)
 		}
@@ -56,11 +57,11 @@ func TestRunComputesAndMeasures(t *testing.T) {
 }
 
 func TestScaleByMultipliesBandwidth(t *testing.T) {
-	base, err := Run(machine.MangoPiD1(), Config{Test: Copy, Elems: 512, Reps: 1})
+	base, err := RunOn(sim.MustNew(machine.MangoPiD1()), Config{Test: Copy, Elems: 512, Reps: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	x4, err := Run(machine.MangoPiD1(), Config{Test: Copy, Elems: 512, Reps: 1, ScaleBy: 4})
+	x4, err := RunOn(sim.MustNew(machine.MangoPiD1()), Config{Test: Copy, Elems: 512, Reps: 1, ScaleBy: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,11 +75,11 @@ func TestL1FasterThanDRAM(t *testing.T) {
 	// The level asymmetry behind Fig. 1: small (cache-resident) arrays must
 	// show much higher bandwidth than DRAM-sized ones on every device.
 	for _, spec := range machine.All() {
-		small, err := Run(spec, Config{Test: Copy, Elems: 256, Reps: 2})
+		small, err := RunOn(sim.MustNew(spec), Config{Test: Copy, Elems: 256, Reps: 2})
 		if err != nil {
 			t.Fatalf("%s small: %v", spec.Name, err)
 		}
-		big, err := Run(spec, Config{Test: Copy, Elems: 1 << 16, Cores: 1, Reps: 1})
+		big, err := RunOn(sim.MustNew(spec), Config{Test: Copy, Elems: 1 << 16, Cores: 1, Reps: 1})
 		if err != nil {
 			t.Fatalf("%s big: %v", spec.Name, err)
 		}
@@ -96,7 +97,7 @@ func TestDRAMBandwidthOrderingAcrossDevices(t *testing.T) {
 	for _, spec := range machine.All() {
 		lv := Levels(spec, 8)
 		dram := lv[len(lv)-1]
-		meas, err := Run(spec, Config{Test: Triad, Elems: dram.Elems, Cores: dram.Cores, Reps: 1, ScaleBy: dram.ScaleBy})
+		meas, err := RunOn(sim.MustNew(spec), Config{Test: Triad, Elems: dram.Elems, Cores: dram.Cores, Reps: 1, ScaleBy: dram.ScaleBy})
 		if err != nil {
 			t.Fatalf("%s: %v", spec.Name, err)
 		}
@@ -154,7 +155,7 @@ func TestLevelsStructure(t *testing.T) {
 
 func TestDeterministicBandwidth(t *testing.T) {
 	run := func() float64 {
-		m, err := Run(machine.VisionFive(), Config{Test: Triad, Elems: 4096, Cores: 2, Reps: 2})
+		m, err := RunOn(sim.MustNew(machine.VisionFive()), Config{Test: Triad, Elems: 4096, Cores: 2, Reps: 2})
 		if err != nil {
 			t.Fatal(err)
 		}

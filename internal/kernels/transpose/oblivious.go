@@ -45,9 +45,7 @@ func transposeDiag(c *sim.Core, mat *sim.F64, n, lo, hi int) {
 	size := hi - lo
 	if size <= obliviousBase {
 		for i := lo; i < hi; i++ {
-			for j := i + 1; j < hi; j++ {
-				swap(c, mat, i*n+j, j*n+i)
-			}
+			swapRange(c, mat, i*n+i+1, (i+1)*n+i, 1, n, hi-i-1)
 		}
 		return
 	}
@@ -63,9 +61,7 @@ func swapRect(c *sim.Core, mat *sim.F64, n, r0, r1, c0, c1 int) {
 	rows, cols := r1-r0, c1-c0
 	if rows <= obliviousBase && cols <= obliviousBase {
 		for i := r0; i < r1; i++ {
-			for j := c0; j < c1; j++ {
-				swap(c, mat, i*n+j, j*n+i)
-			}
+			swapRange(c, mat, i*n+c0, c0*n+i, 1, n, c1-c0)
 		}
 		return
 	}

@@ -4,13 +4,14 @@ import (
 	"testing"
 
 	"riscvmem/internal/machine"
+	"riscvmem/internal/sim"
 )
 
 func TestCacheObliviousCorrect(t *testing.T) {
 	for _, spec := range machine.All() {
 		// Both power-of-two and the grid-divisible-but-odd shape.
 		for _, n := range []int{64, 256} {
-			if _, err := Run(spec, Config{N: n, Variant: CacheOblivious, Verify: true}); err != nil {
+			if _, err := RunOn(sim.MustNew(spec), Config{N: n, Variant: CacheOblivious, Verify: true}); err != nil {
 				t.Errorf("%s n=%d: %v", spec.Name, n, err)
 			}
 		}
@@ -20,11 +21,11 @@ func TestCacheObliviousCorrect(t *testing.T) {
 func TestCacheObliviousBeatsNaive(t *testing.T) {
 	const n = 1024
 	for _, spec := range []machine.Spec{machine.MangoPiD1(), machine.XeonServer()} {
-		naive, err := Run(spec, Config{N: n, Variant: Naive})
+		naive, err := RunOn(sim.MustNew(spec), Config{N: n, Variant: Naive})
 		if err != nil {
 			t.Fatal(err)
 		}
-		obl, err := Run(spec, Config{N: n, Variant: CacheOblivious})
+		obl, err := RunOn(sim.MustNew(spec), Config{N: n, Variant: CacheOblivious})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,11 +40,11 @@ func TestCacheObliviousCompetitiveWithBlocking(t *testing.T) {
 	// The cache-oblivious claim: within ~2.5× of the hand-tuned blocked
 	// version without any tuning knob.
 	const n = 1024
-	blk, err := Run(machine.VisionFive(), Config{N: n, Variant: Blocking})
+	blk, err := RunOn(sim.MustNew(machine.VisionFive()), Config{N: n, Variant: Blocking})
 	if err != nil {
 		t.Fatal(err)
 	}
-	obl, err := Run(machine.VisionFive(), Config{N: n, Variant: CacheOblivious})
+	obl, err := RunOn(sim.MustNew(machine.VisionFive()), Config{N: n, Variant: CacheOblivious})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"riscvmem/internal/machine"
+	"riscvmem/internal/sim"
 )
 
 // The paper's §4.2 narrative, verified through the machine counters rather
@@ -12,11 +13,11 @@ import (
 
 func TestNaiveThrashesTLBBlockedDoesNot(t *testing.T) {
 	const n = 1024 // rows 8 KiB apart: every naive column step is a new page
-	naive, err := Run(machine.MangoPiD1(), Config{N: n, Variant: Naive})
+	naive, err := RunOn(sim.MustNew(machine.MangoPiD1()), Config{N: n, Variant: Naive})
 	if err != nil {
 		t.Fatal(err)
 	}
-	blocked, err := Run(machine.MangoPiD1(), Config{N: n, Variant: ManualBlocking})
+	blocked, err := RunOn(sim.MustNew(machine.MangoPiD1()), Config{N: n, Variant: ManualBlocking})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,11 +37,11 @@ func TestBlockedReducesL1Misses(t *testing.T) {
 	// at n=1024 comes from TLB walks instead (covered above).
 	const n = 1024
 	for _, spec := range []machine.Spec{machine.VisionFive(), machine.MangoPiD1()} {
-		naive, err := Run(spec, Config{N: n, Variant: Naive})
+		naive, err := RunOn(sim.MustNew(spec), Config{N: n, Variant: Naive})
 		if err != nil {
 			t.Fatal(err)
 		}
-		blocked, err := Run(spec, Config{N: n, Variant: ManualBlocking})
+		blocked, err := RunOn(sim.MustNew(spec), Config{N: n, Variant: ManualBlocking})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,7 +56,7 @@ func TestDRAMTrafficNearMinimumWhenBlocked(t *testing.T) {
 	// Manual blocking stages tiles once: DRAM traffic should approach the
 	// 16·N² analytic minimum (within write-allocate overhead, ~2×).
 	const n = 1024
-	res, err := Run(machine.RaspberryPi4(), Config{N: n, Variant: ManualBlocking})
+	res, err := RunOn(sim.MustNew(machine.RaspberryPi4()), Config{N: n, Variant: ManualBlocking})
 	if err != nil {
 		t.Fatal(err)
 	}

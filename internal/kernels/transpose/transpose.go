@@ -114,18 +114,9 @@ func defaultBlock(spec machine.Spec) int {
 	}
 }
 
-// Run executes one transposition variant on a fresh simulated machine.
-func Run(spec machine.Spec, cfg Config) (Result, error) {
-	m, err := sim.New(spec)
-	if err != nil {
-		return Result{}, err
-	}
-	return RunOn(m, cfg)
-}
-
 // RunOn executes one transposition variant on the given machine, which must
-// be in its power-on state (freshly constructed or Reset) — the
-// pooled-runner entry point that skips per-run Machine construction.
+// be in its power-on state (freshly constructed or Reset by the runner's
+// pool).
 func RunOn(m *sim.Machine, cfg Config) (Result, error) {
 	spec := m.Spec()
 	if cfg.N <= 0 {
@@ -196,32 +187,12 @@ func RunOn(m *sim.Machine, cfg Config) (Result, error) {
 	return out, nil
 }
 
-// elementwise switches the kernels to the scalar element-by-element path;
-// the oracle test flips it to assert the range-API path is bit-identical.
-var elementwise = false
-
-// swap exchanges two elements through the simulated memory system — the
-// reference semantics of one swapRange iteration.
-func swap(c *sim.Core, mat *sim.F64, p, q int) {
-	vp := mat.Load(c, p)
-	vq := mat.Load(c, q)
-	mat.Store(c, p, vq)
-	mat.Store(c, q, vp)
-	c.IntOps(3) // index arithmetic + loop branch
-}
-
 // swapRange exchanges count element pairs (p0+k·pStride, q0+k·qStride)
-// exactly like the scalar swap loop: the four interleaved accesses per pair
-// are charged through TouchSpans (line-granular lookups) and the data moves
-// in a plain Go loop.
+// exactly like the scalar swap loop (load p, load q, store p, store q, three
+// integer ops per pair): the four interleaved accesses are charged through
+// TouchSpans (line-granular lookups) and the data moves in a plain Go loop.
 func swapRange(c *sim.Core, mat *sim.F64, p0, q0, pStride, qStride, count int) {
 	if count <= 0 {
-		return
-	}
-	if elementwise {
-		for k := 0; k < count; k++ {
-			swap(c, mat, p0+k*pStride, q0+k*qStride)
-		}
 		return
 	}
 	ps, qs := int64(pStride)*8, int64(qStride)*8
@@ -292,12 +263,6 @@ func runManual(m *sim.Machine, mat *sim.F64, n, blk, cores int, sched sim.Schedu
 // copyRow moves count elements from src[s0:] to dst[d0:] with the load and
 // store interleaved per element, exactly like the scalar staging loop.
 func copyRow(c *sim.Core, dst, src *sim.F64, d0, s0, count int) {
-	if elementwise {
-		for j := 0; j < count; j++ {
-			dst.Store(c, d0+j, src.Load(c, s0+j))
-		}
-		return
-	}
 	spans := [2]sim.Span{
 		{Addr: src.Addr(s0), Stride: 8, Bytes: 8},
 		{Addr: dst.Addr(d0), Stride: 8, Bytes: 8, Write: true},

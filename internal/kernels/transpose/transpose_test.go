@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"riscvmem/internal/machine"
+	"riscvmem/internal/sim"
 )
 
 func TestVariantMetadata(t *testing.T) {
@@ -26,13 +27,13 @@ func TestBytesMoved(t *testing.T) {
 }
 
 func TestRejectsBadConfig(t *testing.T) {
-	if _, err := Run(machine.MangoPiD1(), Config{N: 0, Variant: Naive}); err == nil {
+	if _, err := RunOn(sim.MustNew(machine.MangoPiD1()), Config{N: 0, Variant: Naive}); err == nil {
 		t.Error("zero size accepted")
 	}
-	if _, err := Run(machine.MangoPiD1(), Config{N: 100, Variant: Blocking, Block: 32}); err == nil {
+	if _, err := RunOn(sim.MustNew(machine.MangoPiD1()), Config{N: 100, Variant: Blocking, Block: 32}); err == nil {
 		t.Error("non-divisible block accepted")
 	}
-	if _, err := Run(machine.MangoPiD1(), Config{N: 64, Variant: Variant(99)}); err == nil {
+	if _, err := RunOn(sim.MustNew(machine.MangoPiD1()), Config{N: 64, Variant: Variant(99)}); err == nil {
 		t.Error("unknown variant accepted")
 	}
 }
@@ -40,7 +41,7 @@ func TestRejectsBadConfig(t *testing.T) {
 func TestAllVariantsCorrectOnAllDevices(t *testing.T) {
 	for _, spec := range machine.All() {
 		for _, v := range Variants() {
-			res, err := Run(spec, Config{N: 64, Variant: v, Verify: true})
+			res, err := RunOn(sim.MustNew(spec), Config{N: 64, Variant: v, Verify: true})
 			if err != nil {
 				t.Errorf("%s/%v: %v", spec.Name, v, err)
 				continue
@@ -54,7 +55,7 @@ func TestAllVariantsCorrectOnAllDevices(t *testing.T) {
 
 func TestOversizeMatrixRejectedByRAM(t *testing.T) {
 	// The Fig. 2 capacity story: 16384² does not fit the Mango Pi.
-	if _, err := Run(machine.MangoPiD1(), Config{N: 16384, Variant: Naive}); err == nil {
+	if _, err := RunOn(sim.MustNew(machine.MangoPiD1()), Config{N: 16384, Variant: Naive}); err == nil {
 		t.Fatal("16384² accepted on the 1 GiB Mango Pi")
 	}
 }
@@ -66,11 +67,11 @@ func TestBlockingBeatsNaive(t *testing.T) {
 	// naive version caches fine and there is nothing to win.
 	const n = 1024
 	for _, spec := range machine.All() {
-		naive, err := Run(spec, Config{N: n, Variant: Naive})
+		naive, err := RunOn(sim.MustNew(spec), Config{N: n, Variant: Naive})
 		if err != nil {
 			t.Fatal(err)
 		}
-		blocked, err := Run(spec, Config{N: n, Variant: Blocking})
+		blocked, err := RunOn(sim.MustNew(spec), Config{N: n, Variant: Blocking})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,11 +86,11 @@ func TestParallelGainsNothingOnSingleCore(t *testing.T) {
 	// Fig. 2: "the lack of acceleration of parallel implementations on
 	// Mango Pi is due to the single-core CPU."
 	const n = 128
-	naive, err := Run(machine.MangoPiD1(), Config{N: n, Variant: Naive})
+	naive, err := RunOn(sim.MustNew(machine.MangoPiD1()), Config{N: n, Variant: Naive})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Run(machine.MangoPiD1(), Config{N: n, Variant: Parallel})
+	par, err := RunOn(sim.MustNew(machine.MangoPiD1()), Config{N: n, Variant: Parallel})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,11 +102,11 @@ func TestParallelGainsNothingOnSingleCore(t *testing.T) {
 
 func TestParallelHelpsOnXeon(t *testing.T) {
 	const n = 256
-	naive, err := Run(machine.XeonServer(), Config{N: n, Variant: Naive})
+	naive, err := RunOn(sim.MustNew(machine.XeonServer()), Config{N: n, Variant: Naive})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Run(machine.XeonServer(), Config{N: n, Variant: Parallel})
+	par, err := RunOn(sim.MustNew(machine.XeonServer()), Config{N: n, Variant: Parallel})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,11 +119,11 @@ func TestDynamicAtLeastAsGoodAsManualOnXeon(t *testing.T) {
 	// Dynamic scheduling fixes the triangular imbalance of static block
 	// rows (§4.2 "Dynamic Scheduling").
 	const n = 512
-	man, err := Run(machine.XeonServer(), Config{N: n, Variant: ManualBlocking})
+	man, err := RunOn(sim.MustNew(machine.XeonServer()), Config{N: n, Variant: ManualBlocking})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dyn, err := Run(machine.XeonServer(), Config{N: n, Variant: Dynamic})
+	dyn, err := RunOn(sim.MustNew(machine.XeonServer()), Config{N: n, Variant: Dynamic})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +146,7 @@ func TestDefaultBlockFitsL1(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	run := func() float64 {
-		r, err := Run(machine.VisionFive(), Config{N: 128, Variant: Dynamic})
+		r, err := RunOn(sim.MustNew(machine.VisionFive()), Config{N: 128, Variant: Dynamic})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,7 +163,7 @@ func TestPropertyCorrectForRandomSizes(t *testing.T) {
 	f := func(raw uint8) bool {
 		n := (int(raw)%4 + 1) * 32 // 32..128, multiple of the test block
 		for _, v := range Variants() {
-			if _, err := Run(machine.VisionFive(), Config{N: n, Variant: v, Block: 16, Verify: true}); err != nil {
+			if _, err := RunOn(sim.MustNew(machine.VisionFive()), Config{N: n, Variant: v, Block: 16, Verify: true}); err != nil {
 				t.Logf("n=%d variant=%v: %v", n, v, err)
 				return false
 			}

@@ -129,9 +129,6 @@ func OpenDisk(dir string, codec Codec) (*Disk, error) {
 	return &Disk{dir: dir, codec: codec}, nil
 }
 
-// Dir returns the store's root directory.
-func (d *Disk) Dir() string { return d.dir }
-
 // keyHash is the content address: sha256 over the canonical key encoding.
 func keyHash(key Key) string {
 	h := sha256.New()

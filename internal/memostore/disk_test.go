@@ -165,7 +165,7 @@ func TestDiskCorruptionQuarantined(t *testing.T) {
 			if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
 				t.Fatalf("corrupt entry still at %s", path)
 			}
-			qpath := filepath.Join(d.Dir(), quarantineDir, filepath.Base(path))
+			qpath := filepath.Join(d.dir, quarantineDir, filepath.Base(path))
 			if _, err := os.Stat(qpath); err != nil {
 				t.Fatalf("quarantined copy missing: %v", err)
 			}

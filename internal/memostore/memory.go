@@ -115,17 +115,6 @@ func (m *Memory) Put(key Key, v any) {
 	}
 }
 
-// Len reports the entries currently held across all shards.
-func (m *Memory) Len() int {
-	n := 0
-	for i := range m.shards {
-		m.shards[i].mu.Lock()
-		n += len(m.shards[i].m)
-		m.shards[i].mu.Unlock()
-	}
-	return n
-}
-
 // Stats snapshots the tier's counters.
 func (m *Memory) Stats() Stats {
 	return Stats{

@@ -24,6 +24,17 @@ func testKey(i int) Key {
 	return Key{Version: "riscvmem/vTEST", Device: "devA", Workload: fmt.Sprintf("w%04d", i)}
 }
 
+// memLen counts the entries held across all of m's shards.
+func memLen(m *Memory) int {
+	n := 0
+	for i := range m.shards {
+		m.shards[i].mu.Lock()
+		n += len(m.shards[i].m)
+		m.shards[i].mu.Unlock()
+	}
+	return n
+}
+
 func TestMemoryHitMissAndStats(t *testing.T) {
 	m := NewMemory(64)
 	k := testKey(1)
@@ -43,8 +54,8 @@ func TestMemoryHitMissAndStats(t *testing.T) {
 	if s.MemoryHits != 2 || s.MemoryMisses != 1 || s.MemoryEvictions != 0 {
 		t.Fatalf("stats = %+v, want 2 hits / 1 miss / 0 evictions", s)
 	}
-	if m.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", m.Len())
+	if memLen(m) != 1 {
+		t.Fatalf("Len = %d, want 1", memLen(m))
 	}
 }
 
@@ -110,7 +121,7 @@ func TestMemoryBounded(t *testing.T) {
 	for i := 0; i < 10*capacity; i++ {
 		m.Put(testKey(i), i)
 	}
-	if n := m.Len(); n > capacity {
+	if n := memLen(m); n > capacity {
 		t.Fatalf("Len = %d exceeds capacity %d", n, capacity)
 	}
 	s := m.Stats()
@@ -134,7 +145,7 @@ func TestMemoryConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if n := m.Len(); n > 256 {
+	if n := memLen(m); n > 256 {
 		t.Fatalf("Len = %d exceeds capacity", n)
 	}
 }
@@ -150,7 +161,7 @@ func TestTieredPromotion(t *testing.T) {
 
 	// A second tiered store over the same directory simulates a restart:
 	// cold memory, warm disk.
-	disk2, err := OpenDisk(disk.Dir(), testCodec())
+	disk2, err := OpenDisk(disk.dir, testCodec())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,12 +18,6 @@ func NewTiered(mem *Memory, disk *Disk) *Tiered {
 	return &Tiered{mem: mem, disk: disk}
 }
 
-// Memory returns the L1 tier.
-func (t *Tiered) Memory() *Memory { return t.mem }
-
-// Disk returns the L2 tier; nil for a memory-only store.
-func (t *Tiered) Disk() *Disk { return t.disk }
-
 // Get serves from the first tier that has the key.
 func (t *Tiered) Get(key Key) (any, Tier, bool) {
 	if v, tier, ok := t.mem.Get(key); ok {

@@ -287,7 +287,7 @@ func TestPanicOnSimulatedCoreIsJobError(t *testing.T) {
 					c.TouchRange(a.Addr(0), 8, 1<<10, false)
 					panic("kernel bug on core 1")
 				}
-				c.TouchRange(a.Addr(0), 8, a.Len(), false)
+				c.TouchRange(a.Addr(0), 8, len(a.Data), false)
 			})
 			return Result{Seconds: 1}, nil
 		})

@@ -8,6 +8,7 @@ import (
 	"riscvmem/internal/kernels/stream"
 	"riscvmem/internal/kernels/transpose"
 	"riscvmem/internal/machine"
+	"riscvmem/internal/sim"
 	"riscvmem/internal/units"
 )
 
@@ -36,15 +37,15 @@ func crossProduct() []Job {
 	return jobs
 }
 
-// serialResult runs one job the pre-Runner way — the kernel's own Run
-// function on a fresh machine — and maps it to the unified Result exactly
-// like the adapters do.
+// serialResult runs one job the pre-Runner way — the kernel's own RunOn on
+// a fresh machine — and maps it to the unified Result exactly like the
+// adapters do.
 func serialResult(t *testing.T, job Job) Result {
 	t.Helper()
 	spec := job.Device
 	switch w := job.Workload.(type) {
 	case streamWorkload:
-		meas, err := stream.Run(spec, w.cfg)
+		meas, err := stream.RunOn(sim.MustNew(spec), w.cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,7 +56,7 @@ func serialResult(t *testing.T, job Job) Result {
 			Bytes:   meas.Bytes, Bandwidth: meas.Best, Mem: meas.Mem,
 		}
 	case transposeWorkload:
-		res, err := transpose.Run(spec, w.cfg)
+		res, err := transpose.RunOn(sim.MustNew(spec), w.cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,7 +69,7 @@ func serialResult(t *testing.T, job Job) Result {
 			Mem:       res.Mem,
 		}
 	case blurWorkload:
-		res, err := blur.Run(spec, w.cfg)
+		res, err := blur.RunOn(sim.MustNew(spec), w.cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

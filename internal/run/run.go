@@ -1,9 +1,9 @@
 // Package run is the composable workload/runner layer of the library.
 //
 // The paper's evaluation is a cross-product — three kernels × five variants
-// × four devices — and the original per-kernel entry points (stream.Run,
-// transpose.Run, blur.Run) could not express it without bespoke glue: three
-// unrelated free functions, each paying full Machine construction per call.
+// × four devices — and the per-kernel entry points (stream.RunOn,
+// transpose.RunOn, blur.RunOn) cannot express it without bespoke glue: three
+// unrelated free functions, each needing a machine in power-on state.
 // This package redesigns that surface around three ideas:
 //
 //   - Workload: anything that can execute on a *sim.Machine and report a

@@ -281,7 +281,7 @@ func TestRunnerFillsMemSummary(t *testing.T) {
 			return Result{}, err
 		}
 		res := m.RunSeq(func(c *sim.Core) {
-			for i := 0; i < a.Len(); i++ {
+			for i := 0; i < len(a.Data); i++ {
 				a.Store(c, i, 1)
 			}
 		})

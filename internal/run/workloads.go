@@ -164,9 +164,6 @@ type streamWorkload struct {
 
 func (w streamWorkload) Name() string { return "stream/" + w.cfg.Test.String() }
 
-// Spec returns the canonical data encoding of this workload.
-func (w streamWorkload) Spec() WorkloadSpec { return StreamSpec(w.cfg) }
-
 // CacheKey is the canonical spec string: order-stable (keys sorted),
 // independent of Config's field layout, and pinned by golden tests — the
 // memoization identity survives struct refactors that fmt "%+v" keys did
@@ -208,9 +205,6 @@ func (w transposeWorkload) Name() string {
 	return fmt.Sprintf("transpose/%s", w.cfg.Variant)
 }
 
-// Spec returns the canonical data encoding of this workload.
-func (w transposeWorkload) Spec() WorkloadSpec { return TransposeSpec(w.cfg) }
-
 // CacheKey is the canonical spec string (see streamWorkload.CacheKey).
 func (w transposeWorkload) CacheKey() string { return w.key }
 
@@ -248,9 +242,6 @@ type blurWorkload struct {
 func (w blurWorkload) Name() string {
 	return fmt.Sprintf("gblur/%s", w.cfg.Variant)
 }
-
-// Spec returns the canonical data encoding of this workload.
-func (w blurWorkload) Spec() WorkloadSpec { return BlurSpec(w.cfg) }
 
 // CacheKey is the canonical spec string (see streamWorkload.CacheKey).
 func (w blurWorkload) CacheKey() string { return w.key }

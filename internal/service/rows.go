@@ -1,71 +1,30 @@
 package service
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
-// Row-level error taxonomy.
+// Row-level error messages.
 //
 // A failed response row carries its error as a string (ResultRow.Error), so
-// the distinction between failure classes has to live in the message text
-// itself — these constructors are the single source of those messages, and
-// ClassifyRowError is the inverse. Three classes exist:
+// the distinction between failure classes lives in the message text itself,
+// and these constructors are the single source of the two the cluster
+// control plane produces. Every other row error is a workload error: the
+// cell executed and its workload failed, and the runner's message is the
+// final answer.
 //
-//   - workload errors: the cell executed and its workload failed. Produced
-//     by the runner; the row is a final answer.
-//   - quarantined cells: the cluster control plane gave up on a cell after
-//     it exhausted its failure budget (every attempt ended in a worker loss
-//     or a contained cell failure). The row is a final answer too — retrying
+//   - quarantined cells: the control plane gave up on a cell after it
+//     exhausted its failure budget (every attempt ended in a worker loss or
+//     a contained cell failure). The row is a final answer too — retrying
 //     harder would just crash more workers.
 //   - deadline cells: the request's deadline expired before the cell
 //     completed. The work may still be cached by a worker; the same request
 //     with a longer deadline can succeed.
-//
-// Clients (and the chaos suite) branch on ClassifyRowError rather than
-// substring-matching ad hoc.
-
-// RowErrorKind names one class of row-level failure.
-type RowErrorKind string
-
-const (
-	// RowErrorWorkload is an ordinary per-job execution failure.
-	RowErrorWorkload RowErrorKind = "workload"
-	// RowErrorQuarantined marks a cell the cluster quarantined after its
-	// failure budget was exhausted.
-	RowErrorQuarantined RowErrorKind = "quarantined"
-	// RowErrorDeadline marks a cell cut off by the request deadline.
-	RowErrorDeadline RowErrorKind = "deadline"
-)
-
-// quarantinedPrefix/deadlineMessage are the canonical spellings; the
-// constructors build on them and ClassifyRowError matches them.
-const (
-	quarantinedPrefix = "cell quarantined after "
-	deadlineMessage   = "request deadline expired before the cell completed"
-)
 
 // QuarantinedRowError renders the error for a cell quarantined after
 // losses failed attempts (worker losses or contained cell failures).
 func QuarantinedRowError(losses int) string {
-	return fmt.Sprintf("%s%d worker losses", quarantinedPrefix, losses)
+	return fmt.Sprintf("cell quarantined after %d worker losses", losses)
 }
 
 // DeadlineRowError renders the error for a cell whose request deadline
 // expired before a row arrived.
-func DeadlineRowError() string { return deadlineMessage }
-
-// ClassifyRowError reports which class a row's error string belongs to.
-// Empty strings (successful rows) return "".
-func ClassifyRowError(msg string) RowErrorKind {
-	switch {
-	case msg == "":
-		return ""
-	case strings.HasPrefix(msg, quarantinedPrefix):
-		return RowErrorQuarantined
-	case strings.HasPrefix(msg, deadlineMessage):
-		return RowErrorDeadline
-	default:
-		return RowErrorWorkload
-	}
-}
+func DeadlineRowError() string { return "request deadline expired before the cell completed" }

@@ -2,32 +2,6 @@ package service
 
 import "testing"
 
-// TestRowErrorTaxonomyRoundTrip pins the constructor/classifier pair: every
-// message a constructor can produce classifies back to its own kind, and
-// anything else is a workload error. Coordinator and chaos suite both
-// branch on this — a drifted spelling would silently reclassify rows.
-func TestRowErrorTaxonomyRoundTrip(t *testing.T) {
-	cases := []struct {
-		name string
-		msg  string
-		want RowErrorKind
-	}{
-		{"empty is no error", "", ""},
-		{"quarantined, default budget", QuarantinedRowError(3), RowErrorQuarantined},
-		{"quarantined, custom budget", QuarantinedRowError(7), RowErrorQuarantined},
-		{"quarantined with cause suffix", QuarantinedRowError(3) + ": cell failed on worker w1: panic: boom", RowErrorQuarantined},
-		{"deadline", DeadlineRowError(), RowErrorDeadline},
-		{"plain workload error", "run: stream: reps must be positive", RowErrorWorkload},
-		{"workload error mentioning quarantine mid-string", "job failed: cell quarantined after midnight", RowErrorWorkload},
-		{"workload error mentioning deadline mid-string", "job failed: request deadline expired before the cell completed", RowErrorWorkload},
-	}
-	for _, tc := range cases {
-		if got := ClassifyRowError(tc.msg); got != tc.want {
-			t.Errorf("%s: ClassifyRowError(%q) = %q, want %q", tc.name, tc.msg, got, tc.want)
-		}
-	}
-}
-
 // TestQuarantinedRowErrorSpellsLosses pins the message text clients see.
 func TestQuarantinedRowErrorSpellsLosses(t *testing.T) {
 	if got, want := QuarantinedRowError(3), "cell quarantined after 3 worker losses"; got != want {

@@ -28,9 +28,6 @@ func (m *Machine) MustNewF64(n int) *F64 {
 	return a
 }
 
-// Len returns the element count.
-func (a *F64) Len() int { return len(a.Data) }
-
 // Addr returns the simulated byte address of element i.
 func (a *F64) Addr(i int) uint64 { return a.base + uint64(i)*8 }
 
@@ -52,13 +49,6 @@ func (a *F64) Store(c *Core, i int, v float64) {
 func (a *F64) LoadRange(c *Core, lo, hi int) []float64 {
 	c.TouchRange(a.Addr(lo), 8, hi-lo, false)
 	return a.Data[lo:hi:hi]
-}
-
-// StoreRange charges writes of elements [lo,lo+len(vals)) as one unit-stride
-// burst and copies vals into the array.
-func (a *F64) StoreRange(c *Core, lo int, vals []float64) {
-	c.TouchRange(a.Addr(lo), 8, len(vals), true)
-	copy(a.Data[lo:], vals)
 }
 
 // F32 is the float32 analogue of F64 (the blur kernels convert pixel
@@ -87,9 +77,6 @@ func (m *Machine) MustNewF32(n int) *F32 {
 	return a
 }
 
-// Len returns the element count.
-func (a *F32) Len() int { return len(a.Data) }
-
 // Addr returns the simulated byte address of element i.
 func (a *F32) Addr(i int) uint64 { return a.base + uint64(i)*4 }
 
@@ -103,18 +90,4 @@ func (a *F32) Load(c *Core, i int) float32 {
 func (a *F32) Store(c *Core, i int, v float32) {
 	c.touch(a.Addr(i), 4, true)
 	a.Data[i] = v
-}
-
-// LoadRange charges reads of elements [lo,hi) as one unit-stride burst and
-// returns the backing slice (aliasing the array's data).
-func (a *F32) LoadRange(c *Core, lo, hi int) []float32 {
-	c.TouchRange(a.Addr(lo), 4, hi-lo, false)
-	return a.Data[lo:hi:hi]
-}
-
-// StoreRange charges writes of elements [lo,lo+len(vals)) as one unit-stride
-// burst and copies vals into the array.
-func (a *F32) StoreRange(c *Core, lo int, vals []float32) {
-	c.TouchRange(a.Addr(lo), 4, len(vals), true)
-	copy(a.Data[lo:], vals)
 }

@@ -109,33 +109,34 @@ func TestTouchSpansOracle(t *testing.T) {
 	}
 }
 
-// TestLoadStoreRange checks the F64/F32 range helpers move the right data
-// and charge the same accesses as their scalar loops.
+// TestLoadStoreRange checks F64.LoadRange returns the right elements and
+// charges exactly the accesses of the per-element Load loop it stands for,
+// after a per-element Store has written one of them.
 func TestLoadStoreRange(t *testing.T) {
-	m := MustNew(machine.MangoPiD1())
-	a := m.MustNewF64(64)
-	b := m.MustNewF32(64)
-	for i := 0; i < 64; i++ {
-		a.Data[i] = float64(i)
+	program := func(ranged bool) (vals []float64, r patternResult) {
+		r = runPattern(t, machine.MangoPiD1(), 64, func(c *Core, a *F64) {
+			for i := range a.Data {
+				a.Data[i] = float64(i)
+			}
+			a.Store(c, 8, 100)
+			if ranged {
+				vals = a.LoadRange(c, 8, 24)
+				return
+			}
+			for i := 8; i < 24; i++ {
+				vals = append(vals, a.Load(c, i))
+			}
+		})
+		return vals, r
 	}
-	m.RunSeq(func(c *Core) {
-		vals := a.LoadRange(c, 8, 24)
-		if len(vals) != 16 || vals[0] != 8 || vals[15] != 23 {
-			t.Errorf("LoadRange data wrong: %v", vals)
-		}
-		a.StoreRange(c, 0, []float64{100, 101})
-		if a.Data[0] != 100 || a.Data[1] != 101 {
-			t.Errorf("StoreRange data wrong: %v", a.Data[:2])
-		}
-		b.StoreRange(c, 4, []float32{1, 2, 3})
-		got := b.LoadRange(c, 4, 7)
-		if got[0] != 1 || got[2] != 3 {
-			t.Errorf("F32 range data wrong: %v", got)
-		}
-		if c.Loads == 0 || c.Stores == 0 {
-			t.Errorf("range APIs did not charge accesses: loads=%d stores=%d", c.Loads, c.Stores)
-		}
-	})
+	got, gotR := program(true)
+	want, wantR := program(false)
+	if !slices.Equal(got, want) || len(got) != 16 || got[0] != 100 || got[15] != 23 {
+		t.Errorf("LoadRange data = %v, want %v", got, want)
+	}
+	if gotR != wantR {
+		t.Errorf("LoadRange diverges from the Load loop:\n got %+v\nwant %+v", gotR, wantR)
+	}
 }
 
 // rangeOp is one randomly drawn operation of a property-test program: a

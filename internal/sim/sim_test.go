@@ -19,8 +19,8 @@ func TestAllocRespectsRAM(t *testing.T) {
 	if err != nil {
 		t.Fatalf("small allocation failed: %v", err)
 	}
-	if a.Len() != 1024 {
-		t.Fatalf("Len = %d", a.Len())
+	if len(a.Data) != 1024 {
+		t.Fatalf("Len = %d", len(a.Data))
 	}
 	if m.Allocated() != 1024*8 {
 		t.Fatalf("Allocated = %d", m.Allocated())
@@ -34,7 +34,7 @@ func TestArraysAreDisjointAndAligned(t *testing.T) {
 	if a.Addr(0)%4096 != 0 || b.Addr(0)%4096 != 0 {
 		t.Fatal("arrays not page aligned")
 	}
-	if b.Addr(0) < a.Addr(a.Len()-1)+8 {
+	if b.Addr(0) < a.Addr(len(a.Data)-1)+8 {
 		t.Fatal("arrays overlap")
 	}
 }
@@ -72,7 +72,7 @@ func TestTimeAdvancesAndClockIsMonotonic(t *testing.T) {
 	m := MustNew(machine.MangoPiD1())
 	a := m.MustNewF64(1 << 12)
 	r1 := m.RunSeq(func(c *Core) {
-		for i := 0; i < a.Len(); i++ {
+		for i := 0; i < len(a.Data); i++ {
 			a.Store(c, i, 1)
 		}
 	})
@@ -90,12 +90,12 @@ func TestCacheReuseIsCheaper(t *testing.T) {
 	m := MustNew(machine.MangoPiD1())
 	a := m.MustNewF64(512) // 4 KiB fits L1
 	cold := m.RunSeq(func(c *Core) {
-		for i := 0; i < a.Len(); i++ {
+		for i := 0; i < len(a.Data); i++ {
 			a.Load(c, i)
 		}
 	})
 	warm := m.RunSeq(func(c *Core) {
-		for i := 0; i < a.Len(); i++ {
+		for i := 0; i < len(a.Data); i++ {
 			a.Load(c, i)
 		}
 	})
@@ -275,7 +275,7 @@ func TestDynamicBeatsStaticOnImbalance(t *testing.T) {
 		a := m.MustNewF64(n * n)
 		r := m.ParallelFor(4, n, sched, 1, func(c *Core, i int) {
 			for j := 0; j < (n-i)*n/n; j++ { // row i costs n-i touches
-				a.Load(c, (i*n+j)%a.Len())
+				a.Load(c, (i*n+j)%len(a.Data))
 			}
 		})
 		return r.Cycles
@@ -292,7 +292,7 @@ func TestVectorizationHelpsOnlyAutoVecDevices(t *testing.T) {
 		a := m.MustNewF64(1 << 12)
 		r := m.RunSeq(func(c *Core) {
 			c.Vec = vec
-			for i := 0; i < a.Len(); i++ {
+			for i := 0; i < len(a.Data); i++ {
 				a.Store(c, i, 2*a.Load(c, i))
 				c.Flops(1)
 			}

@@ -9,7 +9,7 @@ import (
 func TestSummaryAggregatesAcrossCores(t *testing.T) {
 	m := MustNew(machine.VisionFive())
 	a := m.MustNewF64(1 << 14) // 128 KiB: misses guaranteed
-	m.ParallelFor(2, a.Len(), Static, 0, func(c *Core, i int) {
+	m.ParallelFor(2, len(a.Data), Static, 0, func(c *Core, i int) {
 		a.Store(c, i, 1)
 	})
 	s := m.Stats()

@@ -52,9 +52,6 @@ type Stats struct {
 	Misses uint64
 }
 
-// Accesses returns total lookups.
-func (s Stats) Accesses() uint64 { return s.Hits + s.Misses }
-
 type entry struct {
 	vpn   uint64
 	used  uint64
@@ -137,9 +134,6 @@ func MustNew(cfg Config) *TLB {
 	}
 	return t
 }
-
-// Config returns the construction configuration.
-func (t *TLB) Config() Config { return t.cfg }
 
 // Lookup reports whether the page containing vaddr is cached, updating
 // recency and statistics. It does not insert on miss; composition across

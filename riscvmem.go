@@ -98,10 +98,9 @@ func DeviceByName(name string) (Device, error) { return machine.ByName(name) }
 //   - Core.TouchSpans charges n interleaved accesses across several element
 //     streams (Span) plus fixed per-iteration cycle charges — the shape of
 //     real kernel loops (load b[i], load c[i], store a[i], flops).
-//   - F64.LoadRange / F64.StoreRange (and the F32 analogues) wrap TouchRange
-//     together with the data movement.
+//   - F64.LoadRange wraps TouchRange together with the data read.
 //
-// Both are defined to be exactly equivalent to the corresponding per-element
+// All are defined to be exactly equivalent to the corresponding per-element
 // loop: simulated cycles bit for bit, identical cache/TLB/DRAM statistics
 // and replacement state. Oracle tests assert this on every device preset.
 //

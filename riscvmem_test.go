@@ -49,7 +49,7 @@ func TestCustomMachineKernel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := m.ParallelFor(2, a.Len(), riscvmem.Static, 0, func(c *riscvmem.Core, i int) {
+	res := m.ParallelFor(2, len(a.Data), riscvmem.Static, 0, func(c *riscvmem.Core, i int) {
 		a.Store(c, i, float64(i))
 	})
 	if res.Cycles <= 0 {
@@ -134,7 +134,7 @@ func TestRunnerFacade(t *testing.T) {
 				return riscvmem.Result{}, err
 			}
 			res := m.RunSeq(func(c *riscvmem.Core) {
-				for i := 0; i < a.Len(); i++ {
+				for i := 0; i < len(a.Data); i++ {
 					a.Store(c, i, 1)
 				}
 			})

@@ -2,10 +2,11 @@
 # One-shot local mirror of the CI lint job: go vet and the simlint analyzer
 # suite in both build variants (the production build and the -tags
 # faultinject chaos build — they compile different files, so each must be
-# analyzed on its own), then staticcheck and govulncheck when installed.
+# analyzed on its own), the reachability census, then staticcheck and
+# govulncheck when installed.
 # The last two are skipped with a notice rather than failed when absent,
 # so the script works in offline sandboxes; CI installs them and runs all
-# four unconditionally.
+# five unconditionally.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -16,6 +17,9 @@ go vet -tags faultinject ./...
 echo "== simlint"
 go run ./cmd/simlint ./...
 go run ./cmd/simlint -tags faultinject ./...
+
+echo "== reachability census"
+go test -count=1 -run 'TestCensus' .
 
 if command -v staticcheck >/dev/null 2>&1; then
     echo "== staticcheck"

@@ -281,6 +281,13 @@ func (c *Cache) access(ln uint64, write bool, st *Stats) Result {
 	return c.installAt(set, victim, tag, write, st)
 }
 
+// RepeatHits counts n demand hits on lines just hit, advancing the clock and
+// hit counter; the caller accesses the lines again to set their stamps.
+func (c *Cache) RepeatHits(n uint64) {
+	c.clock += n
+	c.Stats.Hits += n
+}
+
 // installAt installs into a pre-selected victim way (from access's fused
 // scan), identical to install's LRU/FIFO choice.
 func (c *Cache) installAt(set, victim int, tag uint64, dirty bool, st *Stats) Result {

@@ -394,6 +394,15 @@ func (h *Hierarchy) AccessL1(core int, addr uint64, write bool) (tlbCycles float
 	return tlbCycles, res
 }
 
+// RepeatHits counts n more µTLB and L1 hits of core, each repeating a lookup
+// made since its last miss: only the recency clocks and hit counters move.
+// The caller looks the lines up once more afterwards to set their stamps.
+func (h *Hierarchy) RepeatHits(core int, n uint64) {
+	st := &h.per[core]
+	st.utlb.RepeatHits(n)
+	st.l1.RepeatHits(n)
+}
+
 // MissRest completes an L1 miss whose fused lookup (AccessL1) already
 // counted the miss and installed the line: it posts the victim's write-back,
 // trains the prefetcher, matches in-flight fills and walks the shared

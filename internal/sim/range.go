@@ -94,6 +94,11 @@ func (c *Core) touchLines(addr uint64, step uint64, n int, write bool, issue flo
 // Callers may reuse the spans slice across calls, mutating Addr in place.
 // A single forward unit-stride span has no interleaving to preserve and is
 // charged line by line like TouchRange.
+//
+// Spans that stay in their lines for a run of indices are folded: once an
+// iteration of the run misses nothing and leaves the L0 filter as the one
+// before it did, the rest up to the run's last repeat its hits, counted in
+// one hierarchy call, with only their charges added (DESIGN §4.1).
 func (c *Core) TouchSpans(n int, spans []Span, post []float64) {
 	if n <= 0 {
 		return
@@ -121,7 +126,68 @@ func (c *Core) TouchSpans(n int, spans []Span, post []float64) {
 		}
 		issues = append(issues, c.issueCost(spans[s].Bytes))
 	}
-	for i := 0; i < n; i++ {
+	// A lone span's same-line accesses are filter hits already, and a column
+	// span leaves its line every iteration: neither has a run to fold.
+	lineSize := int64(c.lineMask + 1)
+	noRuns := len(spans) == 1
+	for s := range spans {
+		noRuns = noRuns || spans[s].Stride >= lineSize || -spans[s].Stride >= lineSize
+	}
+	if noRuns {
+		c.spanIters(0, n, spans, issues, post)
+		return
+	}
+	for i := 0; i < n; {
+		// The run: indices from i on at which every span stays in its line.
+		end := n
+		for s := range spans {
+			sp := &spans[s]
+			off := int64((sp.Addr + uint64(int64(i)*sp.Stride)) & c.lineMask)
+			k := int64(n)
+			if sp.Stride > 0 {
+				k = (lineSize - off + sp.Stride - 1) / sp.Stride
+			} else if sp.Stride < 0 {
+				k = off/-sp.Stride + 1
+			}
+			end = min(end, i+int(k))
+		}
+		if end-i >= 4 {
+			c.spanIters(i, i+1, spans, issues, post)
+			hits, misses := c.lookups()
+			key := c.lastKey
+			c.spanIters(i+1, i+2, spans, issues, post)
+			hits2, misses2 := c.lookups()
+			i += 2
+			if misses2 == misses && c.lastKey == key {
+				// Iteration i-1 hit every line it looked up, so iterations
+				// i..end-2 repeat its hits2-hits lookups exactly.
+				c.h.RepeatHits(c.id, (hits2-hits)*uint64(end-1-i))
+				for ; i < end-1; i++ {
+					for _, is := range issues {
+						c.now += is
+					}
+					for _, p := range post {
+						c.now += p
+					}
+				}
+			}
+		}
+		c.spanIters(i, end, spans, issues, post)
+		i = end
+	}
+}
+
+// lookups returns the core's L1 hits and its L1 plus µTLB misses.
+func (c *Core) lookups() (hits, misses uint64) {
+	l1 := c.h.L1Stats(c.id)
+	ut, _ := c.h.TLBStats(c.id)
+	return l1.Hits, l1.Misses + ut.Misses
+}
+
+// spanIters runs iterations [from, to) of TouchSpans' element loop: per
+// span the L0 filter check, or the full lookup, then the post charges.
+func (c *Core) spanIters(from, to int, spans []Span, issues, post []float64) {
+	for i := from; i < to; i++ {
 		for s := range spans {
 			sp := &spans[s]
 			addr := sp.Addr + uint64(int64(i)*sp.Stride)

@@ -75,36 +75,120 @@ func TestTouchRangeOracle(t *testing.T) {
 	}
 }
 
+// touchEach is the per-element loop TouchSpans stands for.
+func touchEach(c *Core, n int, spans []Span, post []float64) {
+	for i := 0; i < n; i++ {
+		for _, s := range spans {
+			c.Touch(s.Addr+uint64(int64(i)*s.Stride), s.Bytes, s.Write)
+		}
+		for _, p := range post {
+			c.Cycles(p)
+		}
+	}
+}
+
 // TestTouchSpansOracle asserts that TouchSpans reproduces the interleaved
 // per-element loop exactly, including the post charges, on every preset.
+// The cases drive the run fold (a run whose check iteration hits everything
+// is charged in one hierarchy call) and each of the ways it must decline or
+// cut a run. After each case a per-element read sweep over twice the L1
+// replays the replacement state: a recency stamp the fold left out of order
+// would evict a different line and show up as a miss.
 func TestTouchSpansOracle(t *testing.T) {
-	const elems = 9000
-	for _, spec := range machine.All() {
-		spans := func(a *F64) []Span {
+	const elems = 1 << 14 // 128 KiB: twice the largest preset L1 fits
+	// A 4 KiB direct-mapped L1 indexes its sets inside the page offset, so
+	// lines one page apart share a set whatever the physical page scatter.
+	conflict := machine.RaspberryPi4().WithL1Ways(1)
+	conflict.Mem.L1.Size = 4 << 10
+	cases := []struct {
+		name  string
+		specs []machine.Spec
+		n     int
+		spans func(a *F64) []Span
+	}{
+		{"three streams", machine.All(), 1500, func(a *F64) []Span {
 			return []Span{
 				{Addr: a.Addr(0), Stride: 8, Bytes: 8},
 				{Addr: a.Addr(3000), Stride: 16, Bytes: 4},
 				{Addr: a.Addr(0), Stride: 8, Bytes: 8, Write: true},
 			}
-		}
-		const n = 1500
-		ref := runPattern(t, spec, elems, func(c *Core, a *F64) {
-			sp := spans(a)
-			f, g := c.Flop32Cycles(2), c.IntCycles(3)
-			for i := 0; i < n; i++ {
-				for _, s := range sp {
-					c.Touch(s.Addr+uint64(int64(i)*s.Stride), s.Bytes, s.Write)
-				}
-				c.Cycles(f)
-				c.Cycles(g)
+		}},
+		// Every access evicts the other stream's line: the check iteration
+		// misses and the run must be charged element by element.
+		{"one L1 set", []machine.Spec{conflict}, 1500, func(a *F64) []Span {
+			return []Span{
+				{Addr: a.Addr(0), Stride: 8, Bytes: 8},
+				{Addr: a.Addr(512), Stride: 8, Bytes: 8, Write: true},
 			}
-		})
-		got := runPattern(t, spec, elems, func(c *Core, a *F64) {
-			c.TouchSpans(n, spans(a), []float64{c.Flop32Cycles(2), c.IntCycles(3)})
-		})
-		if got != ref {
-			t.Errorf("%s: TouchSpans diverges from element path:\n got %+v\nwant %+v",
-				spec.Name, got, ref)
+		}},
+		// swapRange's shape: a load and a store of the same element. The
+		// steady iteration is all filter hits and looks nothing up.
+		{"read and write one line", machine.All(), 3000, func(a *F64) []Span {
+			return []Span{
+				{Addr: a.Addr(40), Stride: 8, Bytes: 8},
+				{Addr: a.Addr(40), Stride: 8, Bytes: 8, Write: true},
+			}
+		}},
+		// The descending streams start 16 and 32 bytes into their lines, so
+		// the first run ends after 3 iterations; the stride-0 stream never
+		// leaves its line.
+		{"stride 0 and negative", machine.All(), 1500, func(a *F64) []Span {
+			return []Span{
+				{Addr: a.Addr(100), Bytes: 8},
+				{Addr: a.Addr(9002), Stride: -8, Bytes: 8},
+				{Addr: a.Addr(12004), Stride: -4, Bytes: 4, Write: true},
+			}
+		}},
+		// Each stream crosses its lines at its own index, so runs are cut
+		// short by whichever span leaves its line first.
+		{"misaligned", machine.All(), 1500, func(a *F64) []Span {
+			return []Span{
+				{Addr: a.Addr(0) + 4, Stride: 8, Bytes: 8},
+				{Addr: a.Addr(3000) + 20, Stride: 12, Bytes: 4},
+				{Addr: a.Addr(6000) + 36, Stride: 8, Bytes: 8, Write: true},
+			}
+		}},
+		// Eleven pages against MangoPi's 10-entry µTLB: every lookup misses
+		// the µTLB, which the check must notice too. Each stream sits one
+		// line further into its page, so the lines fill eleven L1 sets and
+		// do hit there.
+		{"more pages than the µTLB", machine.All(), 400, func(a *F64) []Span {
+			sp := make([]Span, 11)
+			for p := range sp {
+				sp[p] = Span{Addr: a.Addr(512*p + 8*p), Stride: 8, Bytes: 8, Write: p == 5}
+			}
+			return sp
+		}},
+	}
+	for _, tc := range cases {
+		for _, spec := range tc.specs {
+			probe := func(c *Core, a *F64) {
+				for i := int64(0); i < 2*spec.Mem.L1.Size/8; i++ {
+					c.Touch(a.Addr(int(i)), 8, false)
+				}
+			}
+			// Each case runs twice: over cold lines, then over the lines it
+			// left resident, where every run can be folded.
+			ref := runPattern(t, spec, elems, func(c *Core, a *F64) {
+				for range 2 {
+					touchEach(c, tc.n, tc.spans(a), []float64{c.Flop32Cycles(2), c.IntCycles(3)})
+				}
+				probe(c, a)
+			})
+			got := runPattern(t, spec, elems, func(c *Core, a *F64) {
+				for range 2 {
+					c.TouchSpans(tc.n, tc.spans(a), []float64{c.Flop32Cycles(2), c.IntCycles(3)})
+				}
+				probe(c, a)
+			})
+			if got != ref {
+				t.Errorf("%s/%s: TouchSpans diverges from element path:\n got %+v\nwant %+v",
+					tc.name, spec.Name, got, ref)
+			}
+			// Prefetch fills land some lines early; most accesses still miss.
+			if tc.name == "one L1 set" && ref.mem.L1Misses < 2*uint64(tc.n) {
+				t.Errorf("%s/%s: %d L1 misses, want most span accesses to miss", tc.name, spec.Name, ref.mem.L1Misses)
+			}
 		}
 	}
 }
@@ -140,9 +224,9 @@ func TestLoadStoreRange(t *testing.T) {
 }
 
 // rangeOp is one randomly drawn operation of a property-test program: a
-// TouchRange, a TouchSpans batch, or a single Touch (which perturbs the L0
-// filter, the prefetcher's training and the MSHR ring between bursts — the
-// states the batched miss pipeline's streak mode has to re-establish).
+// TouchRange, a TouchSpans batch, or a single Touch (which leaves the L0
+// filter, the prefetcher's training and the MSHR ring in a state the next
+// range call did not set up itself).
 type rangeOp struct {
 	kind  int // 0 = TouchRange, 1 = TouchSpans, 2 = Touch
 	off   int64
@@ -151,6 +235,15 @@ type rangeOp struct {
 	write bool
 	spans []Span // offsets in Addr, rebased onto the array per run
 	post  []float64
+}
+
+// rebase returns a copy of spans moved base bytes up.
+func rebase(spans []Span, base uint64) []Span {
+	out := slices.Clone(spans)
+	for s := range out {
+		out[s].Addr += base
+	}
+	return out
 }
 
 // randRangeProgram draws a fixed-seed program whose operations stay inside
@@ -204,10 +297,11 @@ func randRangeProgram(rng *rand.Rand, elems int) []rangeOp {
 // TestRangePropertyOracle draws fixed-seed random programs — random element
 // widths, offsets, lengths, strides, page-crossing runs, reads and writes,
 // with lone Touches perturbing filter/prefetcher/MSHR state in between — and
-// asserts that executing them through the range APIs (and so through the
-// batched miss pipeline where eligible) is bit-identical to the per-element
-// Touch loop on every device preset: same cycles, same access counters, same
-// full memory-system summary including DRAM queue cycles.
+// asserts that executing them through the range APIs (the line loop of
+// TouchRange and single spans, TouchSpans' run fold and its column loop) is
+// bit-identical to the per-element Touch loop on every device preset: same
+// cycles, same access counters, same full memory-system summary including
+// DRAM queue cycles.
 func TestRangePropertyOracle(t *testing.T) {
 	const elems = 1 << 15
 	for _, spec := range machine.All() {
@@ -223,14 +317,7 @@ func TestRangePropertyOracle(t *testing.T) {
 							c.Touch(base+uint64(op.off)+uint64(i*op.bytes), op.bytes, op.write)
 						}
 					case 1:
-						for i := 0; i < op.n; i++ {
-							for _, s := range op.spans {
-								c.Touch(base+s.Addr+uint64(int64(i)*s.Stride), s.Bytes, s.Write)
-							}
-							for _, p := range op.post {
-								c.Cycles(p)
-							}
-						}
+						touchEach(c, op.n, rebase(op.spans, base), op.post)
 					}
 				}
 			})
@@ -243,12 +330,7 @@ func TestRangePropertyOracle(t *testing.T) {
 					case 2:
 						c.Touch(base+uint64(op.off), op.bytes, op.write)
 					case 1:
-						spans := make([]Span, len(op.spans))
-						copy(spans, op.spans)
-						for s := range spans {
-							spans[s].Addr += base
-						}
-						c.TouchSpans(op.n, spans, op.post)
+						c.TouchSpans(op.n, rebase(op.spans, base), op.post)
 					}
 				}
 			})
@@ -260,45 +342,77 @@ func TestRangePropertyOracle(t *testing.T) {
 	}
 }
 
-// TestParallelRangeOracle asserts the batched pipeline under the event
-// engine: a multi-core ParallelRange whose bodies stream TouchRange bursts
-// (read phase, then write phase) must be bit-identical to the same schedule
-// charged element by element, on every preset at its full core count — and
-// both must read the same under 1, 2 and 4 host Ps.
+// TestParallelRangeOracle asserts the range APIs under the event engine: a
+// multi-core ParallelRange, once under Static and once under Dynamic, whose
+// bodies charge their chunks through the range APIs must be bit-identical to
+// the same schedule charged element by element, on every preset at its full
+// core count — and both must read the same under 1, 2 and 4 host Ps. The
+// bodies are a TouchRange burst (read, then written), a STREAM-TRIAD-shaped
+// three-span TouchSpans, whose runs are folded, and a TouchSpans with one
+// column span, which takes the element loop.
 func TestParallelRangeOracle(t *testing.T) {
 	const elems = 1 << 14
-	// run returns both regions' wall and per-core times, and the counters.
-	run := func(spec machine.Spec, ranged bool) ([]float64, Summary) {
-		m := MustNew(spec)
-		a := m.MustNewF64(elems)
-		body := func(c *Core, lo, hi int, write bool) {
+	type arrays struct{ a, b, c, col *F64 }
+	// chargeSpans charges spans through TouchSpans, or element by element.
+	chargeSpans := func(c *Core, ranged bool, n int, spans []Span, post []float64) {
+		if ranged {
+			c.TouchSpans(n, spans, post)
+		} else {
+			touchEach(c, n, spans, post)
+		}
+	}
+	bodies := []struct {
+		name string
+		body func(c *Core, x arrays, lo, hi int, write, ranged bool)
+	}{
+		{"TouchRange", func(c *Core, x arrays, lo, hi int, write, ranged bool) {
 			if ranged {
-				c.TouchRange(a.Addr(lo), 8, hi-lo, write)
+				c.TouchRange(x.a.Addr(lo), 8, hi-lo, write)
 				return
 			}
 			for i := lo; i < hi; i++ {
-				c.Touch(a.Addr(i), 8, write)
+				c.Touch(x.a.Addr(i), 8, write)
 			}
-		}
+		}},
+		{"triad", func(c *Core, x arrays, lo, hi int, _, ranged bool) {
+			chargeSpans(c, ranged, hi-lo, []Span{
+				{Addr: x.b.Addr(lo), Stride: 8, Bytes: 8},
+				{Addr: x.c.Addr(lo), Stride: 8, Bytes: 8},
+				{Addr: x.a.Addr(lo), Stride: 8, Bytes: 8, Write: true},
+			}, []float64{c.FlopCycles(2), c.IntCycles(1)})
+		}},
+		{"column", func(c *Core, x arrays, lo, hi int, _, ranged bool) {
+			chargeSpans(c, ranged, hi-lo, []Span{
+				{Addr: x.a.Addr(lo), Stride: 8, Bytes: 8},
+				{Addr: x.col.Addr(16 * lo), Stride: 16 * 8, Bytes: 8, Write: true},
+			}, []float64{c.IntCycles(3)})
+		}},
+	}
+	// run returns both regions' wall and per-core times, and the counters.
+	run := func(spec machine.Spec, body func(*Core, arrays, int, int, bool, bool), ranged bool) ([]float64, Summary) {
+		m := MustNew(spec)
+		x := arrays{m.MustNewF64(elems), m.MustNewF64(elems), m.MustNewF64(elems), m.MustNewF64(16 * elems)}
 		res := m.ParallelRange(spec.Cores, elems, Static, 0, func(c *Core, lo, hi int) {
-			body(c, lo, hi, false)
+			body(c, x, lo, hi, false, ranged)
 		})
 		res2 := m.ParallelRange(spec.Cores, elems, Dynamic, 64, func(c *Core, lo, hi int) {
-			body(c, lo, hi, true)
+			body(c, x, lo, hi, true, ranged)
 		})
 		times := append([]float64{res.Cycles, res2.Cycles}, res.PerCore...)
 		return append(times, res2.PerCore...), m.Stats()
 	}
 	for _, spec := range machine.All() {
-		refC, refS := run(spec, false)
-		atHostProcs(func(procs int) {
-			for _, ranged := range []bool{false, true} {
-				if gotC, gotS := run(spec, ranged); !slices.Equal(gotC, refC) || gotS != refS {
-					t.Errorf("%s GOMAXPROCS=%d ranged=%v: parallel TouchRange diverges: got (%v,%+v) want (%v,%+v)",
-						spec.Name, procs, ranged, gotC, gotS, refC, refS)
+		for _, b := range bodies {
+			refC, refS := run(spec, b.body, false)
+			atHostProcs(func(procs int) {
+				for _, ranged := range []bool{false, true} {
+					if gotC, gotS := run(spec, b.body, ranged); !slices.Equal(gotC, refC) || gotS != refS {
+						t.Errorf("%s/%s GOMAXPROCS=%d ranged=%v: parallel range APIs diverge: got (%v,%+v) want (%v,%+v)",
+							spec.Name, b.name, procs, ranged, gotC, gotS, refC, refS)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 

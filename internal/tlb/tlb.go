@@ -177,6 +177,14 @@ func (t *TLB) lookupCold(vpn uint64) bool {
 	return false
 }
 
+// RepeatHits counts n hits on pages just looked up, advancing the clock and
+// hit counter; the caller looks the pages up again to set their stamps.
+func (t *TLB) RepeatHits(n uint64) {
+	t.flush()
+	t.clock += n
+	t.stats.Hits += n
+}
+
 // Insert caches the translation for the page containing vaddr, evicting the
 // LRU entry of its set if needed.
 func (t *TLB) Insert(vaddr uint64) {

@@ -21,7 +21,10 @@ func main() {
 	// A quarter-scale version of the paper's 2544×2027×3 image, F = 19.
 	// Functional simulation of ~80M kernel taps per naive run; batching
 	// across host cores is what keeps the wall-clock tolerable.
-	cfg := riscvmem.BlurConfig{W: 636, H: 507, C: riscvmem.PaperImageC, F: riscvmem.PaperFilter}
+	cfg := riscvmem.BlurConfig{
+		W: riscvmem.PaperImageW / 4, H: riscvmem.PaperImageH / 4,
+		C: riscvmem.PaperImageC, F: riscvmem.PaperFilter,
+	}
 
 	var workloads []riscvmem.Workload
 	for _, v := range riscvmem.BlurVariants() {
@@ -48,10 +51,15 @@ func main() {
 	i := 0
 	for _, dev := range riscvmem.Devices() {
 		fmt.Println(dev)
-		naive := results[i]
-		for range riscvmem.BlurVariants() {
-			r := results[i]
-			i++
+		row := results[i : i+len(riscvmem.BlurVariants())]
+		i += len(row)
+		var naive riscvmem.Result
+		for j, v := range riscvmem.BlurVariants() {
+			if v == riscvmem.BlurNaive {
+				naive = row[j]
+			}
+		}
+		for _, r := range row {
 			fmt.Printf("  %-18s %9.4fs  (%.2f× vs naive)\n", r.Workload, r.Seconds, r.SpeedupOver(naive))
 		}
 		fmt.Println()

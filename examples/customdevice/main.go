@@ -65,6 +65,10 @@ func pointerChase(ctx context.Context, m *riscvmem.Machine) (riscvmem.Result, er
 	}, nil
 }
 
+// Custom kernels register next to the built-ins, from an init block, and
+// are addressable by name from then on.
+func init() { riscvmem.MustRegister(riscvmem.WorkloadFunc("chase/8MiB", pointerChase)) }
+
 func main() {
 	base := riscvmem.VisionFive()
 	future := futureBoard()
@@ -72,12 +76,6 @@ func main() {
 		log.Fatal(err)
 	}
 	devices := []riscvmem.Device{base, future}
-
-	// Custom kernels register next to the built-ins and are addressable by
-	// name from then on.
-	if err := riscvmem.Register(riscvmem.WorkloadFunc("chase/8MiB", pointerChase)); err != nil {
-		log.Fatal(err)
-	}
 
 	const n = 1024
 	var workloads []riscvmem.Workload

@@ -5,9 +5,12 @@
 // A declarative sweep crosses hypothetical L2 capacities with the MSHR
 // count (the other bandwidth limiter the paper discusses) and runs the
 // naive transposition plus STREAM TRIAD in every cell on the memoized
-// runner, reporting each cell's speedup over the real, L2-less D1. Re-run
-// the binary twice within one process and the second sweep would simulate
-// nothing: identical cells are served from the result cache.
+// runner, reporting each cell's speedup over the real, L2-less D1.
+//
+// The same sweep is then sent twice as data — a SweepRequest, the form
+// cmd/simd serves on POST /v1/sweep — to an in-process Service. The second
+// request simulates nothing: its cells are served from the service's
+// shared result cache.
 package main
 
 import (
@@ -50,4 +53,23 @@ func main() {
 	}
 	fmt.Printf("\nBest transpose cell: %v — %.2f× the real D1.\n",
 		best.Cell.Labels, best.Speedup)
+
+	svc := riscvmem.NewService(riscvmem.ServiceOptions{})
+	req := riscvmem.SweepRequest{
+		Device: base.Name,
+		Axes:   []string{"l2=base,128KiB,1MiB", "maxinflight=base,16"},
+		Workloads: []riscvmem.WorkloadSpec{
+			riscvmem.MustParseWorkloadSpec("transpose:variant=Naive,n=512"),
+			riscvmem.MustParseWorkloadSpec("stream:test=TRIAD,elems=65536,reps=2"),
+		},
+	}
+	fmt.Println("\nThe same sweep as a SweepRequest, sent twice to one Service:")
+	for i := 1; i <= 2; i++ {
+		resp, err := svc.Sweep(context.Background(), req)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("  request %d: %d rows, %d new simulations, %d cache hits\n",
+			i, len(resp.Results), resp.Cache.RequestMisses, resp.Cache.RequestHits)
+	}
 }

@@ -295,7 +295,7 @@ func TestCoordinatorJobCancelRevokesQueuedCells(t *testing.T) {
 		t.Fatal("CancelJob: unknown job")
 	}
 	waitFor(t, "the job to end cancelled", func() bool {
-		snap, _ := svc.Job(js.ID)
+		snap, _ := svc.JobAfter(js.ID, 0)
 		return snap.State == service.JobCancelled
 	})
 

@@ -88,11 +88,6 @@ func NewSuite(opt Options) *Suite {
 // Options returns the effective (defaulted) options.
 func (s *Suite) Options() Options { return s.opt }
 
-// CacheStats reports the suite runner's memoization counters: hits is the
-// number of cells served from the result cache, misses the number of
-// simulations actually executed.
-func (s *Suite) CacheStats() (hits, misses uint64) { return s.runner.CacheStats() }
-
 // DRAMBandwidth returns the device's best achieved STREAM bandwidth at the
 // DRAM level (maximum over the four tests), measuring it on first use.
 func (s *Suite) DRAMBandwidth(spec machine.Spec) (units.BytesPerSec, error) {

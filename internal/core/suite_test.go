@@ -236,7 +236,7 @@ func TestSuiteRepeatedCellsHitCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, coldMisses := s.CacheStats()
+	_, coldMisses := s.runner.CacheStats()
 	if coldMisses == 0 {
 		t.Fatal("cold Fig2 simulated nothing")
 	}
@@ -244,7 +244,7 @@ func TestSuiteRepeatedCellsHitCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, misses := s.CacheStats(); misses != coldMisses {
+	if _, misses := s.runner.CacheStats(); misses != coldMisses {
 		t.Errorf("Fig2 re-run simulated %d new cells, want 0", misses-coldMisses)
 	}
 	for i := range first {
@@ -257,7 +257,7 @@ func TestSuiteRepeatedCellsHitCache(t *testing.T) {
 	if _, err := s.Fig3(nil); err != nil {
 		t.Fatal(err)
 	}
-	_, withStream := s.CacheStats()
+	_, withStream := s.runner.CacheStats()
 	streamCells := uint64(2 * 4) // 2 devices × 4 STREAM tests at the DRAM level
 	if withStream != coldMisses+streamCells {
 		t.Errorf("Fig3(nil) simulated %d new cells, want %d", withStream-coldMisses, streamCells)
@@ -268,7 +268,7 @@ func TestSuiteRepeatedCellsHitCache(t *testing.T) {
 	if _, err := s.Fig3(nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, final := s.CacheStats(); final != coldMisses+streamCells {
+	if _, final := s.runner.CacheStats(); final != coldMisses+streamCells {
 		t.Errorf("repeated Fig3(nil) simulated %d new cells, want 0", final-coldMisses-streamCells)
 	}
 }

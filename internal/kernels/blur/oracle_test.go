@@ -7,6 +7,15 @@ import (
 	"riscvmem/internal/sim"
 )
 
+// newF32 allocates an n-element image on m; the oracle's images always fit.
+func newF32(m *sim.Machine, n int) *sim.F32 {
+	a, err := m.NewF32(n)
+	if err != nil {
+		panic(err)
+	}
+	return a
+}
+
 // reference is the blur written as the paper's scalar loops (Listings 4–5),
 // one Load or Store per pixel channel and each tap's flop and intop
 // charges, on a fresh machine holding RunOn's images in RunOn's allocation
@@ -15,7 +24,7 @@ func reference(spec machine.Spec, cfg Config) (cycles float64, mem sim.Summary) 
 	m := sim.MustNew(spec)
 	w, h, ch, f := cfg.W, cfg.H, cfg.C, cfg.F
 	mid, wc := f/2, w*ch
-	src, dst := m.MustNewF32(h*wc), m.MustNewF32(h*wc)
+	src, dst := newF32(m, h*wc), newF32(m, h*wc)
 	k1 := Kernel1D(f)
 	k2 := Kernel2D(k1)
 	var res sim.Result
@@ -29,7 +38,7 @@ func reference(spec machine.Spec, cfg Config) (cycles float64, mem sim.Summary) 
 						for iF := 0; iF < f; iF++ {
 							for jF := 0; jF < f; jF++ {
 								sum += src.Load(c, (i+iF)*wc+(j+jF)*ch+cc) * k2[iF*f+jF]
-								c.Flops32(2)
+								c.Cycles(c.Flop32Cycles(2))
 								c.IntOps(2)
 							}
 						}
@@ -48,7 +57,7 @@ func reference(spec machine.Spec, cfg Config) (cycles float64, mem sim.Summary) 
 						for jF := 0; jF < f; jF++ {
 							for cc := 0; cc < ch; cc++ {
 								sums[cc] += src.Load(c, (i+iF)*wc+(j+jF)*ch+cc) * k2[iF*f+jF]
-								c.Flops32(2)
+								c.Cycles(c.Flop32Cycles(2))
 								c.IntOps(1)
 							}
 						}
@@ -60,14 +69,14 @@ func reference(spec machine.Spec, cfg Config) (cycles float64, mem sim.Summary) 
 			}
 		})
 	case OneD:
-		tmp := m.MustNewF32(h * wc)
+		tmp := newF32(m, h*wc)
 		res = m.RunSeq(func(c *sim.Core) {
 			for i := 0; i <= h-f; i++ {
 				for j := 0; j < wc; j++ {
 					var sum float32
 					for iF := 0; iF < f; iF++ {
 						sum += src.Load(c, (i+iF)*wc+j) * k1[iF]
-						c.Flops32(2)
+						c.Cycles(c.Flop32Cycles(2))
 						c.IntOps(2)
 					}
 					tmp.Store(c, (i+mid)*wc+j, sum)
@@ -79,7 +88,7 @@ func reference(spec machine.Spec, cfg Config) (cycles float64, mem sim.Summary) 
 						var sum float32
 						for jF := 0; jF < f; jF++ {
 							sum += tmp.Load(c, i*wc+(j+jF)*ch+cc) * k1[jF]
-							c.Flops32(2)
+							c.Cycles(c.Flop32Cycles(2))
 							c.IntOps(2)
 						}
 						dst.Store(c, i*wc+(j+mid)*ch+cc, sum)
@@ -88,7 +97,7 @@ func reference(spec machine.Spec, cfg Config) (cycles float64, mem sim.Summary) 
 			}
 		})
 	case Memory, Parallel:
-		tmp := m.MustNewF32(h * wc)
+		tmp := newF32(m, h*wc)
 		cores := 1
 		if cfg.Variant == Parallel {
 			cores = spec.Cores
@@ -101,7 +110,7 @@ func reference(spec machine.Spec, cfg Config) (cycles float64, mem sim.Summary) 
 					acc = 0
 				}
 				out.Store(c, o+j, acc+in.Load(c, i0+j)*kv)
-				c.Flops32(2)
+				c.Cycles(c.Flop32Cycles(2))
 				c.IntOps(1)
 			}
 		}

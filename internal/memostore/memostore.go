@@ -1,8 +1,9 @@
 // Package memostore is the persistent tiered result cache behind the
-// Runner's memoization (ROADMAP item 3): a bounded in-memory LRU (the L1
-// tier) over an optional on-disk content-addressed store (the L2 tier), so
-// deterministic simulation results survive process restarts and can be
-// exported, shipped to CI, and shared across a fleet.
+// Runner's memoization: a bounded in-memory LRU (the L1 tier) over an
+// optional on-disk content-addressed store (the L2 tier). A result computed
+// once is served from memory while it stays hot, and from disk after
+// eviction or a process restart; the disk tier can be exported, shipped to
+// CI, and shared across a fleet.
 //
 // The contract mirrors what makes the memo sound in the first place: a
 // cached value is a pure function of its Key, and every coordinate of the

@@ -230,8 +230,8 @@ func TestMemoPayloadIsTheRow(t *testing.T) {
 	runJSON := func(r *Runner) (Result, []byte) {
 		t.Helper()
 		var js []byte
-		res, err := r.RunWithProgress(context.Background(), jobs, func(p Progress) { js = p.JSON })
-		if err != nil {
+		res, errs := r.RunAllWithProgress(context.Background(), jobs, func(p Progress) { js = p.JSON })
+		if err := JoinErrors(errs); err != nil {
 			t.Fatal(err)
 		}
 		return res[0], js

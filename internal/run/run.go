@@ -71,13 +71,6 @@ func (r Result) SpeedupOver(base Result) float64 {
 	return metrics.Speedup(base.Seconds, r.Seconds)
 }
 
-// Utilization returns the §3.3 relative memory-bandwidth utilization of the
-// run against the device's achieved STREAM bandwidth, using the workload's
-// mandatory byte count; 0 when the workload reported no Bytes.
-func (r Result) Utilization(streamBW units.BytesPerSec) float64 {
-	return metrics.Utilization(r.Bytes, r.Seconds, streamBW)
-}
-
 // Workload is one executable kernel configuration. Run executes it on the
 // given machine — which the caller provides in power-on state — and reports
 // a unified Result. Implementations should honour ctx at least on entry;

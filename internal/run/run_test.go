@@ -164,16 +164,21 @@ func TestRunnerProgress(t *testing.T) {
 // constructs a single machine and reuses it via Reset.
 func TestRunnerPoolsMachines(t *testing.T) {
 	var machines []*sim.Machine
+	fresh := sim.MustNew(machine.MangoPiD1()).MustNewF64(64).Addr(0)
 	jobs := make([]Job, 5)
 	for i := range jobs {
 		jobs[i] = Job{Device: machine.MangoPiD1(), Workload: NewFunc(
 			fmt.Sprintf("test/pool-%d", i),
 			func(ctx context.Context, m *sim.Machine) (Result, error) {
-				if m.Now() != 0 || m.Allocated() != 0 {
-					t.Errorf("machine handed out dirty: now=%v allocated=%d", m.Now(), m.Allocated())
+				if stats := m.Stats(); stats != (sim.Summary{}) {
+					t.Errorf("machine handed out dirty: statistics %+v", stats)
 				}
 				machines = append(machines, m)
-				m.MustNewF64(64) // dirty it for the next job
+				// Dirty it for the next job: the allocation must start where
+				// a fresh machine's does.
+				if a := m.MustNewF64(64).Addr(0); a != fresh {
+					t.Errorf("machine handed out dirty: first allocation at %#x, fresh machine %#x", a, fresh)
+				}
 				m.RunSeq(func(c *sim.Core) { c.IntOps(1) })
 				return Result{Seconds: 1}, nil
 			})}
@@ -301,11 +306,5 @@ func TestResultMetrics(t *testing.T) {
 	opt := Result{Seconds: 1, Bytes: 100}
 	if sp := opt.SpeedupOver(base); sp != 2 {
 		t.Errorf("SpeedupOver = %v", sp)
-	}
-	if u := opt.Utilization(200); u != 0.5 {
-		t.Errorf("Utilization = %v", u)
-	}
-	if u := (Result{Seconds: 1}).Utilization(200); u != 0 {
-		t.Errorf("Utilization without Bytes = %v", u)
 	}
 }

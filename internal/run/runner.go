@@ -187,10 +187,6 @@ func (r *Runner) CacheStats() (hits, misses uint64) {
 // the store.
 func (r *Runner) TierStats() memostore.Stats { return r.store.Stats() }
 
-// Store exposes the runner's memo store (for sharing it, snapshotting its
-// disk tier, or reading tier stats from another layer).
-func (r *Runner) Store() memostore.Store { return r.store }
-
 // Abandoned reports how many workload runs were left behind by an expired
 // or cancelled job context (see simulate). Each one may pin a goroutine
 // until its workload returns; the count is the observability hook for leak
@@ -419,13 +415,6 @@ func runWorkload(ctx context.Context, w Workload, m *sim.Machine) (res Result, p
 // and through RunAll.
 func (r *Runner) Run(ctx context.Context, jobs []Job) ([]Result, error) {
 	results, errs := r.RunAll(ctx, jobs)
-	return results, JoinErrors(errs)
-}
-
-// RunWithProgress is Run with a per-call progress hook (see
-// RunAllWithProgress).
-func (r *Runner) RunWithProgress(ctx context.Context, jobs []Job, onProgress func(Progress)) ([]Result, error) {
-	results, errs := r.RunAllWithProgress(ctx, jobs, onProgress)
 	return results, JoinErrors(errs)
 }
 

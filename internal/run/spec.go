@@ -53,19 +53,6 @@ func (s WorkloadSpec) String() string {
 	return b.String()
 }
 
-// Equal reports whether two specs denote the same kernel and parameters.
-func (s WorkloadSpec) Equal(o WorkloadSpec) bool {
-	if s.Kernel != o.Kernel || len(s.Params) != len(o.Params) {
-		return false
-	}
-	for k, v := range s.Params {
-		if ov, ok := o.Params[k]; !ok || ov != v {
-			return false
-		}
-	}
-	return true
-}
-
 // With returns a copy of the spec with the parameter set (added or
 // replaced). The receiver is not modified.
 func (s WorkloadSpec) With(key, value string) WorkloadSpec {

@@ -153,7 +153,7 @@ func TestDrainWaitsForAdmittedWork(t *testing.T) {
 		t.Errorf("in-flight request during drain: %v", err)
 	}
 	// The queued job ran to completion during the drain.
-	final, ok := svc.Job(js.ID)
+	final, ok := svc.JobAfter(js.ID, 0)
 	if !ok || final.State != JobDone {
 		t.Errorf("queued job after drain: ok=%v %+v", ok, final)
 	}

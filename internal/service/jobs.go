@@ -275,15 +275,12 @@ func (s *Service) finishJob(j *job, resp *Response, err error) {
 	s.jobs.mu.Unlock()
 }
 
-// Job returns the job's current snapshot, rows included.
-func (s *Service) Job(id string) (JobStatus, bool) { return s.JobAfter(id, 0) }
-
-// JobAfter is Job with an incremental row cursor: the snapshot elides the
-// first `after` rows — a client that remembers the previous snapshot's
-// NextAfter polls down only the rows that arrived since, instead of
-// re-downloading a 4096-row batch on every poll. after past the current
-// high-water mark yields no rows (not an error: the client is simply
-// caught up).
+// JobAfter returns the job's current snapshot, rows included, with an
+// incremental row cursor: the snapshot elides the first `after` rows — a
+// client that remembers the previous snapshot's NextAfter polls down only
+// the rows that arrived since, instead of re-downloading a 4096-row batch
+// on every poll. after past the current high-water mark yields no rows
+// (not an error: the client is simply caught up); 0 returns every row.
 func (s *Service) JobAfter(id string, after int) (JobStatus, bool) {
 	now := time.Now()
 	s.jobs.mu.Lock()

@@ -27,7 +27,7 @@ func pollJob(t *testing.T, svc *Service, id string) JobStatus {
 	var js JobStatus
 	waitFor(t, "job "+id+" to finish", func() bool {
 		var ok bool
-		js, ok = svc.Job(id)
+		js, ok = svc.JobAfter(id, 0)
 		if !ok {
 			t.Fatalf("job %s vanished mid-poll", id)
 		}
@@ -100,7 +100,7 @@ func TestJobRowsStreamInCompletionOrder(t *testing.T) {
 
 	var mid JobStatus
 	waitFor(t, "first row to stream", func() bool {
-		mid, _ = svc.Job(js.ID)
+		mid, _ = svc.JobAfter(js.ID, 0)
 		return len(mid.Rows) >= 1
 	})
 	if mid.State != JobRunning || mid.Done != 1 {
@@ -280,7 +280,7 @@ func TestJobTTL(t *testing.T) {
 	}
 	pollJob(t, svc, js.ID)
 	waitFor(t, "job to be garbage-collected", func() bool {
-		_, ok := svc.Job(js.ID)
+		_, ok := svc.JobAfter(js.ID, 0)
 		return !ok
 	})
 	if n := len(svc.Jobs()); n != 0 {
@@ -311,10 +311,10 @@ func TestJobStoreEviction(t *testing.T) {
 		t.Fatalf("submission into a full-but-finished store: %v", err)
 	}
 	pollJob(t, svc, third.ID)
-	if _, ok := svc.Job(first.ID); ok {
+	if _, ok := svc.JobAfter(first.ID, 0); ok {
 		t.Error("oldest finished job survived eviction")
 	}
-	if _, ok := svc.Job(second.ID); !ok {
+	if _, ok := svc.JobAfter(second.ID, 0); !ok {
 		t.Error("newer finished job evicted instead of the oldest")
 	}
 

@@ -68,15 +68,6 @@ func (m *Machine) NewF32(n int) (*F32, error) {
 	return &F32{Data: make([]float32, n), base: base, m: m}, nil
 }
 
-// MustNewF32 is NewF32 but panics on allocation failure.
-func (m *Machine) MustNewF32(n int) *F32 {
-	a, err := m.NewF32(n)
-	if err != nil {
-		panic(err)
-	}
-	return a
-}
-
 // Addr returns the simulated byte address of element i.
 func (a *F32) Addr(i int) uint64 { return a.base + uint64(i)*4 }
 

@@ -41,9 +41,6 @@ type Core struct {
 // ID returns the core index within its region (0-based).
 func (c *Core) ID() int { return c.id }
 
-// NowCycles returns the core's current simulated time.
-func (c *Core) NowCycles() float64 { return c.now }
-
 // lanes returns the SIMD element multiplier for elemBytes-wide elements
 // under the current vectorization state.
 func (c *Core) lanes(elemBytes int) float64 {
@@ -128,9 +125,6 @@ func (c *Core) Touch(addr uint64, elemBytes int, write bool) {
 // SIMD rate inside a vectorized region (8-byte lanes assumed for Flops; use
 // Flops32 for single precision).
 func (c *Core) Flops(n float64) { c.now += c.FlopCycles(n) }
-
-// Flops32 charges n single-precision operations.
-func (c *Core) Flops32(n float64) { c.now += c.Flop32Cycles(n) }
 
 // IntOps charges n abstract integer/address/branch operations at the
 // device's issue width (loop overhead, index arithmetic).

@@ -30,7 +30,7 @@ func runPattern(t *testing.T, spec machine.Spec, elems int, body func(c *Core, a
 	var r patternResult
 	m.RunSeq(func(c *Core) {
 		body(c, a)
-		r.now = c.NowCycles()
+		r.now = c.now
 		r.loads, r.stores = c.Loads, c.Stores
 	})
 	r.mem = m.Stats()

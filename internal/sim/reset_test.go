@@ -52,8 +52,8 @@ func TestResetEquivalence(t *testing.T) {
 		}
 		resetProbe(t, reused) // dirty every structure
 		reused.Reset()
-		if reused.Now() != 0 || reused.Allocated() != 0 {
-			t.Errorf("%s: Reset left clock=%v allocated=%d", spec.Name, reused.Now(), reused.Allocated())
+		if reused.clock != 0 || reused.used != 0 {
+			t.Errorf("%s: Reset left clock=%v allocated=%d", spec.Name, reused.clock, reused.used)
 		}
 		if stats := reused.Stats(); stats != (Summary{}) {
 			t.Errorf("%s: Reset left statistics %+v", spec.Name, stats)

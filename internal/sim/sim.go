@@ -87,15 +87,6 @@ func (m *Machine) Reset() {
 	m.h.Reset()
 }
 
-// Hier exposes the memory hierarchy (stats inspection, ablations).
-func (m *Machine) Hier() *hier.Hierarchy { return m.h }
-
-// Now returns the machine's global clock in cycles.
-func (m *Machine) Now() float64 { return m.clock }
-
-// Allocated returns total simulated bytes allocated so far.
-func (m *Machine) Allocated() int64 { return m.used }
-
 // alloc reserves n bytes of simulated address space, page-aligned, and
 // errors when the device's RAM would be exceeded.
 func (m *Machine) alloc(n int64) (uint64, error) {

@@ -22,15 +22,18 @@ func TestAllocRespectsRAM(t *testing.T) {
 	if len(a.Data) != 1024 {
 		t.Fatalf("Len = %d", len(a.Data))
 	}
-	if m.Allocated() != 1024*8 {
-		t.Fatalf("Allocated = %d", m.Allocated())
+	if m.used != 1024*8 {
+		t.Fatalf("allocated = %d", m.used)
 	}
 }
 
 func TestArraysAreDisjointAndAligned(t *testing.T) {
 	m := MustNew(machine.VisionFive())
 	a := m.MustNewF64(100)
-	b := m.MustNewF32(100)
+	b, err := m.NewF32(100)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if a.Addr(0)%4096 != 0 || b.Addr(0)%4096 != 0 {
 		t.Fatal("arrays not page aligned")
 	}
@@ -59,7 +62,10 @@ func TestFunctionalLoadStore(t *testing.T) {
 
 func TestF32Functional(t *testing.T) {
 	m := MustNew(machine.MangoPiD1())
-	a := m.MustNewF32(8)
+	a, err := m.NewF32(8)
+	if err != nil {
+		t.Fatal(err)
+	}
 	m.RunSeq(func(c *Core) {
 		a.Store(c, 3, 2.25)
 		if got := a.Load(c, 3); got != 2.25 {
@@ -79,9 +85,9 @@ func TestTimeAdvancesAndClockIsMonotonic(t *testing.T) {
 	if r1.Cycles <= 0 {
 		t.Fatal("region took no time")
 	}
-	before := m.Now()
+	before := m.clock
 	r2 := m.RunSeq(func(c *Core) { a.Load(c, 0) })
-	if m.Now() < before || r2.Cycles < 0 {
+	if m.clock < before || r2.Cycles < 0 {
 		t.Fatal("clock went backwards")
 	}
 }

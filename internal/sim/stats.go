@@ -27,16 +27,6 @@ type Summary struct {
 // L1MissRate returns misses / (hits+misses), or 0 with no accesses.
 func (s Summary) L1MissRate() float64 { return missRate(s.L1Hits, s.L1Misses) }
 
-// L2MissRate returns the L2 miss ratio, or 0 when the device has no L2 (or
-// the level saw no traffic).
-func (s Summary) L2MissRate() float64 { return missRate(s.L2Hits, s.L2Misses) }
-
-// L3MissRate returns the L3 miss ratio, or 0 when the device has no L3.
-func (s Summary) L3MissRate() float64 { return missRate(s.L3Hits, s.L3Misses) }
-
-// UTLBMissRate returns the first-level TLB miss ratio.
-func (s Summary) UTLBMissRate() float64 { return missRate(s.UTLBHits, s.UTLBMisses) }
-
 func missRate(hits, misses uint64) float64 {
 	if t := hits + misses; t > 0 {
 		return float64(misses) / float64(t)

@@ -31,16 +31,16 @@
 //	    }))
 //
 // Custom kernels implement the Workload interface (or wrap a function with
-// WorkloadFunc) and plug into the same Runner, registry and tools as the
-// built-ins — see examples/customdevice. The figure-regeneration Suite
-// (NewSuite) sits on top of the same machinery.
+// WorkloadFunc) and plug into the same Runner and registry as the
+// built-ins — see examples/customdevice. The paper's figures are
+// regenerated by cmd/paperfigs on the same machinery.
 //
 // Workloads are also addressable as pure data: a WorkloadSpec (kernel name
-// + string parameters, grammar "stream:test=TRIAD,elems=65536") builds the
-// same Workload values through registered kernel factories, and a Service
-// (NewService / NewServiceHandler, served by cmd/simd) executes JSON
-// BatchRequest/SweepRequest payloads on a shared memoized runner — the
-// library as a daemon; see examples/client.
+// + string parameters, grammar "stream:test=TRIAD,elems=65536") names the
+// same workloads, and a Service (NewService / NewServiceHandler, served by
+// cmd/simd) executes JSON BatchRequest/SweepRequest payloads on a shared
+// memoized runner — the library as a daemon; see examples/client and
+// examples/l2sweep.
 //
 // Every run is bit-for-bit deterministic: times come from the simulated
 // clock, never the host's, and batched results are bit-identical to serial
@@ -79,10 +79,6 @@ var (
 // Devices returns the paper's four machines in figure order.
 func Devices() []Device { return machine.All() }
 
-// DeviceByName looks a preset up by its short name
-// ("Xeon", "RaspberryPi4", "VisionFive", "MangoPi").
-func DeviceByName(name string) (Device, error) { return machine.ByName(name) }
-
 // Machine is a live simulated device instance; Core is one simulated
 // hardware thread inside a parallel region. Use them to write custom kernels
 // against the timing model (see examples/customdevice).
@@ -120,15 +116,6 @@ type (
 	Span = sim.Span
 )
 
-// NewMachine instantiates a device.
-func NewMachine(d Device) (*Machine, error) { return sim.New(d) }
-
-// Schedules for Machine.ParallelFor, mirroring OpenMP.
-const (
-	Static  = sim.Static
-	Dynamic = sim.Dynamic
-)
-
 // BytesPerSec is a bandwidth; it formats as "12.34 GB/s".
 type BytesPerSec = units.BytesPerSec
 
@@ -140,8 +127,7 @@ type BytesPerSec = units.BytesPerSec
 //     implement the interface directly or wrap a function with WorkloadFunc.
 //   - Result is the one unified outcome type: simulated seconds and cycles,
 //     logical bytes and bandwidth, and the full per-level cache/TLB/DRAM
-//     summary (Mem), with the §3.3 metrics as methods (SpeedupOver,
-//     Utilization).
+//     summary (Mem), with the §3.3 speedup as a method (SpeedupOver).
 //   - A Runner executes []Job batches on pooled machines (Machine.Reset
 //     instead of re-construction) across host goroutines, with results in
 //     job order, context cancellation and progress callbacks. Simulated
@@ -162,12 +148,6 @@ type (
 	// MemSummary is the per-level memory-system counter block carried by
 	// Result.Mem.
 	MemSummary = sim.Summary
-	// Keyed is the opt-in memoization contract: a Workload that also
-	// implements CacheKey() string declares its Result a pure function of
-	// (device parameters, key), letting the Runner cache results across
-	// batches with singleflight dedup. All built-in workload adapters
-	// implement it; custom deterministic workloads should too.
-	Keyed = run.Keyed
 )
 
 // NewRunner builds a Runner.
@@ -176,13 +156,9 @@ func NewRunner(opt RunnerOptions) *Runner { return run.New(opt) }
 // Persistent memo store API (internal/memostore): the Runner memoizes
 // keyed results in a tiered store — a bounded in-memory LRU over an
 // optional on-disk content-addressed tier — so results survive process
-// restarts. OpenResultStore builds one; pass it via RunnerOptions.Store
-// (or ServiceOptions.Store) and every computed Result is persisted under
-// ResultCacheVersion, checksummed, and served back after a restart without
-// re-simulating. Disk faults are never errors: corrupt entries are
-// quarantined and re-simulated, failed persists are counted and logged.
-// cmd/simd exposes the same store via -cache-dir, and the memo tool
-// exports/imports/inspects the directory.
+// restarts. RunnerOptions.Store and ServiceOptions.Store take one; cmd/simd
+// opens it with -cache-dir, and the memo tool exports, imports and inspects
+// the directory.
 type (
 	// ResultStore is the tiered memo store interface the Runner caches
 	// through.
@@ -191,24 +167,6 @@ type (
 	// hits/misses, evictions, corruption, persists).
 	ResultTierStats = memostore.Stats
 )
-
-// ResultCacheVersion namespaces persisted results: module identity, the
-// simulation model version and the key-format version. A model change that
-// alters golden cycle counts, or a change of key encoding, bumps it,
-// cleanly orphaning all previously persisted entries.
-const ResultCacheVersion = run.CacheVersion
-
-// OpenResultStore builds the standard tiered result store: a bounded
-// in-memory LRU (memEntries entries; <= 0 selects the default) over an
-// on-disk tier rooted at dir. An empty dir yields a memory-only store.
-// logf (optional) receives the disk tier's operational log lines.
-func OpenResultStore(dir string, memEntries int, logf func(format string, args ...any)) (ResultStore, error) {
-	store, err := run.OpenStore(dir, memEntries, logf)
-	if err != nil {
-		return nil, err
-	}
-	return store, nil
-}
 
 // Jobs builds the device × workload cross-product, devices outermost.
 func Jobs(devices []Device, workloads []Workload) []Job {
@@ -231,64 +189,32 @@ func TransposeWorkload(cfg TransposeConfig) Workload { return run.Transpose(cfg)
 // BlurWorkload adapts a Gaussian-blur run as a Workload.
 func BlurWorkload(cfg BlurConfig) Workload { return run.Blur(cfg) }
 
-// Register adds a workload to the process-wide registry under its Name,
-// making custom kernels addressable exactly like the built-ins. It errors
-// on nil workloads, empty names and duplicates.
-func Register(w Workload) error { return run.Register(w) }
-
-// MustRegister is Register but panics on error; for package init blocks.
+// MustRegister adds a workload to the process-wide registry under its Name,
+// making custom kernels addressable exactly like the built-ins. It panics
+// on nil workloads, empty names and duplicates; call it from an init block.
 func MustRegister(w Workload) { run.MustRegister(w) }
 
 // WorkloadByName returns a registered workload.
 func WorkloadByName(name string) (Workload, error) { return run.Lookup(name) }
 
-// RegisteredWorkloads lists registered workload names, sorted.
-func RegisteredWorkloads() []string { return run.Names() }
-
 // WorkloadSpec API: workloads as data (internal/run). A WorkloadSpec is a
 // kernel name plus string parameters — parseable from the CLI grammar
-// ("stream:test=TRIAD,elems=65536", "transpose/Blocking"), marshalable
-// to/from JSON, and buildable into a live Workload through the kernel's
-// registered spec factory. The built-in kernels derive their memoization
-// CacheKey from the spec's canonical string encoding.
+// ("stream:test=TRIAD,elems=65536", "transpose/Blocking") and marshalable
+// to and from JSON, which is how the Service's requests name workloads.
+// The built-in kernels derive their memoization CacheKey from the spec's
+// canonical string encoding.
 type (
 	// WorkloadSpec is a workload described as data: kernel + parameters.
 	WorkloadSpec = run.WorkloadSpec
 	// KernelInfo documents one spec-buildable kernel (name, summary,
 	// parameter grammar, variant shorthand key).
 	KernelInfo = run.KernelInfo
-	// SpecFactory builds a Workload from a parsed WorkloadSpec.
-	SpecFactory = run.SpecFactory
 )
 
-// ParseWorkloadSpec parses the workload spec grammar
-// (kernel[:key=value,...] or kernel/variant) into a WorkloadSpec.
-func ParseWorkloadSpec(s string) (WorkloadSpec, error) { return run.ParseWorkloadSpec(s) }
-
-// MustParseWorkloadSpec is ParseWorkloadSpec but panics on error.
+// MustParseWorkloadSpec parses the workload spec grammar
+// (kernel[:key=value,...] or kernel/variant) into a WorkloadSpec, and
+// panics on a malformed spec.
 func MustParseWorkloadSpec(s string) WorkloadSpec { return run.MustParseWorkloadSpec(s) }
-
-// NewWorkloadFromSpec materializes a spec through its kernel's registered
-// factory (falling back to the plain workload registry for custom names).
-func NewWorkloadFromSpec(spec WorkloadSpec) (Workload, error) { return run.NewWorkload(spec) }
-
-// ParseWorkload parses and materializes a spec string in one step.
-func ParseWorkload(s string) (Workload, error) { return run.ParseWorkload(s) }
-
-// RegisterKernel adds a spec factory to the process-wide kernel registry,
-// making a custom kernel addressable as data (CLI grammar, JSON requests)
-// exactly like the built-ins.
-func RegisterKernel(info KernelInfo, build SpecFactory) error {
-	return run.RegisterSpecFactory(info, build)
-}
-
-// MustRegisterKernel is RegisterKernel but panics on error.
-func MustRegisterKernel(info KernelInfo, build SpecFactory) {
-	run.MustRegisterSpecFactory(info, build)
-}
-
-// Kernels lists the registered spec-buildable kernels, sorted by name.
-func Kernels() []KernelInfo { return run.Kernels() }
 
 // Service API: the transport-agnostic request surface (internal/service) —
 // JSON-serializable requests executed on one shared memoized Runner, with
@@ -327,9 +253,6 @@ type (
 	// ServiceJobState is the async job lifecycle state
 	// (queued/running/done/failed/cancelled).
 	ServiceJobState = service.JobState
-	// ServiceOverloadError wraps overload and rate-limit refusals with a
-	// Retry-After hint.
-	ServiceOverloadError = service.OverloadError
 	// ServiceDrainReport is the outcome of a graceful drain.
 	ServiceDrainReport = service.DrainReport
 )
@@ -343,29 +266,11 @@ const (
 	JobCancelled = service.JobCancelled
 )
 
-// ErrServiceOverloaded is returned (HTTP 429) when a request arrives while
-// the service's admission limit is saturated and its wait queue is full.
-var ErrServiceOverloaded = service.ErrOverloaded
-
-// ErrServiceRateLimited is returned (HTTP 429) when a client exceeds its
-// per-client request rate.
-var ErrServiceRateLimited = service.ErrRateLimited
-
-// ErrServiceDraining is returned (HTTP 503) while the service is shutting
-// down and no longer admits new work.
-var ErrServiceDraining = service.ErrDraining
-
-// ServiceClientID tags ctx with a client identity for per-client rate
-// limiting (the HTTP transport uses the X-Client-ID header instead).
-func ServiceClientID(ctx context.Context, id string) context.Context {
-	return service.WithClientID(ctx, id)
-}
-
 // NewService builds a Service.
 func NewService(opt ServiceOptions) *Service { return service.New(opt) }
 
-// NewServiceHandler fronts a Service with the simd HTTP wire protocol
-// (GET /healthz, /v1/devices, /v1/workloads; POST /v1/batch, /v1/sweep).
+// NewServiceHandler fronts a Service with the simd HTTP wire protocol; the
+// routes are listed in README.md.
 func NewServiceHandler(s *Service) http.Handler { return service.NewHandler(s) }
 
 // Sweep API: declarative device-parameter ablations (internal/sweep). Axes
@@ -383,12 +288,10 @@ type (
 	SweepResults = sweep.Results
 )
 
-// ParseSweepAxis compiles one "name=v1,v2,..." axis declaration — the same
-// grammar as cmd/sweep's -axis flag (l2=off,128KiB / maxinflight=1,2,4 /
-// preframp=on,off / ...; every axis accepts the literal "base").
-func ParseSweepAxis(s string) (SweepAxis, error) { return sweep.ParseAxis(s) }
-
-// MustParseSweepAxis is ParseSweepAxis but panics on error.
+// MustParseSweepAxis compiles one "name=v1,v2,..." axis declaration — the
+// same grammar as cmd/sweep's -axis flag (l2=off,128KiB / maxinflight=1,2,4
+// / preframp=on,off / ...; every axis accepts the literal "base") — and
+// panics on a malformed one.
 func MustParseSweepAxis(s string) SweepAxis { return sweep.MustParseAxis(s) }
 
 // RunSweep expands and executes a device-parameter sweep.
@@ -411,9 +314,6 @@ const (
 	StreamSum   = stream.Sum
 	StreamTriad = stream.Triad
 )
-
-// StreamTests returns all four tests in reporting order.
-func StreamTests() []StreamTest { return stream.Tests() }
 
 // StreamLevels derives the measurable memory levels of a device, sized per
 // the paper's method (scale divides only the DRAM working set).
@@ -459,29 +359,10 @@ const (
 // BlurVariants returns the five variants in figure order.
 func BlurVariants() []BlurVariant { return blur.Variants() }
 
-// Experiment suite: regenerates the paper's figures.
-type (
-	// Options configures a Suite (scale, device list, verification).
-	Options = core.Options
-	// Suite runs the figure experiments, caching STREAM bandwidths.
-	Suite = core.Suite
-	// Figure row types.
-	Fig1Cell = core.Fig1Cell
-	Fig2Row  = core.Fig2Row
-	Fig3Row  = core.Fig3Row
-	Fig6Row  = core.Fig6Row
-	Fig7Row  = core.Fig7Row
-)
-
-// NewSuite builds an experiment suite.
-func NewSuite(opt Options) *Suite { return core.NewSuite(opt) }
-
-// Paper-scale workload constants (§4).
+// Paper-scale image constants (§4.3).
 const (
-	PaperMatrixSmall = core.PaperMatrixSmall
-	PaperMatrixLarge = core.PaperMatrixLarge
-	PaperImageW      = core.PaperImageW
-	PaperImageH      = core.PaperImageH
-	PaperImageC      = core.PaperImageC
-	PaperFilter      = core.PaperFilter
+	PaperImageW = core.PaperImageW
+	PaperImageH = core.PaperImageH
+	PaperImageC = core.PaperImageC
+	PaperFilter = core.PaperFilter
 )

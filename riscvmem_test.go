@@ -2,10 +2,13 @@ package riscvmem_test
 
 import (
 	"context"
-	"strings"
+	"encoding/json"
+	"maps"
+	"sync"
 	"testing"
 
 	"riscvmem"
+	"riscvmem/internal/core"
 )
 
 func TestDevicesFacade(t *testing.T) {
@@ -17,20 +20,10 @@ func TestDevicesFacade(t *testing.T) {
 		if err := d.Validate(); err != nil {
 			t.Errorf("%s: %v", d.Name, err)
 		}
-		got, err := riscvmem.DeviceByName(d.Name)
-		if err != nil || got.Name != d.Name {
-			t.Errorf("DeviceByName(%q) = %v, %v", d.Name, got.Name, err)
-		}
-	}
-	if _, err := riscvmem.DeviceByName("PDP-11"); err == nil {
-		t.Error("unknown device accepted")
 	}
 }
 
 func TestVariantEnumerations(t *testing.T) {
-	if len(riscvmem.StreamTests()) != 4 {
-		t.Error("expected 4 STREAM tests")
-	}
 	if len(riscvmem.TransposeVariants()) != 5 {
 		t.Error("expected 5 transpose variants")
 	}
@@ -40,52 +33,39 @@ func TestVariantEnumerations(t *testing.T) {
 }
 
 func TestCustomMachineKernel(t *testing.T) {
-	// The raw Machine/Core API used by examples/customdevice.
-	m, err := riscvmem.NewMachine(riscvmem.VisionFive())
+	// The raw Machine/Core API examples/customdevice writes its kernel
+	// against, here in a two-core region.
+	var data []float64
+	w := riscvmem.WorkloadFunc("facade/two-core-store",
+		func(ctx context.Context, m *riscvmem.Machine) (riscvmem.Result, error) {
+			a, err := m.NewF64(4096)
+			if err != nil {
+				return riscvmem.Result{}, err
+			}
+			res := m.Run(2, func(c *riscvmem.Core) {
+				for i := c.ID(); i < len(a.Data); i += 2 {
+					a.Store(c, i, float64(i))
+				}
+			})
+			data = a.Data
+			return riscvmem.Result{Cycles: res.Cycles}, nil
+		})
+	res, err := riscvmem.NewRunner(riscvmem.RunnerOptions{}).RunOne(context.Background(), riscvmem.VisionFive(), w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := m.NewF64(4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := m.ParallelFor(2, len(a.Data), riscvmem.Static, 0, func(c *riscvmem.Core, i int) {
-		a.Store(c, i, float64(i))
-	})
 	if res.Cycles <= 0 {
 		t.Fatal("no simulated time")
 	}
-	for i, v := range a.Data {
+	for i, v := range data {
 		if v != float64(i) {
 			t.Fatalf("a[%d] = %v", i, v)
 		}
 	}
 }
 
-func TestSuiteFacade(t *testing.T) {
-	suite := riscvmem.NewSuite(riscvmem.Options{
-		Scale:   64,
-		Devices: []riscvmem.Device{riscvmem.MangoPiD1()},
-		Reps:    1,
-	})
-	rows, err := suite.Fig2()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 10 { // 1 device × 2 sizes × 5 variants
-		t.Fatalf("Fig2 rows = %d", len(rows))
-	}
-	bw, err := suite.DRAMBandwidth(riscvmem.MangoPiD1())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bw <= 0 {
-		t.Error("no DRAM bandwidth")
-	}
-}
-
 func TestPaperConstants(t *testing.T) {
-	if riscvmem.PaperMatrixSmall != 8192 || riscvmem.PaperMatrixLarge != 16384 {
+	if core.PaperMatrixSmall != 8192 || core.PaperMatrixLarge != 16384 {
 		t.Error("matrix constants drifted from §4.2")
 	}
 	if riscvmem.PaperImageW != 2544 || riscvmem.PaperImageH != 2027 ||
@@ -93,6 +73,8 @@ func TestPaperConstants(t *testing.T) {
 		t.Error("image constants drifted from §4.3")
 	}
 }
+
+var registerTouch sync.Once
 
 func TestRunnerFacade(t *testing.T) {
 	// The Workload/Runner surface: batch a device × workload cross-product
@@ -125,24 +107,23 @@ func TestRunnerFacade(t *testing.T) {
 	}
 
 	// Custom workloads: registry + WorkloadFunc + RunOne. Registration is
-	// process-global with no unregister, so repeated in-process runs
-	// (go test -count=2) see a duplicate — tolerated below.
-	err = riscvmem.Register(riscvmem.WorkloadFunc("facade/touch",
-		func(ctx context.Context, m *riscvmem.Machine) (riscvmem.Result, error) {
-			a, err := m.NewF64(512)
-			if err != nil {
-				return riscvmem.Result{}, err
-			}
-			res := m.RunSeq(func(c *riscvmem.Core) {
-				for i := 0; i < len(a.Data); i++ {
-					a.Store(c, i, 1)
+	// process-global with no unregister, so it happens once per process
+	// (go test -count=2 runs this test twice).
+	registerTouch.Do(func() {
+		riscvmem.MustRegister(riscvmem.WorkloadFunc("facade/touch",
+			func(ctx context.Context, m *riscvmem.Machine) (riscvmem.Result, error) {
+				a, err := m.NewF64(512)
+				if err != nil {
+					return riscvmem.Result{}, err
 				}
-			})
-			return riscvmem.Result{Cycles: res.Cycles, Seconds: res.Seconds(m.Spec())}, nil
-		}))
-	if err != nil && !strings.Contains(err.Error(), "already registered") {
-		t.Fatal(err)
-	}
+				res := m.RunSeq(func(c *riscvmem.Core) {
+					for i := 0; i < len(a.Data); i++ {
+						a.Store(c, i, 1)
+					}
+				})
+				return riscvmem.Result{Cycles: res.Cycles, Seconds: res.Seconds(m.Spec())}, nil
+			}))
+	})
 	w, err := riscvmem.WorkloadByName("facade/touch")
 	if err != nil {
 		t.Fatal(err)
@@ -154,42 +135,23 @@ func TestRunnerFacade(t *testing.T) {
 	if res.Cycles <= 0 || res.Workload != "facade/touch" {
 		t.Errorf("custom workload result %+v", res)
 	}
-	names := riscvmem.RegisteredWorkloads()
-	found := false
-	for _, n := range names {
-		found = found || n == "facade/touch"
-	}
-	if !found {
-		t.Errorf("RegisteredWorkloads() = %v", names)
-	}
 }
 
 func TestWorkloadSpecFacade(t *testing.T) {
-	spec, err := riscvmem.ParseWorkloadSpec("stream:test=TRIAD,elems=4096,reps=1")
-	if err != nil {
+	spec := riscvmem.MustParseWorkloadSpec("stream:test=TRIAD,elems=4096,reps=1")
+	if got := spec.String(); got != "stream:elems=4096,reps=1,test=TRIAD" {
+		t.Errorf("canonical form = %q", got)
+	}
+	back := riscvmem.MustParseWorkloadSpec(spec.String())
+	if back.Kernel != spec.Kernel || !maps.Equal(back.Params, spec.Params) {
+		t.Fatalf("round trip: %+v, want %+v", back, spec)
+	}
+	var fromJSON riscvmem.WorkloadSpec
+	if err := json.Unmarshal([]byte(`"stream/TRIAD"`), &fromJSON); err != nil {
 		t.Fatal(err)
 	}
-	back, err := riscvmem.ParseWorkloadSpec(spec.String())
-	if err != nil || !back.Equal(spec) {
-		t.Fatalf("round trip: %+v, %v", back, err)
-	}
-	w, err := riscvmem.NewWorkloadFromSpec(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w.Name() != "stream/TRIAD" {
-		t.Errorf("Name = %q", w.Name())
-	}
-	if _, err := riscvmem.ParseWorkload("transpose/Blocking"); err != nil {
-		t.Errorf("shorthand: %v", err)
-	}
-	if _, err := riscvmem.ParseWorkload("warp:speed=9"); err == nil ||
-		!strings.Contains(err.Error(), "kernels:") {
-		t.Errorf("unknown kernel error = %v", err)
-	}
-	kernels := riscvmem.Kernels()
-	if len(kernels) < 3 {
-		t.Errorf("Kernels() = %v", kernels)
+	if got := fromJSON.With("elems", "4096").With("reps", "1"); got.String() != spec.String() {
+		t.Errorf("shorthand plus With = %q, want %q", got, spec)
 	}
 }
 

@@ -1,6 +1,7 @@
 // Package fixture is the census fixture's public API, standing where
 // riscvmem.go stands in the repository: it aliases a type declared under
-// internal/, which makes that type's exported methods roots.
+// internal/. The alias roots the type, not its methods: a method stays
+// only if a program calls it.
 package fixture
 
 import "fixture/internal/lib"

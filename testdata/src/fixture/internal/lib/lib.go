@@ -1,5 +1,5 @@
 // Package lib declares one of each kind of declaration the census must
-// judge: three kinds that are dead and three that only look dead.
+// judge: four kinds that are dead and two that only look dead.
 package lib
 
 // Used is called by the program.
@@ -30,5 +30,9 @@ func (s Square) Area() int { return s.Side * s.Side }
 // Thing is aliased by the fixture's API package.
 type Thing struct{}
 
-// Public has no caller, but it is a method of an aliased type: public API.
+// Public is dead: its type is aliased by the API package, but no program
+// calls it.
 func (Thing) Public() int { return 4 }
+
+// Called is alive: the program calls it through the API package's alias.
+func (Thing) Called() int { return 5 }

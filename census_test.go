@@ -22,12 +22,11 @@ var censusKeep = map[string]string{
 	"riscvmem/internal/faultinject/chaos":               "test support: the chaos suites' misbehaving workloads",
 	"riscvmem/internal/leakcheck":                       "test support: the goroutine-leak check of the chaos and cluster tests",
 
-	"riscvmem/internal/faultinject.Set":        "tag-only control API (enabled.go): chaos tests arm seams with it",
-	"riscvmem/internal/faultinject.Clear":      "tag-only control API (enabled.go): chaos tests disarm a seam with it",
-	"riscvmem/internal/faultinject.Reset":      "tag-only control API (enabled.go): chaos tests disarm every seam with it",
-	"riscvmem/internal/faultinject.Fired":      "tag-only control API (enabled.go): chaos tests assert a seam was reached",
-	"riscvmem/internal/faultinject.FailTimes":  "tag-only control API (enabled.go): the transient-fault handler",
-	"riscvmem/internal/faultinject.AlwaysFail": "tag-only control API (enabled.go): the permanent-fault handler",
+	"riscvmem/internal/faultinject.Set":        "control API: chaos tests arm and clear seams with it",
+	"riscvmem/internal/faultinject.Reset":      "control API: chaos tests disarm every seam with it",
+	"riscvmem/internal/faultinject.Fired":      "control API: chaos tests assert a seam was reached",
+	"riscvmem/internal/faultinject.FailTimes":  "control API: the transient-fault handler",
+	"riscvmem/internal/faultinject.AlwaysFail": "control API: the permanent-fault handler",
 
 	"riscvmem/internal/faultinject.ClusterSend": "seam fired only by the cluster tests' FlakyTransport",
 	"riscvmem/internal/faultinject.ClusterRecv": "seam fired only by the cluster tests' FlakyTransport",
@@ -50,20 +49,14 @@ var censusStdMethods = []string{
 // var initializers. A type riscvmem.go aliases is public API, but its
 // methods are not roots: a method stays only if a program calls it.
 // Reachability, not reference counting: a cluster of declarations that only
-// reference each other is as dead as one that nothing references. The tree
-// is loaded untagged and with -tags faultinject, and a declaration counts as
-// reached if either build reaches it.
+// reference each other is as dead as one that nothing references.
 func TestCensus(t *testing.T) {
-	var loads [][]*analysis.Package
-	for _, tags := range []string{"", "faultinject"} {
-		loads = append(loads, censusLoad(t, analysis.Config{Tags: tags}, "./..."))
-	}
 	wd, err := os.Getwd()
 	if err != nil {
 		t.Fatal(err)
 	}
 	used := map[string]bool{}
-	for _, d := range census(loads, "riscvmem") {
+	for _, d := range census(censusLoad(t, analysis.Config{}, "./..."), "riscvmem") {
 		switch {
 		case censusKeep[d.key.String()] != "":
 			used[d.key.String()] = true
@@ -98,7 +91,7 @@ func TestCensusFixture(t *testing.T) {
 	}
 	cfg := analysis.Config{Dir: abs, Env: []string{"GOPATH=" + abs, "GO111MODULE=off", "GOFLAGS="}}
 	var got []string
-	for _, d := range census([][]*analysis.Package{censusLoad(t, cfg, "fixture/...")}, "fixture") {
+	for _, d := range census(censusLoad(t, cfg, "fixture/..."), "fixture") {
 		got = append(got, d.key.String())
 	}
 	want := []string{
@@ -121,7 +114,7 @@ func censusLoad(t *testing.T, cfg analysis.Config, pattern string) []*analysis.P
 	}
 	for _, p := range pkgs {
 		for _, e := range p.Errors {
-			t.Fatalf("loading %s (tags %q): %s", p.Path, cfg.Tags, e)
+			t.Fatalf("loading %s: %s", p.Path, e)
 		}
 	}
 	return pkgs
@@ -145,21 +138,12 @@ type deadDecl struct {
 }
 
 // census returns the package-level declarations under module/internal/ that
-// no root reaches in any of the loads, sorted by key.
-func census(loads [][]*analysis.Package, module string) []deadDecl {
-	declared := map[declKey]token.Position{}
-	reached := map[declKey]bool{}
-	for _, pkgs := range loads {
-		g := newCensusGraph(pkgs, module)
-		for k, pos := range g.declared {
-			declared[k] = pos
-		}
-		for k := range g.reach() {
-			reached[k] = true
-		}
-	}
+// no root reaches, sorted by key.
+func census(pkgs []*analysis.Package, module string) []deadDecl {
+	g := newCensusGraph(pkgs, module)
+	reached := g.reach()
 	var dead []deadDecl
-	for k, pos := range declared {
+	for k, pos := range g.declared {
 		if !reached[k] {
 			dead = append(dead, deadDecl{k, pos})
 		}

@@ -6,12 +6,11 @@
 //	cachekey     canonical cache-key encoders name every Config field
 //	ctxerr       errors.Is instead of ==/!= against sentinels
 //	determinism  no wall clock / global rand / map-order leaks in model code
-//	faultseam    faultinject used only through the zero-cost API
+//	faultseam    faultinject seams consult Fire's error and fire declared Points
 //
 // Usage:
 //
 //	go run ./cmd/simlint ./...
-//	go run ./cmd/simlint -tags faultinject ./...
 //	go run ./cmd/simlint -only ctxerr,determinism ./internal/...
 //
 // Exit status: 0 clean, 1 findings, 2 operational failure. Findings print
@@ -36,7 +35,6 @@ func main() {
 
 func run() int {
 	var (
-		tags = flag.String("tags", "", "build tags for the load (e.g. faultinject)")
 		only = flag.String("only", "", "comma-separated analyzer names to run (default: all)")
 		list = flag.Bool("list", false, "list the analyzers and exit")
 	)
@@ -77,7 +75,7 @@ func run() int {
 		patterns = []string{"./..."}
 	}
 
-	pkgs, err := analysis.Load(analysis.Config{Tags: *tags}, patterns...)
+	pkgs, err := analysis.Load(analysis.Config{}, patterns...)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "simlint: %v\n", err)
 		return 2

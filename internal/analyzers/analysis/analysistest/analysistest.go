@@ -32,21 +32,12 @@ import (
 // checks the analyzer's diagnostics against their want comments.
 func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgs ...string) {
 	t.Helper()
-	RunTags(t, testdata, "", a, pkgs...)
-}
-
-// RunTags is Run with build tags applied to the fixture load, so fixtures
-// can include files that only exist under a tag (the faultseam analyzer's
-// //go:build faultinject fixtures).
-func RunTags(t *testing.T, testdata, tags string, a *analysis.Analyzer, pkgs ...string) {
-	t.Helper()
 	abs, err := filepath.Abs(testdata)
 	if err != nil {
 		t.Fatalf("resolving %s: %v", testdata, err)
 	}
 	cfg := analysis.Config{
-		Dir:  abs,
-		Tags: tags,
+		Dir: abs,
 		Env: []string{
 			"GOPATH=" + abs,
 			"GO111MODULE=off",

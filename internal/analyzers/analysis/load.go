@@ -24,8 +24,6 @@ type Config struct {
 	// Env entries are appended to the current environment (for fixture
 	// loads: GOPATH=<testdata>, GO111MODULE=off).
 	Env []string
-	// Tags is the build-tag list passed as `-tags` (e.g. "faultinject").
-	Tags string
 }
 
 // Package is one loaded, parsed, type-checked package.
@@ -70,12 +68,7 @@ type listPackage struct {
 // single-package analyzers need, with zero dependencies beyond the go
 // command itself.
 func Load(cfg Config, patterns ...string) ([]*Package, error) {
-	args := []string{"list", "-e", "-export", "-deps", "-json"}
-	if cfg.Tags != "" {
-		args = append(args, "-tags", cfg.Tags)
-	}
-	args = append(args, "--")
-	args = append(args, patterns...)
+	args := append([]string{"list", "-e", "-export", "-deps", "-json", "--"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = cfg.Dir
 	cmd.Env = append(os.Environ(), cfg.Env...)

@@ -1,19 +1,10 @@
-// Package faultseam verifies that fault-injection seams stay zero-cost in
-// untagged builds and honest in tagged ones.
+// Package faultseam verifies that fault-injection seams stay honest.
 //
-// The faultinject package is a build-tag pair: every build sees Fire (a
-// no-op stub without the tag) and the Point constants; the handler registry
-// (Set, Clear, Reset, Fired, Handler, FailTimes, AlwaysFail) exists only
-// under `-tags faultinject`. The compiler already refuses tag-only symbols
-// in untagged builds — but only in the build that's actually run, and a
-// `go vet -tags faultinject` or test-tagged tree compiles fine while
-// silently committing an ordinary file to the chaos-only API. The analyzer pins the discipline structurally:
+// A seam is a faultinject.Fire call on a production path. Two mistakes
+// compile fine and silently stop a seam from guarding anything:
 //
-//   - tag-only API referenced from a file without a faultinject build
-//     constraint is flagged, whatever tags the analysis itself ran with;
 //   - a Fire call whose error result is discarded is flagged — an
-//     unconsulted seam injects nothing and silently stops guarding its
-//     invariant;
+//     unconsulted seam injects nothing and stops guarding its invariant;
 //   - a Fire argument that is not a declared Point constant is flagged —
 //     ad-hoc string points dodge the deliberate seam registry in
 //     faultinject.go.
@@ -24,7 +15,6 @@ package faultseam
 
 import (
 	"go/ast"
-	"go/build/constraint"
 	"go/types"
 	"strings"
 
@@ -34,15 +24,9 @@ import (
 // Analyzer is the fault-seam discipline check.
 var Analyzer = &analysis.Analyzer{
 	Name: "faultseam",
-	Doc: "restrict faultinject usage to the always-built API (Fire/Point " +
-		"constants) outside //go:build faultinject files; require Fire errors to be " +
-		"consulted and Fire points to be declared constants",
+	Doc: "require faultinject.Fire errors to be consulted and Fire points to " +
+		"be declared Point constants",
 	Run: run,
-}
-
-// alwaysBuilt are the faultinject symbols present in every build.
-var alwaysBuilt = map[string]bool{
-	"Fire": true, "Point": true,
 }
 
 func run(pass *analysis.Pass) error {
@@ -55,7 +39,6 @@ func run(pass *analysis.Pass) error {
 		if fi == nil {
 			continue
 		}
-		tagged := hasFaultinjectTag(f)
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.ExprStmt:
@@ -66,18 +49,6 @@ func run(pass *analysis.Pass) error {
 			case *ast.CallExpr:
 				if isFireCall(pass, n, fi) {
 					checkFireArg(pass, n, fi)
-				}
-			case *ast.Ident:
-				obj := pass.TypesInfo.Uses[n]
-				if obj == nil || obj.Pkg() != fi {
-					return true
-				}
-				if _, isConst := obj.(*types.Const); isConst || alwaysBuilt[obj.Name()] {
-					return true
-				}
-				if !tagged {
-					pass.Reportf(n.Pos(),
-						"faultinject.%s exists only under -tags faultinject; reference it from a //go:build faultinject file so the untagged build stays zero-cost", obj.Name())
 				}
 			}
 			return true
@@ -103,31 +74,6 @@ func faultinjectImport(pass *analysis.Pass, f *ast.File) *types.Package {
 		}
 	}
 	return nil
-}
-
-// hasFaultinjectTag reports whether the file carries a build constraint
-// requiring the faultinject tag.
-func hasFaultinjectTag(f *ast.File) bool {
-	for _, cg := range f.Comments {
-		if cg.Pos() > f.Package {
-			break
-		}
-		for _, c := range cg.List {
-			expr, err := constraint.Parse(c.Text)
-			if err != nil {
-				continue
-			}
-			// The file is gated on the faultinject tag iff flipping that
-			// one tag flips the constraint (other tags held constant), so
-			// a //go:build linux file is not mistaken for a chaos file.
-			with := expr.Eval(func(tag string) bool { return true })
-			without := expr.Eval(func(tag string) bool { return tag != "faultinject" })
-			if with && !without {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 func isFireCall(pass *analysis.Pass, call *ast.CallExpr, fi *types.Package) bool {

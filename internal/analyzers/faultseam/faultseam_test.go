@@ -7,14 +7,6 @@ import (
 	"riscvmem/internal/analyzers/faultseam"
 )
 
-// The fixture loads with -tags faultinject so seams/chaos.go (the tagged,
-// full-API file that must stay clean) is part of the analyzed package —
-// exactly the build CI's chaos vet analyzes.
 func TestFaultSeam(t *testing.T) {
-	analysistest.RunTags(t, "testdata", "faultinject", faultseam.Analyzer, "seams")
-}
-
-// The untagged load must reach the same verdicts on the untagged files.
-func TestFaultSeamUntagged(t *testing.T) {
 	analysistest.Run(t, "testdata", faultseam.Analyzer, "seams")
 }

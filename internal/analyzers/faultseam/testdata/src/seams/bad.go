@@ -17,15 +17,3 @@ func IndirectPoint() error {
 	p := faultinject.PointB
 	return faultinject.Fire(p) // want `Fire takes a Point constant declared in the faultinject package`
 }
-
-// Tag-only API from an untagged file: compiles in a tagged build (and
-// under tagged vet/tests) but breaks the zero-cost contract.
-func InstallHandler() {
-	faultinject.Set(faultinject.PointA, nil) // want `faultinject\.Set exists only under -tags faultinject`
-}
-
-func CountFired() int {
-	return faultinject.Fired(faultinject.PointB) // want `faultinject\.Fired exists only under -tags faultinject`
-}
-
-var _ faultinject.Handler // want `faultinject\.Handler exists only under -tags faultinject`

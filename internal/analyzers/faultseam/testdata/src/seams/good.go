@@ -1,5 +1,5 @@
 // Package seams is the faultseam fixture: production-side seam usage,
-// correct and incorrect, in tagged and untagged files.
+// correct and incorrect.
 package seams
 
 import (
@@ -9,7 +9,7 @@ import (
 )
 
 // Acquire is the sanctioned seam shape: Fire with a declared Point
-// constant, error consulted, from an untagged file.
+// constant, error consulted.
 func Acquire() error {
 	if err := faultinject.Fire(faultinject.PointA); err != nil {
 		return fmt.Errorf("injected: %w", err)

@@ -1,5 +1,3 @@
-//go:build faultinject
-
 package cluster
 
 import (
@@ -7,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -72,25 +71,84 @@ func assertSweepIdentical(t *testing.T, got, want *service.Response, totalJobs u
 	}
 }
 
-// TestChaosKillWorkerMidSweep is the faultinject build of the worker-loss
-// drill, with the goroutine-leak assertion wrapped around the whole
-// cluster lifecycle: kill one of two workers mid-sweep, lose no rows,
-// leak no goroutines.
+// gate registers a chaos.Stall workload under a name unique to this call
+// (the registry is process-wide and append-only) and returns the name with
+// its arming channels: every execution signals started, then blocks —
+// honoring its context, so a killed worker unwinds — until release is
+// closed, and afterwards returns at once. A drill appends the gate to its
+// request to hold cells in flight for exactly as long as it needs them,
+// instead of racing the host's clock. started holds more signals than a
+// drill's grid has gate cells; Stall's send never blocks, so a drill
+// reads only the signals it waits for.
+func gate(t *testing.T) (name string, started chan struct{}, release chan struct{}) {
+	t.Helper()
+	name = fmt.Sprintf("chaosgate%d", gates.Add(1))
+	started = make(chan struct{}, 64)
+	release = make(chan struct{})
+	run.MustRegister(chaos.Stall(name, started, release, true))
+	return name, started, release
+}
+
+// gates numbers the workloads gate has registered.
+var gates atomic.Int64
+
+// awaitStart waits for one execution of a gate or stall to begin.
+func awaitStart(t *testing.T, started <-chan struct{}, what string) {
+	t.Helper()
+	select {
+	case <-started:
+	case <-time.After(20 * time.Second):
+		t.Fatalf("%s never started executing", what)
+	}
+}
+
+// holder returns the ID of a worker that has a cell matching match
+// delivered, waiting for one to appear.
+func holder(t *testing.T, coord *Coordinator, match func(index int) bool) string {
+	t.Helper()
+	var id string
+	waitFor(t, "a delivered cell to look for", func() bool {
+		coord.mu.Lock()
+		defer coord.mu.Unlock()
+		for wid, ws := range coord.workers {
+			for _, asn := range ws.delivered {
+				for idx := range asn.cells {
+					if match(idx) {
+						id = wid
+						return true
+					}
+				}
+			}
+		}
+		return false
+	})
+	return id
+}
+
+// TestChaosKillWorkerMidSweep is the worker-loss drill with the
+// goroutine-leak assertion wrapped around the whole cluster lifecycle: kill
+// one of two workers mid-sweep, lose no rows, leak no goroutines. A gate
+// cell holds the sweep open, and the worker killed is one holding a gate
+// cell, so the kill always lands on work in flight and forces a requeue.
 func TestChaosKillWorkerMidSweep(t *testing.T) {
 	faultinject.Reset()
 	t.Cleanup(faultinject.Reset)
 	assertNoLeaks := leakcheck.Check(t)
 
+	gateName, started, release := gate(t)
 	req := chaosSweep()
-	want := standaloneSweep(t, req)
+	req.Workloads = append(req.Workloads, run.WorkloadSpec{Kernel: gateName})
 	plan, err := planSweep(req.Device, req.Axes, req.Workloads, 0)
 	if err != nil {
 		t.Fatalf("planSweep: %v", err)
 	}
 
 	coord := New(Options{AssignmentCells: 2, Logf: t.Logf})
-	w1 := startWorker(t, coord, "w1", func(o *WorkerOptions) { o.FlushRows = 1; o.MaxConcurrent = 1 })
-	w2 := startWorker(t, coord, "w2", func(o *WorkerOptions) { o.FlushRows = 1; o.MaxConcurrent = 1 })
+	tweak := func(o *WorkerOptions) { o.FlushRows = 1; o.MaxConcurrent = 1 }
+	workers := map[string]*testWorker{
+		"w1": startWorker(t, coord, "w1", tweak),
+		"w2": startWorker(t, coord, "w2", tweak),
+	}
 	waitForWorkers(t, coord, 2)
 
 	respCh := make(chan *service.Response, 1)
@@ -101,40 +159,42 @@ func TestChaosKillWorkerMidSweep(t *testing.T) {
 		errCh <- err
 	}()
 
-	// Kill w1 as soon as the sweep is moving.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		coord.mu.Lock()
-		moving := coord.rowsAccepted > 0
-		coord.mu.Unlock()
-		if moving || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	w1.stop()
+	// Kill a worker while it holds a gate cell: the sweep cannot finish
+	// before the kill, because the gate is still shut.
+	awaitStart(t, started, "the gate cell")
+	victim := holder(t, coord, func(idx int) bool { return plan.jobs[idx].Workload.Name() == gateName })
+	workers[victim].stop()
+	delete(workers, victim)
+	close(release)
 
 	resp, err := <-respCh, <-errCh
 	if err != nil {
 		t.Fatalf("cluster sweep after worker kill: %v", err)
 	}
-	assertSweepIdentical(t, resp, want, uint64(len(plan.jobs)))
+	assertSweepIdentical(t, resp, standaloneSweep(t, req), uint64(len(plan.jobs)))
 
 	coord.mu.Lock()
-	accepted := coord.rowsAccepted
+	accepted, requeued := coord.rowsAccepted, coord.cellsRequeued
 	coord.mu.Unlock()
 	if accepted != uint64(len(plan.jobs)) {
 		t.Errorf("rows accepted %d, want exactly %d (one per job)", accepted, len(plan.jobs))
 	}
+	if requeued == 0 {
+		t.Error("no cell was requeued: the kill landed after the sweep")
+	}
 
-	w2.stop()
+	for _, w := range workers {
+		w.stop()
+	}
 	coord.Close()
 	assertNoLeaks()
 }
 
 // TestChaosHeartbeatBlackhole blackholes the heartbeat channel entirely:
-// every beat fails at the coordinator, so workers are repeatedly declared
-// lost mid-work — and repeatedly rejoin through the poll path's Reregister,
+// every beat fails at the coordinator. With a gate cell holding the sweep
+// open, every lease is lapsed at once (the lease itself is far beyond the
+// janitor's reach, so nothing races the host's clock): both workers are
+// declared lost mid-work and rejoin through the poll path's Reregister,
 // since registration (unlike heartbeats) still works. The sweep must still
 // complete bit-identical, every row delivered exactly once.
 func TestChaosHeartbeatBlackhole(t *testing.T) {
@@ -144,20 +204,18 @@ func TestChaosHeartbeatBlackhole(t *testing.T) {
 
 	faultinject.Set(faultinject.ClusterHeartbeat, faultinject.AlwaysFail(errors.New("injected: heartbeat blackhole")))
 
+	gateName, started, release := gate(t)
 	req := chaosSweep()
-	want := standaloneSweep(t, req)
+	req.Workloads = append(req.Workloads, run.WorkloadSpec{Kernel: gateName})
 	plan, err := planSweep(req.Device, req.Axes, req.Workloads, 0)
 	if err != nil {
 		t.Fatalf("planSweep: %v", err)
 	}
 
-	// A lease far shorter than the sweep, so workers are guaranteed to be
-	// declared lost (and to recover via Reregister) while work is in
-	// flight. Their memo stores survive re-registration, so every round
-	// trip makes progress and the sweep converges.
+	const lease = time.Hour
 	coord := New(Options{
 		HeartbeatInterval: 5 * time.Millisecond,
-		Lease:             40 * time.Millisecond,
+		Lease:             lease,
 		AssignmentCells:   2,
 		Logf:              t.Logf,
 	})
@@ -167,11 +225,26 @@ func TestChaosHeartbeatBlackhole(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	resp, err := coord.Service().Sweep(ctx, req)
+	respCh := make(chan *service.Response, 1)
+	errCh := make(chan error, 1)
+	go func() {
+		resp, err := coord.Service().Sweep(ctx, req)
+		respCh <- resp
+		errCh <- err
+	}()
+
+	// A gate cell is in flight and a beat has been dropped: every lease
+	// lapses now, as if the blackhole had outlasted it.
+	awaitStart(t, started, "the gate cell")
+	waitFor(t, "a blackholed heartbeat", func() bool { return faultinject.Fired(faultinject.ClusterHeartbeat) > 0 })
+	coord.expire(time.Now().Add(2 * lease))
+	close(release)
+
+	resp, err := <-respCh, <-errCh
 	if err != nil {
 		t.Fatalf("cluster sweep under heartbeat blackhole: %v", err)
 	}
-	assertSweepIdentical(t, resp, want, uint64(len(plan.jobs)))
+	assertSweepIdentical(t, resp, standaloneSweep(t, req), uint64(len(plan.jobs)))
 
 	if faultinject.Fired(faultinject.ClusterHeartbeat) == 0 {
 		t.Error("heartbeat seam never fired: the blackhole was not exercised")
@@ -312,10 +385,13 @@ func TestChaosDispatchFaultDelaysAssignment(t *testing.T) {
 
 // TestChaosPoisonCellQuarantine is the degraded-mode acceptance drill: one
 // cell in a batch kills its worker on every attempt. The cluster must not
-// retry it forever — after MaxCellAttempts worker losses the cell is
-// quarantined, the batch completes within the request deadline with exactly
-// one quarantined error row, and every innocent row is bit-identical to the
-// standalone run.
+// retry it forever — after MaxCellAttempts worker losses charged to it the
+// cell is quarantined, the batch completes within the request deadline with
+// exactly one quarantined error row, and every innocent row is
+// bit-identical to the standalone run. A loss that catches an innocent cell
+// in flight beside the poison charges neither, so the drill kills the
+// poison's owner until the response arrives: at most MaxCellAttempts+1
+// times, since after one shared loss the poison runs alone.
 func TestChaosPoisonCellQuarantine(t *testing.T) {
 	faultinject.Reset()
 	t.Cleanup(faultinject.Reset)
@@ -368,49 +444,29 @@ func TestChaosPoisonCellQuarantine(t *testing.T) {
 		errCh <- err
 	}()
 
-	// findOwner locates the worker currently executing the poison cell.
-	findOwner := func(attempt int) string {
-		t.Helper()
-		deadline := time.Now().Add(10 * time.Second)
-		for {
-			coord.mu.Lock()
-			for id, ws := range coord.workers {
-				for _, asn := range ws.delivered {
-					if _, ok := asn.cells[poisonIdx]; ok {
-						coord.mu.Unlock()
-						return id
-					}
-				}
-			}
-			coord.mu.Unlock()
-			if time.Now().After(deadline) {
-				t.Fatalf("attempt %d: poison cell never found in a delivered assignment", attempt)
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
-
-	next := 3
-	for kill := 1; kill <= 3; kill++ {
+	var resp *service.Response
+	for kill, next, answered := 1, 3, false; !answered; kill++ {
 		select {
+		case resp = <-respCh:
+			err, answered = <-errCh, true
+			continue
 		case <-poisonStarted:
 		case <-time.After(20 * time.Second):
-			t.Fatalf("attempt %d: poison cell never started executing", kill)
+			t.Fatalf("after %d kill(s): the poison cell neither ran again nor was quarantined", kill-1)
 		}
-		owner := findOwner(kill)
-		if kill < 3 {
-			// Keep the fleet populated: a replacement joins before each of
-			// the first two kills, so the poison always has somewhere to go.
-			id := fmt.Sprintf("w%d", next)
-			next++
-			workers[id] = startWorker(t, coord, id, tweak)
+		if kill > 3+1 {
+			t.Fatalf("the poison cell ran a %dth time: after one shared loss it must run alone, and a lone loss is charged", kill)
 		}
-		t.Logf("attempt %d: poison running on %s, killing it", kill, owner)
+		owner := holder(t, coord, func(idx int) bool { return idx == poisonIdx })
+		// Keep the fleet populated: a replacement joins before each kill,
+		// so the poison always has somewhere to go.
+		id := fmt.Sprintf("w%d", next)
+		next++
+		workers[id] = startWorker(t, coord, id, tweak)
+		t.Logf("kill %d: poison running on %s, killing it", kill, owner)
 		workers[owner].stop()
 		delete(workers, owner)
 	}
-
-	resp, err := <-respCh, <-errCh
 	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatalf("cluster batch with poison cell: %v", err)

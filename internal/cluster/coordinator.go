@@ -34,6 +34,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -145,9 +146,10 @@ type workerState struct {
 
 // assignment tracks one delivered cell batch until its rows are in.
 type assignment struct {
-	id    string
-	d     *dispatch
-	cells map[int]*cellTask // by global row index; emptied as rows arrive
+	id      string
+	d       *dispatch
+	cells   map[int]*cellTask // by global row index; emptied as rows arrive
+	suspect bool              // carries one suspect cell, which runs alone
 }
 
 // dispatch is one client request in flight: its row slots, completion
@@ -185,12 +187,16 @@ type dispatch struct {
 
 // cellTask is one routable unit of work: the wire cell, its dispatch, the
 // hash of the shard key that route pins it to a worker by, and the failed
-// attempts it has accumulated against the quarantine budget.
+// attempts it has accumulated against the quarantine budget. A suspect was
+// in flight beside other cells when their worker was lost; from then on it
+// runs alone (takeAssignmentLocked), so a later loss is evidence against it
+// and nothing else.
 type cellTask struct {
 	d        *dispatch
 	cell     protocol.Cell
 	hash     uint64
 	attempts int
+	suspect  bool
 }
 
 // New builds a Coordinator and starts its liveness janitor.
@@ -386,12 +392,33 @@ func (c *Coordinator) chargeLocked(cells []*cellTask, cause string) []*cellTask 
 	return requeue
 }
 
+// lossLocked applies a worker loss to the cells the worker had in flight. A
+// loss is evidence against that set, not against each of its members: a cell
+// alone in flight is charged (chargeLocked), while cells lost together
+// become suspects, requeued uncharged. Each suspect then runs alone, so a
+// poison cell is charged on its next loss and its bystanders never are.
+// Returns the cells to requeue. Caller holds mu.
+func (c *Coordinator) lossLocked(inflight []*cellTask) []*cellTask {
+	if len(inflight) <= 1 {
+		return c.chargeLocked(inflight, "")
+	}
+	requeue := inflight[:0]
+	for _, t := range inflight {
+		if !t.d.failed {
+			t.suspect = true
+			requeue = append(requeue, t)
+		}
+	}
+	c.cellsRequeued += uint64(len(requeue))
+	return requeue
+}
+
 // dropWorkerLocked revokes the delivered assignments of a worker incarnation
 // the caller has already taken out of c.workers (lost, draining, or replaced
 // by a re-registration) and requeues every cell it had not completed onto
 // the workers registered now. Cells that were actually in flight (delivered,
-// not just queued) are charged one failed attempt. Returns the requeued cell
-// count. Caller holds mu.
+// not just queued) answer for the loss (lossLocked). Returns the requeued
+// cell count. Caller holds mu.
 func (c *Coordinator) dropWorkerLocked(ws *workerState, reason string) int {
 	// Queued-but-undelivered cells requeue free of charge: the worker
 	// never started them, so its loss says nothing about them.
@@ -413,7 +440,7 @@ func (c *Coordinator) dropWorkerLocked(ws *workerState, reason string) int {
 	}
 	ws.queue, ws.delivered = nil, nil // revoked: late returns find nothing
 	before := c.cellsQuarantined
-	tasks = append(tasks, c.chargeLocked(inflight, "")...)
+	tasks = append(tasks, c.lossLocked(inflight)...)
 	quarantined := c.cellsQuarantined - before
 	byDispatchRow(tasks)
 	if len(tasks) > 0 {
@@ -565,28 +592,43 @@ func liveQueued(queue []*cellTask) bool {
 // takeAssignmentLocked pops one assignment off the worker's queue: the
 // longest prefix of cells belonging to the first live dispatch, capped at
 // AssignmentCells (an assignment carries one sweep grid, so it cannot mix
-// dispatches). Cells of failed dispatches are scrubbed in passing. Caller
-// holds mu; returns nil when only dead cells were queued.
+// dispatches). Cells of failed dispatches are scrubbed in passing. A queued
+// suspect goes first, alone, and only to an idle worker, which then receives
+// nothing else until the suspect's assignment closes. Caller holds mu;
+// returns nil when only dead cells were queued or a suspect is waiting.
 func (c *Coordinator) takeAssignmentLocked(ws *workerState) *protocol.Assignment {
-	var d *dispatch
-	var taken []*cellTask
-	rest := ws.queue[:0]
-	for _, t := range ws.queue {
-		switch {
-		case t.d.failed:
-			// dropped
-		case d == nil && len(taken) < c.opt.AssignmentCells:
-			d = t.d
-			taken = append(taken, t)
-		case t.d == d && len(taken) < c.opt.AssignmentCells:
-			taken = append(taken, t)
-		default:
-			rest = append(rest, t)
+	for _, asn := range ws.delivered {
+		if asn.suspect {
+			return nil
 		}
 	}
-	ws.queue = rest
-	if d == nil {
-		return nil
+	var d *dispatch
+	var taken []*cellTask
+	if i := slices.IndexFunc(ws.queue, func(t *cellTask) bool { return t.suspect && !t.d.failed }); i >= 0 {
+		if len(ws.delivered) > 0 {
+			return nil
+		}
+		d, taken = ws.queue[i].d, []*cellTask{ws.queue[i]}
+		ws.queue = slices.Delete(ws.queue, i, i+1)
+	} else {
+		rest := ws.queue[:0]
+		for _, t := range ws.queue {
+			switch {
+			case t.d.failed:
+				// dropped
+			case d == nil && len(taken) < c.opt.AssignmentCells:
+				d = t.d
+				taken = append(taken, t)
+			case t.d == d && len(taken) < c.opt.AssignmentCells:
+				taken = append(taken, t)
+			default:
+				rest = append(rest, t)
+			}
+		}
+		ws.queue = rest
+		if d == nil {
+			return nil
+		}
 	}
 	if len(ws.queue) > 0 {
 		ws.wakeUp() // more work behind this assignment: next poll returns fast
@@ -594,9 +636,10 @@ func (c *Coordinator) takeAssignmentLocked(ws *workerState) *protocol.Assignment
 	c.seq++
 	d.outstanding++
 	asn := &assignment{
-		id:    fmt.Sprintf("a%d", c.seq),
-		d:     d,
-		cells: make(map[int]*cellTask, len(taken)),
+		id:      fmt.Sprintf("a%d", c.seq),
+		d:       d,
+		cells:   make(map[int]*cellTask, len(taken)),
+		suspect: taken[0].suspect,
 	}
 	out := &protocol.Assignment{ID: asn.id, Kind: d.kind, Sweep: d.sweep}
 	if !d.deadline.IsZero() {
@@ -665,6 +708,9 @@ func (c *Coordinator) ReturnRows(ctx context.Context, req protocol.RowReturn) (p
 		}
 		delete(ws.delivered, req.AssignmentID)
 		asn.d.outstanding--
+		if len(ws.queue) > 0 {
+			ws.wakeUp() // a queued suspect may be waiting for the worker to go idle
+		}
 		if len(asn.cells) > 0 {
 			// The worker declared the assignment finished without returning
 			// every row (a worker-local failure it could not attribute to

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -121,6 +122,109 @@ func TestClusterQuarantineAfterRepeatedLoss(t *testing.T) {
 	}
 	if failures != 0 {
 		t.Errorf("cellFailures = %d, want 0 (losses, not contained failures)", failures)
+	}
+}
+
+// TestClusterLossSparesBystanders drives a poison cell and an innocent
+// sibling by hand, one cell per assignment. Each round a fresh worker takes
+// everything it is offered; it is lost (drained) whenever it holds the
+// poison, and otherwise completes what it holds. The first loss catches both
+// cells in flight, which says nothing about which one is guilty: neither is
+// charged, and each is retried alone on an idle worker. The innocent then
+// completes, and the poison, lost alone three times, is the one quarantine.
+// Were every cell in flight charged, the innocent would follow the poison
+// and be quarantined with it after three shared losses.
+func TestClusterLossSparesBystanders(t *testing.T) {
+	ctx := context.Background()
+	coord := New(Options{MaxCellAttempts: 3, AssignmentCells: 1, Logf: t.Logf})
+	defer coord.Close()
+
+	respCh, errCh := startBatch(t, coord, service.RequestOptions{},
+		"stream:test=COPY,elems=64,reps=1", "stream:test=SCALE,elems=64,reps=1")
+	const poisonIdx = 1
+	innocent := protocol.Row{Index: 0, Result: run.Result{Workload: "stream", Device: "MangoPi", Seconds: 1}}
+
+	sharedLosses := 0
+	for round := 1; round <= 10; round++ {
+		id := fmt.Sprintf("w%d", round)
+		if _, err := coord.Register(ctx, protocol.RegisterRequest{WorkerID: id}); err != nil {
+			t.Fatalf("register %s: %v", id, err)
+		}
+		offered := false
+		for lost := false; !lost; {
+			// Take everything on offer; the very first poll waits for the
+			// batch to be scheduled.
+			var held []*protocol.Assignment
+			for {
+				var wait int64
+				if round == 1 && !offered {
+					wait = 5000
+				}
+				poll, err := coord.Poll(ctx, protocol.PollRequest{WorkerID: id, WaitMS: wait})
+				if err != nil {
+					t.Fatalf("poll %s: %v", id, err)
+				}
+				if poll.Assignment == nil {
+					break
+				}
+				held = append(held, poll.Assignment)
+				offered = true
+			}
+			if len(held) == 0 {
+				break
+			}
+			cells, poisoned := 0, false
+			for _, asn := range held {
+				for _, cell := range asn.Cells {
+					cells++
+					poisoned = poisoned || cell.Index == poisonIdx
+				}
+			}
+			if poisoned {
+				if cells > 1 {
+					sharedLosses++
+				}
+				if _, err := coord.DrainWorker(ctx, protocol.DrainRequest{WorkerID: id}); err != nil {
+					t.Fatalf("drain %s: %v", id, err)
+				}
+				lost = true
+				continue
+			}
+			for _, asn := range held {
+				if _, err := coord.ReturnRows(ctx, protocol.RowReturn{
+					WorkerID: id, AssignmentID: asn.ID, Rows: []protocol.Row{innocent}, Done: true,
+				}); err != nil {
+					t.Fatalf("return innocent row: %v", err)
+				}
+			}
+		}
+		if !offered {
+			break // nothing left to hand out: the batch has settled
+		}
+	}
+
+	resp, err := <-respCh, <-errCh
+	if err != nil {
+		t.Fatalf("batch with a poison cell: %v", err)
+	}
+	if resp.Results[0].Result != innocent.Result || resp.Results[0].Error != "" {
+		t.Errorf("innocent row %+v, want the row its worker returned", resp.Results[0])
+	}
+	if got, want := resp.Results[poisonIdx].Error, service.QuarantinedRowError(3); got != want {
+		t.Errorf("poison row error %q, want %q", got, want)
+	}
+	if sharedLosses != 1 {
+		t.Errorf("the poison was lost beside another cell %d times, want once: a suspect is retried alone", sharedLosses)
+	}
+
+	coord.mu.Lock()
+	quarantined, accepted := coord.cellsQuarantined, coord.rowsAccepted
+	coord.mu.Unlock()
+	if quarantined != 1 {
+		t.Errorf("cellsQuarantined = %d, want exactly 1 (the poison)", quarantined)
+	}
+	if accepted != 2 {
+		t.Errorf("rowsAccepted = %d, want 2 (innocent row + quarantine row)", accepted)
 	}
 }
 

@@ -48,8 +48,8 @@ type FlakyOptions struct {
 // while a ClusterRecv fault drops the response after the coordinator acted
 // (side effects happened; a naive retry is a duplicate — which is exactly
 // the case the coordinator's per-index dedup and revocation logic must
-// absorb). Duplicate works in the default build too; the drop seams are
-// live only under -tags faultinject.
+// absorb). Duplicate needs no seam; the drops fire only while a test has
+// armed ClusterSend or ClusterRecv.
 type FlakyTransport struct {
 	inner API
 	opt   FlakyOptions
@@ -140,8 +140,7 @@ func (f *FlakyTransport) DrainWorker(ctx context.Context, req protocol.DrainRequ
 // requires the response bit-identical to standalone with every row accepted
 // exactly once: the duplicate's rows must bounce off the coordinator's
 // per-index dedup (mid-assignment) or revocation (after Done), never count
-// twice. Duplicate delivery needs no faultinject seam, so this is an
-// untagged test: the invariant holds in production builds too.
+// twice. Duplicate delivery needs no faultinject seam.
 func TestFlakyTransportDuplicateRowsExactlyOnce(t *testing.T) {
 	assertNoLeaks := leakcheck.Check(t)
 	ctx := context.Background()

@@ -100,8 +100,9 @@ type Assignment struct {
 // SweepGrid names a sweep's deterministic expansion: the worker re-expands
 // (device, axes) locally — sweep.Expand is a pure function of them — and
 // executes the cells it was assigned by job index. Shipping the recipe
-// instead of the expanded machine.Spec keeps the protocol serializable
-// (a Spec may carry function-valued fields) and the expansion single-source.
+// instead of the expanded machine.Spec keeps the expansion single-source
+// (coordinator and worker cannot disagree on a cell's device) and the
+// cells small: a cell is one job index, not a whole device description.
 type SweepGrid struct {
 	Device    string             `json:"device"`
 	Axes      []string           `json:"axes,omitempty"`

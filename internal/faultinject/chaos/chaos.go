@@ -5,10 +5,6 @@
 // paths real workloads take and asserts the invariants hold (the batch
 // survives a panic, a stall is abandoned at the deadline, a transient
 // failure is never cached, nothing leaks).
-//
-// The package is ordinary (untagged) code: constructing a chaos workload
-// costs nothing unless it is actually run, and keeping it buildable
-// everywhere means the untagged robustness tests can use it too.
 package chaos
 
 import (

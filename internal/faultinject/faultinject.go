@@ -6,21 +6,25 @@
 // never re-pooled, errors never cached, deadlines honored) under every
 // fault class, deterministically.
 //
-// The package has two builds:
-//
-//   - Default (no build tag): Fire is a no-op stub returning nil. The calls
-//     at the seams compile to nothing — the hooks are free in production
-//     binaries; the happy path pays zero cost for being injectable.
-//   - `-tags faultinject`: Fire consults a process-wide handler registry
-//     (Set/Clear/Reset) and counts activations (Fired). The chaos suites in
-//     internal/run and internal/service build only under this tag and run
-//     in CI with -race.
+// There is one build. Fire is a real function whose disarmed path is a
+// single atomic load: until a test installs a handler with Set, the seams
+// cost one pointer read and return nil. Set installs a process-wide handler
+// table, Fired reads its activation counts, and Reset disarms every seam.
+// Each seam sits on a per-request (or colder) path, never on a per-access
+// one, so production binaries carry the same code the chaos suites of
+// internal/run, internal/service and internal/cluster exercise under plain
+// `go test`.
 //
 // Handlers inject failures at seams; the misbehaving *workloads* of the
 // fault taxonomy (panic, stall, slow, transient failure) need no seam —
 // they are ordinary Workload implementations, provided by the chaos
 // subpackage.
 package faultinject
+
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // Point names one injection seam. The set is small and deliberate: a seam
 // earns its place by guarding an invariant the chaos suite asserts.
@@ -78,3 +82,95 @@ const (
 	// delivery exactly-once under that duplication.
 	ClusterRecv Point = "cluster.recv"
 )
+
+// Handler decides one activation of a point: return nil to let the call
+// proceed, non-nil to inject that failure.
+type Handler func() error
+
+// table is one armed set of handlers and the activation counts taken while
+// it was installed.
+type table struct {
+	handlers map[Point]Handler
+	fired    map[Point]int
+}
+
+var (
+	mu    sync.Mutex            // guards the installed table's maps
+	armed atomic.Pointer[table] // nil while every seam is disarmed
+)
+
+// Fire consults the point's handler. Disarmed (no Set since the last Reset)
+// it is one atomic load returning nil. Armed, it counts the activation —
+// whether or not this point has a handler — so tests can assert a seam was
+// actually reached.
+func Fire(p Point) error {
+	t := armed.Load()
+	if t == nil {
+		return nil
+	}
+	mu.Lock()
+	t.fired[p]++
+	h := t.handlers[p]
+	mu.Unlock()
+	if h == nil {
+		return nil
+	}
+	return h()
+}
+
+// Set installs the point's handler, replacing any previous one; a nil
+// handler clears it. The first Set after a Reset arms every seam.
+func Set(p Point, h Handler) {
+	mu.Lock()
+	defer mu.Unlock()
+	t := armed.Load()
+	if t == nil {
+		t = &table{handlers: map[Point]Handler{}, fired: map[Point]int{}}
+		armed.Store(t)
+	}
+	if h == nil {
+		delete(t.handlers, p)
+	} else {
+		t.handlers[p] = h
+	}
+}
+
+// Reset disarms every seam and drops the activation counts; chaos tests
+// defer it so faults never leak across tests.
+func Reset() {
+	mu.Lock()
+	defer mu.Unlock()
+	armed.Store(nil)
+}
+
+// Fired reports how many times the point has been reached since the first
+// Set after the last Reset.
+func Fired(p Point) int {
+	mu.Lock()
+	defer mu.Unlock()
+	if t := armed.Load(); t != nil {
+		return t.fired[p]
+	}
+	return 0
+}
+
+// FailTimes builds a handler that injects err on the first n activations
+// and then lets every later call proceed — the shape of a transient fault.
+func FailTimes(n int, err error) Handler {
+	var (
+		hmu  sync.Mutex
+		left = n
+	)
+	return func() error {
+		hmu.Lock()
+		defer hmu.Unlock()
+		if left > 0 {
+			left--
+			return err
+		}
+		return nil
+	}
+}
+
+// AlwaysFail builds a handler that injects err on every activation.
+func AlwaysFail(err error) Handler { return func() error { return err } }

@@ -210,9 +210,9 @@ func TestDiskUndecodablePayloadQuarantined(t *testing.T) {
 	}
 }
 
-// TestDiskPersistFailureIsSoft pins the write-path contract without the
-// faultinject build tag: an Encode failure (the first step of a persist)
-// is counted, and the store keeps serving everything else.
+// TestDiskPersistFailureIsSoft pins the write-path contract without a fault
+// seam: an Encode failure (the first step of a persist) is counted, and the
+// store keeps serving everything else.
 func TestDiskPersistFailureIsSoft(t *testing.T) {
 	codec := testCodec()
 	codec.Encode = func(any) ([]byte, error) { return nil, errors.New("injected encode failure") }

@@ -1,10 +1,7 @@
-//go:build faultinject
-
 // The runner chaos suite: fault-injected acquisition failures, panicking
 // workloads and transient flakes driven through the ordinary Runner paths,
 // asserting the robustness invariants — batches survive, poisoned machines
 // never re-pool, errors are never served from the cache, nothing leaks.
-// Build with -tags faultinject (the CI chaos job runs it under -race).
 package run_test
 
 import (

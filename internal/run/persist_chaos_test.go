@@ -1,5 +1,3 @@
-//go:build faultinject
-
 package run_test
 
 import (
@@ -60,7 +58,7 @@ func TestChaosPersistFailureNeverFailsRequest(t *testing.T) {
 
 	// Nothing reached disk, so a restarted process re-simulates — and with
 	// the fault cleared, its persist succeeds and the store heals.
-	faultinject.Clear(faultinject.MemoPersist)
+	faultinject.Set(faultinject.MemoPersist, nil)
 	store2, err := run.OpenStore(dir, 0, t.Logf)
 	if err != nil {
 		t.Fatal(err)

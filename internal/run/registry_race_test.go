@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"riscvmem/internal/sim"
@@ -14,11 +15,15 @@ import (
 // ParseWorkloadSpec/NewWorkload — from many goroutines at once, the access
 // pattern of concurrent simd request handlers. Run under -race (CI does);
 // the assertions only check the registries stay internally consistent.
+// Every run registers names of its own, because the registries are
+// append-only and outlive the test (go test -count=N runs it N times in one
+// process).
 func TestRegistryConcurrency(t *testing.T) {
 	const (
 		goroutines = 8
 		iters      = 200
 	)
+	run := registryRuns.Add(1)
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		g := g
@@ -26,7 +31,7 @@ func TestRegistryConcurrency(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				name := fmt.Sprintf("race-wl-%d-%d", g, i)
+				name := fmt.Sprintf("race-wl-%d-%d-%d", run, g, i)
 				w := NewFunc(name, func(ctx context.Context, m *sim.Machine) (Result, error) {
 					return Result{}, nil
 				})
@@ -40,7 +45,7 @@ func TestRegistryConcurrency(t *testing.T) {
 				}
 				_ = Names()
 
-				kernel := fmt.Sprintf("racekernel%dx%d", g, i)
+				kernel := fmt.Sprintf("racekernel%dx%dx%d", run, g, i)
 				err := RegisterSpecFactory(KernelInfo{
 					Kernel: kernel, Summary: "race test", Params: "none",
 				}, func(spec WorkloadSpec) (Workload, error) { return w, nil })
@@ -67,3 +72,6 @@ func TestRegistryConcurrency(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// registryRuns numbers the runs of TestRegistryConcurrency in this process.
+var registryRuns atomic.Int64

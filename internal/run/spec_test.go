@@ -189,6 +189,16 @@ func TestParseWorkloadSpecErrors(t *testing.T) {
 	}
 }
 
+// The registered workloads TestNewWorkloadErrors resolves, registered once
+// per test binary: the registry is process-wide and append-only.
+func init() {
+	for _, name := range []string{"spec-test-custom", "spec-test-Mixed/8MiB"} {
+		MustRegister(NewFunc(name, func(ctx context.Context, m *sim.Machine) (Result, error) {
+			return Result{}, nil
+		}))
+	}
+}
+
 // TestNewWorkloadErrors covers unknown kernels, unknown parameters and bad
 // values: errors must list the registered kernels (or the accepted keys)
 // and the grammar, matching the machine.ByName error style.
@@ -230,12 +240,6 @@ func TestNewWorkloadErrors(t *testing.T) {
 
 	// A registered (non-factory) workload resolves by bare name but rejects
 	// parameters.
-	w := NewFunc("spec-test-custom", func(ctx context.Context, m *sim.Machine) (Result, error) {
-		return Result{}, nil
-	})
-	if err := Register(w); err != nil {
-		t.Fatal(err)
-	}
 	got, err := NewWorkload(WorkloadSpec{Kernel: "spec-test-custom"})
 	if err != nil || got.Name() != "spec-test-custom" {
 		t.Fatalf("registry fallback: %v, %v", got, err)
@@ -247,12 +251,6 @@ func TestNewWorkloadErrors(t *testing.T) {
 
 	// A mixed-case registered name survives the parse → resolve round trip
 	// (the parser must not lowercase names that are not factory kernels).
-	mixed := NewFunc("spec-test-Mixed/8MiB", func(ctx context.Context, m *sim.Machine) (Result, error) {
-		return Result{}, nil
-	})
-	if err := Register(mixed); err != nil {
-		t.Fatal(err)
-	}
 	got, err = ParseWorkload("spec-test-Mixed/8MiB")
 	if err != nil || got.Name() != "spec-test-Mixed/8MiB" {
 		t.Errorf("mixed-case registered name: %v, %v", got, err)

@@ -1,17 +1,16 @@
-//go:build faultinject
-
 // The service chaos suite: injected admission and machine-acquisition
 // faults, context-deaf workloads and a full drain-under-fire drill, driven
 // through the public Service surface. Asserts the end-to-end robustness
 // invariants — errors never cached, deadlines honored against stalls,
 // poisoned machines never re-pooled, drain bounded, no goroutine leaks.
-// Build with -tags faultinject (the CI chaos job runs it under -race).
 package service
 
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -21,18 +20,23 @@ import (
 	"riscvmem/internal/run"
 )
 
-// registerDeafStall registers a uniquely named context-deaf stall workload
-// and returns its registry name with the arming channels. Unique names per
-// test because the registry is append-only and process-wide.
-func registerDeafStall(t *testing.T, name string) (started chan struct{}, release chan struct{}) {
+// registerStall registers a chaos.Stall workload (context-deaf unless
+// honorCtx) under a name unique to this call and returns the name with the
+// arming channels. The registry is append-only and process-wide, so each
+// run of a test (go test -count=N) needs a name of its own.
+func registerStall(t *testing.T, prefix string, honorCtx bool) (name string, started chan struct{}, release chan struct{}) {
 	t.Helper()
+	name = fmt.Sprintf("%s-%d", prefix, stalls.Add(1))
 	started = make(chan struct{}, 64)
 	release = make(chan struct{})
-	if err := run.Register(chaos.Stall(name, started, release, false)); err != nil {
+	if err := run.Register(chaos.Stall(name, started, release, honorCtx)); err != nil {
 		t.Fatal(err)
 	}
-	return started, release
+	return name, started, release
 }
+
+// stalls numbers the workloads registerStall has registered.
+var stalls atomic.Int64
 
 // TestChaosAdmitFault: a fault injected at the admission seam surfaces as
 // the request's error with its classification intact — proving the seam
@@ -97,24 +101,26 @@ func TestChaosTransientAcquire(t *testing.T) {
 // TestChaosDeadlineAgainstStall: an async job containing a context-deaf
 // workload still honors its deadline — the healthy row lands first in
 // OnProgress order, the stalled run is abandoned, its machine poisoned, and
-// the job reads failed.
+// the job reads failed. The healthy job is a gate released only once both
+// jobs run, so each holds a machine of its own: a healthy job finishing
+// before the stall starts would hand the stall its pooled machine.
 func TestChaosDeadlineAgainstStall(t *testing.T) {
 	assertNoLeak := leakcheck.Check(t)
-	started, release := registerDeafStall(t, "svc-chaos-stall-deadline")
+	stall, started, release := registerStall(t, "svc-chaos-stall-deadline", false)
+	healthy, healthyStarted, healthyRelease := registerStall(t, "svc-chaos-healthy", true)
 	svc := New(Options{Parallelism: 2})
 
 	js, err := svc.SubmitJob(context.Background(), JobRequest{Batch: &BatchRequest{
-		Devices: []string{"MangoPi"},
-		Workloads: []run.WorkloadSpec{
-			{Kernel: "svc-chaos-stall-deadline"},
-			run.MustParseWorkloadSpec("stream:test=COPY,elems=1024,reps=1"),
-		},
-		Options: RequestOptions{TimeoutMS: 100},
+		Devices:   []string{"MangoPi"},
+		Workloads: []run.WorkloadSpec{{Kernel: stall}, {Kernel: healthy}},
+		Options:   RequestOptions{TimeoutMS: 100},
 	}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-started
+	<-healthyStarted
+	close(healthyRelease)
 
 	final := pollJob(t, svc, js.ID)
 	if final.State != JobFailed || !strings.Contains(final.Error, "deadline") {
@@ -125,7 +131,7 @@ func TestChaosDeadlineAgainstStall(t *testing.T) {
 	if len(final.Rows) != 2 || final.Done != 2 {
 		t.Fatalf("rows=%d done=%d, want 2/2", len(final.Rows), final.Done)
 	}
-	if final.Rows[0].Error != "" || final.Rows[0].Workload != "stream/COPY" {
+	if final.Rows[0].Error != "" || final.Rows[0].Workload != healthy {
 		t.Errorf("first streamed row = %+v, want the healthy completion", final.Rows[0])
 	}
 	if !strings.Contains(final.Rows[1].Error, "abandoned") {
@@ -148,13 +154,13 @@ func TestChaosDeadlineAgainstStall(t *testing.T) {
 // poisoned, the abandonment logged, and no goroutine left behind.
 func TestChaosDrainUnderFire(t *testing.T) {
 	assertNoLeak := leakcheck.Check(t)
-	started, release := registerDeafStall(t, "svc-chaos-stall-drain")
+	stall, started, release := registerStall(t, "svc-chaos-stall-drain", false)
 	var logs logBuffer
 	svc := New(Options{MaxInFlight: 1, Logf: logs.logf})
 
 	stalled, err := svc.SubmitJob(context.Background(), JobRequest{Batch: &BatchRequest{
 		Devices:   []string{"MangoPi"},
-		Workloads: []run.WorkloadSpec{{Kernel: "svc-chaos-stall-drain"}},
+		Workloads: []run.WorkloadSpec{{Kernel: stall}},
 	}})
 	if err != nil {
 		t.Fatal(err)

@@ -108,23 +108,18 @@ func (e *ExecutionError) Unwrap() error { return e.Err }
 
 // Options configures a Service.
 type Options struct {
-	// Runner executes every request's jobs; nil builds a fresh memoized
-	// runner. Passing one lets a Service share its cache with in-process
-	// callers (e.g. a suite warming the cache the daemon then serves from).
-	Runner *run.Runner
-	// Parallelism is forwarded to the Runner built when Runner is nil;
+	// Parallelism is forwarded to the memoized Runner the Service builds;
 	// 0 defaults to the host CPU count.
 	Parallelism int
-	// Store is the tiered memo store forwarded to the Runner built when
-	// Runner is nil — run.OpenStore builds one with a persistent disk tier
-	// so a restarted daemon serves previously computed results without
-	// re-simulating. Nil gets the runner's default bounded in-memory store.
-	// Ignored when Runner is set (the runner already owns its store).
+	// Store is the tiered memo store forwarded to that Runner —
+	// run.OpenStore builds one with a persistent disk tier so a restarted
+	// daemon serves previously computed results without re-simulating. Nil
+	// gets the runner's default bounded in-memory store.
 	Store memostore.Store
 	// Executor replaces the local runner as the place admitted plans run;
-	// nil executes in-process on the Runner above. cluster.New passes the
-	// coordinator, which then serves this whole facade fleet-wide; Runner,
-	// Parallelism and Store are unused with it.
+	// nil executes in-process on the Runner built from the two fields
+	// above. cluster.New passes the coordinator, which then serves this
+	// whole facade fleet-wide; Parallelism and Store are unused with it.
 	Executor Executor
 	// MaxInFlight bounds concurrently executing requests. 0 → 4.
 	MaxInFlight int
@@ -202,10 +197,7 @@ func New(opt Options) *Service {
 	}
 	s := &Service{exec: opt.Executor, opt: opt, sem: make(chan struct{}, opt.MaxInFlight), latency: newLatencyHist()}
 	if s.exec == nil {
-		s.runner = opt.Runner
-		if s.runner == nil {
-			s.runner = run.New(run.Options{Parallelism: opt.Parallelism, Store: opt.Store})
-		}
+		s.runner = run.New(run.Options{Parallelism: opt.Parallelism, Store: opt.Store})
 		s.exec = &localExecutor{runner: s.runner, kernels: newKernelHist()}
 	}
 	if opt.ClientRate > 0 {

@@ -224,8 +224,8 @@ func MustParseWorkloadSpec(s string) WorkloadSpec { return run.MustParseWorkload
 type (
 	// Service executes Batch and Sweep requests on a shared runner.
 	Service = service.Service
-	// ServiceOptions configures a Service (runner sharing, admission
-	// limit, job limit, timeouts).
+	// ServiceOptions configures a Service (parallelism, result store,
+	// admission limit, job limit, timeouts).
 	ServiceOptions = service.Options
 	// BatchRequest asks for a device × workload cross-product.
 	BatchRequest = service.BatchRequest

@@ -2,8 +2,8 @@
 // cache-key encodings.
 //
 // Every built-in kernel's memoization identity is the canonical
-// WorkloadSpec encoding of its Config (run.StreamSpec / TransposeSpec /
-// BlurSpec): a function that must name *every* Config field, because a
+// spec-grammar encoding of its Config (run's streamKey / transposeKey /
+// blurKey): a function that must name *every* Config field, because a
 // field missing from the encoding makes two different configurations
 // share one cache entry — the memo store would silently serve the wrong
 // result, across processes and forever (the disk tier outlives the bug).
@@ -14,9 +14,9 @@
 // analyzer then requires every exported field of the function's struct
 // parameter to be read (as a selector) somewhere in its body. To keep the
 // contract closed, a function that *looks* like a canonical encoder —
-// exported, named *Spec, a single named-struct parameter, a single
-// *Spec-named result — but lacks the directive is flagged too, so a new
-// kernel cannot ship an unchecked encoding by accident.
+// named *Key, a single named-struct parameter, a single string result —
+// but lacks the directive is flagged too, so a new kernel cannot ship an
+// unchecked encoding by accident.
 package cachekey
 
 import (
@@ -128,13 +128,12 @@ func structParam(pass *analysis.Pass, fn *ast.FuncDecl) (string, *types.Struct) 
 	return "", nil
 }
 
-// looksLikeEncoder matches the canonical-encoder shape: an exported
-// function named *Spec with exactly one parameter (a named struct) and
-// one result whose type name also ends in Spec (run.StreamSpec's shape —
-// Config in, WorkloadSpec out).
+// looksLikeEncoder matches the canonical-encoder shape: a function (not a
+// method) named *Key with exactly one parameter (a named struct) and one
+// string result (run.streamKey's shape — Config in, key string out).
 func looksLikeEncoder(pass *analysis.Pass, fn *ast.FuncDecl) bool {
 	name := fn.Name.Name
-	if fn.Recv != nil || !ast.IsExported(name) || !strings.HasSuffix(name, "Spec") || name == "Spec" {
+	if fn.Recv != nil || !strings.HasSuffix(name, "Key") || name == "Key" {
 		return false
 	}
 	if fn.Type.Params == nil || len(fn.Type.Params.List) != 1 || len(fn.Type.Params.List[0].Names) > 1 {
@@ -143,10 +142,9 @@ func looksLikeEncoder(pass *analysis.Pass, fn *ast.FuncDecl) bool {
 	if _, st := structParam(pass, fn); st == nil {
 		return false
 	}
-	if fn.Type.Results == nil || len(fn.Type.Results.List) != 1 {
+	if fn.Type.Results == nil || len(fn.Type.Results.List) != 1 || len(fn.Type.Results.List[0].Names) > 1 {
 		return false
 	}
 	rt := pass.TypesInfo.TypeOf(fn.Type.Results.List[0].Type)
-	named, ok := rt.(*types.Named)
-	return ok && strings.HasSuffix(named.Obj().Name(), "Spec")
+	return rt != nil && types.Identical(rt, types.Typ[types.String])
 }

@@ -1,14 +1,8 @@
 // Package enc is the cachekey fixture: canonical encoders in the shape
-// of run.StreamSpec, complete and incomplete.
+// of run's streamKey, complete and incomplete.
 package enc
 
 import "strconv"
-
-// Spec stands in for run.WorkloadSpec.
-type Spec struct {
-	Kernel string
-	Params map[string]string
-}
 
 // Config stands in for a kernel Config: three exported fields (all of
 // which must appear in a canonical encoding) and one unexported field
@@ -28,38 +22,36 @@ func (c Config) Normalized() Config {
 	return c
 }
 
-// CompleteSpec names every exported Config field.
+// completeKey names every exported Config field.
 //
 //simlint:cachekey
-func CompleteSpec(cfg Config) Spec {
+func completeKey(cfg Config) string {
 	cfg = cfg.Normalized()
-	return Spec{Kernel: "complete", Params: map[string]string{
-		"elems":  strconv.Itoa(cfg.Elems),
-		"reps":   strconv.Itoa(cfg.Reps),
-		"verify": strconv.FormatBool(cfg.Verify),
-	}}
+	var buf [64]byte
+	b := append(buf[:0], "complete:elems="...)
+	b = strconv.AppendInt(b, int64(cfg.Elems), 10)
+	b = append(b, ",reps="...)
+	b = strconv.AppendInt(b, int64(cfg.Reps), 10)
+	b = append(b, ",verify="...)
+	b = strconv.AppendBool(b, cfg.Verify)
+	return string(b)
 }
 
-// IncompleteSpec dropped the Reps field from the encoding — two configs
+// incompleteKey dropped the Reps field from the encoding — two configs
 // differing only in Reps would share one cache key. This is the
 // acceptance fixture: removing a field from a canonical encoding makes
 // cachekey fail.
 //
 //simlint:cachekey
-func IncompleteSpec(cfg Config) Spec { // want `canonical encoding IncompleteSpec does not name Config field\(s\) Reps`
-	return Spec{Kernel: "incomplete", Params: map[string]string{
-		"elems":  strconv.Itoa(cfg.Elems),
-		"verify": strconv.FormatBool(cfg.Verify),
-	}}
+func incompleteKey(cfg Config) string { // want `canonical encoding incompleteKey does not name Config field\(s\) Reps`
+	return "incomplete:elems=" + strconv.Itoa(cfg.Elems) + ",verify=" + strconv.FormatBool(cfg.Verify)
 }
 
-// UnmarkedSpec has the canonical-encoder shape (exported, *Spec name,
-// single struct param, *Spec result) but no directive: a new kernel must
-// not be able to ship an unchecked encoding.
-func UnmarkedSpec(cfg Config) Spec { // want `UnmarkedSpec looks like a canonical cache-key encoder but has no //simlint:cachekey directive`
-	return Spec{Kernel: "unmarked", Params: map[string]string{
-		"elems": strconv.Itoa(cfg.Elems),
-	}}
+// unmarkedKey has the canonical-encoder shape (*Key name, single struct
+// param, string result) but no directive: a new kernel must not be able
+// to ship an unchecked encoding.
+func unmarkedKey(cfg Config) string { // want `unmarkedKey looks like a canonical cache-key encoder but has no //simlint:cachekey directive`
+	return "unmarked:elems=" + strconv.Itoa(cfg.Elems)
 }
 
 // MarkedHelper carries the directive on a differently-shaped function;
@@ -74,13 +66,16 @@ func MarkedHelper(cfg *Config, out map[string]string) { // want `canonical encod
 // MisplacedDirective has nothing checkable.
 //
 //simlint:cachekey
-func MisplacedDirective() Spec { // want `MisplacedDirective carries //simlint:cachekey but has no named-struct parameter`
-	return Spec{Kernel: "none"}
+func MisplacedDirective() string { // want `MisplacedDirective carries //simlint:cachekey but has no named-struct parameter`
+	return "none"
 }
 
-// DescribeSpec is the allowed near-miss for the shape heuristic: the
-// result is not a *Spec type, so a summary/debug helper reading only
-// some fields is not mistaken for an encoder.
-func DescribeSpec(cfg Config) string {
-	return "elems=" + strconv.Itoa(cfg.Elems)
-}
+// The allowed near-misses for the shape heuristic: a summary helper
+// not named *Key, a *Key function whose result is not a string, and one
+// taking more than the config, are not mistaken for encoders.
+
+func describeConfig(cfg Config) string { return "elems=" + strconv.Itoa(cfg.Elems) }
+
+func sizeKey(cfg Config) int { return cfg.Elems }
+
+func shardKey(cfg Config, salt string) string { return salt + strconv.Itoa(cfg.Elems) }

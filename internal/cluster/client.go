@@ -22,12 +22,26 @@ type Client struct {
 	hc   *http.Client
 }
 
+// clientIdleConns is how many idle connections a Client keeps to its
+// coordinator. A worker has a long poll, a heartbeat and a row return per
+// executing assignment open at once; http.DefaultTransport idles only 2
+// connections per host, so the others were closed after each call and
+// re-dialed for the next one.
+const clientIdleConns = 64
+
 // NewClient builds a client for the coordinator at baseURL (scheme +
 // host[:port], e.g. "http://127.0.0.1:8080"). The underlying http.Client
 // carries no global timeout: the poll call is a long poll by design, and
-// every call is bounded by its ctx.
+// every call is bounded by its ctx. It has its own transport, a copy of
+// http.DefaultTransport whose idle pool holds clientIdleConns connections.
 func NewClient(baseURL string) *Client {
-	return &Client{base: strings.TrimRight(baseURL, "/"), hc: &http.Client{}}
+	tr := &http.Transport{}
+	if def, ok := http.DefaultTransport.(*http.Transport); ok {
+		tr = def.Clone()
+	}
+	tr.MaxIdleConns = clientIdleConns
+	tr.MaxIdleConnsPerHost = clientIdleConns
+	return &Client{base: strings.TrimRight(baseURL, "/"), hc: &http.Client{Transport: tr}}
 }
 
 // post round-trips one protocol message: JSON in, JSON out, non-2xx

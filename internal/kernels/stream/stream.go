@@ -111,7 +111,7 @@ type Config struct {
 
 // Normalized returns the config with the documented defaults applied
 // (Reps 0→3, Cores 0→1, ScaleBy 0→1) — the exact clamping RunOn performs
-// before measuring. The canonical spec encoding (run.StreamSpec) keys the
+// before measuring. The canonical spec encoding (run's streamKey) keys the
 // memo cache on the normalized form, so a config with an unset field and
 // one with the default set explicitly share a single cache identity.
 func (c Config) Normalized() Config {

@@ -14,6 +14,7 @@ import (
 	"riscvmem/internal/kernels/transpose"
 	"riscvmem/internal/leakcheck"
 	"riscvmem/internal/machine"
+	"riscvmem/internal/memostore"
 	"riscvmem/internal/sim"
 )
 
@@ -111,7 +112,10 @@ func TestCacheBitIdenticalToUncached(t *testing.T) {
 
 // TestCacheKeyedOnDeviceIdentity guards the cache against the same bug the
 // pool already defends against: a mutated preset (same Name, same workload)
-// must never be served the base preset's cached result.
+// must never be served the base preset's cached result. The two L2 mutants
+// sit next to each other, so the per-run identity reuse (deviceIdentities)
+// sees adjacent devices that share a Name and differ only behind the L2
+// pointer: each must still get its own pool key and memo entry.
 func TestCacheKeyedOnDeviceIdentity(t *testing.T) {
 	w := Transpose(transpose.Config{N: 128, Variant: transpose.Naive})
 	base := machine.MangoPiD1()
@@ -119,6 +123,7 @@ func TestCacheKeyedOnDeviceIdentity(t *testing.T) {
 		{Device: base, Workload: w},
 		{Device: base.WithMaxInflight(1), Workload: w},
 		{Device: base.WithL2(128 << 10), Workload: w},
+		{Device: base.WithL2(256 << 10), Workload: w},
 		{Device: base, Workload: w}, // only this one may hit
 	}
 	r := New(Options{Parallelism: 1})
@@ -127,14 +132,26 @@ func TestCacheKeyedOnDeviceIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	hits, misses := r.CacheStats()
-	if misses != 3 || hits != 1 {
-		t.Errorf("hits/misses = %d/%d, want 1/3", hits, misses)
+	if misses != 4 || hits != 1 {
+		t.Errorf("hits/misses = %d/%d, want 1/4", hits, misses)
 	}
 	if results[1] == results[0] || results[2] == results[0] {
 		t.Error("mutated device produced the base device's result")
 	}
-	if results[3] != results[0] {
+	if results[3] == results[2] {
+		t.Error("adjacent same-name devices with different L2 sizes produced one result")
+	}
+	if results[4] != results[0] {
 		t.Error("identical cell replay diverged")
+	}
+	if got := len(r.pool); got != 4 {
+		t.Errorf("pool holds %d device identities, want 4 (base, MSHR mutant, two L2 mutants)", got)
+	}
+	for i, job := range jobs[:4] {
+		key := memostore.Key{Version: CacheVersion, Device: job.Device.Identity(), Workload: w.(Keyed).CacheKey()}
+		if v, _, ok := r.store.Get(key); !ok || v.(*memoRow).res != results[i] {
+			t.Errorf("job %d: no memo entry under its own device identity", i)
+		}
 	}
 }
 

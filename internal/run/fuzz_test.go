@@ -1,6 +1,7 @@
 package run_test
 
 import (
+	"encoding/json"
 	"maps"
 	"strings"
 	"testing"
@@ -51,6 +52,71 @@ func FuzzParseWorkloadSpec(f *testing.F) {
 		// only the parameter-grammar characters are reserved.
 		if strings.ContainsAny(spec.Kernel, ":,=") {
 			t.Fatalf("accepted kernel name %q containing reserved grammar characters", spec.Kernel)
+		}
+	})
+}
+
+// FuzzWorkloadSpecJSON holds WorkloadSpec.UnmarshalJSON's string path to
+// its definition: decoding a JSON string literal must give exactly what
+// json.Unmarshal into a string and then ParseWorkloadSpec give — the same
+// spec, or the same error. Plain literals take a fast path that skips the
+// JSON decoder; the seeds cover what must leave it: escapes, non-ASCII,
+// invalid UTF-8, control bytes, stray and missing quotes.
+func FuzzWorkloadSpecJSON(f *testing.F) {
+	for _, seed := range []string{
+		`"stream:test=TRIAD,elems=65536"`,
+		`"transpose/Blocking"`,
+		`"gblur:variant=Memory,w=20,h=20,c=3,f=19"`,
+		`""`,
+		`" "`,
+		`"stream:test=TRIAD,elems=4096"`,
+		`"transpose\/Blocking"`,
+		`"stream:test=TRIAD\\"`,
+		`"stréam"`,
+		"\"stréam:test=COPY\"",
+		"\"stream:test=\xff\xfe\"",
+		"\"stream:test=\tCOPY\"",
+		"\"stream\x7f\"",
+		`"unterminated`,
+		`"`,
+		`"a"b"`,
+		`"a" `,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 || data[0] != '"' {
+			return // the object form is decoded by encoding/json alone
+		}
+		var got run.WorkloadSpec
+		gotErr := got.UnmarshalJSON(data)
+
+		var str string
+		jsonErr := json.Unmarshal(data, &str)
+		var (
+			want    run.WorkloadSpec
+			specErr error
+		)
+		if jsonErr == nil {
+			want, specErr = run.ParseWorkloadSpec(str)
+		}
+		switch {
+		case jsonErr != nil:
+			// A malformed literal fails with encoding/json's own error.
+			if gotErr == nil || gotErr.Error() != jsonErr.Error() {
+				t.Fatalf("UnmarshalJSON(%q) = %+v, %v; the JSON decoder fails: %v", data, got, gotErr, jsonErr)
+			}
+		case specErr != nil:
+			// A spec error; its text may name whichever of several bad
+			// parameters map iteration meets first, so only the class is
+			// compared.
+			if gotErr == nil || !strings.HasPrefix(gotErr.Error(), "run: ") {
+				t.Fatalf("UnmarshalJSON(%q) = %+v, %v; the reference fails: %v", data, got, gotErr, specErr)
+			}
+		case gotErr != nil:
+			t.Fatalf("UnmarshalJSON(%q) failed: %v; the reference gives %+v", data, gotErr, want)
+		case got.Kernel != want.Kernel || !maps.Equal(got.Params, want.Params):
+			t.Fatalf("UnmarshalJSON(%q) = %+v, reference %+v", data, got, want)
 		}
 	})
 }

@@ -92,7 +92,7 @@ type Workload interface {
 //
 // The key must cover every configuration field that can change the outcome.
 // The built-in stream/transpose/blur adapters derive theirs from the
-// kernel's canonical WorkloadSpec encoding (see StreamSpec et al.): an
+// kernel's canonical spec-grammar encoding (see streamKey et al.): an
 // order-stable rendered string whose exact values are pinned by golden
 // tests, so the identity survives struct-field reordering and never
 // stringifies pointers by address the way a fmt "%+v" key would. Custom

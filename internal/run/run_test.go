@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"riscvmem/internal/kernels/stream"
 	"riscvmem/internal/kernels/transpose"
 	"riscvmem/internal/machine"
 	"riscvmem/internal/sim"
@@ -237,6 +238,55 @@ func TestRunnerDistinguishesSameNameSpecs(t *testing.T) {
 	}
 	if base.Identity() == modified.Identity() {
 		t.Error("modified preset shares the base identity")
+	}
+}
+
+// TestDeviceIdentitiesPerRunOfEqualDevices pins the batch's identity
+// reuse: one digest per run of consecutive equal devices, taken afresh
+// whenever the device changes. A, A', B, A is three runs — A' is A built
+// again, with fresh pointers, and B keeps A's Name with another L2. Every
+// job's identity equals its own device's Identity, and the batch keyed
+// this way is bit-identical to a cache-disabled run.
+func TestDeviceIdentitiesPerRunOfEqualDevices(t *testing.T) {
+	a := machine.MangoPiD1()
+	b := a.WithL2(256 << 10) // keeps the Name; its 128 KiB of arrays now fit an L2
+	w1 := Stream(stream.Config{Test: stream.Copy, Elems: 8192, Reps: 1})
+	w2 := Transpose(transpose.Config{N: 64, Variant: transpose.Blocking})
+	jobs := []Job{{a, w1}, {machine.MangoPiD1(), w2}, {b, w1}, {a, w1}}
+
+	ids := deviceIdentities(jobs)
+	for i, job := range jobs {
+		if want := job.Device.Identity(); ids[i] != want {
+			t.Errorf("job %d: identity %s, want %s", i, ids[i], want)
+		}
+	}
+	if ids[2] == ids[0] {
+		t.Error("a same-name device with another L2 shares the base identity")
+	}
+	// One allocation for the slice, one per digest.
+	if got := testing.AllocsPerRun(10, func() { deviceIdentities(jobs) }); got != 1+3 {
+		t.Errorf("deviceIdentities allocated %v times, want 4: one slice and one digest per run", got)
+	}
+
+	r := New(Options{Parallelism: 1})
+	cached, err := r.Run(context.Background(), jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hits, misses := r.CacheStats(); hits != 1 || misses != 3 {
+		t.Errorf("hits/misses = %d/%d, want 1/3 (only the returning A cell hits)", hits, misses)
+	}
+	cold, err := New(Options{Parallelism: 1, DisableCache: true}).Run(context.Background(), jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range jobs {
+		if cached[i] != cold[i] {
+			t.Errorf("job %d: cached %+v != uncached %+v", i, cached[i], cold[i])
+		}
+	}
+	if cached[2] == cached[0] {
+		t.Error("B's row equals A's: the L2 change was not simulated")
 	}
 }
 

@@ -235,15 +235,16 @@ func (r *Runner) release(m *sim.Machine, key string) {
 // workload is Keyed (and caching enabled) and simulating it on a pooled
 // machine otherwise. The returned CacheOutcome mirrors, per job, exactly
 // what the hits/misses counters recorded for it; the returned bytes are the
-// result's stored JSON (Progress.JSON).
-func (r *Runner) runJob(ctx context.Context, job Job) (Result, []byte, CacheOutcome, error) {
+// result's stored JSON (Progress.JSON). dev is job.Device.Identity(), which
+// keys both the pool and the store; the caller computes it so a batch can
+// share one digest across a run of equal devices (see deviceIdentities).
+func (r *Runner) runJob(ctx context.Context, job Job, dev string) (Result, []byte, CacheOutcome, error) {
 	if job.Workload == nil {
 		return Result{}, nil, CacheNone, errors.New("run: job with nil workload")
 	}
 	if err := ctx.Err(); err != nil {
 		return Result{}, nil, CacheNone, err
 	}
-	dev := job.Device.Identity() // keys both the pool and the store
 	kw, keyed := job.Workload.(Keyed)
 	if !keyed || r.opt.DisableCache {
 		res, err := r.simulate(ctx, job, dev)
@@ -447,6 +448,7 @@ func (r *Runner) RunAllWithProgress(ctx context.Context, jobs []Job, onProgress 
 	if onProgress == nil {
 		onProgress = r.opt.OnProgress
 	}
+	ids := deviceIdentities(jobs)
 	var progressMu sync.Mutex
 	done := 0
 	report := func(i int, js []byte, elapsed time.Duration, cache CacheOutcome) {
@@ -470,7 +472,7 @@ func (r *Runner) RunAllWithProgress(ctx context.Context, jobs []Job, onProgress 
 			js    []byte
 			cache CacheOutcome
 		)
-		results[i], js, cache, errs[i] = r.runJob(ctx, jobs[i])
+		results[i], js, cache, errs[i] = r.runJob(ctx, jobs[i], ids[i])
 		if errs[i] != nil && jobs[i].Workload != nil {
 			// A failed job has no measurement; its slot (and its Progress)
 			// still names the cell, so every consumer reporting per-job
@@ -504,6 +506,46 @@ func (r *Runner) RunAllWithProgress(ctx context.Context, jobs []Job, onProgress 
 		wg.Wait()
 	}
 	return results, errs
+}
+
+// deviceIdentities returns each job's device identity, taking one digest
+// per run of consecutive jobs with equal devices (sameDevice). Cross puts
+// devices outermost and a sweep keeps a cell's workloads together, so a
+// batch digests about once per distinct device instead of once per job. No
+// table keyed by spec contents is kept: a sweep has one device per cell,
+// and such a table would grow with the sweep.
+func deviceIdentities(jobs []Job) []string {
+	ids := make([]string, len(jobs))
+	for i := range jobs {
+		if i > 0 && sameDevice(&jobs[i].Device, &jobs[i-1].Device) {
+			ids[i] = ids[i-1]
+		} else {
+			ids[i] = jobs[i].Device.Identity()
+		}
+	}
+	return ids
+}
+
+// sameDevice reports whether two specs are == with their optional memory
+// components (L2, L3, second-level TLB, prefetcher) compared by value, so
+// presets resolved once per job (machine.ByName returns fresh pointers)
+// match too. Equal parameters have one canonical encoding, so sharing the
+// digest is exact (== does not see a float zero's sign, which the encoding
+// does; DESIGN §6.1). A pointer field added to the Spec tree later is
+// compared by address by the final ==, which can only split a run.
+func sameDevice(a, b *machine.Spec) bool {
+	if !samePointee(a.Mem.L2, b.Mem.L2) || !samePointee(a.Mem.L3, b.Mem.L3) ||
+		!samePointee(a.Mem.JTLB, b.Mem.JTLB) || !samePointee(a.Mem.Prefetch, b.Mem.Prefetch) {
+		return false
+	}
+	x := *a
+	x.Mem.L2, x.Mem.L3, x.Mem.JTLB, x.Mem.Prefetch = b.Mem.L2, b.Mem.L3, b.Mem.JTLB, b.Mem.Prefetch
+	return x == *b
+}
+
+// samePointee reports whether p and q are both nil or point to equal values.
+func samePointee[T comparable](p, q *T) bool {
+	return p == q || (p != nil && q != nil && *p == *q)
 }
 
 // JoinErrors joins per-job errors in job order, collapsing the
@@ -543,6 +585,6 @@ func JoinErrors(errs []error) error {
 
 // RunOne executes a single workload on a single device through the pool.
 func (r *Runner) RunOne(ctx context.Context, d machine.Spec, w Workload) (Result, error) {
-	res, _, _, err := r.runJob(ctx, Job{Device: d, Workload: w})
+	res, _, _, err := r.runJob(ctx, Job{Device: d, Workload: w}, d.Identity())
 	return res, err
 }

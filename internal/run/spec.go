@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -69,9 +70,13 @@ func (s WorkloadSpec) With(key, value string) WorkloadSpec {
 // keeps hand-written requests terse.
 func (s *WorkloadSpec) UnmarshalJSON(data []byte) error {
 	if len(data) > 0 && data[0] == '"' {
-		var str string
-		if err := json.Unmarshal(data, &str); err != nil {
-			return err
+		str, ok := plainJSONString(data)
+		if !ok {
+			var decoded string // declared here: its address escapes, str's must not
+			if err := json.Unmarshal(data, &decoded); err != nil {
+				return err
+			}
+			str = decoded
 		}
 		spec, err := ParseWorkloadSpec(str)
 		if err != nil {
@@ -110,6 +115,24 @@ func (s *WorkloadSpec) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
+// plainJSONString returns the body of a JSON string literal that decodes
+// to itself — printable ASCII with no backslash or quote — which every
+// hand-written or generated spec is, so those skip a second JSON scan. For
+// anything else (escapes, non-ASCII, control bytes, a malformed literal)
+// ok is false and the caller decodes with encoding/json.
+func plainJSONString(data []byte) (s string, ok bool) {
+	if len(data) < 2 || data[0] != '"' || data[len(data)-1] != '"' {
+		return "", false
+	}
+	body := data[1 : len(data)-1]
+	for _, c := range body {
+		if c < ' ' || c > '~' || c == '\\' || c == '"' {
+			return "", false
+		}
+	}
+	return string(body), true
+}
+
 // validate enforces the structural rules the grammar guarantees but
 // hand-built and JSON-decoded specs could violate: a non-empty kernel name
 // without grammar metacharacters, and no ',' or '=' in parameter keys or
@@ -120,18 +143,35 @@ func (s WorkloadSpec) validate() error {
 	if s.Kernel == "" {
 		return fmt.Errorf("run: workload spec with empty kernel name (want %s)", SpecGrammar)
 	}
-	if strings.ContainsAny(s.Kernel, ":,=") {
+	if reserved(s.Kernel, true) {
 		return fmt.Errorf("run: kernel name %q contains a reserved character (':', ',' or '=')", s.Kernel)
 	}
 	for k, v := range s.Params {
-		if k == "" || strings.ContainsAny(k, ",=") {
+		if k == "" || reserved(k, false) {
 			return fmt.Errorf("run: workload spec %s: parameter key %q is empty or contains ',' or '='", s.Kernel, k)
 		}
-		if v == "" || strings.ContainsAny(v, ",=") {
+		if v == "" || reserved(v, false) {
 			return fmt.Errorf("run: workload spec %s: parameter %s value %q is empty or contains ',' or '='", s.Kernel, k, v)
 		}
 	}
 	return nil
+}
+
+// reserved reports whether s holds ',' or '=', or ':' when colon is set.
+// validate runs on every spec, twice on the JSON path, so it is one byte
+// loop per string.
+func reserved(s string, colon bool) bool {
+	for i := 0; i < len(s); i++ {
+		switch s[i] {
+		case ',', '=':
+			return true
+		case ':':
+			if colon {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // SpecGrammar is the one-line workload spec grammar, carried by every spec
@@ -204,7 +244,9 @@ func ParseWorkloadSpec(s string) (WorkloadSpec, error) {
 		return WorkloadSpec{}, fmt.Errorf("run: workload spec %q: empty parameter list (want %s)", s, SpecGrammar)
 	}
 	spec := WorkloadSpec{Kernel: canonicalKernelName(kernel), Params: map[string]string{}}
-	for _, kv := range strings.Split(rest, ",") {
+	for more := true; more; {
+		var kv string
+		kv, rest, more = strings.Cut(rest, ",")
 		key, value, ok := strings.Cut(kv, "=")
 		key = strings.ToLower(strings.TrimSpace(key))
 		value = strings.TrimSpace(value)
@@ -363,22 +405,27 @@ func ParseWorkload(s string) (Workload, error) {
 // each getter consumes one key, parse failures latch the first error, and
 // finish() rejects keys no getter consumed — so a misspelled parameter
 // fails with the kernel's accepted-key list instead of silently running a
-// default configuration.
+// default configuration. A factory holds it by value on its stack, so
+// reading a spec allocates nothing beyond the workload it builds.
 type params struct {
-	spec WorkloadSpec
-	used map[string]bool
-	keys []string // accepted keys, in getter call order
-	err  error
+	spec  WorkloadSpec
+	keys  [maxParams]string // accepted keys, in getter call order
+	nkeys int
+	found int // how many of the accepted keys the spec sets
+	err   error
 }
 
-func newParams(spec WorkloadSpec) *params {
-	return &params{spec: spec, used: map[string]bool{}}
-}
+// maxParams bounds the keys one factory reads; a factory reading more is a
+// bug, and its getter panics with an index out of range.
+const maxParams = 8
 
 func (p *params) raw(key string) (string, bool) {
-	p.keys = append(p.keys, key)
-	p.used[key] = true
+	p.keys[p.nkeys] = key
+	p.nkeys++
 	v, ok := p.spec.Params[key]
+	if ok {
+		p.found++
+	}
 	return v, ok
 }
 
@@ -430,16 +477,19 @@ func (p *params) finish() error {
 	if p.err != nil {
 		return p.err
 	}
+	if p.found == len(p.spec.Params) {
+		return nil // every key the spec sets was consumed (getters take distinct keys)
+	}
 	var unknown []string
 	for k := range p.spec.Params {
-		if !p.used[k] {
+		if !slices.Contains(p.keys[:p.nkeys], k) {
 			unknown = append(unknown, k)
 		}
 	}
 	if len(unknown) > 0 {
 		sort.Strings(unknown)
 		return fmt.Errorf("unknown parameter(s) %s (accepted: %s)",
-			strings.Join(unknown, ", "), strings.Join(p.keys, ", "))
+			strings.Join(unknown, ", "), strings.Join(p.keys[:p.nkeys], ", "))
 	}
 	return nil
 }

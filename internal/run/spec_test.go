@@ -74,22 +74,31 @@ func TestCacheKeyDeterminism(t *testing.T) {
 
 // TestCanonicalSpecCoversAllConfigFields guards the canonical encoders
 // against silently dropping a config field: adding a field to a kernel
-// Config must fail here until the corresponding *Spec function (and so the
-// CacheKey) learns about it.
+// Config must fail here until the corresponding *Key function (and so the
+// CacheKey) learns about it. Each key must also re-render to itself — the
+// encoders write their keys in sorted order by hand, and a key out of
+// order would differ from the spec string it parses to.
 func TestCanonicalSpecCoversAllConfigFields(t *testing.T) {
 	cases := []struct {
 		name   string
 		fields int
-		spec   WorkloadSpec
+		key    string
 	}{
-		{"stream", reflect.TypeOf(stream.Config{}).NumField(), StreamSpec(stream.Config{})},
-		{"transpose", reflect.TypeOf(transpose.Config{}).NumField(), TransposeSpec(transpose.Config{})},
-		{"gblur", reflect.TypeOf(blur.Config{}).NumField(), BlurSpec(blur.Config{})},
+		{"stream", reflect.TypeOf(stream.Config{}).NumField(), streamKey(stream.Config{})},
+		{"transpose", reflect.TypeOf(transpose.Config{}).NumField(), transposeKey(transpose.Config{})},
+		{"gblur", reflect.TypeOf(blur.Config{}).NumField(), blurKey(blur.Config{})},
 	}
 	for _, tc := range cases {
-		if got := len(tc.spec.Params); got != tc.fields {
+		spec, err := ParseWorkloadSpec(tc.key)
+		if err != nil {
+			t.Fatalf("%s: canonical key %q does not parse: %v", tc.name, tc.key, err)
+		}
+		if got := len(spec.Params); got != tc.fields {
 			t.Errorf("%s: canonical spec has %d params but Config has %d fields — a field is missing from the encoding (or a param is stale)",
 				tc.name, got, tc.fields)
+		}
+		if spec.String() != tc.key {
+			t.Errorf("%s: canonical key %q re-renders as %q — its keys are out of order", tc.name, tc.key, spec.String())
 		}
 	}
 }
@@ -102,20 +111,20 @@ func TestParseWorkloadSpecRoundTrip(t *testing.T) {
 	var specs []WorkloadSpec
 	for i := 0; i < 50; i++ {
 		specs = append(specs,
-			StreamSpec(stream.Config{
+			MustParseWorkloadSpec(streamKey(stream.Config{
 				Test:  stream.Tests()[rng.Intn(4)],
 				Elems: rng.Intn(1 << 20), Cores: rng.Intn(16),
 				Reps: rng.Intn(10), ScaleBy: rng.Intn(8),
-			}),
-			TransposeSpec(transpose.Config{
+			})),
+			MustParseWorkloadSpec(transposeKey(transpose.Config{
 				N: rng.Intn(4096), Variant: transpose.Variants()[rng.Intn(5)],
 				Block: rng.Intn(64), Verify: rng.Intn(2) == 0,
-			}),
-			BlurSpec(blur.Config{
+			})),
+			MustParseWorkloadSpec(blurKey(blur.Config{
 				W: rng.Intn(4096), H: rng.Intn(4096), C: 1 + rng.Intn(4),
 				F: 1 + 2*rng.Intn(15), Variant: blur.Variants()[rng.Intn(5)],
 				Verify: rng.Intn(2) == 0,
-			}),
+			})),
 		)
 	}
 	specs = append(specs,

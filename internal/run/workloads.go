@@ -16,7 +16,7 @@ import (
 // parsed from the CLI grammar or decoded from JSON — and not only as Go
 // values. Each factory validates and normalizes its parameters into the
 // kernel's Config; the adapters' CacheKey() is the canonical encoding of
-// that Config (see the *Spec functions), so the memoization identity is a
+// that Config (see the *Key functions), so the memoization identity is a
 // pinned, order-stable string rather than fmt's struct layout.
 func init() {
 	MustRegisterSpecFactory(KernelInfo{
@@ -25,7 +25,7 @@ func init() {
 		Params:     "test=COPY|SCALE|SUM|TRIAD, elems=<n>, cores=<n>, reps=<n>, scaleby=<n>",
 		VariantKey: "test",
 	}, func(spec WorkloadSpec) (Workload, error) {
-		p := newParams(spec)
+		p := params{spec: spec}
 		// Unset measurement knobs stay 0 so the kernel's own defaults
 		// (stream.Config.Normalized: reps 3, cores 1, scaleby 1) apply —
 		// one source of truth whether the config arrives as data or as Go.
@@ -53,7 +53,7 @@ func init() {
 		Params:     "variant=Naive|Parallel|Blocking|Manual_blocking|Dynamic|Cache_oblivious, n=<dim>, block=<tile|0=auto>, verify=<bool>",
 		VariantKey: "variant",
 	}, func(spec WorkloadSpec) (Workload, error) {
-		p := newParams(spec)
+		p := params{spec: spec}
 		cfg := transpose.Config{
 			N:      p.integer("n", 512),
 			Block:  p.integer("block", 0),
@@ -77,7 +77,7 @@ func init() {
 		Params:     "variant=Naive|Unit-stride|1D_kernels|Memory|Parallel, w=<px>, h=<px>, c=<channels>, f=<odd filter>, verify=<bool>",
 		VariantKey: "variant",
 	}, func(spec WorkloadSpec) (Workload, error) {
-		p := newParams(spec)
+		p := params{spec: spec}
 		cfg := blur.Config{
 			W:      p.integer("w", 636),
 			H:      p.integer("h", 507),
@@ -98,52 +98,68 @@ func init() {
 	})
 }
 
-// StreamSpec is the canonical WorkloadSpec encoding of a STREAM config:
-// every Config field appears under a fixed key, so the rendered string is a
-// complete, order-stable identity for the measurement (the CacheKey of the
-// adapter). The config is normalized first (stream.Config.Normalized), so
-// unset-vs-explicit defaults share one identity. A reflection test pins
-// that no Config field is left out, and the simlint cachekey analyzer
-// enforces the same completeness statically.
+// streamKey is the canonical encoding of a STREAM config, and so the
+// adapter's CacheKey: the spec grammar with every Config field under a
+// fixed key, keys in sorted order, exactly as WorkloadSpec.String renders
+// the spec it parses to. It appends into one stack buffer, so a key costs
+// one allocation. The config is normalized first (stream.Config.Normalized),
+// so unset-vs-explicit defaults share one identity. A test pins that the
+// key parses to one parameter per Config field and re-renders to itself;
+// the simlint cachekey analyzer checks statically that every field is read.
 //
 //simlint:cachekey
-func StreamSpec(cfg stream.Config) WorkloadSpec {
+func streamKey(cfg stream.Config) string {
 	cfg = cfg.Normalized()
-	return WorkloadSpec{Kernel: "stream", Params: map[string]string{
-		"test":    cfg.Test.String(),
-		"elems":   strconv.Itoa(cfg.Elems),
-		"cores":   strconv.Itoa(cfg.Cores),
-		"reps":    strconv.Itoa(cfg.Reps),
-		"scaleby": strconv.Itoa(cfg.ScaleBy),
-	}}
+	var buf [128]byte
+	b := append(buf[:0], "stream:cores="...)
+	b = strconv.AppendInt(b, int64(cfg.Cores), 10)
+	b = append(b, ",elems="...)
+	b = strconv.AppendInt(b, int64(cfg.Elems), 10)
+	b = append(b, ",reps="...)
+	b = strconv.AppendInt(b, int64(cfg.Reps), 10)
+	b = append(b, ",scaleby="...)
+	b = strconv.AppendInt(b, int64(cfg.ScaleBy), 10)
+	b = append(b, ",test="...)
+	b = append(b, cfg.Test.String()...)
+	return string(b)
 }
 
-// TransposeSpec is the canonical WorkloadSpec encoding of a transposition
-// config (see StreamSpec).
+// transposeKey is the canonical encoding of a transposition config (see
+// streamKey).
 //
 //simlint:cachekey
-func TransposeSpec(cfg transpose.Config) WorkloadSpec {
-	return WorkloadSpec{Kernel: "transpose", Params: map[string]string{
-		"variant": cfg.Variant.String(),
-		"n":       strconv.Itoa(cfg.N),
-		"block":   strconv.Itoa(cfg.Block),
-		"verify":  strconv.FormatBool(cfg.Verify),
-	}}
+func transposeKey(cfg transpose.Config) string {
+	var buf [128]byte
+	b := append(buf[:0], "transpose:block="...)
+	b = strconv.AppendInt(b, int64(cfg.Block), 10)
+	b = append(b, ",n="...)
+	b = strconv.AppendInt(b, int64(cfg.N), 10)
+	b = append(b, ",variant="...)
+	b = append(b, cfg.Variant.String()...)
+	b = append(b, ",verify="...)
+	b = strconv.AppendBool(b, cfg.Verify)
+	return string(b)
 }
 
-// BlurSpec is the canonical WorkloadSpec encoding of a Gaussian-blur config
-// (see StreamSpec).
+// blurKey is the canonical encoding of a Gaussian-blur config (see
+// streamKey).
 //
 //simlint:cachekey
-func BlurSpec(cfg blur.Config) WorkloadSpec {
-	return WorkloadSpec{Kernel: "gblur", Params: map[string]string{
-		"variant": cfg.Variant.String(),
-		"w":       strconv.Itoa(cfg.W),
-		"h":       strconv.Itoa(cfg.H),
-		"c":       strconv.Itoa(cfg.C),
-		"f":       strconv.Itoa(cfg.F),
-		"verify":  strconv.FormatBool(cfg.Verify),
-	}}
+func blurKey(cfg blur.Config) string {
+	var buf [128]byte
+	b := append(buf[:0], "gblur:c="...)
+	b = strconv.AppendInt(b, int64(cfg.C), 10)
+	b = append(b, ",f="...)
+	b = strconv.AppendInt(b, int64(cfg.F), 10)
+	b = append(b, ",h="...)
+	b = strconv.AppendInt(b, int64(cfg.H), 10)
+	b = append(b, ",variant="...)
+	b = append(b, cfg.Variant.String()...)
+	b = append(b, ",verify="...)
+	b = strconv.AppendBool(b, cfg.Verify)
+	b = append(b, ",w="...)
+	b = strconv.AppendInt(b, int64(cfg.W), 10)
+	return string(b)
 }
 
 // Stream adapts one STREAM measurement configuration as a Workload. The
@@ -151,12 +167,11 @@ func BlurSpec(cfg blur.Config) WorkloadSpec {
 // Bandwidth is the benchmark's best (ScaleBy-scaled) figure, and Bytes the
 // STREAM-counted traffic of one repetition.
 func Stream(cfg stream.Config) Workload {
-	return streamWorkload{cfg: cfg, key: StreamSpec(cfg).String()}
+	return streamWorkload{cfg: cfg, key: streamKey(cfg)}
 }
 
 // The adapters render their CacheKey once, at construction: one workload
-// value keys every job of a cross-product, and rendering builds, sorts and
-// joins a map.
+// value keys every job of a cross-product.
 type streamWorkload struct {
 	cfg stream.Config
 	key string
@@ -193,7 +208,7 @@ func (w streamWorkload) Run(ctx context.Context, m *sim.Machine) (Result, error)
 // Transpose adapts one in-place transposition configuration as a Workload.
 // Bytes is the mandatory 16·N² traffic of the §3.3 utilization metric.
 func Transpose(cfg transpose.Config) Workload {
-	return transposeWorkload{cfg: cfg, key: TransposeSpec(cfg).String()}
+	return transposeWorkload{cfg: cfg, key: transposeKey(cfg)}
 }
 
 type transposeWorkload struct {
@@ -231,7 +246,7 @@ func (w transposeWorkload) Run(ctx context.Context, m *sim.Machine) (Result, err
 // Blur adapts one Gaussian-blur configuration as a Workload. Bytes is the
 // mandatory separable-blur traffic of the §3.3 utilization metric.
 func Blur(cfg blur.Config) Workload {
-	return blurWorkload{cfg: cfg, key: BlurSpec(cfg).String()}
+	return blurWorkload{cfg: cfg, key: blurKey(cfg)}
 }
 
 type blurWorkload struct {

@@ -204,10 +204,13 @@ func (s *Service) SubmitJob(ctx context.Context, req JobRequest) (JobStatus, err
 	if err := s.jobs.create(j); err != nil {
 		return JobStatus{}, err
 	}
-	go s.executeJob(j)
+	// Snapshot before the executor starts: a small job could otherwise
+	// finish first, and the submit reply would report it already done.
 	s.jobs.mu.Lock()
-	defer s.jobs.mu.Unlock()
-	return s.jobs.snapshotLocked(j, true), nil
+	snap := s.jobs.snapshotLocked(j, true)
+	s.jobs.mu.Unlock()
+	go s.executeJob(j)
+	return snap, nil
 }
 
 // executeJob runs one async job through the ordinary admission and

@@ -10,9 +10,12 @@
 //	memo import -dir DIR [-i FILE]         install a snapshot stream (default stdin)
 //	memo gc     -dir DIR [-stale] [-dry-run]  reclaim quarantine, temp files, stale versions
 //
-// A snapshot is self-validating: each line carries the entry's version
-// namespace and checksum, import re-verifies everything end to end, and
-// damaged lines are skipped and counted rather than installed. `gc -stale`
+// A snapshot is self-validating: each line is one entry in JSON, carrying
+// its version namespace, coordinates, payload and checksum — the same sum
+// the entry file's header line carries. Import re-verifies everything end
+// to end and writes each entry as a framed file; damaged lines are skipped
+// and counted rather than installed. A snapshot of any key format imports:
+// its entries land under their own version. `gc -stale`
 // removes every entry that does not belong to the current model version
 // (run.CacheVersion) — the cleanup half of the cache-versioning contract.
 package main

@@ -40,16 +40,16 @@ func Variants() []Variant {
 
 // VariantByName resolves a variant from its figure label,
 // case-insensitively (including Cache_oblivious); the error for an unknown
-// name lists the valid ones.
+// name lists the valid ones. The variants are the constants Naive through
+// CacheOblivious, in order.
 func VariantByName(name string) (Variant, error) {
-	all := append(Variants(), CacheOblivious)
-	for _, v := range all {
+	for v := Naive; v <= CacheOblivious; v++ {
 		if strings.EqualFold(name, v.String()) {
 			return v, nil
 		}
 	}
-	valid := make([]string, 0, len(all))
-	for _, v := range all {
+	valid := make([]string, 0, CacheOblivious+1)
+	for v := Naive; v <= CacheOblivious; v++ {
 		valid = append(valid, v.String())
 	}
 	return 0, fmt.Errorf("transpose: unknown variant %q (valid: %s)", name, strings.Join(valid, ", "))

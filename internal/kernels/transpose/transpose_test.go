@@ -1,6 +1,7 @@
 package transpose
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -17,6 +18,24 @@ func TestVariantMetadata(t *testing.T) {
 		if v.String() != names[i] {
 			t.Errorf("variant %d = %q, want %q", i, v.String(), names[i])
 		}
+	}
+}
+
+// TestVariantByName resolves every label, Cache_oblivious included,
+// case-insensitively and without allocating: spec parsing calls it per job.
+func TestVariantByName(t *testing.T) {
+	for _, v := range append(Variants(), CacheOblivious) {
+		got, err := VariantByName(strings.ToUpper(v.String()))
+		if err != nil || got != v {
+			t.Errorf("VariantByName(%q) = %v, %v; want %v", strings.ToUpper(v.String()), got, err, v)
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() { _, _ = VariantByName("cache_oblivious") }); allocs != 0 {
+		t.Errorf("VariantByName allocates %v times, want 0", allocs)
+	}
+	_, err := VariantByName("Strided")
+	if err == nil || !strings.Contains(err.Error(), "Naive, Parallel, Blocking, Manual_blocking, Dynamic, Cache_oblivious") {
+		t.Errorf("unknown variant error %v, want the six valid names", err)
 	}
 }
 

@@ -173,8 +173,10 @@ func TestIdentityDistinguishesVariants(t *testing.T) {
 // TestIdentityPinsPresetFormat pins the presets' identities byte for byte.
 // They are persisted memo keys: a change here orphans every disk entry and
 // must come with a run.CacheVersion key-format bump. They must also be
-// printable ASCII, since the disk envelope carries them in JSON and a
-// non-UTF-8 Device would fail the mislabel cross-check on every read.
+// printable ASCII: a memo entry file ends each coordinate with the control
+// byte 0x1f, a snapshot line carries them in JSON, where a non-UTF-8
+// Device would not survive export and import, and `memo ls` prints them
+// as is.
 func TestIdentityPinsPresetFormat(t *testing.T) {
 	want := map[string]string{
 		"Xeon":         "Xeon#88a100b430a232f09c303102c39f40c2",

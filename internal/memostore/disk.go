@@ -1,27 +1,41 @@
 package memostore
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
 	"net/url"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 
 	"riscvmem/internal/faultinject"
 )
 
-// Entry-file format constants. entryMagic names the format; entryFormat is
-// its schema version — bump it only when the envelope layout itself changes
-// (the *model* version lives in the Key and namespaces the directory tree).
+// Entry-file format constants. An entry file is one header line followed by
+// its body, the exact bytes its checksum covers:
+//
+//	riscvmem-memo 2 <sha256 of the body, 64 hex digits>\n
+//	version 0x1f device 0x1f workload 0x1f payload
+//
+// entryFormat versions that framing; bump it only when the framing itself
+// changes, together with run.CacheVersion (the *model* version lives in the
+// Key and namespaces the directory tree). A snapshot line keeps its own
+// JSON schema and version (lineFormat, snapshot.go).
 const (
 	entryMagic  = "riscvmem-memo"
-	entryFormat = 1
-	entryExt    = ".memo"
+	entryFormat = "2"
+	entryPrefix = entryMagic + " " + entryFormat + " "
+	// entryHeaderLen is the header line's length, newline included.
+	entryHeaderLen = len(entryPrefix) + 2*sha256.Size + 1
+	// keySep ends each key coordinate in an entry body and in the key hash;
+	// a coordinate that contains it cannot be framed.
+	keySep   = 0x1f
+	entryExt = ".memo"
 	// quarantineDir collects entries that failed validation, preserved for
 	// post-mortem instead of deleted; `memo gc` purges it.
 	quarantineDir = "quarantine"
@@ -35,9 +49,10 @@ const (
 //
 // where hh is the first hex byte of the key hash (a fan-out level keeping
 // directories small) and the sha256 covers (version, device, workload). The
-// file is a JSON envelope carrying the key coordinates verbatim, the
-// payload, and a checksum over both — so a Get validates that the entry is
-// intact AND that it really is the requested key before trusting it.
+// file is a header line carrying a checksum over the body that follows it:
+// the key coordinates verbatim, then the payload — so a Get validates that
+// the entry is intact AND that it really is the requested key before
+// trusting it, and parses nothing but the payload.
 //
 // Every fault is a miss, never an error: unreadable, truncated, mislabeled
 // or undecodable entries are quarantined (moved aside, counted) and the
@@ -61,61 +76,85 @@ type Disk struct {
 	writeErrs atomic.Uint64
 }
 
-// envelope is the on-disk entry schema.
-type envelope struct {
-	Magic    string          `json:"magic"`
-	Format   int             `json:"format"`
-	Version  string          `json:"version"`
-	Device   string          `json:"device"`
-	Workload string          `json:"workload"`
-	Sum      string          `json:"sum"`
-	Result   json.RawMessage `json:"result"`
+// entry is one parsed and validated entry file.
+type entry struct {
+	key     Key
+	sum     [sha256.Size]byte // over the body: the coordinates, then payload
+	payload []byte            // a copy, never a view of the file's bytes
 }
 
-// sum is the entry checksum: sha256 over the key coordinates and the
-// payload, so a bit flip anywhere in the entry — including a swapped or
-// edited key field — fails validation.
-func (e *envelope) sum() string {
-	h := sha256.New()
-	for _, part := range []string{e.Version, e.Device, e.Workload} {
-		h.Write([]byte(part))
-		h.Write([]byte{0x1f})
+// appendKey appends the key coordinates, each ended by keySep: the key
+// hash's input and the head of an entry body.
+func appendKey(dst []byte, key Key) []byte {
+	for _, part := range [...]string{key.Version, key.Device, key.Workload} {
+		dst = append(dst, part...)
+		dst = append(dst, keySep)
 	}
-	h.Write(e.Result)
-	return hex.EncodeToString(h.Sum(nil))
+	return dst
 }
 
-// validate checks an envelope's integrity; expect, when non-nil, addition-
-// ally pins the key coordinates to the requested key.
-func (e *envelope) validate(expect *Key) error {
-	if e.Magic != entryMagic || e.Format != entryFormat {
-		return fmt.Errorf("not a %s/%d entry (magic %q format %d)", entryMagic, entryFormat, e.Magic, e.Format)
-	}
-	if expect != nil && (e.Version != expect.Version || e.Device != expect.Device || e.Workload != expect.Workload) {
-		return errors.New("entry key does not match requested key")
-	}
-	if len(e.Result) == 0 {
-		return errors.New("entry has no payload")
-	}
-	if e.Sum != e.sum() {
-		return errors.New("entry checksum mismatch")
+// checkFramable refuses a key with keySep inside a coordinate: its body
+// would cut back into a different key, so every read of it would be
+// quarantined, and two such keys can share one body.
+func checkFramable(key Key) error {
+	for _, part := range [...]string{key.Version, key.Device, key.Workload} {
+		if strings.IndexByte(part, keySep) >= 0 {
+			return fmt.Errorf("key coordinate %q contains the separator byte 0x1f", part)
+		}
 	}
 	return nil
 }
 
-// parseEntry decodes and validates one entry file's bytes; expect, when
-// non-nil, pins the key coordinates. The payload it returns is a copy, never
-// a view of raw (json.RawMessage's UnmarshalJSON copies), so a decoded value
-// that keeps its payload does not pin the file's whole read buffer.
-func parseEntry(raw []byte, expect *Key) (*envelope, error) {
-	var env envelope
-	if err := json.Unmarshal(raw, &env); err != nil {
-		return nil, fmt.Errorf("unparseable entry: %w", err)
+// frameEntry renders an entry file: the header line, then the body.
+func frameEntry(key Key, payload []byte) []byte {
+	n := len(key.Version) + len(key.Device) + len(key.Workload) + 3 + len(payload)
+	buf := make([]byte, entryHeaderLen, entryHeaderLen+n)
+	copy(buf, entryPrefix)
+	buf[entryHeaderLen-1] = '\n'
+	buf = append(appendKey(buf, key), payload...)
+	sum := sha256.Sum256(buf[entryHeaderLen:])
+	hex.Encode(buf[len(entryPrefix):], sum[:])
+	return buf
+}
+
+// parseEntry validates one entry file's bytes and cuts them into an entry;
+// expect, when non-nil, pins the key coordinates (compared without
+// allocating). The payload it returns is a copy, never a view of raw, so a
+// decoded value that keeps its payload does not pin the file's whole read
+// buffer.
+func parseEntry(raw []byte, expect *Key) (entry, error) {
+	var e entry
+	if len(raw) < entryHeaderLen || string(raw[:len(entryPrefix)]) != entryPrefix || raw[entryHeaderLen-1] != '\n' {
+		return e, fmt.Errorf("not a %s/%s entry", entryMagic, entryFormat)
 	}
-	if err := env.validate(expect); err != nil {
-		return nil, err
+	if _, err := hex.Decode(e.sum[:], raw[len(entryPrefix):entryHeaderLen-1]); err != nil {
+		return e, fmt.Errorf("entry header: %w", err)
 	}
-	return &env, nil
+	body := raw[entryHeaderLen:]
+	if sha256.Sum256(body) != e.sum {
+		return e, errors.New("entry checksum mismatch")
+	}
+	var coords [3][]byte
+	for i := range coords {
+		j := bytes.IndexByte(body, keySep)
+		if j < 0 {
+			return e, fmt.Errorf("entry body holds %d of 3 key coordinates", i)
+		}
+		coords[i], body = body[:j], body[j+1:]
+	}
+	if expect != nil {
+		if string(coords[0]) != expect.Version || string(coords[1]) != expect.Device || string(coords[2]) != expect.Workload {
+			return e, errors.New("entry key does not match requested key")
+		}
+		e.key = *expect
+	} else {
+		e.key = Key{Version: string(coords[0]), Device: string(coords[1]), Workload: string(coords[2])}
+	}
+	if len(body) == 0 {
+		return e, errors.New("entry has no payload")
+	}
+	e.payload = bytes.Clone(body)
+	return e, nil
 }
 
 // OpenDisk opens (creating if needed) a disk tier rooted at dir.
@@ -126,26 +165,27 @@ func OpenDisk(dir string, codec Codec) (*Disk, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("memostore: %w", err)
 	}
-	return &Disk{dir: dir, codec: codec}, nil
+	return &Disk{dir: filepath.Clean(dir), codec: codec}, nil
 }
 
-// keyHash is the content address: sha256 over the canonical key encoding.
-func keyHash(key Key) string {
-	h := sha256.New()
-	for _, part := range []string{key.Version, key.Device, key.Workload} {
-		h.Write([]byte(part))
-		h.Write([]byte{0x1f})
-	}
-	return hex.EncodeToString(h.Sum(nil))
+// keyHash is the content address: sha256 over the canonical key encoding,
+// in hex.
+func keyHash(key Key) (hash [2 * sha256.Size]byte) {
+	var buf [256]byte
+	sum := sha256.Sum256(appendKey(buf[:0], key))
+	hex.Encode(hash[:], sum[:])
+	return hash
 }
 
 // entryPath maps a key to its file. The version becomes a directory level
 // (path-escaped — versions contain '/'), so orphaning a model version is a
 // directory removal and `memo ls` can group by version without reading
-// entries.
+// entries. The root is clean (OpenDisk), so one concatenation builds what
+// filepath.Join would.
 func (d *Disk) entryPath(key Key) string {
 	hash := keyHash(key)
-	return filepath.Join(d.dir, url.PathEscape(key.Version), hash[:2], hash+entryExt)
+	sep := string(filepath.Separator)
+	return d.dir + sep + url.PathEscape(key.Version) + sep + string(hash[:2]) + sep + string(hash[:]) + entryExt
 }
 
 func (d *Disk) logf(format string, args ...any) {
@@ -169,12 +209,12 @@ func (d *Disk) Get(key Key) (any, Tier, bool) {
 		}
 		return nil, TierNone, false
 	}
-	env, err := parseEntry(raw, &key)
+	e, err := parseEntry(raw, &key)
 	if err != nil {
 		d.quarantine(path, err)
 		return nil, TierNone, false
 	}
-	v, err := d.codec.Decode(env.Result)
+	v, err := d.codec.Decode(e.payload)
 	if err != nil {
 		d.quarantine(path, fmt.Errorf("undecodable payload: %w", err))
 		return nil, TierNone, false
@@ -217,27 +257,21 @@ func (d *Disk) put(key Key, v any) error {
 	if err := faultinject.Fire(faultinject.MemoPersist); err != nil {
 		return err
 	}
+	if err := checkFramable(key); err != nil {
+		return err
+	}
 	payload, err := d.codec.Encode(v)
 	if err != nil {
 		return fmt.Errorf("encode: %w", err)
 	}
-	env := envelope{
-		Magic: entryMagic, Format: entryFormat,
-		Version: key.Version, Device: key.Device, Workload: key.Workload,
-		Result: payload,
-	}
-	env.Sum = env.sum()
-	return d.writeEnvelope(env)
+	return d.writeFile(key, frameEntry(key, payload))
 }
 
-// writeEnvelope atomically writes one validated envelope to its path;
-// shared by Put and Import.
-func (d *Disk) writeEnvelope(env envelope) error {
-	data, err := json.Marshal(env)
-	if err != nil {
-		return fmt.Errorf("marshal: %w", err)
-	}
-	path := d.entryPath(Key{Version: env.Version, Device: env.Device, Workload: env.Workload})
+// writeFile atomically writes one framed entry file (frameEntry) to the
+// key's path; shared by Put and Import, which have both checked that the
+// key frames.
+func (d *Disk) writeFile(key Key, data []byte) error {
+	path := d.entryPath(key)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return err
 	}

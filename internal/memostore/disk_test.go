@@ -2,8 +2,8 @@ package memostore
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -28,20 +28,50 @@ func entryFile(t *testing.T, d *Disk) string {
 // file's read buffer: the memory tier keeps the Runner's decoded payload
 // for as long as the entry lives, and a view would pin the whole file.
 func TestParsedPayloadIsACopy(t *testing.T) {
-	env := envelope{Magic: entryMagic, Format: entryFormat, Version: "v", Device: "d", Workload: "w",
-		Result: json.RawMessage(`{"payload":true}`)}
-	env.Sum = env.sum()
-	raw, err := json.Marshal(env)
-	if err != nil {
-		t.Fatal(err)
-	}
+	raw := frameEntry(Key{Version: "v", Device: "d", Workload: "w"}, []byte(`{"payload":true}`))
 	parsed, err := parseEntry(raw, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if string(parsed.payload) != `{"payload":true}` {
+		t.Fatalf("parsed payload %q", parsed.payload)
+	}
 	lo := uintptr(unsafe.Pointer(unsafe.SliceData(raw)))
-	if p := uintptr(unsafe.Pointer(unsafe.SliceData(parsed.Result))); p >= lo && p < lo+uintptr(cap(raw)) {
+	if p := uintptr(unsafe.Pointer(unsafe.SliceData(parsed.payload))); p >= lo && p < lo+uintptr(cap(raw)) {
 		t.Error("the parsed payload is a view of the file's bytes, not a copy")
+	}
+}
+
+// TestPutRefusesUnframableKey: a coordinate holding the separator byte
+// would parse back as a different key, so Put counts it as a failed
+// persist instead of writing an entry every read would quarantine.
+func TestPutRefusesUnframableKey(t *testing.T) {
+	d, err := OpenDisk(t.TempDir(), testCodec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var logged []string
+	d.Logf = func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) }
+	for _, k := range []Key{
+		{Version: "v\x1f", Device: "d", Workload: "w"},
+		{Version: "v", Device: "d\x1fw", Workload: ""},
+		{Version: "v", Device: "d", Workload: "w\x1f"},
+	} {
+		d.Put(k, "v")
+		if _, _, ok := d.Get(k); ok {
+			t.Errorf("key %q served a value", k)
+		}
+	}
+	s := d.Stats()
+	if s.DiskWriteErrors != 3 || s.DiskWrites != 0 || s.DiskCorrupt != 0 {
+		t.Fatalf("stats = %+v, want 3 write errors, no writes, nothing quarantined", s)
+	}
+	if len(logged) != 3 {
+		t.Fatalf("logged %q, want one line per refused key", logged)
+	}
+	n := 0
+	if err := d.Walk(func(EntryInfo) error { n++; return nil }); err != nil || n != 0 {
+		t.Fatalf("store holds %d entries (walk err %v), want none", n, err)
 	}
 }
 
@@ -82,66 +112,49 @@ func TestDiskCorruptionQuarantined(t *testing.T) {
 		corrupt func(t *testing.T, path string)
 	}{
 		{"truncated", func(t *testing.T, path string) {
-			raw, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(path, raw[:len(raw)/2], 0o644); err != nil {
-				t.Fatal(err)
-			}
+			rewrite(t, path, func(raw []byte) []byte { return raw[:len(raw)/2] })
+		}},
+		{"payload-truncated", func(t *testing.T, path string) {
+			rewrite(t, path, func(raw []byte) []byte { return raw[:len(raw)-1] })
+		}},
+		{"header-only", func(t *testing.T, path string) {
+			rewrite(t, path, func(raw []byte) []byte { return raw[:entryHeaderLen] })
 		}},
 		{"bit-flipped", func(t *testing.T, path string) {
-			raw, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Flip a bit inside the payload, past the envelope prefix, so
-			// the JSON still parses and only the checksum catches it.
-			i := bytes.Index(raw, []byte(`"result"`))
-			if i < 0 {
-				t.Fatal("no result field found")
-			}
-			i += len(`"result":"x`)
-			raw[i] ^= 0x01
-			if err := os.WriteFile(path, raw, 0o644); err != nil {
-				t.Fatal(err)
-			}
+			rewrite(t, path, func(raw []byte) []byte {
+				// The last byte is the payload's closing quote.
+				raw[len(raw)-1] ^= 0x01
+				return raw
+			})
+		}},
+		{"sum-bit-flipped", func(t *testing.T, path string) {
+			rewrite(t, path, func(raw []byte) []byte {
+				// Another hex digit: the header still parses, and only the
+				// checksum comparison catches it.
+				if i := len(entryPrefix); raw[i] == '0' {
+					raw[i] = '1'
+				} else {
+					raw[i] = '0'
+				}
+				return raw
+			})
 		}},
 		{"empty", func(t *testing.T, path string) {
-			if err := os.WriteFile(path, nil, 0o644); err != nil {
-				t.Fatal(err)
-			}
+			rewrite(t, path, func([]byte) []byte { return nil })
 		}},
 		{"wrong-magic", func(t *testing.T, path string) {
-			raw, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			raw = bytes.Replace(raw, []byte(entryMagic), []byte("not-a-memo-at-a"), 1)
-			if err := os.WriteFile(path, raw, 0o644); err != nil {
-				t.Fatal(err)
-			}
+			rewrite(t, path, func(raw []byte) []byte {
+				return bytes.Replace(raw, []byte(entryMagic), []byte("not-a-memo-at-a"), 1)
+			})
 		}},
 		{"mislabeled-key", func(t *testing.T, path string) {
 			// A validly-checksummed entry for a *different* key copied to
 			// this address: the key cross-check must reject it.
-			raw, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var env envelope
-			if err := unmarshalStrict(raw, &env); err != nil {
-				t.Fatal(err)
-			}
-			env.Device = "devB"
-			env.Sum = env.sum()
-			out, err := marshal(env)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(path, out, 0o644); err != nil {
-				t.Fatal(err)
-			}
+			rewrite(t, path, func(raw []byte) []byte {
+				k := testKey(1)
+				k.Device = "devB"
+				return frameEntry(k, []byte(`"good"`))
+			})
 		}},
 	}
 	for _, tc := range cases {
@@ -193,13 +206,7 @@ func TestDiskUndecodablePayloadQuarantined(t *testing.T) {
 	k := testKey(1)
 	// Hand-write an entry whose payload is valid JSON but not a string —
 	// checksummed correctly, so only Decode fails.
-	env := envelope{
-		Magic: entryMagic, Format: entryFormat,
-		Version: k.Version, Device: k.Device, Workload: k.Workload,
-		Result: []byte(`{"not":"a string"}`),
-	}
-	env.Sum = env.sum()
-	if err := d.writeEnvelope(env); err != nil {
+	if err := d.writeFile(k, frameEntry(k, []byte(`{"not":"a string"}`))); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, ok := d.Get(k); ok {
@@ -306,7 +313,14 @@ func TestOpenDiskErrors(t *testing.T) {
 	}
 }
 
-// marshal/unmarshalStrict are tiny wrappers keeping the test body readable.
-func marshal(env envelope) ([]byte, error) { return json.Marshal(env) }
-
-func unmarshalStrict(raw []byte, env *envelope) error { return json.Unmarshal(raw, env) }
+// rewrite replaces the file at path with edit's result on its bytes.
+func rewrite(t *testing.T, path string, edit func([]byte) []byte) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, edit(raw), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -1,29 +1,18 @@
 package memostore
 
 import (
-	"encoding/json"
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"testing"
 )
 
-// fuzzEnvelope builds a fully valid on-disk entry for key k so the corpus
-// contains at least one accepted input; the fuzzer then mutates from there.
-func fuzzEnvelope(k Key) []byte {
-	env := envelope{
-		Magic:    entryMagic,
-		Format:   entryFormat,
-		Version:  k.Version,
-		Device:   k.Device,
-		Workload: k.Workload,
-		Result:   json.RawMessage(`"payload"`),
-	}
-	env.Sum = env.sum()
-	b, err := json.Marshal(env)
-	if err != nil {
-		panic(err)
-	}
-	return b
+// frameBody frames arbitrary body bytes under a correct header.
+func frameBody(body string) []byte {
+	sum := sha256.Sum256([]byte(body))
+	return []byte(entryPrefix + hex.EncodeToString(sum[:]) + "\n" + body)
 }
 
 // FuzzDiskEntryDecode feeds arbitrary bytes to the disk tier's entry
@@ -34,16 +23,23 @@ func fuzzEnvelope(k Key) []byte {
 // an ordinary cold miss.
 func FuzzDiskEntryDecode(f *testing.F) {
 	key := testKey(1)
-	valid := fuzzEnvelope(key)
+	valid := frameEntry(key, []byte(`"payload"`))
 	f.Add(valid)
 	f.Add([]byte{})
-	f.Add([]byte("not json"))
-	f.Add([]byte(`{}`))
-	f.Add([]byte(`{"magic":"riscvmem-memo","format":1}`))
+	f.Add(valid[:entryHeaderLen]) // the header alone
+	// A correctly summed body with two separators: no payload follows the
+	// workload coordinate.
+	f.Add(frameBody(key.Version + "\x1f" + key.Device + "\x1f" + key.Workload))
 	// Right shape, wrong checksum.
-	f.Add([]byte(`{"magic":"riscvmem-memo","format":1,"version":"riscvmem/vTEST","device":"devA","workload":"w0001","sum":"00","result":"payload"}`))
-	// Valid envelope for a different key planted at this key's address.
-	f.Add(fuzzEnvelope(testKey(2)))
+	wrong := bytes.Clone(valid)
+	copy(wrong[len(entryPrefix):], "00")
+	f.Add(wrong)
+	// A valid entry for a different key planted at this key's address.
+	f.Add(frameEntry(testKey(2), []byte(`"payload"`)))
+	// A format-1 JSON envelope: the framing before this one, never read.
+	// Its sum is the framed entry's: both cover the same bytes.
+	f.Add([]byte(`{"magic":"riscvmem-memo","format":1,"version":"riscvmem/vTEST","device":"devA","workload":"w0001","sum":"` +
+		string(valid[len(entryPrefix):entryHeaderLen-1]) + `","result":"payload"}`))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		d, err := OpenDisk(t.TempDir(), testCodec())
 		if err != nil {

@@ -11,13 +11,21 @@
 //
 //   - Version: the cache namespace: module identity, model version and
 //     key-format version (run.CacheVersion). Any change that legitimately
-//     alters golden cycle counts, or changes how a key coordinate is
-//     encoded, bumps it, which cleanly orphans every stale
+//     alters golden cycle counts, or changes how an entry is keyed or
+//     framed, bumps it, which cleanly orphans every stale
 //     on-disk entry: old entries are simply never looked up again, and
 //     `memo gc` reclaims them.
 //   - Device: the device's parameter digest (machine.Spec.Identity).
 //   - Workload: the workload's self-declared CacheKey (the canonical
 //     WorkloadSpec encoding for the built-in kernels).
+//
+// A disk entry is one file: a header line carrying the sha256 of the bytes
+// that follow it, which are the three coordinates, each ended by 0x1f, and
+// then the payload. A read is the address hash, one file read, one hash
+// over the body, three cuts and the codec's decode; no other parse. A
+// coordinate holding 0x1f cannot be framed, and the disk tier refuses to
+// persist it. Snapshots (Export, Import) carry the same entries as JSON
+// lines.
 //
 // Tiers are fail-soft by design. The disk tier treats every fault as a
 // miss, never an error: corrupt, truncated, or version-mismatched entries

@@ -2,7 +2,9 @@ package memostore
 
 import (
 	"bufio"
+	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"io/fs"
@@ -12,13 +14,17 @@ import (
 	"strings"
 )
 
-// Snapshot stream format: a header line followed by one entry envelope per
-// line. The envelopes are the on-disk entry format verbatim — checksums
-// included — so import re-validates every entry end to end and a snapshot
-// is portable across machines and processes.
+// Snapshot stream format: a header line followed by one JSON entry line
+// per entry. A line carries the entry's coordinates, its checksum and its
+// payload — the entry file's contents in JSON, under the line's own
+// version (lineFormat) — so import re-validates every entry end to end and
+// a snapshot is portable across machines and processes.
 const (
 	snapshotMagic  = "riscvmem-memo-snapshot"
 	snapshotFormat = 1
+	// lineFormat versions a snapshot line's schema, independently of the
+	// entry file's framing (entryFormat).
+	lineFormat = 1
 	// maxSnapshotLine bounds one snapshot entry; results are a few KB, so
 	// 4 MiB is generous headroom.
 	maxSnapshotLine = 4 << 20
@@ -27,6 +33,17 @@ const (
 type snapshotHeader struct {
 	Magic  string `json:"magic"`
 	Format int    `json:"format"`
+}
+
+// snapshotLine is one entry as a snapshot carries it.
+type snapshotLine struct {
+	Magic    string          `json:"magic"`
+	Format   int             `json:"format"`
+	Version  string          `json:"version"`
+	Device   string          `json:"device"`
+	Workload string          `json:"workload"`
+	Sum      string          `json:"sum"`
+	Result   json.RawMessage `json:"result"`
 }
 
 // EntryInfo describes one on-disk entry during Walk. Err is non-nil when
@@ -44,6 +61,11 @@ type EntryInfo struct {
 // quarantined). The quarantine directory and in-progress temp files are
 // skipped. Returning a non-nil error from fn stops the walk.
 func (d *Disk) Walk(fn func(EntryInfo) error) error {
+	return d.walk(func(info EntryInfo, _ *entry) error { return fn(info) })
+}
+
+// walk is Walk that also hands fn the parsed entry (nil when Err is set).
+func (d *Disk) walk(fn func(EntryInfo, *entry) error) error {
 	return filepath.WalkDir(d.dir, func(path string, de fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -62,27 +84,28 @@ func (d *Disk) Walk(fn func(EntryInfo) error) error {
 		if fi, err := de.Info(); err == nil {
 			info.Size = fi.Size()
 		}
-		env, err := readEntry(path)
+		e, err := readEntry(path)
 		if err != nil {
 			info.Err = err
-			return fn(info)
+			return fn(info, nil)
 		}
-		info.Key = Key{Version: env.Version, Device: env.Device, Workload: env.Workload}
-		if want := keyHash(info.Key) + entryExt; name != want {
-			// The envelope is internally consistent but sits at the wrong
+		info.Key = e.key
+		if hash := keyHash(e.key); name != string(hash[:])+entryExt {
+			// The entry is internally consistent but sits at the wrong
 			// address — a hand-copied or renamed file. Get would never find
 			// it, so surface it as damage.
-			info.Err = fmt.Errorf("entry filename does not match its key hash (want %s)", want)
+			info.Err = fmt.Errorf("entry filename does not match its key hash (want %s%s)", hash[:], entryExt)
+			return fn(info, nil)
 		}
-		return fn(info)
+		return fn(info, &e)
 	})
 }
 
 // readEntry loads and validates one entry file (checksum included).
-func readEntry(path string) (*envelope, error) {
+func readEntry(path string) (entry, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return entry{}, err
 	}
 	return parseEntry(raw, nil)
 }
@@ -94,7 +117,7 @@ type ExportStats struct {
 }
 
 // Export streams every valid entry to w as a snapshot (header line plus one
-// envelope per line). Invalid entries are skipped and counted, never
+// entry line per entry). Invalid entries are skipped and counted, never
 // exported — a snapshot is always fully importable.
 func (d *Disk) Export(w io.Writer) (ExportStats, error) {
 	var stats ExportStats
@@ -102,25 +125,48 @@ func (d *Disk) Export(w io.Writer) (ExportStats, error) {
 	if err := enc.Encode(snapshotHeader{Magic: snapshotMagic, Format: snapshotFormat}); err != nil {
 		return stats, err
 	}
-	err := d.Walk(func(info EntryInfo) error {
-		if info.Err != nil {
+	err := d.walk(func(_ EntryInfo, e *entry) error {
+		if e == nil {
 			stats.Skipped++
 			return nil
 		}
-		env, err := readEntry(info.Path)
-		if err != nil {
-			// Validated a moment ago but gone or damaged now (concurrent
-			// writer, racing gc): skip it, same as any invalid entry.
-			stats.Skipped++
-			return nil
+		line := snapshotLine{
+			Magic: entryMagic, Format: lineFormat,
+			Version: e.key.Version, Device: e.key.Device, Workload: e.key.Workload,
+			Sum: hex.EncodeToString(e.sum[:]), Result: e.payload,
 		}
-		if err := enc.Encode(env); err != nil {
+		if err := enc.Encode(line); err != nil {
 			return err
 		}
 		stats.Entries++
 		return nil
 	})
 	return stats, err
+}
+
+// parseLine validates one snapshot entry line: its schema, that its key
+// frames, and its checksum — by framing the entry, whose header carries the
+// same sum over the same bytes. It returns the key and the framed file.
+func parseLine(raw []byte) (Key, []byte, error) {
+	var line snapshotLine
+	if err := json.Unmarshal(raw, &line); err != nil {
+		return Key{}, nil, fmt.Errorf("unparseable line: %w", err)
+	}
+	if line.Magic != entryMagic || line.Format != lineFormat {
+		return Key{}, nil, fmt.Errorf("not a %s/%d line (magic %q format %d)", entryMagic, lineFormat, line.Magic, line.Format)
+	}
+	key := Key{Version: line.Version, Device: line.Device, Workload: line.Workload}
+	if err := checkFramable(key); err != nil {
+		return Key{}, nil, err
+	}
+	if len(line.Result) == 0 {
+		return Key{}, nil, errors.New("line has no payload")
+	}
+	file := frameEntry(key, line.Result)
+	if string(file[len(entryPrefix):entryHeaderLen-1]) != line.Sum {
+		return Key{}, nil, errors.New("line checksum mismatch")
+	}
+	return key, file, nil
 }
 
 // ImportStats reports what Import did.
@@ -155,18 +201,13 @@ func (d *Disk) Import(r io.Reader) (ImportStats, error) {
 		if len(line) == 0 {
 			continue
 		}
-		var env envelope
-		if err := json.Unmarshal(line, &env); err != nil {
+		key, file, err := parseLine(line)
+		if err != nil {
 			stats.Invalid++
 			continue
 		}
-		if err := env.validate(nil); err != nil {
-			stats.Invalid++
-			continue
-		}
-		path := d.entryPath(Key{Version: env.Version, Device: env.Device, Workload: env.Workload})
-		_, statErr := os.Stat(path)
-		if err := d.writeEnvelope(env); err != nil {
+		_, statErr := os.Stat(d.entryPath(key))
+		if err := d.writeFile(key, file); err != nil {
 			return stats, err
 		}
 		if statErr == nil {

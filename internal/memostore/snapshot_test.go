@@ -2,8 +2,10 @@ package memostore
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -74,6 +76,33 @@ func TestImportRejectsDamage(t *testing.T) {
 	}
 	if is.Added != 1 || is.Invalid != 1 {
 		t.Fatalf("import stats = %+v, want 1 added / 1 invalid", is)
+	}
+}
+
+// TestImportSkipsUnframableKey: a correctly summed line whose coordinate
+// holds the separator byte would be filed as a different key, so Import
+// counts it invalid and writes nothing.
+func TestImportSkipsUnframableKey(t *testing.T) {
+	key := Key{Version: "riscvmem/vTEST", Device: "dev\x1fA", Workload: "w"}
+	file := frameEntry(key, []byte(`"v"`))
+	line, err := json.Marshal(snapshotLine{
+		Magic: entryMagic, Format: lineFormat,
+		Version: key.Version, Device: key.Device, Workload: key.Workload,
+		Sum: string(file[len(entryPrefix) : entryHeaderLen-1]), Result: []byte(`"v"`),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := OpenDisk(t.TempDir(), testCodec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	is, err := d.Import(strings.NewReader(`{"magic":"riscvmem-memo-snapshot","format":1}` + "\n" + string(line) + "\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if is.Invalid != 1 || is.Added != 0 {
+		t.Fatalf("import stats = %+v, want 1 invalid", is)
 	}
 }
 
@@ -191,5 +220,59 @@ func TestGCRemovesStaleVersions(t *testing.T) {
 	}
 	if _, _, ok := d.Get(stale); ok {
 		t.Fatal("stale-version entry survived GC")
+	}
+}
+
+// TestOldSnapshotsStillArrive imports a snapshot exported before entry
+// files were framed (testdata/snapshot-k2.jsonl: the header, then a JSON
+// entry line). The framed store serves the entry with its payload
+// unchanged, the file's header carries the line's checksum — the framing
+// kept the sum's definition — and a re-export is the snapshot, byte for
+// byte.
+func TestOldSnapshotsStillArrive(t *testing.T) {
+	snap, err := os.ReadFile(filepath.Join("testdata", "snapshot-k2.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var line snapshotLine
+	if err := json.Unmarshal(bytes.SplitN(snap, []byte("\n"), 3)[1], &line); err != nil {
+		t.Fatal(err)
+	}
+	raw := Codec{
+		Encode: func(v any) ([]byte, error) { return v.([]byte), nil },
+		Decode: func(data []byte) (any, error) { return data, nil },
+	}
+	d, err := OpenDisk(t.TempDir(), raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	is, err := d.Import(bytes.NewReader(snap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if is.Added != 1 || is.Invalid != 0 {
+		t.Fatalf("import stats = %+v, want 1 added", is)
+	}
+	key := Key{Version: line.Version, Device: line.Device, Workload: line.Workload}
+	v, tier, ok := d.Get(key)
+	if !ok || tier != TierDisk {
+		t.Fatalf("Get = ok %v from tier %v, want a disk hit", ok, tier)
+	}
+	if !bytes.Equal(v.([]byte), line.Result) {
+		t.Errorf("served payload\n got %s\nwant %s", v, line.Result)
+	}
+	file, err := os.ReadFile(d.entryPath(key))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := string(file[len(entryPrefix) : entryHeaderLen-1]); got != line.Sum {
+		t.Errorf("entry header sum %s, want the line's %s", got, line.Sum)
+	}
+	var out bytes.Buffer
+	if _, err := d.Export(&out); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out.Bytes(), snap) {
+		t.Errorf("re-export differs from the imported snapshot:\n got %s\nwant %s", out.Bytes(), snap)
 	}
 }

@@ -175,21 +175,24 @@ func TestPersistCorruptionRecovery(t *testing.T) {
 	}
 }
 
-// readEntryFile returns a memo entry file's key and its payload as stored.
+// readEntryFile returns a memo entry file's key and its payload as stored,
+// reading the framing by hand: a header line, then the version, device and
+// workload coordinates, each ended by 0x1f, then the payload.
 func readEntryFile(t *testing.T, path string) (memostore.Key, []byte) {
 	t.Helper()
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var env struct {
-		Version, Device, Workload string
-		Result                    json.RawMessage
+	header, body, ok := bytes.Cut(raw, []byte("\n"))
+	if !ok || !bytes.HasPrefix(header, []byte("riscvmem-memo 2 ")) {
+		t.Fatalf("%s: no entry header line", path)
 	}
-	if err := json.Unmarshal(raw, &env); err != nil {
-		t.Fatal(err)
+	parts := bytes.SplitN(body, []byte{0x1f}, 4)
+	if len(parts) != 4 {
+		t.Fatalf("%s: body holds %d parts, want 4", path, len(parts))
 	}
-	return memostore.Key{Version: env.Version, Device: env.Device, Workload: env.Workload}, env.Result
+	return memostore.Key{Version: string(parts[0]), Device: string(parts[1]), Workload: string(parts[2])}, parts[3]
 }
 
 // checkServedPayload reads the entry at path through a fresh store over dir
@@ -218,9 +221,8 @@ func checkServedPayload(t *testing.T, dir, path string) []byte {
 // TestMemoPayloadIsTheRow pins that a memoized result is encoded once: the
 // JSON the runner publishes is the disk tier's payload, and a fresh store
 // (a restarted process) serves those exact bytes — to the runner's
-// Progress.JSON too. An entry written by the codec that still encoded at
-// Put time (testdata/memo-k2) is served with its bytes unchanged, which is
-// why the payload change needs no CacheVersion bump.
+// Progress.JSON too. The entry file the cold run persists is
+// testdata/memo-k3's, byte for byte: framing, address and payload.
 func TestMemoPayloadIsTheRow(t *testing.T) {
 	dev, err := machine.ByName("MangoPi")
 	if err != nil {
@@ -253,13 +255,26 @@ func TestMemoPayloadIsTheRow(t *testing.T) {
 		t.Errorf("a restarted runner reports JSON %s, want %s", js, published)
 	}
 
-	legacy := t.TempDir()
-	if err := os.CopyFS(legacy, os.DirFS(filepath.Join("testdata", "memo-k2"))); err != nil {
+	pinned := memoFiles(t, filepath.Join("testdata", "memo-k3"))
+	if len(pinned) != 1 {
+		t.Fatalf("testdata/memo-k3 holds %d entries, want 1", len(pinned))
+	}
+	rel, err := filepath.Rel(filepath.Join("testdata", "memo-k3"), pinned[0])
+	if err != nil {
 		t.Fatal(err)
 	}
-	files = memoFiles(t, legacy)
-	if len(files) != 1 {
-		t.Fatalf("testdata/memo-k2 holds %d entries, want 1", len(files))
+	if want := filepath.Join(dir, rel); files[0] != want {
+		t.Errorf("entry persisted at %s, want %s", files[0], want)
 	}
-	checkServedPayload(t, legacy, files[0])
+	got, err := os.ReadFile(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(pinned[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("persisted entry differs from testdata/memo-k3:\n got %q\nwant %q", got, want)
+	}
 }

@@ -16,11 +16,13 @@ import (
 //
 //   - sim.ModelVersion is bumped when simulated results change (see its
 //     versioning contract);
-//   - the ".kN" suffix is bumped when a key coordinate's encoding changes
-//     (machine.Spec.Identity, a workload CacheKey) while results do not.
+//   - the ".kN" suffix is bumped when how an entry is keyed or framed
+//     changes (machine.Spec.Identity, a workload CacheKey, the memo
+//     store's entry file) while results do not.
 //
 // k2: the Device coordinate became the Spec.Identity digest.
-const CacheVersion = "riscvmem/v" + sim.ModelVersion + ".k2"
+// k3: an entry file became a header line over its checksummed bytes.
+const CacheVersion = "riscvmem/v" + sim.ModelVersion + ".k3"
 
 // memoRow is one memoized cell as the memo store holds it: the Result and
 // its JSON encoding. The encoding is produced once, by newMemoRow when the

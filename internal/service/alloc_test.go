@@ -13,11 +13,13 @@ import (
 var raceEnabled bool
 
 // warmBatchAllocs bounds the heap allocations of one warm 64-row
-// Service.Batch: 2 devices × 32 memoized specs. It measures 202 with
+// Service.Batch: 2 devices × 32 memoized specs. It measures 179 with
 // Go 1.24 on x86-64 (at every GOMAXPROCS), down from 639 when every job
 // took its own device digest and every spec built and sorted throwaway
-// maps; the bound leaves a 10% margin.
-const warmBatchAllocs = 220
+// maps, and from 202 when a named-device request still built every preset
+// and each transpose spec a list of variants; the bound leaves a 10%
+// margin.
+const warmBatchAllocs = 197
 
 // TestWarmBatchAllocs is the allocation guard on the warm request path:
 // spec resolution, the runner's per-job work and the memo reads of a

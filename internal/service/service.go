@@ -511,8 +511,10 @@ func (s *Service) sweep(ctx context.Context, req SweepRequest) (*Response, [][]b
 // planBatch validates a BatchRequest into its Plan; every failure is a
 // ValidationError.
 func (s *Service) planBatch(req BatchRequest) (*Plan, error) {
-	devices := machine.All() // an empty Devices list means all presets
-	if len(req.Devices) > 0 {
+	var devices []machine.Spec
+	if len(req.Devices) == 0 {
+		devices = machine.All() // an empty Devices list means all presets
+	} else {
 		devices = make([]machine.Spec, len(req.Devices))
 		for i, name := range req.Devices {
 			spec, err := machine.ByName(name)

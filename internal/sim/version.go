@@ -18,6 +18,6 @@ package sim
 // pin as bit-identical do NOT bump it — that is the point: the fast paths
 // of PRs 1/5 would have invalidated nothing.
 //
-// A change to how a memo key is encoded bumps run.CacheVersion's key-format
-// suffix instead.
+// A change to how a memo entry is keyed or framed bumps run.CacheVersion's
+// ".kN" suffix instead.
 const ModelVersion = "1"

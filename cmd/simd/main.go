@@ -25,7 +25,11 @@
 //     executor instead of a local runner: every admitted request's cells
 //     are sharded across registered workers by rendezvous hashing of
 //     the memo store's own coordinates (device identity + workload cache
-//     key) and its rows reassembled in job order. The
+//     key) and its rows reassembled in job order. Work travels as a
+//     recipe: each assignment carries the request itself and each cell
+//     only its job index, which the worker resolves by planning the
+//     request as the coordinator did — so upgrade the coordinator and its
+//     workers together; a skewed worker answers with error rows. The
 //     admission, timeout and drain flags apply as in standalone mode;
 //     -parallelism, -cache-dir and -cache-mem do not (nothing executes or
 //     is cached here). Workers register and poll over /cluster/v1/*;

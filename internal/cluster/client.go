@@ -10,6 +10,7 @@ import (
 	"strings"
 
 	"riscvmem/internal/cluster/protocol"
+	"riscvmem/internal/service"
 )
 
 // Client is the HTTP binding of the worker-facing coordinator API: the
@@ -61,7 +62,7 @@ func (c *Client) post(ctx context.Context, path string, in, out any) error {
 		return fmt.Errorf("cluster: %s: %w", path, err)
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
+	data, err := io.ReadAll(io.LimitReader(resp.Body, service.MaxBodyBytes))
 	if err != nil {
 		return fmt.Errorf("cluster: reading %s response: %w", path, err)
 	}

@@ -47,7 +47,7 @@ type sweepJobs struct{ jobs []run.Job }
 // planSweep expands a sweep request through the planner both cluster sides
 // share; the drills count accepted rows against its job list.
 func planSweep(device string, axes []string, specs []run.WorkloadSpec, maxJobs int) (sweepJobs, error) {
-	p, err := service.PlanSweep(service.SweepRequest{Device: device, Axes: axes, Workloads: specs}, maxJobs)
+	p, err := service.PlanRequest(service.JobRequest{Sweep: &service.SweepRequest{Device: device, Axes: axes, Workloads: specs}}, maxJobs)
 	if err != nil {
 		return sweepJobs{}, err
 	}

@@ -137,7 +137,6 @@ type Coordinator struct {
 type workerState struct {
 	id        string
 	hash      uint64 // hashKey(id), route's worker coordinate
-	addr      string
 	lastBeat  time.Time
 	queue     []*cellTask            // routed here, not yet delivered
 	delivered map[string]*assignment // delivered, awaiting rows
@@ -155,9 +154,8 @@ type assignment struct {
 // dispatch is one client request in flight: its row slots, completion
 // bookkeeping, and the cache work its accepted assignments reported.
 type dispatch struct {
-	id    string
-	kind  string // "batch" or "sweep"
-	sweep *protocol.SweepGrid
+	id  string
+	req service.JobRequest // the recipe every assignment ships
 	// deadline is the request's absolute deadline (zero = none), stamped
 	// onto every assignment so workers stop at the same instant the
 	// response settles.
@@ -486,7 +484,6 @@ func (c *Coordinator) Register(ctx context.Context, req protocol.RegisterRequest
 	c.workers[req.WorkerID] = &workerState{
 		id:        req.WorkerID,
 		hash:      hashKey(req.WorkerID),
-		addr:      req.Addr,
 		lastBeat:  time.Now(),
 		delivered: map[string]*assignment{},
 		wake:      make(chan struct{}, 1),
@@ -591,8 +588,8 @@ func liveQueued(queue []*cellTask) bool {
 
 // takeAssignmentLocked pops one assignment off the worker's queue: the
 // longest prefix of cells belonging to the first live dispatch, capped at
-// AssignmentCells (an assignment carries one sweep grid, so it cannot mix
-// dispatches). Cells of failed dispatches are scrubbed in passing. A queued
+// AssignmentCells (an assignment carries one request's recipe, so it cannot
+// mix dispatches). Cells of failed dispatches are scrubbed in passing. A queued
 // suspect goes first, alone, and only to an idle worker, which then receives
 // nothing else until the suspect's assignment closes. Caller holds mu;
 // returns nil when only dead cells were queued or a suspect is waiting.
@@ -641,7 +638,7 @@ func (c *Coordinator) takeAssignmentLocked(ws *workerState) *protocol.Assignment
 		cells:   make(map[int]*cellTask, len(taken)),
 		suspect: taken[0].suspect,
 	}
-	out := &protocol.Assignment{ID: asn.id, Kind: d.kind, Sweep: d.sweep}
+	out := &protocol.Assignment{ID: asn.id, Request: d.req}
 	if !d.deadline.IsZero() {
 		out.DeadlineMS = d.deadline.UnixMilli()
 	}
@@ -806,9 +803,9 @@ func shardKey(spec machine.Spec, w run.Workload) string {
 
 // Execute runs one admitted plan across the cluster (service.Executor): it
 // routes every job as a cell, waits for the rows, and returns them in job
-// order with the cache work the accepted assignments reported. Cells go
-// out as recipes — a batch cell's preset name and workload spec, a sweep
-// cell's index into the grid every worker re-derives — never as resolved
+// order with the cache work the accepted assignments reported. Work goes
+// out as a recipe — the plan's Request, which every worker re-plans with
+// service.PlanRequest, and each cell as its job index — never as resolved
 // Go values.
 //
 // A request-deadline expiry is not a failure: the dispatch degrades — every
@@ -816,20 +813,16 @@ func shardKey(spec machine.Spec, w run.Workload) string {
 // error — instead of blocking on cells that will never land (e.g. every
 // poll blackholed). Only the caller's cancellation or Close fails the call.
 func (c *Coordinator) Execute(ctx context.Context, p *service.Plan, onProgress func(run.Progress)) (service.Outcome, error) {
+	if p.Request.Batch == nil && p.Request.Sweep == nil {
+		return service.Outcome{}, errors.New("cluster: plan carries no request to dispatch")
+	}
 	n := len(p.Jobs)
 	d := &dispatch{
-		kind:      "batch",
+		req:       p.Request,
 		rows:      make([]protocol.Row, n),
 		done:      make([]bool, n),
 		remaining: n,
 		doneCh:    make(chan struct{}),
-	}
-	switch {
-	case p.Sweep != nil:
-		d.kind = "sweep"
-		d.sweep = &protocol.SweepGrid{Device: p.Sweep.Device, Axes: p.Sweep.Axes, Workloads: p.Sweep.Workloads}
-	case p.Batch == nil:
-		return service.Outcome{}, errors.New("cluster: plan carries no wire request to dispatch")
 	}
 	// The request's absolute deadline is stamped onto every assignment so
 	// workers stop at the same instant the response settles.
@@ -839,11 +832,7 @@ func (c *Coordinator) Execute(ctx context.Context, p *service.Plan, onProgress f
 	}
 	tasks := make([]*cellTask, n)
 	for i, job := range p.Jobs {
-		cell := protocol.Cell{Index: i, SweepJob: i}
-		if d.sweep == nil {
-			cell = protocol.Cell{Index: i, Device: job.Device.Name, Workload: p.BatchSpec(i)}
-		}
-		tasks[i] = &cellTask{d: d, cell: cell, hash: hashKey(shardKey(job.Device, job.Workload))}
+		tasks[i] = &cellTask{d: d, cell: protocol.Cell{Index: i}, hash: hashKey(shardKey(job.Device, job.Workload))}
 	}
 	c.mu.Lock()
 	c.seq++
@@ -944,7 +933,7 @@ func (c *Coordinator) settle(d *dispatch, waitErr error) error {
 		}
 	}
 	c.logf("cluster: dispatch %s deadline expired: %d row(s) returned degraded", d.id, expired)
-	if d.sweep != nil {
+	if d.req.Sweep != nil {
 		return &service.ExecutionError{Err: fmt.Errorf("%d of %d cells: %s", expired, len(d.done), service.DeadlineRowError())}
 	}
 	return nil

@@ -2,15 +2,10 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
 	"net/http"
 
 	"riscvmem/internal/service"
 )
-
-// maxBodyBytes bounds request bodies, matching the service handler's cap.
-const maxBodyBytes = 1 << 20
 
 // NewCoordinatorHandler fronts a Coordinator with HTTP. The client-facing
 // half IS the standalone daemon's handler — service.NewHandler over the
@@ -57,21 +52,12 @@ func NewCoordinatorHandler(c *Coordinator, logf func(format string, args ...any)
 }
 
 // bridge adapts one (ctx, request) → (response, error) method to HTTP:
-// strict JSON in, taxonomy-mapped JSON out. The request context rides
+// strict JSON in (service.ReadJSON), taxonomy-mapped JSON out. The request context rides
 // along, so a long poll ends when the polling worker hangs up.
 func bridge[Req, Resp any](logf func(string, ...any), fn func(ctx context.Context, req Req) (Resp, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var req Req
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
-			service.WriteJSON(w, http.StatusBadRequest,
-				map[string]string{"error": fmt.Sprintf("bad request body: %v", err)}, logf)
-			return
-		}
-		if dec.More() {
-			service.WriteJSON(w, http.StatusBadRequest,
-				map[string]string{"error": "bad request body: trailing data after JSON value"}, logf)
+		if !service.ReadJSON(w, r, &req, logf) {
 			return
 		}
 		resp, err := fn(r.Context(), req)

@@ -3,7 +3,9 @@
 // row return, and drain. Every message is a plain JSON-serializable value —
 // nothing about Go closures, channels, or internal pointers on the wire —
 // mirroring how service.NewHandler keeps the request facade independent of
-// HTTP. The coordinator (internal/cluster.Coordinator) implements the
+// HTTP. Work travels as a recipe: an assignment carries the client's
+// request as data, and each of its cells is one job index into the plan
+// service.PlanRequest derives from that request on either side. The coordinator (internal/cluster.Coordinator) implements the
 // server side of these messages directly as methods, so an in-process
 // cluster, an httptest cluster, and a three-process deployment all speak
 // exactly the same protocol; internal/cluster.Client is the HTTP binding.
@@ -21,22 +23,21 @@ package protocol
 import (
 	"riscvmem/internal/memostore"
 	"riscvmem/internal/run"
+	"riscvmem/internal/service"
 )
 
 // RegisterRequest announces a worker to the coordinator. Re-registering an
 // ID that is currently lost or draining replaces the old incarnation: the
-// worker rejoins the ring fresh, with no outstanding assignments.
+// worker rejoins fresh, with no outstanding assignments.
 type RegisterRequest struct {
-	// WorkerID names the worker; it is the worker's identity on the hash
-	// ring, so a stable ID across restarts preserves shard affinity (and
-	// with it the worker's warm memo store).
+	// WorkerID names the worker; it is the worker's routing identity
+	// (rendezvous hashing weighs each cell's shard key against it), so a
+	// stable ID across restarts preserves shard affinity (and with it the
+	// worker's warm memo store).
 	WorkerID string `json:"worker_id"`
-	// Addr is the worker's own service address, informational only (logs,
-	// metrics labels): the coordinator never dials a worker.
+	// Addr is the worker's own service address, informational only (logs):
+	// the coordinator never dials a worker.
 	Addr string `json:"addr,omitempty"`
-	// Capacity hints how many cells the worker wants per assignment;
-	// 0 lets the coordinator choose.
-	Capacity int `json:"capacity,omitempty"`
 }
 
 // RegisterResponse tells the worker its obligations.
@@ -79,16 +80,17 @@ type PollResponse struct {
 }
 
 // Assignment is one batch of cells for one worker. Cells of one assignment
-// always belong to one dispatch (one client request), so a sweep's grid
-// context is carried once, not per cell.
+// always belong to one dispatch (one client request), so the request's
+// recipe is carried once, not per cell.
 type Assignment struct {
 	ID string `json:"id"`
-	// Kind is "batch" or "sweep".
-	Kind string `json:"kind"`
-	// Sweep carries the grid the cells index into; nil for batch
-	// assignments.
-	Sweep *SweepGrid `json:"sweep,omitempty"`
-	Cells []Cell     `json:"cells"`
+	// Request is the client's request as data. The worker plans it with
+	// the same service.PlanRequest the coordinator's service planned it
+	// with — a pure function of the request — so both sides agree on every
+	// job, and a cell is only its job index. Its timeout is not the
+	// worker's: DeadlineMS is.
+	Request service.JobRequest `json:"request"`
+	Cells   []Cell             `json:"cells"`
 	// DeadlineMS is the dispatch's absolute deadline (Unix milliseconds,
 	// 0 = none), propagated from the client request so a worker never
 	// burns cycles on cells whose response has already been settled: the
@@ -97,32 +99,11 @@ type Assignment struct {
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 }
 
-// SweepGrid names a sweep's deterministic expansion: the worker re-expands
-// (device, axes) locally — sweep.Expand is a pure function of them — and
-// executes the cells it was assigned by job index. Shipping the recipe
-// instead of the expanded machine.Spec keeps the expansion single-source
-// (coordinator and worker cannot disagree on a cell's device) and the
-// cells small: a cell is one job index, not a whole device description.
-type SweepGrid struct {
-	Device    string             `json:"device"`
-	Axes      []string           `json:"axes,omitempty"`
-	Workloads []run.WorkloadSpec `json:"workloads"`
-}
-
-// Cell is one unit of assignable work: a (device, workload) pair for batch
-// dispatches, or a job index into the sweep grid for sweep dispatches.
-// Index is the cell's row position in the client's response, assigned by
-// the coordinator and echoed back with the row so reassembly is in job
-// order regardless of completion order.
+// Cell is one unit of assignable work: Index is the cell's job index in
+// the plan of its assignment's request. The worker echoes it back with the
+// row, so reassembly is in job order regardless of completion order.
 type Cell struct {
 	Index int `json:"index"`
-	// Device and Workload describe a batch cell (preset name + spec).
-	Device   string            `json:"device,omitempty"`
-	Workload *run.WorkloadSpec `json:"workload,omitempty"`
-	// SweepJob indexes the sweep grid's job list (cells outermost,
-	// workloads innermost, synthetic base cell last when the axes omit
-	// base points); meaningful only for sweep assignments.
-	SweepJob int `json:"sweep_job,omitempty"`
 	// Attempts is how many failed attempts (worker losses, contained cell
 	// failures) this cell has already survived. Informational for the
 	// worker (logging a retry as a retry); the coordinator owns the count

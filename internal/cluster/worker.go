@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"riscvmem/internal/cluster/protocol"
-	"riscvmem/internal/machine"
 	"riscvmem/internal/obs"
 	"riscvmem/internal/run"
 	"riscvmem/internal/service"
@@ -359,9 +358,10 @@ func (w *Worker) execute(ctx context.Context, a *protocol.Assignment) {
 
 	jobs, err := buildJobs(a)
 	if err != nil {
-		// The coordinator validated the request, so an unresolvable cell
-		// means this worker disagrees about presets/kernels (version skew).
-		// Attribute the error to every cell so the client sees it.
+		// The coordinator planned the same request, so an unplannable recipe
+		// or an out-of-range cell means this worker disagrees about presets,
+		// kernels or planning (version skew). Attribute the error to every
+		// cell so the client sees it.
 		w.logf("cluster: worker %s: assignment %s unresolvable: %v", w.opt.ID, a.ID, err)
 		mu.Lock()
 		for _, cell := range a.Cells {
@@ -440,45 +440,21 @@ func (w *Worker) execute(ctx context.Context, a *protocol.Assignment) {
 	})
 }
 
-// buildJobs resolves an assignment's cells into runnable jobs. Sweep cells
-// index into the grid's deterministic expansion — re-derived here with the
-// same service.PlanSweep the coordinator's service planned the request
-// with (unbounded: that side already applied the job limit), so both sides
-// agree on every job.
+// buildJobs resolves an assignment's cells into runnable jobs: it plans the
+// request the assignment carries with the same service.PlanRequest the
+// coordinator's service planned it with (unbounded: that side already
+// applied the job limit), and each cell is an index into that job list.
 func buildJobs(a *protocol.Assignment) ([]run.Job, error) {
-	if a.Kind == "sweep" {
-		if a.Sweep == nil {
-			return nil, errors.New("cluster: sweep assignment without grid")
-		}
-		plan, err := service.PlanSweep(service.SweepRequest{
-			Device: a.Sweep.Device, Axes: a.Sweep.Axes, Workloads: a.Sweep.Workloads,
-		}, 0)
-		if err != nil {
-			return nil, err
-		}
-		jobs := make([]run.Job, len(a.Cells))
-		for i, cell := range a.Cells {
-			if cell.SweepJob < 0 || cell.SweepJob >= len(plan.Jobs) {
-				return nil, fmt.Errorf("cluster: sweep job %d out of range (grid has %d)", cell.SweepJob, len(plan.Jobs))
-			}
-			jobs[i] = plan.Jobs[cell.SweepJob]
-		}
-		return jobs, nil
+	plan, err := service.PlanRequest(a.Request, 0)
+	if err != nil {
+		return nil, err
 	}
 	jobs := make([]run.Job, len(a.Cells))
 	for i, cell := range a.Cells {
-		if cell.Workload == nil {
-			return nil, errors.New("cluster: batch cell without workload")
+		if cell.Index < 0 || cell.Index >= len(plan.Jobs) {
+			return nil, fmt.Errorf("cluster: cell %d out of range (request plans %d jobs)", cell.Index, len(plan.Jobs))
 		}
-		spec, err := machine.ByName(cell.Device)
-		if err != nil {
-			return nil, err
-		}
-		wl, err := run.NewWorkload(*cell.Workload)
-		if err != nil {
-			return nil, err
-		}
-		jobs[i] = run.Job{Device: spec, Workload: wl}
+		jobs[i] = plan.Jobs[cell.Index]
 	}
 	return jobs, nil
 }

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -56,6 +57,16 @@ func (s *stubAPI) snapshot() (int, []protocol.RowReturn) {
 	return s.calls, append([]protocol.RowReturn(nil), s.returns...)
 }
 
+// mangoPiBatch is the recipe of a batch running the given specs on MangoPi:
+// job i runs specs[i].
+func mangoPiBatch(specs ...string) service.JobRequest {
+	req := &service.BatchRequest{Devices: []string{"MangoPi"}}
+	for _, s := range specs {
+		req.Workloads = append(req.Workloads, run.MustParseWorkloadSpec(s))
+	}
+	return service.JobRequest{Batch: req}
+}
+
 // TestWorkerPanicContainment pins the tentpole's worker half: a panic
 // anywhere in the execution path (here: a nil Service, standing in for any
 // executor bug the runner's own recovery cannot reach) must not escape
@@ -64,12 +75,13 @@ func (s *stubAPI) snapshot() (int, []protocol.RowReturn) {
 // coordinator charges the cells' budgets instead of losing a worker.
 func TestWorkerPanicContainment(t *testing.T) {
 	stub := &stubAPI{}
-	spec := run.MustParseWorkloadSpec("stream:test=COPY,elems=64,reps=1")
 	w := &Worker{opt: WorkerOptions{ID: "frail", API: stub, FlushRows: 16, Logf: t.Logf}}
-	a := &protocol.Assignment{ID: "a1", Kind: "batch", Cells: []protocol.Cell{
-		{Index: 3, Device: "MangoPi", Workload: &spec},
-		{Index: 7, Device: "MangoPi", Workload: &spec},
-	}}
+	specs := make([]string, 8)
+	for i := range specs {
+		specs[i] = fmt.Sprintf("stream:test=COPY,elems=%d,reps=1", 64*(i+1))
+	}
+	a := &protocol.Assignment{ID: "a1", Request: mangoPiBatch(specs...),
+		Cells: []protocol.Cell{{Index: 3}, {Index: 7}}}
 
 	w.execute(context.Background(), a) // must return, not panic the test
 
@@ -106,7 +118,6 @@ func TestWorkerPanicContainment(t *testing.T) {
 // wired to the stub, returning the worker for counter assertions.
 func executeAssignment(t *testing.T, stub *stubAPI) *Worker {
 	t.Helper()
-	spec := run.MustParseWorkloadSpec("stream:test=COPY,elems=64,reps=1")
 	w, err := NewWorker(WorkerOptions{
 		ID: "retrier", Service: service.New(service.Options{}), API: stub,
 		FlushRows: 16, Logf: t.Logf,
@@ -115,8 +126,8 @@ func executeAssignment(t *testing.T, stub *stubAPI) *Worker {
 		t.Fatalf("NewWorker: %v", err)
 	}
 	w.execute(context.Background(), &protocol.Assignment{
-		ID: "a1", Kind: "batch",
-		Cells: []protocol.Cell{{Index: 0, Device: "MangoPi", Workload: &spec}},
+		ID: "a1", Request: mangoPiBatch("stream:test=COPY,elems=64,reps=1"),
+		Cells: []protocol.Cell{{Index: 0}},
 	})
 	return w
 }
@@ -176,8 +187,6 @@ func TestWorkerReturnRevokedStopsImmediately(t *testing.T) {
 	stub := &stubAPI{ack: func(call int, req protocol.RowReturn) (protocol.RowAck, error) {
 		return protocol.RowAck{Revoked: true}, nil
 	}}
-	spec := run.MustParseWorkloadSpec("stream:test=COPY,elems=64,reps=1")
-	spec2 := run.MustParseWorkloadSpec("stream:test=SCALE,elems=64,reps=1")
 	w, err := NewWorker(WorkerOptions{
 		ID: "revoked", Service: service.New(service.Options{}), API: stub,
 		FlushRows: 1, Logf: t.Logf, // flush per row: the first row trips the revocation
@@ -186,11 +195,9 @@ func TestWorkerReturnRevokedStopsImmediately(t *testing.T) {
 		t.Fatalf("NewWorker: %v", err)
 	}
 	w.execute(context.Background(), &protocol.Assignment{
-		ID: "a1", Kind: "batch",
-		Cells: []protocol.Cell{
-			{Index: 0, Device: "MangoPi", Workload: &spec},
-			{Index: 1, Device: "MangoPi", Workload: &spec2},
-		},
+		ID:      "a1",
+		Request: mangoPiBatch("stream:test=COPY,elems=64,reps=1", "stream:test=SCALE,elems=64,reps=1"),
+		Cells:   []protocol.Cell{{Index: 0}, {Index: 1}},
 	})
 	calls, _ := stub.snapshot()
 	if calls != 1 {
@@ -198,5 +205,41 @@ func TestWorkerReturnRevokedStopsImmediately(t *testing.T) {
 	}
 	if w.returnsAbandoned.Load() != 0 {
 		t.Errorf("returnsAbandoned = %d, want 0 (revocation is not abandonment)", w.returnsAbandoned.Load())
+	}
+}
+
+// TestWorkerCellOutOfRange pins the worker's answer to a cell its recipe
+// does not plan (a coordinator of another version): the assignment closes
+// with one error row per cell, in a single Done return, and none of them
+// is a Failed row — a skewed worker is not a poison cell, so nothing is
+// charged against the cells' budgets.
+func TestWorkerCellOutOfRange(t *testing.T) {
+	stub := &stubAPI{}
+	w, err := NewWorker(WorkerOptions{
+		ID: "skewed", Service: service.New(service.Options{}), API: stub,
+		FlushRows: 16, Logf: t.Logf,
+	})
+	if err != nil {
+		t.Fatalf("NewWorker: %v", err)
+	}
+	w.execute(context.Background(), &protocol.Assignment{
+		ID: "a1", Request: mangoPiBatch("stream:test=COPY,elems=64,reps=1"),
+		Cells: []protocol.Cell{{Index: 0}, {Index: 1}},
+	})
+	calls, returns := stub.snapshot()
+	if calls != 1 || !returns[0].Done {
+		t.Fatalf("%d returns %+v, want one Done close-out", calls, returns)
+	}
+	rows := returns[0].Rows
+	if len(rows) != 2 || rows[0].Index != 0 || rows[1].Index != 1 {
+		t.Fatalf("close-out rows %+v, want one per cell (0, 1)", rows)
+	}
+	for _, row := range rows {
+		if row.Failed || !strings.Contains(row.Error, "cell 1 out of range") {
+			t.Errorf("row %+v: want an error row naming the out-of-range cell, not a Failed row", row)
+		}
+	}
+	if n := w.cellFailures.Load(); n != 0 {
+		t.Errorf("cellFailures = %d, want 0", n)
 	}
 }

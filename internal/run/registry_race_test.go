@@ -10,14 +10,13 @@ import (
 	"riscvmem/internal/sim"
 )
 
-// TestRegistryConcurrency hammers the process-wide registries — workload
-// Register/Lookup/Names and spec-factory RegisterSpecFactory/Kernels/
-// ParseWorkloadSpec/NewWorkload — from many goroutines at once, the access
-// pattern of concurrent simd request handlers. Run under -race (CI does);
-// the assertions only check the registries stay internally consistent.
-// Every run registers names of its own, because the registries are
-// append-only and outlive the test (go test -count=N runs it N times in one
-// process).
+// TestRegistryConcurrency hammers the process-wide workload registry —
+// Register/Lookup/Names — from many goroutines at once, mixed with the
+// built-in kernel lookups (Kernels, ParseWorkloadSpec, NewWorkload) that
+// concurrent simd request handlers perform. Run under -race (CI does); the
+// assertions only check the registry stays internally consistent. Every run
+// registers names of its own, because the registry is append-only and
+// outlives the test (go test -count=N runs it N times in one process).
 func TestRegistryConcurrency(t *testing.T) {
 	const (
 		goroutines = 8
@@ -45,21 +44,12 @@ func TestRegistryConcurrency(t *testing.T) {
 				}
 				_ = Names()
 
-				kernel := fmt.Sprintf("racekernel%dx%dx%d", run, g, i)
-				err := RegisterSpecFactory(KernelInfo{
-					Kernel: kernel, Summary: "race test", Params: "none",
-				}, func(spec WorkloadSpec) (Workload, error) { return w, nil })
-				if err != nil {
-					t.Errorf("RegisterSpecFactory(%s): %v", kernel, err)
+				if len(Kernels()) != 3 {
+					t.Errorf("Kernels() = %v, want the three built-in kernels", Kernels())
 					return
 				}
-				_ = Kernels()
-				if _, err := ParseWorkloadSpec(kernel); err != nil {
-					t.Errorf("ParseWorkloadSpec(%s): %v", kernel, err)
-					return
-				}
-				if _, err := NewWorkload(WorkloadSpec{Kernel: kernel}); err != nil {
-					t.Errorf("NewWorkload(%s): %v", kernel, err)
+				if _, err := NewWorkload(MustParseWorkloadSpec(name)); err != nil {
+					t.Errorf("NewWorkload(%s): %v", name, err)
 					return
 				}
 				// Mix in the built-in lookups handlers actually perform.

@@ -178,16 +178,16 @@ func reserved(s string, colon bool) bool {
 // error and by the service discovery document.
 const SpecGrammar = "kernel[:key=value,key=value,...] or kernel/variant"
 
-// canonicalKernelName normalizes a bare workload name: factory kernel names
+// canonicalKernelName normalizes a bare workload name: built-in kernel names
 // are lowercase and matched case-insensitively, but a name that is not a
-// registered kernel is kept verbatim — registered custom workloads (e.g.
+// built-in kernel is kept verbatim — registered custom workloads (e.g.
 // "chase/8MiB") resolve by exact name through the workload registry.
 func canonicalKernelName(name string) string {
 	lower := strings.ToLower(name)
 	if lower == name {
 		return name
 	}
-	if _, ok := lookupKernel(lower); ok {
+	if _, ok := kernels[lower]; ok {
 		return lower
 	}
 	return name
@@ -200,13 +200,13 @@ func canonicalKernelName(name string) string {
 //	gblur                           bare kernel (all defaults)
 //	chase/8MiB                      a registered custom workload's name
 //
-// Factory kernel names are matched case-insensitively (and stored
-// lowercase); a name that is not a registered kernel is kept verbatim,
+// Built-in kernel names are matched case-insensitively (and stored
+// lowercase); a name that is not a built-in kernel is kept verbatim,
 // since registered custom workloads resolve by exact name. Parameter keys
 // are lowercased; values keep their case (kernels resolve them
 // case-insensitively where that makes sense). The kernel/variant shorthand
-// expands through the spec-factory registry: when the prefix names a
-// registered kernel with a variant key, the suffix becomes that parameter;
+// expands through the kernels table: when the prefix names a built-in
+// kernel with a variant key, the suffix becomes that parameter;
 // otherwise the whole string is kept as a (custom registry) kernel name.
 func ParseWorkloadSpec(s string) (WorkloadSpec, error) {
 	s = strings.TrimSpace(s)
@@ -217,10 +217,10 @@ func ParseWorkloadSpec(s string) (WorkloadSpec, error) {
 	kernel = strings.TrimSpace(kernel)
 	if !hasParams {
 		// Maybe the kernel/variant shorthand. Only expand when the prefix is
-		// a registered kernel that declares a variant key — "chase/8MiB" is a
+		// a built-in kernel that declares a variant key — "chase/8MiB" is a
 		// legitimate custom workload name.
 		if prefix, variant, ok := strings.Cut(kernel, "/"); ok {
-			if info, found := lookupKernel(strings.ToLower(prefix)); found && info.info.VariantKey != "" {
+			if info, found := kernels[strings.ToLower(prefix)]; found && info.info.VariantKey != "" {
 				variant = strings.TrimSpace(variant)
 				if variant == "" {
 					return WorkloadSpec{}, fmt.Errorf("run: workload spec %q: empty variant (want %s)", s, SpecGrammar)
@@ -292,62 +292,17 @@ type KernelInfo struct {
 	VariantKey string `json:"variant_key,omitempty"`
 }
 
-// SpecFactory builds a Workload from a parsed spec. The factory must reject
-// unknown parameter keys (use the params helper) so typos fail loudly
-// instead of silently running defaults.
-type SpecFactory func(spec WorkloadSpec) (Workload, error)
-
+// kernelEntry is one built-in kernel of the kernels table (workloads.go):
+// its documentation and its factory. A factory must reject unknown
+// parameter keys (the params helper does) so typos fail loudly instead of
+// silently running defaults.
 type kernelEntry struct {
 	info  KernelInfo
-	build SpecFactory
+	build func(spec WorkloadSpec) (Workload, error)
 }
 
-// The process-wide kernel (spec factory) registry, guarded by the same
-// mutex as the workload registry — both are read on every service request.
-var kernels = map[string]kernelEntry{}
-
-// RegisterSpecFactory adds a kernel to the process-wide spec registry: a
-// name → (Params) → Workload constructor, plus the documentation that
-// listings and error messages surface. It errors on a nil factory, an empty
-// or non-lowercase kernel name, reserved characters, or a duplicate.
-func RegisterSpecFactory(info KernelInfo, build SpecFactory) error {
-	if build == nil {
-		return fmt.Errorf("run: register nil spec factory")
-	}
-	if info.Kernel == "" {
-		return fmt.Errorf("run: register spec factory with empty kernel name")
-	}
-	if info.Kernel != strings.ToLower(info.Kernel) || strings.ContainsAny(info.Kernel, ":/,= \t") {
-		return fmt.Errorf("run: kernel name %q must be lowercase without ':', '/', ',', '=' or spaces", info.Kernel)
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := kernels[info.Kernel]; dup {
-		return fmt.Errorf("run: kernel %q already registered", info.Kernel)
-	}
-	kernels[info.Kernel] = kernelEntry{info: info, build: build}
-	return nil
-}
-
-// MustRegisterSpecFactory is RegisterSpecFactory but panics on error; for
-// package init blocks.
-func MustRegisterSpecFactory(info KernelInfo, build SpecFactory) {
-	if err := RegisterSpecFactory(info, build); err != nil {
-		panic(err)
-	}
-}
-
-func lookupKernel(name string) (kernelEntry, bool) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	e, ok := kernels[name]
-	return e, ok
-}
-
-// Kernels lists the registered spec-buildable kernels, sorted by name.
+// Kernels lists the spec-buildable kernels, sorted by name.
 func Kernels() []KernelInfo {
-	regMu.RLock()
-	defer regMu.RUnlock()
 	out := make([]KernelInfo, 0, len(kernels))
 	for _, e := range kernels {
 		out = append(out, e.info)
@@ -357,16 +312,16 @@ func Kernels() []KernelInfo {
 }
 
 // NewWorkload materializes a spec: the kernel's factory builds the workload
-// from the parameters. Specs whose kernel is not factory-registered fall
-// back to the process-wide workload registry (custom workloads registered
-// under a plain name take no parameters). The error for an unknown kernel
-// lists the registered kernels, the registered workload names, and the
+// from the parameters. Specs whose kernel is not built in fall back to the
+// process-wide workload registry (custom workloads registered under a plain
+// name take no parameters). The error for an unknown kernel lists the
+// built-in kernels, the registered workload names, and the
 // grammar — everything needed to fix the request.
 func NewWorkload(spec WorkloadSpec) (Workload, error) {
 	if err := spec.validate(); err != nil {
 		return nil, err
 	}
-	if e, ok := lookupKernel(strings.ToLower(spec.Kernel)); ok {
+	if e, ok := kernels[strings.ToLower(spec.Kernel)]; ok {
 		w, err := e.build(spec)
 		if err != nil {
 			return nil, fmt.Errorf("run: workload %q: %w (params: %s)", spec.String(), err, e.info.Params)

@@ -12,14 +12,15 @@ import (
 	"riscvmem/internal/units"
 )
 
-// The built-in kernels register spec factories so jobs can arrive as data —
-// parsed from the CLI grammar or decoded from JSON — and not only as Go
-// values. Each factory validates and normalizes its parameters into the
-// kernel's Config; the adapters' CacheKey() is the canonical encoding of
-// that Config (see the *Key functions), so the memoization identity is a
-// pinned, order-stable string rather than fmt's struct layout.
-func init() {
-	MustRegisterSpecFactory(KernelInfo{
+// kernels is the fixed table of spec-buildable kernels, so jobs can arrive
+// as data — parsed from the CLI grammar or decoded from JSON — and not only
+// as Go values. Each factory validates and normalizes its parameters into
+// the kernel's Config; the adapters' CacheKey() is the canonical encoding
+// of that Config (see the *Key functions), so the memoization identity is
+// a pinned, order-stable string rather than fmt's struct layout. Names are
+// lowercase without grammar metacharacters.
+var kernels = map[string]kernelEntry{
+	"stream": {KernelInfo{
 		Kernel:     "stream",
 		Summary:    "STREAM memory-bandwidth benchmark (§4.1): COPY, SCALE, SUM, TRIAD",
 		Params:     "test=COPY|SCALE|SUM|TRIAD, elems=<n>, cores=<n>, reps=<n>, scaleby=<n>",
@@ -45,9 +46,9 @@ func init() {
 		}
 		cfg.Test = test
 		return Stream(cfg), nil
-	})
+	}},
 
-	MustRegisterSpecFactory(KernelInfo{
+	"transpose": {KernelInfo{
 		Kernel:     "transpose",
 		Summary:    "in-place N×N matrix transposition (§4.2), five optimization variants",
 		Params:     "variant=Naive|Parallel|Blocking|Manual_blocking|Dynamic|Cache_oblivious, n=<dim>, block=<tile|0=auto>, verify=<bool>",
@@ -69,9 +70,9 @@ func init() {
 		}
 		cfg.Variant = variant
 		return Transpose(cfg), nil
-	})
+	}},
 
-	MustRegisterSpecFactory(KernelInfo{
+	"gblur": {KernelInfo{
 		Kernel:     "gblur",
 		Summary:    "Gaussian blur over a W×H×C float32 image (§4.3), five optimization variants",
 		Params:     "variant=Naive|Unit-stride|1D_kernels|Memory|Parallel, w=<px>, h=<px>, c=<channels>, f=<odd filter>, verify=<bool>",
@@ -95,7 +96,7 @@ func init() {
 		}
 		cfg.Variant = variant
 		return Blur(cfg), nil
-	})
+	}},
 }
 
 // streamKey is the canonical encoding of a STREAM config, and so the

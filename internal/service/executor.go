@@ -10,23 +10,17 @@ import (
 )
 
 // Plan is one validated request, ready to execute: its jobs in response
-// order, plus the wire request they were derived from — an Executor that
-// ships work elsewhere (the cluster coordinator) forwards the recipe, not
-// the resolved Go values. Client requests set exactly one of Batch or
-// Sweep; ExecuteJobs plans carry neither.
+// order, plus the request they were planned from (PlanRequest). Planning
+// is a pure function of the request, so an Executor that ships work
+// elsewhere — the cluster coordinator — forwards the Request as a recipe
+// and each job as its index, never the resolved Go values. ExecuteJobs
+// plans carry no Request.
 type Plan struct {
-	Jobs  []run.Job
-	Batch *BatchRequest
-	Sweep *SweepRequest
+	Jobs    []run.Job
+	Request JobRequest
 	// grid is a sweep's expansion, kept to reassemble the base-relative
 	// deltas from the positional results.
 	grid *sweep.Plan
-}
-
-// BatchSpec returns the wire spec that batch job i's workload was resolved
-// from: planBatch lays Jobs out with run.Cross, devices outermost.
-func (p *Plan) BatchSpec(i int) *run.WorkloadSpec {
-	return &p.Batch.Workloads[i%len(p.Batch.Workloads)]
 }
 
 // Outcome is an executed Plan: the jobs' outcomes positionally (Errs[i] is
@@ -45,7 +39,9 @@ type Outcome struct {
 // Executor runs a Plan's jobs. It is the one seam between the request
 // facade (validation, timeouts, admission, async jobs, drain, encoding —
 // everything in this package) and where simulation happens: in-process on
-// the pooled run.Runner, or sharded over a fleet by cluster.Coordinator.
+// the pooled run.Runner, or sharded over a fleet by cluster.Coordinator,
+// whose workers re-plan the Plan's Request with PlanRequest and run the
+// jobs their cells index.
 type Executor interface {
 	// Execute runs the plan's jobs. onProgress (optional) observes each
 	// completion serially, in completion order. A non-nil error means the

@@ -13,9 +13,9 @@ import (
 	"time"
 )
 
-// maxBodyBytes bounds request bodies; a batch request is a few KB even at
+// MaxBodyBytes bounds request bodies; a batch request is a few KB even at
 // the job limit, so 1 MiB is generous.
-const maxBodyBytes = 1 << 20
+const MaxBodyBytes = 1 << 20
 
 // NewHandler fronts a Service with HTTP — the simd wire protocol:
 //
@@ -70,7 +70,7 @@ func NewHandler(s *Service) http.Handler {
 	mux.HandleFunc("POST /v1/sweep", serveResponse(s, s.sweep))
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		var req JobRequest
-		if !s.readJSON(w, r, &req) {
+		if !ReadJSON(w, r, &req, s.opt.Logf) {
 			return
 		}
 		js, err := s.SubmitJob(clientCtx(r), req)
@@ -119,7 +119,7 @@ func NewHandler(s *Service) http.Handler {
 func serveResponse[Req any](s *Service, serve func(context.Context, Req) (*Response, [][]byte, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var req Req
-		if !s.readJSON(w, r, &req) {
+		if !ReadJSON(w, r, &req, s.opt.Logf) {
 			return
 		}
 		resp, rowJSON, err := serve(clientCtx(r), req)
@@ -145,19 +145,20 @@ func clientCtx(r *http.Request) context.Context {
 	return WithClientID(r.Context(), id)
 }
 
-// readJSON decodes the request body, rejecting trailing garbage and
-// unknown fields so typos ("workload" for "workloads") fail loudly.
-func (s *Service) readJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+// ReadJSON decodes a request body strictly — at most MaxBodyBytes, no
+// unknown fields (so typos like "workload" for "workloads" fail loudly), no
+// trailing data — and answers 400 {"error": ...} itself when it returns
+// false. Every JSON endpoint reads through it, the cluster coordinator's
+// worker-facing ones included.
+func ReadJSON(w http.ResponseWriter, r *http.Request, dst any, logf func(format string, args ...any)) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
-		s.writeJSON(w, http.StatusBadRequest,
-			map[string]string{"error": fmt.Sprintf("bad request body: %v", err)})
+		WriteJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("bad request body: %v", err)}, logf)
 		return false
 	}
 	if dec.More() {
-		s.writeJSON(w, http.StatusBadRequest,
-			map[string]string{"error": "bad request body: trailing data after JSON value"})
+		WriteJSON(w, http.StatusBadRequest, map[string]string{"error": "bad request body: trailing data after JSON value"}, logf)
 		return false
 	}
 	return true

@@ -35,12 +35,31 @@ func (st JobState) terminal() bool {
 	return st == JobDone || st == JobFailed || st == JobCancelled
 }
 
-// JobRequest submits work asynchronously: exactly one of Batch or Sweep.
-// The embedded request is validated synchronously at submission — a
-// malformed job fails the submit call, never a later poll.
+// JobRequest is a request as data: exactly one of Batch or Sweep.
+// PlanRequest plans every request in this form, and a cluster assignment
+// ships it as the recipe its cells index into. Submitted as an async job,
+// it is validated synchronously — a malformed job fails the submit call,
+// never a later poll.
 type JobRequest struct {
 	Batch *BatchRequest `json:"batch,omitempty"`
 	Sweep *SweepRequest `json:"sweep,omitempty"`
+}
+
+// kind names the request's shape, "batch" or "sweep".
+func (r JobRequest) kind() string {
+	if r.Sweep != nil {
+		return "sweep"
+	}
+	return "batch"
+}
+
+// options returns the per-request knobs of whichever request is set; the
+// request must have passed PlanRequest.
+func (r JobRequest) options() RequestOptions {
+	if r.Sweep != nil {
+		return r.Sweep.Options
+	}
+	return r.Batch.Options
 }
 
 // JobStatus is the externally visible snapshot of one async job.
@@ -77,8 +96,6 @@ type JobStatus struct {
 // are guarded by the store mutex.
 type job struct {
 	id   string
-	kind string
-	opts RequestOptions
 	plan *Plan
 
 	state           JobState
@@ -156,7 +173,7 @@ func (st *jobStore) create(j *job) error {
 // snapshotLocked copies the job into its external form. Caller holds mu.
 func (st *jobStore) snapshotLocked(j *job, withRows bool) JobStatus {
 	s := JobStatus{
-		ID: j.id, State: j.state, Kind: j.kind,
+		ID: j.id, State: j.state, Kind: j.plan.Request.kind(),
 		Done: j.done, Total: j.total,
 		Error: j.errMsg, Response: j.resp, Created: j.created,
 	}
@@ -183,24 +200,11 @@ func (s *Service) SubmitJob(ctx context.Context, req JobRequest) (JobStatus, err
 	if err := s.checkAdmittable(ctx); err != nil {
 		return JobStatus{}, err
 	}
-	j := &job{id: newJobID()}
-	switch {
-	case req.Batch != nil && req.Sweep == nil:
-		p, err := s.planBatch(*req.Batch)
-		if err != nil {
-			return JobStatus{}, err
-		}
-		j.kind, j.plan, j.opts = "batch", p, req.Batch.Options
-	case req.Sweep != nil && req.Batch == nil:
-		p, err := PlanSweep(*req.Sweep, s.opt.MaxJobs)
-		if err != nil {
-			return JobStatus{}, err
-		}
-		j.kind, j.plan, j.opts = "sweep", p, req.Sweep.Options
-	default:
-		return JobStatus{}, invalidf("service: job request must set exactly one of batch or sweep")
+	p, err := PlanRequest(req, s.opt.MaxJobs)
+	if err != nil {
+		return JobStatus{}, err
 	}
-	j.total = len(j.plan.Jobs)
+	j := &job{id: newJobID(), plan: p, total: len(p.Jobs)}
 	if err := s.jobs.create(j); err != nil {
 		return JobStatus{}, err
 	}
@@ -218,7 +222,7 @@ func (s *Service) SubmitJob(ctx context.Context, req JobRequest) (JobStatus, err
 // past the submitting connection — bounded by the request timeout and the
 // job's own cancel.
 func (s *Service) executeJob(j *job) {
-	ctx, cancelTimeout := s.timeoutCtx(context.Background(), j.opts)
+	ctx, cancelTimeout := s.timeoutCtx(context.Background(), j.plan.Request.options())
 	defer cancelTimeout()
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()

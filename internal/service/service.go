@@ -15,8 +15,8 @@
 // (StartDrain/Drain, see drain.go). cmd/simd fronts a Service with HTTP
 // (see NewHandler); other transports (RPC, queues, tests) call Batch/Sweep
 // directly with the same request values. Both request shapes share one
-// path: plan (validate into a job list) → timeout → admit → Executor →
-// assemble.
+// path: plan (PlanRequest: validate into a job list) → timeout → admit →
+// Executor → assemble.
 //
 // The admit → queue → run → drain state machine and the full failure
 // taxonomy are documented in DESIGN.md §9.
@@ -478,14 +478,7 @@ func (s *Service) Batch(ctx context.Context, req BatchRequest) (*Response, error
 // batch is Batch plus each row's stored JSON (see execute), which the HTTP
 // handler splices into its reply.
 func (s *Service) batch(ctx context.Context, req BatchRequest) (*Response, [][]byte, error) {
-	if err := s.checkAdmittable(ctx); err != nil {
-		return nil, nil, err
-	}
-	p, err := s.planBatch(req)
-	if err != nil {
-		return nil, nil, err
-	}
-	return s.run(ctx, p, req.Options)
+	return s.serve(ctx, JobRequest{Batch: &req})
 }
 
 // Sweep executes a device-parameter ablation. The axis grammar and
@@ -498,68 +491,75 @@ func (s *Service) Sweep(ctx context.Context, req SweepRequest) (*Response, error
 
 // sweep is Sweep plus each row's stored JSON (see execute).
 func (s *Service) sweep(ctx context.Context, req SweepRequest) (*Response, [][]byte, error) {
+	return s.serve(ctx, JobRequest{Sweep: &req})
+}
+
+// serve is the synchronous path every request shape shares: admission
+// gate, plan, then run.
+func (s *Service) serve(ctx context.Context, req JobRequest) (*Response, [][]byte, error) {
 	if err := s.checkAdmittable(ctx); err != nil {
 		return nil, nil, err
 	}
-	p, err := PlanSweep(req, s.opt.MaxJobs)
+	p, err := PlanRequest(req, s.opt.MaxJobs)
 	if err != nil {
 		return nil, nil, err
 	}
-	return s.run(ctx, p, req.Options)
+	return s.run(ctx, p, req.options())
 }
 
-// planBatch validates a BatchRequest into its Plan; every failure is a
-// ValidationError.
-func (s *Service) planBatch(req BatchRequest) (*Plan, error) {
-	var devices []machine.Spec
-	if len(req.Devices) == 0 {
-		devices = machine.All() // an empty Devices list means all presets
-	} else {
-		devices = make([]machine.Spec, len(req.Devices))
-		for i, name := range req.Devices {
-			spec, err := machine.ByName(name)
-			if err != nil {
-				return nil, invalid(err)
-			}
-			devices[i] = spec
+// PlanRequest validates a request — exactly one of Batch or Sweep — into
+// its Plan; every failure is a ValidationError. maxJobs > 0 bounds the job
+// count (a sweep's before its grid is expanded, see sweep.NewPlan); 0
+// leaves it unbounded. It is the one answer to "which job is index i": the
+// service plans every request with it, and a cluster worker re-plans the
+// recipe its assignment carries — passing 0, since the coordinator already
+// applied the bound — to resolve its cells' job indexes to the same jobs.
+func PlanRequest(req JobRequest, maxJobs int) (*Plan, error) {
+	b, sw := req.Batch, req.Sweep
+	if (b == nil) == (sw == nil) {
+		return nil, invalidf("service: job request must set exactly one of batch or sweep")
+	}
+	if sw != nil {
+		if sw.Device == "" {
+			return nil, invalidf("service: sweep request names no device")
 		}
+		base, err := machine.ByName(sw.Device)
+		if err != nil {
+			return nil, invalid(err)
+		}
+		axes, err := sweep.ParseAxes(sw.Axes)
+		if err != nil {
+			return nil, invalid(err)
+		}
+		workloads, err := resolveWorkloads(sw.Workloads)
+		if err != nil {
+			return nil, invalid(err)
+		}
+		grid, err := sweep.NewPlan(base, axes, workloads, maxJobs)
+		if err != nil {
+			return nil, invalid(err)
+		}
+		return &Plan{Jobs: grid.Jobs, Request: req, grid: grid}, nil
 	}
-	workloads, err := resolveWorkloads(req.Workloads)
+	devices := make([]machine.Spec, len(b.Devices))
+	for i, name := range b.Devices {
+		spec, err := machine.ByName(name)
+		if err != nil {
+			return nil, invalid(err)
+		}
+		devices[i] = spec
+	}
+	if len(devices) == 0 {
+		devices = machine.All() // an empty Devices list means all presets
+	}
+	workloads, err := resolveWorkloads(b.Workloads)
 	if err != nil {
 		return nil, invalid(err)
 	}
-	if n := len(devices) * len(workloads); n > s.opt.MaxJobs {
-		return nil, invalidf("service: request is %d jobs, limit %d", n, s.opt.MaxJobs)
+	if n := len(devices) * len(workloads); maxJobs > 0 && n > maxJobs {
+		return nil, invalidf("service: request is %d jobs, limit %d", n, maxJobs)
 	}
-	return &Plan{Jobs: run.Cross(devices, workloads), Batch: &req}, nil
-}
-
-// PlanSweep validates a SweepRequest into its Plan; every failure is a
-// ValidationError. maxJobs > 0 bounds the grid before it is expanded (see
-// sweep.NewPlan). Exported for cluster workers, which re-derive the grid
-// the coordinator already bounded — passing 0 — to resolve their assigned
-// job indexes against the same job list.
-func PlanSweep(req SweepRequest, maxJobs int) (*Plan, error) {
-	if req.Device == "" {
-		return nil, invalidf("service: sweep request names no device")
-	}
-	base, err := machine.ByName(req.Device)
-	if err != nil {
-		return nil, invalid(err)
-	}
-	axes, err := sweep.ParseAxes(req.Axes)
-	if err != nil {
-		return nil, invalid(err)
-	}
-	workloads, err := resolveWorkloads(req.Workloads)
-	if err != nil {
-		return nil, invalid(err)
-	}
-	grid, err := sweep.NewPlan(base, axes, workloads, maxJobs)
-	if err != nil {
-		return nil, invalid(err)
-	}
-	return &Plan{Jobs: grid.Jobs, Sweep: &req, grid: grid}, nil
+	return &Plan{Jobs: run.Cross(devices, workloads), Request: req}, nil
 }
 
 // run takes a planned request through the rest of the synchronous path.

@@ -31,6 +31,8 @@ var censusKeep = map[string]string{
 	"riscvmem/internal/faultinject.ClusterSend": "seam fired only by the cluster tests' FlakyTransport",
 	"riscvmem/internal/faultinject.ClusterRecv": "seam fired only by the cluster tests' FlakyTransport",
 
+	"riscvmem/internal/service.Service.SubmitJob": "Go API of POST /v1/jobs (api.txt); the handler submits the plans it caches directly",
+
 	"riscvmem/internal/sim.F64.Store": "per-element pair of F64.Load, which examples/customdevice uses",
 	"riscvmem/internal/sim.F32.Load":  "per-element pair of F32.Store, which the blur kernels use",
 }

@@ -10,7 +10,6 @@ import (
 	"strings"
 
 	"riscvmem/internal/cluster/protocol"
-	"riscvmem/internal/service"
 )
 
 // Client is the HTTP binding of the worker-facing coordinator API: the
@@ -62,9 +61,12 @@ func (c *Client) post(ctx context.Context, path string, in, out any) error {
 		return fmt.Errorf("cluster: %s: %w", path, err)
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, service.MaxBodyBytes))
+	data, err := io.ReadAll(io.LimitReader(resp.Body, maxReplyBytes+1))
 	if err != nil {
 		return fmt.Errorf("cluster: reading %s response: %w", path, err)
+	}
+	if len(data) > maxReplyBytes {
+		return fmt.Errorf("cluster: %s response exceeds %d bytes", path, maxReplyBytes)
 	}
 	if resp.StatusCode/100 != 2 {
 		var e struct {

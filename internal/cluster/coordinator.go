@@ -32,6 +32,7 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"slices"
@@ -801,6 +802,25 @@ func shardKey(spec machine.Spec, w run.Workload) string {
 	return spec.Identity() + "\x00" + wkey
 }
 
+// maxReplyBytes bounds a coordinator reply a Client reads. The largest is
+// a poll reply: the request's recipe, re-encoded as data, in its
+// assignment envelope (assignmentEnvelope). A recipe can outgrow the body
+// it was decoded from — a grammar-string spec encodes as its object form,
+// up to about three times the bytes — so the bound is four request
+// bodies, and Execute refuses up front a plan whose assignments could
+// outgrow it, where a worker could never read them.
+const maxReplyBytes = 4 * service.MaxBodyBytes
+
+// assignmentEnvelope bounds the bytes a poll reply carrying cells cells
+// adds to its recipe: the longest ID, index, attempt count and deadline.
+func assignmentEnvelope(cells int) int {
+	const (
+		envelope = `{"assignment":{"id":"a18446744073709551615","request":,"cells":[],"deadline_ms":-9223372036854775808}}` + "\n"
+		cell     = `{"index":-9223372036854775808,"attempts":-9223372036854775808},`
+	)
+	return len(envelope) + cells*len(cell)
+}
+
 // Execute runs one admitted plan across the cluster (service.Executor): it
 // routes every job as a cell, waits for the rows, and returns them in job
 // order with the cache work the accepted assignments reported. Work goes
@@ -811,12 +831,23 @@ func shardKey(spec machine.Spec, w run.Workload) string {
 // A request-deadline expiry is not a failure: the dispatch degrades — every
 // row that arrived in time is kept and every open slot becomes a deadline
 // error — instead of blocking on cells that will never land (e.g. every
-// poll blackholed). Only the caller's cancellation or Close fails the call.
+// poll blackholed). Only the caller's cancellation or Close fails the call,
+// and a recipe too large for a worker to read is refused before any cell
+// is routed (a ValidationError).
 func (c *Coordinator) Execute(ctx context.Context, p *service.Plan, onProgress func(run.Progress)) (service.Outcome, error) {
 	if p.Request.Batch == nil && p.Request.Sweep == nil {
 		return service.Outcome{}, errors.New("cluster: plan carries no request to dispatch")
 	}
 	n := len(p.Jobs)
+	recipe, err := json.Marshal(p.Request)
+	if err != nil {
+		return service.Outcome{}, fmt.Errorf("cluster: encoding the recipe: %w", err)
+	}
+	if size := len(recipe) + assignmentEnvelope(min(n, c.opt.AssignmentCells)); size > maxReplyBytes {
+		return service.Outcome{}, &service.ValidationError{Err: fmt.Errorf(
+			"cluster: request encodes to a %d-byte recipe; its assignments could reach %d bytes, more than the %d a worker reads",
+			len(recipe), size, maxReplyBytes)}
+	}
 	d := &dispatch{
 		req:       p.Request,
 		rows:      make([]protocol.Row, n),
@@ -859,7 +890,6 @@ func (c *Coordinator) Execute(ctx context.Context, p *service.Plan, onProgress f
 			})
 		}
 	}
-	var err error
 wait:
 	for {
 		select {

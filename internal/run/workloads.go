@@ -168,17 +168,17 @@ func blurKey(cfg blur.Config) string {
 // Bandwidth is the benchmark's best (ScaleBy-scaled) figure, and Bytes the
 // STREAM-counted traffic of one repetition.
 func Stream(cfg stream.Config) Workload {
-	return streamWorkload{cfg: cfg, key: streamKey(cfg)}
+	return streamWorkload{cfg: cfg, name: "stream/" + cfg.Test.String(), key: streamKey(cfg)}
 }
 
-// The adapters render their CacheKey once, at construction: one workload
-// value keys every job of a cross-product.
+// The adapters render their Name and CacheKey once, at construction: one
+// workload value names and keys every job of a cross-product.
 type streamWorkload struct {
-	cfg stream.Config
-	key string
+	cfg       stream.Config
+	name, key string
 }
 
-func (w streamWorkload) Name() string { return "stream/" + w.cfg.Test.String() }
+func (w streamWorkload) Name() string { return w.name }
 
 // CacheKey is the canonical spec string: order-stable (keys sorted),
 // independent of Config's field layout, and pinned by golden tests — the
@@ -209,17 +209,15 @@ func (w streamWorkload) Run(ctx context.Context, m *sim.Machine) (Result, error)
 // Transpose adapts one in-place transposition configuration as a Workload.
 // Bytes is the mandatory 16·N² traffic of the §3.3 utilization metric.
 func Transpose(cfg transpose.Config) Workload {
-	return transposeWorkload{cfg: cfg, key: transposeKey(cfg)}
+	return transposeWorkload{cfg: cfg, name: fmt.Sprintf("transpose/%s", cfg.Variant), key: transposeKey(cfg)}
 }
 
 type transposeWorkload struct {
-	cfg transpose.Config
-	key string
+	cfg       transpose.Config
+	name, key string
 }
 
-func (w transposeWorkload) Name() string {
-	return fmt.Sprintf("transpose/%s", w.cfg.Variant)
-}
+func (w transposeWorkload) Name() string { return w.name }
 
 // CacheKey is the canonical spec string (see streamWorkload.CacheKey).
 func (w transposeWorkload) CacheKey() string { return w.key }
@@ -247,17 +245,15 @@ func (w transposeWorkload) Run(ctx context.Context, m *sim.Machine) (Result, err
 // Blur adapts one Gaussian-blur configuration as a Workload. Bytes is the
 // mandatory separable-blur traffic of the §3.3 utilization metric.
 func Blur(cfg blur.Config) Workload {
-	return blurWorkload{cfg: cfg, key: blurKey(cfg)}
+	return blurWorkload{cfg: cfg, name: fmt.Sprintf("gblur/%s", cfg.Variant), key: blurKey(cfg)}
 }
 
 type blurWorkload struct {
-	cfg blur.Config
-	key string
+	cfg       blur.Config
+	name, key string
 }
 
-func (w blurWorkload) Name() string {
-	return fmt.Sprintf("gblur/%s", w.cfg.Variant)
-}
+func (w blurWorkload) Name() string { return w.name }
 
 // CacheKey is the canonical spec string (see streamWorkload.CacheKey).
 func (w blurWorkload) CacheKey() string { return w.key }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"strconv"
@@ -43,8 +44,8 @@ const MaxBodyBytes = 1 << 20
 // falling back to the remote host.
 //
 // The handler is stateless; all shared state (machine pool, memo cache,
-// admission slots, job store) lives in the Service, so multiple handlers
-// (or transports) can front one Service.
+// admission slots, job store, the plan cache of request bodies) lives in
+// the Service, so multiple handlers (or transports) can front one Service.
 func NewHandler(s *Service) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -66,21 +67,21 @@ func NewHandler(s *Service) http.Handler {
 	mux.HandleFunc("GET /v1/workloads", func(w http.ResponseWriter, r *http.Request) {
 		s.writeJSON(w, http.StatusOK, s.Workloads())
 	})
-	mux.HandleFunc("POST /v1/batch", serveResponse(s, s.batch))
-	mux.HandleFunc("POST /v1/sweep", serveResponse(s, s.sweep))
-	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		var req JobRequest
-		if !ReadJSON(w, r, &req, s.opt.Logf) {
-			return
-		}
-		js, err := s.SubmitJob(clientCtx(r), req)
-		if err != nil {
-			s.writeError(w, err)
-			return
-		}
-		w.Header().Set("Location", "/v1/jobs/"+js.ID)
-		s.writeJSON(w, http.StatusAccepted, js)
-	})
+	mux.HandleFunc("POST /v1/batch", planned(s, "/v1/batch",
+		func(req *BatchRequest) JobRequest { return JobRequest{Batch: req} }, s.respond))
+	mux.HandleFunc("POST /v1/sweep", planned(s, "/v1/sweep",
+		func(req *SweepRequest) JobRequest { return JobRequest{Sweep: req} }, s.respond))
+	mux.HandleFunc("POST /v1/jobs", planned(s, "/v1/jobs",
+		func(req *JobRequest) JobRequest { return *req },
+		func(w http.ResponseWriter, _ context.Context, p *Plan) {
+			js, err := s.submit(p)
+			if err != nil {
+				s.writeError(w, err)
+				return
+			}
+			w.Header().Set("Location", "/v1/jobs/"+js.ID)
+			s.writeJSON(w, http.StatusAccepted, js)
+		}))
 	mux.HandleFunc("GET /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		s.writeJSON(w, http.StatusOK, s.Jobs())
 	})
@@ -113,22 +114,49 @@ func NewHandler(s *Service) http.Handler {
 	return mux
 }
 
-// serveResponse is the handler of a request answered by a Response: decode
-// the request, serve it, and write the reply with the rows' stored JSON
-// spliced in (writeResponse).
-func serveResponse[Req any](s *Service, serve func(context.Context, Req) (*Response, [][]byte, error)) http.HandlerFunc {
+// planned is the handler of a request that plans (batch, sweep, async
+// job). It reads the body once and looks its exact bytes up in the
+// service's plan cache. A hit skips decode and PlanRequest and passes only
+// the admission gate; a miss is decoded strictly, gated, planned, and
+// stored once it planned. Either way serve takes the plan on: timeout,
+// admission, Executor, reply.
+func planned[Req any](s *Service, endpoint string, request func(*Req) JobRequest,
+	serve func(w http.ResponseWriter, ctx context.Context, p *Plan)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		var req Req
-		if !ReadJSON(w, r, &req, s.opt.Logf) {
+		key, ok := readBody(w, r, endpoint+" ", s.opt.Logf)
+		if !ok {
 			return
 		}
-		resp, rowJSON, err := serve(clientCtx(r), req)
-		if err != nil {
+		ctx := clientCtx(r)
+		p := s.plans.get(key)
+		if p == nil {
+			var req Req
+			if !decodeJSON(w, key[len(endpoint)+1:], &req, s.opt.Logf) {
+				return
+			}
+			var err error
+			if p, err = s.plan(ctx, request(&req)); err != nil {
+				s.writeError(w, err)
+				return
+			}
+			s.plans.put(key, p)
+		} else if err := s.checkAdmittable(ctx); err != nil {
 			s.writeError(w, err)
 			return
 		}
-		writeResponse(w, resp, rowJSON, s.opt.Logf)
+		serve(w, ctx, p)
 	}
+}
+
+// respond runs a synchronous plan and writes its Response with the rows'
+// stored JSON spliced in (writeResponse).
+func (s *Service) respond(w http.ResponseWriter, ctx context.Context, p *Plan) {
+	resp, rowJSON, err := s.run(ctx, p)
+	if err != nil {
+		s.writeError(w, err)
+		return
+	}
+	writeResponse(w, resp, rowJSON, s.opt.Logf)
 }
 
 // clientCtx tags the request context with the caller's identity for rate
@@ -148,10 +176,43 @@ func clientCtx(r *http.Request) context.Context {
 // ReadJSON decodes a request body strictly — at most MaxBodyBytes, no
 // unknown fields (so typos like "workload" for "workloads" fail loudly), no
 // trailing data — and answers 400 {"error": ...} itself when it returns
-// false. Every JSON endpoint reads through it, the cluster coordinator's
-// worker-facing ones included.
+// false. Every JSON endpoint reads through its two halves, readBody and
+// decodeJSON, the cluster coordinator's worker-facing ones included.
 func ReadJSON(w http.ResponseWriter, r *http.Request, dst any, logf func(format string, args ...any)) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
+	body, ok := readBody(w, r, "", logf)
+	return ok && decodeJSON(w, body, dst, logf)
+}
+
+// readBody reads a request body of at most MaxBodyBytes, returned after
+// prefix in one buffer, and answers 400 itself when it returns false.
+func readBody(w http.ResponseWriter, r *http.Request, prefix string, logf func(format string, args ...any)) ([]byte, bool) {
+	n := 512
+	if r.ContentLength > 0 && r.ContentLength <= MaxBodyBytes {
+		n = int(r.ContentLength) + 1 // the read that sees EOF needs room
+	}
+	buf := append(make([]byte, 0, len(prefix)+n), prefix...)
+	body := http.MaxBytesReader(w, r.Body, MaxBodyBytes)
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		m, err := body.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+m]
+		if err == io.EOF {
+			return buf, true
+		}
+		if err != nil {
+			WriteJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("bad request body: %v", err)}, logf)
+			return nil, false
+		}
+	}
+}
+
+// decodeJSON decodes body into dst strictly — no unknown fields, no
+// trailing data — and answers 400 itself when it returns false. It is the
+// one request decoder.
+func decodeJSON(w http.ResponseWriter, body []byte, dst any, logf func(format string, args ...any)) bool {
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
 		WriteJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("bad request body: %v", err)}, logf)

@@ -226,8 +226,12 @@ func TestBatchCarriesStoredRows(t *testing.T) {
 		run.MustParseWorkloadSpec("transpose:variant=Naive,n=64"),
 		{Kernel: "svc-test-fail"},
 	}}
+	p, err := svc.plan(context.Background(), JobRequest{Batch: &req})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, pass := range []string{"cold", "warm"} {
-		resp, rowJSON, err := svc.batch(context.Background(), req)
+		resp, rowJSON, err := svc.run(context.Background(), p)
 		if err != nil {
 			t.Fatalf("%s batch: %v", pass, err)
 		}

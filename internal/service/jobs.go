@@ -197,13 +197,16 @@ func (st *jobStore) snapshotLocked(j *job, withRows bool) JobStatus {
 // the job then competes for the same bounded admission queue as synchronous
 // requests, under its own timeout (queue wait included).
 func (s *Service) SubmitJob(ctx context.Context, req JobRequest) (JobStatus, error) {
-	if err := s.checkAdmittable(ctx); err != nil {
-		return JobStatus{}, err
-	}
-	p, err := PlanRequest(req, s.opt.MaxJobs)
+	p, err := s.plan(ctx, req)
 	if err != nil {
 		return JobStatus{}, err
 	}
+	return s.submit(p)
+}
+
+// submit registers a planned request as a queued job and starts its
+// executor.
+func (s *Service) submit(p *Plan) (JobStatus, error) {
 	j := &job{id: newJobID(), plan: p, total: len(p.Jobs)}
 	if err := s.jobs.create(j); err != nil {
 		return JobStatus{}, err

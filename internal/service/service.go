@@ -16,7 +16,10 @@
 // (see NewHandler); other transports (RPC, queues, tests) call Batch/Sweep
 // directly with the same request values. Both request shapes share one
 // path: plan (PlanRequest: validate into a job list) → timeout → admit →
-// Executor → assemble.
+// Executor → assemble. Over HTTP the plan step sits behind a per-Service
+// plan cache keyed by the exact body bytes (plancache.go): a repeated
+// body skips decode and PlanRequest, never the drain and rate-limit gate
+// before them or anything after.
 //
 // The admit → queue → run → drain state machine and the full failure
 // taxonomy are documented in DESIGN.md §9.
@@ -173,6 +176,7 @@ type Service struct {
 	draining  atomic.Bool
 	limiter   *limiter
 	jobs      *jobStore
+	plans     planCache // the HTTP handler's plan per request body
 }
 
 // New builds a Service.
@@ -471,13 +475,6 @@ func resolveWorkloads(specs []run.WorkloadSpec) ([]run.Workload, error) {
 // the call; per-job simulation failures land in the Response rows instead,
 // so one bad cell does not void the rest of the request.
 func (s *Service) Batch(ctx context.Context, req BatchRequest) (*Response, error) {
-	resp, _, err := s.batch(ctx, req)
-	return resp, err
-}
-
-// batch is Batch plus each row's stored JSON (see execute), which the HTTP
-// handler splices into its reply.
-func (s *Service) batch(ctx context.Context, req BatchRequest) (*Response, [][]byte, error) {
 	return s.serve(ctx, JobRequest{Batch: &req})
 }
 
@@ -485,26 +482,26 @@ func (s *Service) batch(ctx context.Context, req BatchRequest) (*Response, [][]b
 // semantics are exactly cmd/sweep's; every cell row carries its axis
 // labels and base-relative deltas.
 func (s *Service) Sweep(ctx context.Context, req SweepRequest) (*Response, error) {
-	resp, _, err := s.sweep(ctx, req)
-	return resp, err
-}
-
-// sweep is Sweep plus each row's stored JSON (see execute).
-func (s *Service) sweep(ctx context.Context, req SweepRequest) (*Response, [][]byte, error) {
 	return s.serve(ctx, JobRequest{Sweep: &req})
 }
 
-// serve is the synchronous path every request shape shares: admission
-// gate, plan, then run.
-func (s *Service) serve(ctx context.Context, req JobRequest) (*Response, [][]byte, error) {
-	if err := s.checkAdmittable(ctx); err != nil {
-		return nil, nil, err
-	}
-	p, err := PlanRequest(req, s.opt.MaxJobs)
+// serve is the synchronous path of the Go API: plan, then run.
+func (s *Service) serve(ctx context.Context, req JobRequest) (*Response, error) {
+	p, err := s.plan(ctx, req)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return s.run(ctx, p, req.options())
+	resp, _, err := s.run(ctx, p)
+	return resp, err
+}
+
+// plan is the front of every request: the admission gate, then
+// PlanRequest under the service's job limit.
+func (s *Service) plan(ctx context.Context, req JobRequest) (*Plan, error) {
+	if err := s.checkAdmittable(ctx); err != nil {
+		return nil, err
+	}
+	return PlanRequest(req, s.opt.MaxJobs)
 }
 
 // PlanRequest validates a request — exactly one of Batch or Sweep — into
@@ -562,11 +559,12 @@ func PlanRequest(req JobRequest, maxJobs int) (*Plan, error) {
 	return &Plan{Jobs: run.Cross(devices, workloads), Request: req}, nil
 }
 
-// run takes a planned request through the rest of the synchronous path.
-// The timeout is applied before admission: a request waits in the queue at
+// run takes a planned request through the rest of the synchronous path,
+// returning beside the Response each row's stored JSON (see execute). The
+// timeout is applied before admission: a request waits in the queue at
 // most up to its own deadline.
-func (s *Service) run(ctx context.Context, p *Plan, opt RequestOptions) (*Response, [][]byte, error) {
-	ctx, cancel := s.timeoutCtx(ctx, opt)
+func (s *Service) run(ctx context.Context, p *Plan) (*Response, [][]byte, error) {
+	ctx, cancel := s.timeoutCtx(ctx, p.Request.options())
 	defer cancel()
 	release, err := s.admit(ctx)
 	if err != nil {

@@ -26,9 +26,10 @@
 //     are sharded across registered workers by rendezvous hashing of
 //     the memo store's own coordinates (device identity + workload cache
 //     key) and its rows reassembled in job order. Work travels as a
-//     recipe: each assignment carries the request itself and each cell
-//     only its job index, which the worker resolves by planning the
-//     request as the coordinator did — so upgrade the coordinator and its
+//     recipe: each assignment carries the request, encoded once per
+//     request, and each cell only its job index, which the worker resolves
+//     by planning the request as the coordinator did (once per distinct
+//     request, through its plan cache) — so upgrade the coordinator and its
 //     workers together; a skewed worker answers with error rows. The
 //     admission, timeout and drain flags apply as in standalone mode;
 //     -parallelism, -cache-dir and -cache-mem do not (nothing executes or

@@ -155,8 +155,8 @@ type assignment struct {
 // dispatch is one client request in flight: its row slots, completion
 // bookkeeping, and the cache work its accepted assignments reported.
 type dispatch struct {
-	id  string
-	req service.JobRequest // the recipe every assignment ships
+	id     string
+	recipe json.RawMessage // the request, encoded once; every assignment ships these bytes
 	// deadline is the request's absolute deadline (zero = none), stamped
 	// onto every assignment so workers stop at the same instant the
 	// response settles.
@@ -639,7 +639,7 @@ func (c *Coordinator) takeAssignmentLocked(ws *workerState) *protocol.Assignment
 		cells:   make(map[int]*cellTask, len(taken)),
 		suspect: taken[0].suspect,
 	}
-	out := &protocol.Assignment{ID: asn.id, Request: d.req}
+	out := &protocol.Assignment{ID: asn.id, Request: d.recipe}
 	if !d.deadline.IsZero() {
 		out.DeadlineMS = d.deadline.UnixMilli()
 	}
@@ -803,7 +803,7 @@ func shardKey(spec machine.Spec, w run.Workload) string {
 }
 
 // maxReplyBytes bounds a coordinator reply a Client reads. The largest is
-// a poll reply: the request's recipe, re-encoded as data, in its
+// a poll reply: the request's recipe, as Execute encoded it, in its
 // assignment envelope (assignmentEnvelope). A recipe can outgrow the body
 // it was decoded from — a grammar-string spec encodes as its object form,
 // up to about three times the bytes — so the bound is four request
@@ -824,9 +824,9 @@ func assignmentEnvelope(cells int) int {
 // Execute runs one admitted plan across the cluster (service.Executor): it
 // routes every job as a cell, waits for the rows, and returns them in job
 // order with the cache work the accepted assignments reported. Work goes
-// out as a recipe — the plan's Request, which every worker re-plans with
-// service.PlanRequest, and each cell as its job index — never as resolved
-// Go values.
+// out as a recipe — the plan's Request, encoded once for every assignment
+// and planned by each worker with service.PlanRequest, and each cell as its
+// job index — never as resolved Go values.
 //
 // A request-deadline expiry is not a failure: the dispatch degrades — every
 // row that arrived in time is kept and every open slot becomes a deadline
@@ -835,9 +835,6 @@ func assignmentEnvelope(cells int) int {
 // and a recipe too large for a worker to read is refused before any cell
 // is routed (a ValidationError).
 func (c *Coordinator) Execute(ctx context.Context, p *service.Plan, onProgress func(run.Progress)) (service.Outcome, error) {
-	if p.Request.Batch == nil && p.Request.Sweep == nil {
-		return service.Outcome{}, errors.New("cluster: plan carries no request to dispatch")
-	}
 	n := len(p.Jobs)
 	recipe, err := json.Marshal(p.Request)
 	if err != nil {
@@ -849,7 +846,7 @@ func (c *Coordinator) Execute(ctx context.Context, p *service.Plan, onProgress f
 			len(recipe), size, maxReplyBytes)}
 	}
 	d := &dispatch{
-		req:       p.Request,
+		recipe:    recipe,
 		rows:      make([]protocol.Row, n),
 		done:      make([]bool, n),
 		remaining: n,
@@ -905,7 +902,7 @@ wait:
 			break wait
 		}
 	}
-	if err = c.settle(d, err); err != nil {
+	if err = c.settle(d, err, p.Request.Sweep != nil); err != nil {
 		return service.Outcome{}, err
 	}
 	if onProgress != nil {
@@ -943,7 +940,7 @@ func rowError(row protocol.Row) error {
 // — one line, however many cells were open. Any other early end is
 // returned. Either way an incomplete dispatch is marked failed so stray
 // queued cells are scrubbed and late rows dropped.
-func (c *Coordinator) settle(d *dispatch, waitErr error) error {
+func (c *Coordinator) settle(d *dispatch, waitErr error, sweep bool) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	delete(c.dispatches, d.id)
@@ -963,7 +960,7 @@ func (c *Coordinator) settle(d *dispatch, waitErr error) error {
 		}
 	}
 	c.logf("cluster: dispatch %s deadline expired: %d row(s) returned degraded", d.id, expired)
-	if d.req.Sweep != nil {
+	if sweep {
 		return &service.ExecutionError{Err: fmt.Errorf("%d of %d cells: %s", expired, len(d.done), service.DeadlineRowError())}
 	}
 	return nil

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -11,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"riscvmem/internal/cluster/protocol"
 	"riscvmem/internal/run"
 	"riscvmem/internal/service"
 )
@@ -163,5 +165,37 @@ func TestAssignmentFitsWorkerReply(t *testing.T) {
 	defer coord.mu.Unlock()
 	if coord.dispatchCount != 1 {
 		t.Errorf("%d dispatches, want 1: the refused recipe must not be routed", coord.dispatchCount)
+	}
+}
+
+// TestDispatchShipsOneRecipe pins the coordinator half of encode-once: the
+// assignments of one dispatch carry the very bytes Execute encoded the
+// request to for its size check, not an encoding per poll.
+func TestDispatchShipsOneRecipe(t *testing.T) {
+	ctx := context.Background()
+	coord := New(Options{AssignmentCells: 1, Logf: t.Logf})
+	defer coord.Close()
+	if _, err := coord.Register(ctx, protocol.RegisterRequest{WorkerID: "w"}); err != nil {
+		t.Fatalf("register: %v", err)
+	}
+	specs := []string{"stream:test=COPY,elems=64,reps=1", "stream:test=SCALE,elems=64,reps=1"}
+	startBatch(t, coord, service.RequestOptions{}, specs...)
+	a1, a2 := mustPoll(t, coord, "w"), mustPoll(t, coord, "w")
+
+	req := service.BatchRequest{Devices: []string{"MangoPi"}}
+	for _, s := range specs {
+		req.Workloads = append(req.Workloads, run.MustParseWorkloadSpec(s))
+	}
+	want, err := json.Marshal(service.JobRequest{Batch: &req})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range []*protocol.Assignment{a1, a2} {
+		if !bytes.Equal(a.Request, want) {
+			t.Errorf("assignment %s recipe:\n%s\nwant the request's encoding:\n%s", a.ID, a.Request, want)
+		}
+	}
+	if len(a1.Request) > 0 && len(a2.Request) > 0 && &a1.Request[0] != &a2.Request[0] {
+		t.Error("the dispatch's assignments carry separately encoded recipes, want the one encoding")
 	}
 }

@@ -4,9 +4,10 @@
 // nothing about Go closures, channels, or internal pointers on the wire —
 // mirroring how service.NewHandler keeps the request facade independent of
 // HTTP. Work travels as a recipe: an assignment carries the client's
-// request as data, and each of its cells is one job index into the plan
-// service.PlanRequest derives from that request on either side. The coordinator (internal/cluster.Coordinator) implements the
-// server side of these messages directly as methods, so an in-process
+// request as JSON encoded once per dispatch, and each of its cells is one
+// job index into the plan service.PlanRequest derives from that request on
+// either side. The coordinator (internal/cluster.Coordinator) implements
+// the server side of these messages directly as methods, so an in-process
 // cluster, an httptest cluster, and a three-process deployment all speak
 // exactly the same protocol; internal/cluster.Client is the HTTP binding.
 //
@@ -21,9 +22,10 @@
 package protocol
 
 import (
+	"encoding/json"
+
 	"riscvmem/internal/memostore"
 	"riscvmem/internal/run"
-	"riscvmem/internal/service"
 )
 
 // RegisterRequest announces a worker to the coordinator. Re-registering an
@@ -84,13 +86,13 @@ type PollResponse struct {
 // recipe is carried once, not per cell.
 type Assignment struct {
 	ID string `json:"id"`
-	// Request is the client's request as data. The worker plans it with
-	// the same service.PlanRequest the coordinator's service planned it
-	// with — a pure function of the request — so both sides agree on every
-	// job, and a cell is only its job index. Its timeout is not the
-	// worker's: DeadlineMS is.
-	Request service.JobRequest `json:"request"`
-	Cells   []Cell             `json:"cells"`
+	// Request is the client's service.JobRequest as the coordinator
+	// encoded it once per dispatch; the worker plans it with the same
+	// service.PlanRequest — a pure function of the request — so both sides
+	// agree on every job, and a cell is only its job index. Its timeout is
+	// not the worker's: DeadlineMS is.
+	Request json.RawMessage `json:"request"`
+	Cells   []Cell          `json:"cells"`
 	// DeadlineMS is the dispatch's absolute deadline (Unix milliseconds,
 	// 0 = none), propagated from the client request so a worker never
 	// burns cycles on cells whose response has already been settled: the

@@ -21,27 +21,34 @@ func TestAssignmentGolden(t *testing.T) {
 		run.MustParseWorkloadSpec("stream:test=TRIAD,elems=4096,reps=1"),
 		run.MustParseWorkloadSpec("transpose/Blocking"),
 	}
+	recipe := func(req service.JobRequest) json.RawMessage {
+		data, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
 	for _, tc := range []struct {
 		file string
 		a    Assignment
 	}{
 		{"assignment_batch.json", Assignment{
 			ID: "a7",
-			Request: service.JobRequest{Batch: &service.BatchRequest{
+			Request: recipe(service.JobRequest{Batch: &service.BatchRequest{
 				Devices:   []string{"MangoPi", "VisionFive"},
 				Workloads: specs,
 				Options:   service.RequestOptions{TimeoutMS: 5000},
-			}},
+			}}),
 			Cells:      []Cell{{Index: 1}, {Index: 2, Attempts: 1}},
 			DeadlineMS: 1700000000000,
 		}},
 		{"assignment_sweep.json", Assignment{
 			ID: "a8",
-			Request: service.JobRequest{Sweep: &service.SweepRequest{
+			Request: recipe(service.JobRequest{Sweep: &service.SweepRequest{
 				Device:    "MangoPi",
 				Axes:      []string{"l2=base,128KiB", "maxinflight=1,2"},
 				Workloads: specs,
-			}},
+			}}),
 			Cells: []Cell{{Index: 0}, {Index: 5}},
 		}},
 	} {

@@ -248,9 +248,9 @@ func (w *Worker) heartbeatLoop(ctx context.Context, stop <-chan struct{}) {
 	}
 }
 
-// execute runs one assignment: resolve its cells into jobs, execute them
-// through the Service, stream rows back in chunks, and close out with the
-// assignment's cache delta. A Revoked ack cancels the rest of the
+// execute runs one assignment: execute its cells' jobs through the
+// Service, which plans the recipe, stream rows back in chunks, and close
+// out with the assignment's cache delta. A Revoked ack cancels the rest of the
 // assignment — nothing else it produces will be accepted. Execution is
 // bounded by the assignment's propagated deadline (the response has already
 // settled past it, so finishing would be wasted cycles), and a panic
@@ -330,6 +330,18 @@ func (w *Worker) execute(ctx context.Context, a *protocol.Assignment) {
 			sleepCtx(ctx, backoff/2+time.Duration(rand.Int64N(int64(backoff/2)+1)))
 		}
 	}
+	// closeOut answers every cell without a row yet with msg, a Failed
+	// row when failed, and closes the assignment out.
+	closeOut := func(msg string, failed bool) {
+		mu.Lock()
+		for _, cell := range a.Cells {
+			if !produced[cell.Index] {
+				pending = append(pending, protocol.Row{Index: cell.Index, Error: msg, Failed: failed})
+			}
+		}
+		mu.Unlock()
+		flush(true, nil)
+	}
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -341,37 +353,8 @@ func (w *Worker) execute(ctx context.Context, a *protocol.Assignment) {
 		// loss being charged to nothing in particular.
 		w.cellFailures.Add(1)
 		w.logf("cluster: worker %s: assignment %s panicked: %v", w.opt.ID, a.ID, r)
-		mu.Lock()
-		for _, cell := range a.Cells {
-			if produced[cell.Index] {
-				continue
-			}
-			pending = append(pending, protocol.Row{
-				Index:  cell.Index,
-				Failed: true,
-				Error:  fmt.Sprintf("cell failed on worker %s: panic: %v", w.opt.ID, r),
-			})
-		}
-		mu.Unlock()
-		flush(true, nil)
+		closeOut(fmt.Sprintf("cell failed on worker %s: panic: %v", w.opt.ID, r), true)
 	}()
-
-	jobs, err := buildJobs(a)
-	if err != nil {
-		// The coordinator planned the same request, so an unplannable recipe
-		// or an out-of-range cell means this worker disagrees about presets,
-		// kernels or planning (version skew). Attribute the error to every
-		// cell so the client sees it.
-		w.logf("cluster: worker %s: assignment %s unresolvable: %v", w.opt.ID, a.ID, err)
-		mu.Lock()
-		for _, cell := range a.Cells {
-			produced[cell.Index] = true
-			pending = append(pending, protocol.Row{Index: cell.Index, Error: err.Error()})
-		}
-		mu.Unlock()
-		flush(true, nil)
-		return
-	}
 
 	// The assignment's cache delta is counted per job from the exact
 	// Progress outcomes, not from the service's before/after counter deltas
@@ -406,8 +389,21 @@ func (w *Worker) execute(ctx context.Context, a *protocol.Assignment) {
 		}
 	}
 
-	resp, err := w.opt.Service.ExecuteJobs(runCtx, jobs, onProgress)
+	cells := make([]int, len(a.Cells))
+	for i, cell := range a.Cells {
+		cells[i] = cell.Index
+	}
+	cache, err := w.opt.Service.ExecuteRecipe(runCtx, a.Request, cells, onProgress)
 	if err != nil {
+		var invalid *service.ValidationError
+		if errors.As(err, &invalid) {
+			// The coordinator planned the same request, so a recipe this
+			// worker cannot decode or plan, or a cell outside it, is version
+			// skew: an answer for every cell, not a cell failure.
+			w.logf("cluster: worker %s: assignment %s unresolvable: %v", w.opt.ID, a.ID, err)
+			closeOut(err.Error(), false)
+			return
+		}
 		if ctx.Err() != nil {
 			return // shutdown or revocation: the coordinator requeues
 		}
@@ -436,27 +432,8 @@ func (w *Worker) execute(ctx context.Context, a *protocol.Assignment) {
 		// delta is exact for serial assignments and approximate when
 		// assignments overlap on this worker (the service documents the
 		// same caveat for overlapping requests).
-		Tiers: resp.Cache.RequestTiers,
+		Tiers: cache.RequestTiers,
 	})
-}
-
-// buildJobs resolves an assignment's cells into runnable jobs: it plans the
-// request the assignment carries with the same service.PlanRequest the
-// coordinator's service planned it with (unbounded: that side already
-// applied the job limit), and each cell is an index into that job list.
-func buildJobs(a *protocol.Assignment) ([]run.Job, error) {
-	plan, err := service.PlanRequest(a.Request, 0)
-	if err != nil {
-		return nil, err
-	}
-	jobs := make([]run.Job, len(a.Cells))
-	for i, cell := range a.Cells {
-		if cell.Index < 0 || cell.Index >= len(plan.Jobs) {
-			return nil, fmt.Errorf("cluster: cell %d out of range (request plans %d jobs)", cell.Index, len(plan.Jobs))
-		}
-		jobs[i] = plan.Jobs[cell.Index]
-	}
-	return jobs, nil
 }
 
 // sleepCtx sleeps for d or until ctx ends, whichever is first.

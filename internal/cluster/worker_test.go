@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -57,14 +58,18 @@ func (s *stubAPI) snapshot() (int, []protocol.RowReturn) {
 	return s.calls, append([]protocol.RowReturn(nil), s.returns...)
 }
 
-// mangoPiBatch is the recipe of a batch running the given specs on MangoPi:
-// job i runs specs[i].
-func mangoPiBatch(specs ...string) service.JobRequest {
+// mangoPiBatch is the recipe of a batch running the given specs on MangoPi,
+// encoded as the coordinator ships it: job i runs specs[i].
+func mangoPiBatch(specs ...string) json.RawMessage {
 	req := &service.BatchRequest{Devices: []string{"MangoPi"}}
 	for _, s := range specs {
 		req.Workloads = append(req.Workloads, run.MustParseWorkloadSpec(s))
 	}
-	return service.JobRequest{Batch: req}
+	recipe, err := json.Marshal(service.JobRequest{Batch: req})
+	if err != nil {
+		panic(err) // a batch of parsed specs always encodes
+	}
+	return recipe
 }
 
 // TestWorkerPanicContainment pins the tentpole's worker half: a panic
@@ -241,5 +246,56 @@ func TestWorkerCellOutOfRange(t *testing.T) {
 	}
 	if n := w.cellFailures.Load(); n != 0 {
 		t.Errorf("cellFailures = %d, want 0", n)
+	}
+}
+
+// skewedAPI is a coordinator of a newer version as a worker sees it: every
+// recipe it hands out carries a field this build does not know.
+type skewedAPI struct{ API }
+
+func (s skewedAPI) Poll(ctx context.Context, req protocol.PollRequest) (protocol.PollResponse, error) {
+	resp, err := s.API.Poll(ctx, req)
+	if a := resp.Assignment; a != nil {
+		a.Request = append([]byte(`{"priority":1,`), a.Request[1:]...)
+	}
+	return resp, err
+}
+
+// TestWorkerAnswersSkewedRecipe pins the version-skew answer end to end: a
+// worker that cannot decode its recipe strictly answers every cell with an
+// error row naming the field. None of them is a Failed row, so the
+// coordinator charges no cell: nothing is requeued or quarantined.
+func TestWorkerAnswersSkewedRecipe(t *testing.T) {
+	coord := New(Options{Logf: t.Logf})
+	w := startWorker(t, skewedAPI{coord}, "w1", nil)
+	defer func() {
+		w.stop()
+		coord.Close()
+	}()
+	waitForWorkers(t, coord, 1)
+	resp, err := coord.Service().Batch(context.Background(), service.BatchRequest{
+		Devices: []string{"MangoPi"},
+		Workloads: []run.WorkloadSpec{
+			run.MustParseWorkloadSpec("stream:test=COPY,elems=64,reps=1"),
+			run.MustParseWorkloadSpec("stream:test=SCALE,elems=64,reps=1"),
+		},
+		Options: service.RequestOptions{TimeoutMS: 5000},
+	})
+	if err != nil {
+		t.Fatalf("batch: %v", err)
+	}
+	if len(resp.Results) != 2 {
+		t.Fatalf("%d rows, want 2", len(resp.Results))
+	}
+	for i, row := range resp.Results {
+		if !strings.Contains(row.Error, `unknown field "priority"`) {
+			t.Errorf("row %d error %q, want the worker's decode error", i, row.Error)
+		}
+	}
+	coord.mu.Lock()
+	defer coord.mu.Unlock()
+	if coord.cellFailures != 0 || coord.cellsRequeued != 0 || coord.cellsQuarantined != 0 {
+		t.Errorf("cell failures %d, requeued %d, quarantined %d: want no cell charged",
+			coord.cellFailures, coord.cellsRequeued, coord.cellsQuarantined)
 	}
 }

@@ -480,7 +480,8 @@ func (h *Hierarchy) Access(core int, now float64, addr uint64, write bool, issue
 		return now + issue
 	}
 	done := h.missRestLine(st, core, now, addr&^h.lineMask, res)
-	return now + (done-now)*h.cfg.MissOverlap
+	// The conversion rounds the product: no fused multiply-add (DESIGN §2).
+	return now + float64((done-now)*h.cfg.MissOverlap)
 }
 
 // Order serializes globally-shared sections (the miss path past L1) across
@@ -510,7 +511,7 @@ func (h *Hierarchy) AccessLines(core int, now float64, addr uint64, nLines, perL
 				ord.Enter(core, now)
 			}
 			done := h.MissRest(core, now, addr, res)
-			now += (done - now) * h.cfg.MissOverlap
+			now += float64((done - now) * h.cfg.MissOverlap)
 		}
 		for e := 0; e < perLine; e++ {
 			if e > 0 {

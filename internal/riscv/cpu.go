@@ -361,7 +361,8 @@ func (e *Emulator) step(c *sim.Core) error {
 	case "fcvt.l.d":
 		e.setX(in.Rd, uint64(int64(e.F[in.Rs1])))
 	case "fmadd.d":
-		e.F[in.Rd] = e.F[in.Rs1]*e.F[in.Rs2] + e.F[in.Rs3]
+		// Fused by the ISA: one rounding, exactly math.FMA on every host.
+		e.F[in.Rd] = math.FMA(e.F[in.Rs1], e.F[in.Rs2], e.F[in.Rs3])
 	case "ecall":
 		e.Halted = true
 	case "vsetvli":
@@ -462,14 +463,14 @@ func (e *Emulator) vecArith(name string, in Instr) error {
 			put(in.Rd, k, get(in.Rs2, k)-get(in.Rs1, k))
 		case "vfmul.vv":
 			put(in.Rd, k, get(in.Rs2, k)*get(in.Rs1, k))
-		case "vfmacc.vv":
-			put(in.Rd, k, get(in.Rd, k)+get(in.Rs1, k)*get(in.Rs2, k))
+		case "vfmacc.vv": // fused, as fmadd.d
+			put(in.Rd, k, math.FMA(get(in.Rs1, k), get(in.Rs2, k), get(in.Rd, k)))
 		case "vfadd.vf":
 			put(in.Rd, k, get(in.Rs2, k)+e.F[in.Rs1])
 		case "vfmul.vf":
 			put(in.Rd, k, get(in.Rs2, k)*e.F[in.Rs1])
 		case "vfmacc.vf":
-			put(in.Rd, k, get(in.Rd, k)+e.F[in.Rs1]*get(in.Rs2, k))
+			put(in.Rd, k, math.FMA(e.F[in.Rs1], get(in.Rs2, k), get(in.Rd, k)))
 		case "vfmv.v.f":
 			put(in.Rd, k, e.F[in.Rs1])
 		}

@@ -220,3 +220,47 @@ func TestFcvtRoundTrip(t *testing.T) {
 		t.Errorf("fcvt.d.l = %v", e.F[10])
 	}
 }
+
+// TestFusedMultiplyAddRoundsOnce pins the ISA's fused semantics: fmadd.d,
+// vfmacc.vv and vfmacc.vf round a*b + c once. (1+2⁻³⁰)(1−2⁻³⁰) is 1−2⁻⁶⁰
+// exactly, which alone rounds to 1, so the product minus 1 is −2⁻⁶⁰ with
+// one rounding and 0 with two.
+func TestFusedMultiplyAddRoundsOnce(t *testing.T) {
+	e := mustEmu(t, `
+		fmadd.d   fa2, fa0, fa1, fa3
+		li        t0, 1
+		vsetvli   t1, t0, e64, m1
+		vle64.v   v1, (a0)
+		vle64.v   v2, (a1)
+		vle64.v   v3, (a2)
+		vfmacc.vv v3, v1, v2
+		vse64.v   v3, (a2)
+		vle64.v   v4, (a3)
+		vfmacc.vf v4, fa0, v2
+		vse64.v   v4, (a3)
+		ecall
+	`, 1<<12)
+	a, b := 1+math.Ldexp(1, -30), 1-math.Ldexp(1, -30)
+	base := e.MemBase
+	if err := e.WriteF64(base, []float64{a, b, -1, -1}); err != nil {
+		t.Fatal(err)
+	}
+	e.X[10], e.X[11], e.X[12], e.X[13] = base, base+8, base+16, base+24
+	e.F[10], e.F[11], e.F[13] = a, b, -1
+	if _, err := e.Run(100); err != nil {
+		t.Fatal(err)
+	}
+	lanes, err := e.ReadF64(base+16, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := -math.Ldexp(1, -60)
+	for _, c := range []struct {
+		op  string
+		got float64
+	}{{"fmadd.d", e.F[12]}, {"vfmacc.vv", lanes[0]}, {"vfmacc.vf", lanes[1]}} {
+		if c.got != want {
+			t.Errorf("%s: (1+2⁻³⁰)(1−2⁻³⁰) − 1 = %g, want %g (one rounding)", c.op, c.got, want)
+		}
+	}
+}

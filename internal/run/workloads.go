@@ -3,11 +3,13 @@ package run
 import (
 	"context"
 	"fmt"
+	"math"
 	"strconv"
 
 	"riscvmem/internal/kernels/blur"
 	"riscvmem/internal/kernels/stream"
 	"riscvmem/internal/kernels/transpose"
+	"riscvmem/internal/machine"
 	"riscvmem/internal/sim"
 	"riscvmem/internal/units"
 )
@@ -186,6 +188,12 @@ func (w streamWorkload) Name() string { return w.name }
 // not.
 func (w streamWorkload) CacheKey() string { return w.key }
 
+// HostBytes bounds the host memory a run on device allocates: three
+// float64 arrays of Elems, no more than the device's RAM admits.
+func (w streamWorkload) HostBytes(device machine.Spec) int64 {
+	return hostBytes(device, 3*8*float64(w.cfg.Elems), 0)
+}
+
 func (w streamWorkload) Run(ctx context.Context, m *sim.Machine) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
@@ -221,6 +229,19 @@ func (w transposeWorkload) Name() string { return w.name }
 
 // CacheKey is the canonical spec string (see streamWorkload.CacheKey).
 func (w transposeWorkload) CacheKey() string { return w.key }
+
+// HostBytes bounds the host memory a run on device allocates: the N×N
+// float64 matrix and, for the variants that stage tiles with an explicit
+// Block, a pair of Block² tiles per core, no more than the device's RAM
+// admits. An automatic tile pair fits in half of L1 and is left out.
+func (w transposeWorkload) HostBytes(device machine.Spec) int64 {
+	n, b := float64(w.cfg.N), float64(min(w.cfg.Block, w.cfg.N))
+	arrays := 8 * n * n
+	if b > 0 && (w.cfg.Variant == transpose.ManualBlocking || w.cfg.Variant == transpose.Dynamic) {
+		arrays += float64(2 * 8 * float64(device.Cores) * b * b)
+	}
+	return hostBytes(device, arrays, 0)
+}
 
 func (w transposeWorkload) Run(ctx context.Context, m *sim.Machine) (Result, error) {
 	if err := ctx.Err(); err != nil {
@@ -258,6 +279,22 @@ func (w blurWorkload) Name() string { return w.name }
 // CacheKey is the canonical spec string (see streamWorkload.CacheKey).
 func (w blurWorkload) CacheKey() string { return w.key }
 
+// HostBytes bounds the host memory a run on device allocates: W×H×C
+// float32 source and destination images and an intermediate one for the
+// separable variants, no more than the device's RAM admits, plus the
+// reference image Verify computes outside the simulated RAM.
+func (w blurWorkload) HostBytes(device machine.Spec) int64 {
+	image := 4 * float64(w.cfg.W) * float64(w.cfg.H) * float64(w.cfg.C)
+	images, host := 2.0, 0.0
+	if w.cfg.Variant != blur.Naive && w.cfg.Variant != blur.UnitStride {
+		images++
+	}
+	if w.cfg.Verify {
+		host = image
+	}
+	return hostBytes(device, float64(images*image), host)
+}
+
 func (w blurWorkload) Run(ctx context.Context, m *sim.Machine) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
@@ -276,4 +313,17 @@ func (w blurWorkload) Run(ctx context.Context, m *sim.Machine) (Result, error) {
 		Bandwidth: units.Bandwidth(bytes, res.Cycles, m.Spec().FreqGHz),
 		Mem:       res.Mem,
 	}, nil
+}
+
+// hostBytes bounds the host memory of a run on device whose simulated
+// arrays take arrays bytes and which allocates host bytes beside them. The
+// simulator makes an array's host slice only once the device's RAM
+// admitted it, so the arrays count for no more than that RAM. The sizes
+// are float64 because the parameters come from outside and their product
+// can overflow int64; the sum saturates.
+func hostBytes(device machine.Spec, arrays, host float64) int64 {
+	if f := min(arrays, float64(device.RAMBytes)) + host; f < math.MaxInt64 {
+		return int64(f)
+	}
+	return math.MaxInt64
 }

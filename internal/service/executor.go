@@ -13,8 +13,9 @@ import (
 // order, plus the request they were planned from (PlanRequest). Planning
 // is a pure function of the request, so an Executor that ships work
 // elsewhere — the cluster coordinator — forwards the Request as a recipe
-// and each job as its index, never the resolved Go values. ExecuteJobs
-// plans carry no Request.
+// and each job as its index, never the resolved Go values. A cluster
+// worker executes a plan of only the jobs its cells index
+// (ExecuteRecipe).
 type Plan struct {
 	Jobs    []run.Job
 	Request JobRequest
@@ -40,8 +41,8 @@ type Outcome struct {
 // facade (validation, timeouts, admission, async jobs, drain, encoding —
 // everything in this package) and where simulation happens: in-process on
 // the pooled run.Runner, or sharded over a fleet by cluster.Coordinator,
-// whose workers re-plan the Plan's Request with PlanRequest and run the
-// jobs their cells index.
+// whose workers plan the Plan's Request with PlanRequest and run the jobs
+// their cells index (ExecuteRecipe).
 type Executor interface {
 	// Execute runs the plan's jobs. onProgress (optional) observes each
 	// completion serially, in completion order. A non-nil error means the

@@ -115,37 +115,48 @@ func NewHandler(s *Service) http.Handler {
 }
 
 // planned is the handler of a request that plans (batch, sweep, async
-// job). It reads the body once and looks its exact bytes up in the
-// service's plan cache. A hit skips decode and PlanRequest and passes only
-// the admission gate; a miss is decoded strictly, gated, planned, and
-// stored once it planned. Either way serve takes the plan on: timeout,
+// job). It reads the body once and plans it through the service's plan
+// cache, keyed by the endpoint and the exact body bytes (cachedPlan), under
+// the service's job limit. serve then takes the plan on: timeout,
 // admission, Executor, reply.
 func planned[Req any](s *Service, endpoint string, request func(*Req) JobRequest,
 	serve func(w http.ResponseWriter, ctx context.Context, p *Plan)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		key, ok := readBody(w, r, endpoint+" ", s.opt.Logf)
-		if !ok {
-			return
-		}
 		ctx := clientCtx(r)
-		p := s.plans.get(key)
-		if p == nil {
-			var req Req
-			if !decodeJSON(w, key[len(endpoint)+1:], &req, s.opt.Logf) {
-				return
-			}
-			var err error
-			if p, err = s.plan(ctx, request(&req)); err != nil {
-				s.writeError(w, err)
-				return
-			}
-			s.plans.put(key, p)
-		} else if err := s.checkAdmittable(ctx); err != nil {
+		key, err := readBody(w, r, endpoint+" ")
+		var p *Plan
+		if err == nil {
+			p, err = cachedPlan(ctx, s, key, key[len(endpoint)+1:], request, s.opt.MaxJobs)
+		}
+		if err != nil {
 			s.writeError(w, err)
 			return
 		}
 		serve(w, ctx, p)
 	}
+}
+
+// cachedPlan is the front of a request that arrives as bytes — an HTTP
+// body, or a cluster worker's recipe — cached under key. A hit passes only
+// the admission gate (its error, if any, beside the plan); a miss is
+// decoded strictly into a Req, gated, planned under maxJobs, and stored
+// once it planned.
+func cachedPlan[Req any](ctx context.Context, s *Service, key, body []byte, request func(*Req) JobRequest, maxJobs int) (*Plan, error) {
+	if p := s.plans.get(key); p != nil {
+		return p, s.checkAdmittable(ctx)
+	}
+	var req Req
+	if err := decodeJSON(body, &req); err != nil {
+		return nil, err
+	}
+	if err := s.checkAdmittable(ctx); err != nil {
+		return nil, err
+	}
+	p, err := PlanRequest(request(&req), maxJobs)
+	if err == nil {
+		s.plans.put(key, p)
+	}
+	return p, err
 }
 
 // respond runs a synchronous plan and writes its Response with the rows'
@@ -177,15 +188,22 @@ func clientCtx(r *http.Request) context.Context {
 // unknown fields (so typos like "workload" for "workloads" fail loudly), no
 // trailing data — and answers 400 {"error": ...} itself when it returns
 // false. Every JSON endpoint reads through its two halves, readBody and
-// decodeJSON, the cluster coordinator's worker-facing ones included.
+// decodeJSON, the cluster coordinator's worker-facing ones included, and
+// so does a worker's recipe.
 func ReadJSON(w http.ResponseWriter, r *http.Request, dst any, logf func(format string, args ...any)) bool {
-	body, ok := readBody(w, r, "", logf)
-	return ok && decodeJSON(w, body, dst, logf)
+	body, err := readBody(w, r, "")
+	if err == nil {
+		err = decodeJSON(body, dst)
+	}
+	if err != nil {
+		WriteError(w, err, logf)
+	}
+	return err == nil
 }
 
 // readBody reads a request body of at most MaxBodyBytes, returned after
-// prefix in one buffer, and answers 400 itself when it returns false.
-func readBody(w http.ResponseWriter, r *http.Request, prefix string, logf func(format string, args ...any)) ([]byte, bool) {
+// prefix in one buffer; a failure is a ValidationError (400).
+func readBody(w http.ResponseWriter, r *http.Request, prefix string) ([]byte, error) {
 	n := 512
 	if r.ContentLength > 0 && r.ContentLength <= MaxBodyBytes {
 		n = int(r.ContentLength) + 1 // the read that sees EOF needs room
@@ -199,30 +217,27 @@ func readBody(w http.ResponseWriter, r *http.Request, prefix string, logf func(f
 		m, err := body.Read(buf[len(buf):cap(buf)])
 		buf = buf[:len(buf)+m]
 		if err == io.EOF {
-			return buf, true
+			return buf, nil
 		}
 		if err != nil {
-			WriteJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("bad request body: %v", err)}, logf)
-			return nil, false
+			return nil, invalidf("bad request body: %v", err)
 		}
 	}
 }
 
 // decodeJSON decodes body into dst strictly — no unknown fields, no
-// trailing data — and answers 400 itself when it returns false. It is the
-// one request decoder.
-func decodeJSON(w http.ResponseWriter, body []byte, dst any, logf func(format string, args ...any)) bool {
+// trailing data — and fails with a ValidationError (400). It is the one
+// request decoder.
+func decodeJSON(body []byte, dst any) error {
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
-		WriteJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("bad request body: %v", err)}, logf)
-		return false
+		return invalidf("bad request body: %v", err)
 	}
 	if dec.More() {
-		WriteJSON(w, http.StatusBadRequest, map[string]string{"error": "bad request body: trailing data after JSON value"}, logf)
-		return false
+		return invalidf("bad request body: trailing data after JSON value")
 	}
-	return true
+	return nil
 }
 
 // writeError maps service errors onto the status taxonomy.

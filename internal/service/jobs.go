@@ -37,7 +37,7 @@ func (st JobState) terminal() bool {
 
 // JobRequest is a request as data: exactly one of Batch or Sweep.
 // PlanRequest plans every request in this form, and a cluster assignment
-// ships it as the recipe its cells index into. Submitted as an async job,
+// ships its encoding as the recipe its cells index into. Submitted as an async job,
 // it is validated synchronously — a malformed job fails the submit call,
 // never a later poll.
 type JobRequest struct {

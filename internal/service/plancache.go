@@ -22,11 +22,12 @@ const (
 	planCacheJobs = 16 << 10
 )
 
-// planCache maps exact request bytes — the endpoint, a space, the body —
-// to the Plan they produced, least recently used first out. The key is the
-// bytes themselves, so a lookup compares every byte and two bodies never
-// share an entry. Only bodies that decoded and planned are stored, and a
-// stored Plan is shared read-only by every request that hits it. Safe for
+// planCache maps exact request bytes — the endpoint, a space, the body; or
+// a cluster worker's recipe, which starts with '{' — to the Plan they
+// produced, least recently used first out. The key is the bytes
+// themselves, so a lookup compares every byte and two bodies never share
+// an entry. Only bodies that decoded and planned are stored, and a stored
+// Plan is shared read-only by every request that hits it. Safe for
 // concurrent use; the zero value is empty.
 type planCache struct {
 	mu          sync.Mutex

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -323,4 +324,51 @@ func TestPlanCacheMemoryBound(t *testing.T) {
 		t.Errorf("the cache keeps %d bytes of heap, bound %d", held, bound)
 	}
 	runtime.KeepAlive(svc)
+}
+
+// planRecorder is an Executor that records the plans it is handed and
+// runs none of their jobs.
+type planRecorder struct {
+	mu    sync.Mutex
+	plans []*Plan
+}
+
+func (r *planRecorder) Execute(_ context.Context, p *Plan, _ func(run.Progress)) (Outcome, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.plans = append(r.plans, p)
+	return Outcome{Results: make([]run.Result, len(p.Jobs)), Errs: make([]error, len(p.Jobs))}, nil
+}
+
+func (r *planRecorder) WriteMetrics(io.Writer) error { return nil }
+
+// TestRecipePlannedOnce pins a worker's half of the plan cache: one
+// Service given the same recipe bytes in two assignments decodes and plans
+// them once. The cache holds one entry, keyed by the recipe alone, and both
+// assignments' jobs come from that one Plan.
+func TestRecipePlannedOnce(t *testing.T) {
+	rec := &planRecorder{}
+	svc := New(Options{Executor: rec})
+	recipe := []byte(`{"batch":` + cachedBatch + `}`)
+	for i, cell := range []int{1, 0} {
+		// A fresh copy per assignment, as each poll reply decodes into.
+		if _, err := svc.ExecuteRecipe(context.Background(), bytes.Clone(recipe), []int{cell}, nil); err != nil {
+			t.Fatalf("assignment %d: %v", i, err)
+		}
+	}
+	if n := svc.plans.len(); n != 1 {
+		t.Fatalf("%d cached plans, want 1", n)
+	}
+	p := svc.plans.get(recipe)
+	if p == nil {
+		t.Fatal("the recipe is not cached under its own bytes")
+	}
+	for i, got := range rec.plans {
+		if got.Request.Batch != p.Request.Batch {
+			t.Errorf("assignment %d ran a plan of its own, want the cached one", i)
+		}
+	}
+	if len(rec.plans) != 2 || rec.plans[0].Jobs[0] != p.Jobs[1] || rec.plans[1].Jobs[0] != p.Jobs[0] {
+		t.Errorf("executed jobs are not the cells' jobs of the cached plan")
+	}
 }

@@ -19,7 +19,8 @@
 // Executor → assemble. Over HTTP the plan step sits behind a per-Service
 // plan cache keyed by the exact body bytes (plancache.go): a repeated
 // body skips decode and PlanRequest, never the drain and rate-limit gate
-// before them or anything after.
+// before them or anything after. A cluster worker's recipe takes the same
+// front (ExecuteRecipe).
 //
 // The admit → queue → run → drain state machine and the full failure
 // taxonomy are documented in DESIGN.md §9.
@@ -43,6 +44,7 @@ import (
 	"riscvmem/internal/obs"
 	"riscvmem/internal/run"
 	"riscvmem/internal/sweep"
+	"riscvmem/internal/units"
 )
 
 // ErrOverloaded is returned when a request arrives while MaxInFlight
@@ -176,7 +178,7 @@ type Service struct {
 	draining  atomic.Bool
 	limiter   *limiter
 	jobs      *jobStore
-	plans     planCache // the HTTP handler's plan per request body
+	plans     planCache // the plan per HTTP request body or worker recipe
 }
 
 // New builds a Service.
@@ -469,6 +471,33 @@ func resolveWorkloads(specs []run.WorkloadSpec) ([]run.Workload, error) {
 	return out, nil
 }
 
+// maxHostBytes bounds the host memory one job may make the daemon
+// allocate. The simulator backs every simulated array with a Go slice, so
+// a job the device's simulated RAM admits (up to 56 GiB on Xeon) could
+// exhaust the host. It admits every cell of paperfigs -scale 2 and coarser;
+// at -full, Fig. 2 and 3's 16384² transposition takes 2 GiB.
+const maxHostBytes = 1 << 30
+
+// hostSized is a workload that states, before it runs, the most host
+// memory it can allocate on a device: the built-in kernels.
+type hostSized interface {
+	HostBytes(device machine.Spec) int64
+}
+
+// hostChecked refuses a plan with a job over maxHostBytes as a
+// ValidationError, at planning, before anything is allocated.
+func hostChecked(p *Plan) (*Plan, error) {
+	for _, job := range p.Jobs {
+		if hs, ok := job.Workload.(hostSized); ok {
+			if n := hs.HostBytes(job.Device); n > maxHostBytes {
+				return nil, invalidf("service: %s on %s could allocate %s of host memory, more than the %s one job may take",
+					job.Workload.Name(), job.Device.Name, units.Bytes(n), units.Bytes(maxHostBytes))
+			}
+		}
+	}
+	return p, nil
+}
+
 // Batch executes a device × workload cross-product. Request-shaped
 // problems — unknown devices or kernels, malformed specs, no workloads, an
 // oversized cross-product (all ValidationError), admission overload — fail
@@ -507,10 +536,11 @@ func (s *Service) plan(ctx context.Context, req JobRequest) (*Plan, error) {
 // PlanRequest validates a request — exactly one of Batch or Sweep — into
 // its Plan; every failure is a ValidationError. maxJobs > 0 bounds the job
 // count (a sweep's before its grid is expanded, see sweep.NewPlan); 0
-// leaves it unbounded. It is the one answer to "which job is index i": the
-// service plans every request with it, and a cluster worker re-plans the
-// recipe its assignment carries — passing 0, since the coordinator already
-// applied the bound — to resolve its cells' job indexes to the same jobs.
+// leaves it unbounded. Every job is held to maxHostBytes. It is the one
+// answer to "which job is index i": the service plans every request with
+// it, and a cluster worker plans the recipe its assignment carries —
+// passing 0, since the coordinator already applied the bound — to resolve
+// its cells' job indexes to the same jobs.
 func PlanRequest(req JobRequest, maxJobs int) (*Plan, error) {
 	b, sw := req.Batch, req.Sweep
 	if (b == nil) == (sw == nil) {
@@ -536,7 +566,7 @@ func PlanRequest(req JobRequest, maxJobs int) (*Plan, error) {
 		if err != nil {
 			return nil, invalid(err)
 		}
-		return &Plan{Jobs: grid.Jobs, Request: req, grid: grid}, nil
+		return hostChecked(&Plan{Jobs: grid.Jobs, Request: req, grid: grid})
 	}
 	devices := make([]machine.Spec, len(b.Devices))
 	for i, name := range b.Devices {
@@ -556,7 +586,7 @@ func PlanRequest(req JobRequest, maxJobs int) (*Plan, error) {
 	if n := len(devices) * len(workloads); maxJobs > 0 && n > maxJobs {
 		return nil, invalidf("service: request is %d jobs, limit %d", n, maxJobs)
 	}
-	return &Plan{Jobs: run.Cross(devices, workloads), Request: req}, nil
+	return hostChecked(&Plan{Jobs: run.Cross(devices, workloads), Request: req})
 }
 
 // run takes a planned request through the rest of the synchronous path,
@@ -654,34 +684,35 @@ func assembleBatch(results []run.Result, errs []error, cache CacheStats) *Respon
 	return resp
 }
 
-// ExecuteJobs runs an explicit, already-validated job list through the
-// service's admission and execution machinery. It is the cluster worker
-// agent's entry point: the coordinator validated the request and chose the
-// cells; the worker executes its share with full facade semantics — drain
-// refusal, slot admission, the shared runner's pooling/memoization/
-// singleflight, per-request cache deltas. onProgress observes each
-// completion (serially, in completion order). No request timeout is
-// applied here: the caller owns the deadline via ctx — in the cluster, the
-// coordinator holds the client's deadline and revokes the assignment.
-//
-// Request-shaped failures (draining, overload, empty or oversized job
-// list) fail the call; per-job failures land in the Response rows, exactly
-// as in Batch.
-func (s *Service) ExecuteJobs(ctx context.Context, jobs []run.Job, onProgress func(run.Progress)) (*Response, error) {
-	if err := s.checkAdmittable(ctx); err != nil {
-		return nil, err
+// ExecuteRecipe runs a cluster worker's assignment: the jobs at the given
+// indexes of the plan of recipe, a JobRequest's JSON as the coordinator
+// encoded it. The recipe takes the HTTP handler's front (cachedPlan), so a
+// worker decodes and plans each distinct recipe once, unbounded (the
+// coordinator applied the job limit); the jobs take slot admission and the
+// Executor. onProgress observes each completion serially, Progress.Index
+// being the position in cells. The caller owns the deadline via ctx. A
+// recipe that does not decode or plan, or a cell list outside the plan, is
+// a ValidationError.
+func (s *Service) ExecuteRecipe(ctx context.Context, recipe []byte, cells []int, onProgress func(run.Progress)) (CacheStats, error) {
+	p, err := cachedPlan(ctx, s, recipe, recipe, func(req *JobRequest) JobRequest { return *req }, 0)
+	if err != nil {
+		return CacheStats{}, err
 	}
-	if len(jobs) == 0 {
-		return nil, invalidf("service: empty job list")
+	if len(cells) == 0 || len(cells) > s.opt.MaxJobs {
+		return CacheStats{}, invalidf("service: %d cells, want 1 to %d", len(cells), s.opt.MaxJobs)
 	}
-	if len(jobs) > s.opt.MaxJobs {
-		return nil, invalidf("service: request is %d jobs, limit %d", len(jobs), s.opt.MaxJobs)
+	jobs := make([]run.Job, len(cells))
+	for i, c := range cells {
+		if c < 0 || c >= len(p.Jobs) {
+			return CacheStats{}, invalidf("service: cell %d out of range (request plans %d jobs)", c, len(p.Jobs))
+		}
+		jobs[i] = p.Jobs[c]
 	}
 	release, err := s.admit(ctx)
 	if err != nil {
-		return nil, err
+		return CacheStats{}, err
 	}
 	defer release()
-	resp, _, err := s.execute(ctx, &Plan{Jobs: jobs}, onProgress)
-	return resp, err
+	out, err := s.exec.Execute(ctx, &Plan{Jobs: jobs, Request: p.Request}, onProgress)
+	return out.Cache, err
 }

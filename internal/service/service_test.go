@@ -4,7 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"net/http"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -109,6 +111,57 @@ func TestSweepValidation(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "limit") {
 		t.Errorf("oversized sweep error = %v, want the job limit", err)
+	}
+}
+
+// TestHostFootprintRefusedAtPlanning pins the host-memory bound: a cell
+// that could make the host allocate more than maxHostBytes is refused at
+// planning as a ValidationError (400 over HTTP), before anything is
+// allocated. The first case is a STREAM COPY whose first two 3.2 GB arrays
+// VisionFive's simulated RAM admits before it refuses the third; the same
+// cell on MangoPi allocates nothing (its RAM refuses the first array), so
+// it plans and fails at run, per row. A staging transposition is sized by
+// its device's cores.
+func TestHostFootprintRefusedAtPlanning(t *testing.T) {
+	for _, tc := range []struct {
+		device, spec string
+		refused      bool
+	}{
+		{"VisionFive", "stream:test=COPY,elems=400000000,reps=1", true},
+		{"MangoPi", "stream:test=COPY,elems=400000000,reps=1", false},
+		{"VisionFive", "stream:test=COPY,elems=44739242", false}, // 24 B an element: at the bound
+		{"VisionFive", "stream:test=COPY,elems=44739243", true},
+		{"Xeon", "transpose:variant=Naive,n=16384", true},
+		{"Xeon", "transpose:variant=Naive,n=8192", false},
+		{"Xeon", "gblur:variant=Memory,w=10000,h=10000,c=3,verify=true", true},
+		{"MangoPi", "gblur:variant=Naive,w=3037000500,h=3037000500,c=3,verify=true", true}, // the sum saturates
+		{"MangoPi", "transpose:variant=Manual_blocking,n=4096,block=4096", false},
+		{"", "transpose:variant=Manual_blocking,n=4096,block=4096", true}, // all presets: Xeon's 10 cores
+	} {
+		req := BatchRequest{Workloads: []run.WorkloadSpec{run.MustParseWorkloadSpec(tc.spec)}}
+		if tc.device != "" {
+			req.Devices = []string{tc.device}
+		}
+		_, err := PlanRequest(JobRequest{Batch: &req}, 0)
+		var valErr *ValidationError
+		if refused := errors.As(err, &valErr) && strings.Contains(err.Error(), "host memory"); refused != tc.refused {
+			t.Errorf("%s on %q: planning error %v, want refused %v", tc.spec, tc.device, err, tc.refused)
+		}
+	}
+
+	if t.Failed() {
+		t.FailNow() // the bound is broken: serving the request would allocate its arrays
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	code, _, body := postTo(NewHandler(New(Options{})), "/v1/batch",
+		`{"devices":["VisionFive"],"workloads":["stream:test=COPY,elems=400000000,reps=1"]}`, "")
+	runtime.ReadMemStats(&after)
+	if code != http.StatusBadRequest || !strings.Contains(body, "host memory") {
+		t.Errorf("POST /v1/batch: HTTP %d %s, want 400 naming the host memory", code, body)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+		t.Errorf("refusing the request allocated %d bytes, want nothing of its arrays", n)
 	}
 }
 

@@ -104,7 +104,7 @@ func (c *Core) access(addr, line uint64, write bool, issue float64) {
 			// cores hide part of it behind independent work).
 			c.e.Enter(c.id, c.now)
 			done := h.MissRest(c.id, c.now, addr, res)
-			c.now += (done - c.now) * c.m.missOverlap
+			c.now += float64((done - c.now) * c.m.missOverlap) // rounded: no fused multiply-add (DESIGN §2)
 		}
 	}
 	key := line | 1

@@ -236,8 +236,10 @@ type Walker struct {
 	Walks          uint64  // statistic
 }
 
-// Walk returns the cycle cost of one full table walk.
+// Walk returns the cycle cost of one full table walk. The explicit
+// conversion rounds the product, so a caller's sum never fuses with it
+// into one multiply-add (DESIGN §2).
 func (w *Walker) Walk() float64 {
 	w.Walks++
-	return float64(w.Levels) * w.CyclesPerLevel
+	return float64(float64(w.Levels) * w.CyclesPerLevel)
 }

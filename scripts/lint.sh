@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # One-shot local mirror of the CI lint job: go vet, the simlint analyzer
-# suite, the reachability census and the api.txt check of the public
-# surface, then staticcheck and govulncheck when installed.
+# suite, the fused multiply-add check of the model packages, the
+# reachability census and the api.txt check of the public surface, then
+# staticcheck and govulncheck when installed.
 # The last two are skipped with a notice rather than failed when absent,
 # so the script works in offline sandboxes; CI installs them and runs all
-# five unconditionally.
+# six unconditionally.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -13,6 +14,9 @@ go vet ./...
 
 echo "== simlint"
 go run ./cmd/simlint ./...
+
+echo "== no fused multiply-add in the model packages"
+scripts/nofma.sh
 
 echo "== reachability census and public surface"
 go test -count=1 -run 'TestCensus|TestAPI' .

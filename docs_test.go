@@ -104,6 +104,25 @@ func TestDocsNameThingsThatExist(t *testing.T) {
 	}
 }
 
+// designLines is DESIGN.md's length. The design record is to get shorter,
+// not longer: a change that adds lines removes as many elsewhere, or raises
+// this pin and says so in CHANGES.md; a change that removes lines lowers it.
+const designLines = 1335
+
+// TestDesignDoesNotGrow holds DESIGN.md to designLines.
+func TestDesignDoesNotGrow(t *testing.T) {
+	raw, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	switch n := strings.Count(string(raw), "\n"); {
+	case n > designLines:
+		t.Errorf("DESIGN.md has %d lines, %d over the pin of %d: remove as many, or raise designLines and list the change", n, n-designLines, designLines)
+	case n < designLines:
+		t.Errorf("DESIGN.md has %d lines, under the pin of %d: lower designLines to %d", n, designLines, n)
+	}
+}
+
 // TestDocsNameSeriesThatExist fails when README.md or DESIGN.md mentions a
 // /metrics series (any simd_… name, fenced or not) that no non-test file
 // under internal/ carries as a string literal: the exposition is written

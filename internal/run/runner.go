@@ -67,9 +67,10 @@ const (
 
 // Options configures a Runner.
 type Options struct {
-	// Parallelism is the number of host worker goroutines a batch uses;
-	// 0 defaults to the host CPU count. Simulated results are bit-identical
-	// at every setting — parallelism only changes wall-clock time.
+	// Parallelism bounds the host goroutines a batch waits and simulates
+	// on; 0 defaults to the host CPU count. Store hits are served on the
+	// caller's goroutine. Simulated results are bit-identical at every
+	// setting — parallelism only changes wall-clock time.
 	Parallelism int
 	// OnProgress, when set, is called serially (never concurrently) after
 	// each job of a batch completes.
@@ -239,83 +240,114 @@ func (r *Runner) release(m *sim.Machine, key string) {
 // keys both the pool and the store; the caller computes it so a batch can
 // share one digest across a run of equal devices (see deviceIdentities).
 func (r *Runner) runJob(ctx context.Context, job Job, dev string) (Result, []byte, CacheOutcome, error) {
+	return r.finish(ctx, job, dev, r.claim(ctx, job, dev))
+}
+
+// claim is a job's one look at the cache: a row or an err settles the job;
+// otherwise it joins a flight, leads one, or (unkeyed) just simulates.
+type claim struct {
+	key        memostore.Key
+	join, lead *flight
+	row        *memoRow
+	err        error
+}
+
+// claim checks the context and, for a keyed job, finds its cell in flight
+// or in the store, or registers the job as the cell's flight leader; it
+// never blocks. The store lookup happens under the shard lock, after the
+// flight check: a leader publishes its Result to the store BEFORE removing
+// its flight, so a racer always finds the cell in one of the two.
+func (r *Runner) claim(ctx context.Context, job Job, dev string) claim {
 	if job.Workload == nil {
-		return Result{}, nil, CacheNone, errors.New("run: job with nil workload")
+		return claim{err: errors.New("run: job with nil workload")}
 	}
 	if err := ctx.Err(); err != nil {
-		return Result{}, nil, CacheNone, err
+		return claim{err: err}
 	}
 	kw, keyed := job.Workload.(Keyed)
 	if !keyed || r.opt.DisableCache {
-		res, err := r.simulate(ctx, job, dev)
-		return res, nil, CacheNone, err
+		return claim{}
 	}
 	key := memostore.Key{Version: CacheVersion, Device: dev, Workload: kw.CacheKey()}
 	sh := r.shard(key)
-	for {
-		sh.mu.Lock()
-		if f, ok := sh.m[key]; ok {
-			sh.mu.Unlock()
-			select {
-			case <-f.done:
-				if f.err != nil && ctx.Err() == nil &&
-					(errors.Is(f.err, context.Canceled) || errors.Is(f.err, context.DeadlineExceeded)) {
-					// The leader's batch was cancelled but ours was not
-					// (the Runner may be shared across batches); its
-					// cancellation must not fail our job. The failed
-					// flight was already removed, so loop and retry —
-					// becoming the leader or joining a fresh flight.
-					continue
-				}
-				// Count the hit only when the joined flight's outcome is
-				// actually served — not on joins that end in a retry or in
-				// this job's own cancellation.
-				r.hits.Add(1)
-				if f.err != nil {
-					return Result{}, nil, CacheHit, f.err
-				}
-				return f.row.res, f.row.json, CacheHit, nil
-			case <-ctx.Done():
-				return Result{}, nil, CacheNone, ctx.Err()
-			}
-		}
-		// The store lookup happens under the shard lock, after the flight
-		// check: a leader publishes its Result to the store BEFORE removing
-		// its flight, so a racer always finds the cell in one of the two.
-		if v, _, ok := r.store.Get(key); ok {
-			if row, isRow := v.(*memoRow); isRow {
-				sh.mu.Unlock()
-				r.hits.Add(1)
-				return row.res, row.json, CacheHit, nil
-			}
-			// A store serving a foreign type (misconfigured codec) is
-			// treated as a miss: correctness over reuse.
-		}
-		f := &flight{done: make(chan struct{})}
-		sh.m[key] = f
-		r.misses.Add(1)
-		sh.mu.Unlock()
-		res, err := r.simulate(ctx, job, dev)
-		if err == nil {
-			// Publish before the flight is removed (see above). This is the
-			// one place a result enters the store, so its JSON is encoded
-			// here, once, for every tier and every reply. Errors are never
-			// stored: a later identical job retries.
-			f.row = newMemoRow(res)
-			r.store.Put(key, f.row)
-		}
-		f.err = err
-		sh.mu.Lock()
-		delete(sh.m, key)
-		sh.mu.Unlock()
-		// Removal precedes close so retrying waiters never re-join this
-		// flight; jobs already waiting share the outcome either way.
-		close(f.done)
-		if err != nil {
-			return Result{}, nil, CacheMiss, err
-		}
-		return res, f.row.json, CacheMiss, nil
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if f, ok := sh.m[key]; ok {
+		return claim{key: key, join: f}
 	}
+	if v, _, ok := r.store.Get(key); ok {
+		if row, isRow := v.(*memoRow); isRow {
+			r.hits.Add(1)
+			return claim{key: key, row: row}
+		}
+		// A store serving a foreign type (misconfigured codec) is
+		// treated as a miss: correctness over reuse.
+	}
+	f := &flight{done: make(chan struct{})}
+	sh.m[key] = f
+	r.misses.Add(1)
+	return claim{key: key, lead: f}
+}
+
+// finish completes a claimed job: it serves a settled claim, simulates an
+// unkeyed job, joins a flight or, as its leader, simulates, publishes and
+// releases it.
+func (r *Runner) finish(ctx context.Context, job Job, dev string, c claim) (Result, []byte, CacheOutcome, error) {
+	for c.join != nil {
+		select {
+		case <-c.join.done:
+			if f := c.join; f.err != nil && ctx.Err() == nil &&
+				(errors.Is(f.err, context.Canceled) || errors.Is(f.err, context.DeadlineExceeded)) {
+				// The leader's batch was cancelled but ours was not
+				// (the Runner may be shared across batches); its
+				// cancellation must not fail our job. The failed
+				// flight was already removed, so claim again —
+				// becoming the leader or joining a fresh flight.
+				c = r.claim(ctx, job, dev)
+				continue
+			}
+			// Count the hit only when the joined flight's outcome is
+			// actually served — not on joins that end in a retry or in
+			// this job's own cancellation.
+			r.hits.Add(1)
+			if c.join.err != nil {
+				return Result{}, nil, CacheHit, c.join.err
+			}
+			return c.join.row.res, c.join.row.json, CacheHit, nil
+		case <-ctx.Done():
+			return Result{}, nil, CacheNone, ctx.Err()
+		}
+	}
+	switch {
+	case c.err != nil:
+		return Result{}, nil, CacheNone, c.err
+	case c.row != nil:
+		return c.row.res, c.row.json, CacheHit, nil
+	}
+	res, err := r.simulate(ctx, job, dev)
+	if c.lead == nil {
+		return res, nil, CacheNone, err
+	}
+	if err == nil {
+		// Publish before the flight is removed (see claim). This is the
+		// one place a result enters the store, so its JSON is encoded
+		// here, once, for every tier and every reply. Errors are never
+		// stored: a later identical job retries.
+		c.lead.row = newMemoRow(res)
+		r.store.Put(c.key, c.lead.row)
+	}
+	c.lead.err = err
+	sh := r.shard(c.key)
+	sh.mu.Lock()
+	delete(sh.m, c.key)
+	sh.mu.Unlock()
+	// Removal precedes close so retrying waiters never re-join this
+	// flight; jobs already waiting share the outcome either way.
+	close(c.lead.done)
+	if err != nil {
+		return Result{}, nil, CacheMiss, err
+	}
+	return res, c.lead.row.json, CacheMiss, nil
 }
 
 // simOutcome is one finished (or aborted) workload execution.
@@ -431,20 +463,17 @@ func (r *Runner) RunAll(ctx context.Context, jobs []Job) (results []Result, errs
 // RunAllWithProgress is RunAll with a per-call progress hook, for callers
 // that need batch-scoped progress on a shared Runner (the service's async
 // job store streams rows through it). A nil onProgress falls back to the
-// Runner-level Options.OnProgress; like it, the hook is called serially, in
-// completion order.
+// Runner-level Options.OnProgress; like it, the hook is called serially,
+// in job order while claims settle jobs (store hits, early failures), then
+// in completion order from the first job that waits or simulates.
 func (r *Runner) RunAllWithProgress(ctx context.Context, jobs []Job, onProgress func(Progress)) (results []Result, errs []error) {
 	results = make([]Result, len(jobs))
 	errs = make([]error, len(jobs))
 
-	workers := r.opt.Parallelism
-	if workers <= 0 {
-		workers = runtime.NumCPU()
+	parallelism := r.opt.Parallelism
+	if parallelism <= 0 {
+		parallelism = runtime.NumCPU()
 	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-
 	if onProgress == nil {
 		onProgress = r.opt.OnProgress
 	}
@@ -464,15 +493,15 @@ func (r *Runner) RunAllWithProgress(ctx context.Context, jobs []Job, onProgress 
 		})
 		progressMu.Unlock()
 	}
-	// Host wall-clock per job, for Progress.Elapsed only: observability
-	// data (the service's kernel histograms), never simulated state.
-	timeJob := func(i int) {
-		start := time.Now() //simlint:allow determinism -- host-side timing feeds Progress.Elapsed (observability), never the simulated Result
+	// Host wall-clock per job, from before its claim, for Progress.Elapsed
+	// only: observability data (the service's kernel histograms), never
+	// simulated state.
+	finishJob := func(i int, start time.Time, c claim) {
 		var (
 			js    []byte
 			cache CacheOutcome
 		)
-		results[i], js, cache, errs[i] = r.runJob(ctx, jobs[i], ids[i])
+		results[i], js, cache, errs[i] = r.finish(ctx, jobs[i], ids[i], c)
 		if errs[i] != nil && jobs[i].Workload != nil {
 			// A failed job has no measurement; its slot (and its Progress)
 			// still names the cell, so every consumer reporting per-job
@@ -483,27 +512,37 @@ func (r *Runner) RunAllWithProgress(ctx context.Context, jobs []Job, onProgress 
 		report(i, js, time.Since(start), cache) //simlint:allow determinism -- same: host-side observability timing
 	}
 
-	if workers <= 1 {
-		for i := range jobs {
-			timeJob(i)
+	// Jobs are claimed in order on the calling goroutine, and a claim that
+	// settles its job is served here: a fully memoized batch starts no
+	// goroutine. The first job left to wait or simulate goes to the pool
+	// with its claim made; every later job is claimed there.
+	for i := range jobs {
+		start := time.Now() //simlint:allow determinism -- host-side timing feeds Progress.Elapsed (observability), never the simulated Result
+		c := r.claim(ctx, jobs[i], ids[i])
+		workers := min(parallelism, len(jobs)-i)
+		if workers <= 1 || c.err != nil || c.row != nil {
+			finishJob(i, start, c)
+			continue
 		}
-	} else {
 		idx := make(chan int)
 		var wg sync.WaitGroup
 		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					timeJob(i)
-				}
-			}()
+		work := func() {
+			defer wg.Done()
+			for j := range idx {
+				finishJob(j, time.Now(), r.claim(ctx, jobs[j], ids[j])) //simlint:allow determinism -- same: host-side observability timing
+			}
 		}
-		for i := range jobs {
-			idx <- i
+		go func() { finishJob(i, start, c); work() }()
+		for w := 1; w < workers; w++ {
+			go work()
+		}
+		for j := i + 1; j < len(jobs); j++ {
+			idx <- j
 		}
 		close(idx)
 		wg.Wait()
+		break
 	}
 	return results, errs
 }

@@ -17,14 +17,15 @@ import (
 var raceEnabled bool
 
 // warmBatchAllocs bounds the heap allocations of one warm 64-row
-// Service.Batch: 2 devices × 32 memoized specs. It measures 147 with
+// Service.Batch: 2 devices × 32 memoized specs. It measures 143 with
 // Go 1.24 on x86-64 (at every GOMAXPROCS), down from 639 when every job
 // took its own device digest and every spec built and sorted throwaway
 // maps, from 202 when a named-device request still built every preset
-// and each transpose spec a list of variants, and from 179 when every
-// job's kernel histogram rendered its workload's name again; the bound
-// leaves a 10% margin.
-const warmBatchAllocs = 162
+// and each transpose spec a list of variants, from 179 when every job's
+// kernel histogram rendered its workload's name again, and from 147 when
+// the runner started its worker goroutines for a batch of store hits; the
+// bound leaves a 10% margin.
+const warmBatchAllocs = 157
 
 // warmSpecs is the 32 specs of the warm allocation guards: small cells of
 // every kernel family.
@@ -78,10 +79,11 @@ func TestWarmBatchAllocs(t *testing.T) {
 
 // warmHTTPBatchAllocs bounds the heap allocations of the same warm batch
 // served through NewHandler, request and recorder included. It measures
-// 47 with Go 1.24 on x86-64 (at every GOMAXPROCS), down from 1011 when
-// every request body was decoded and planned again; the bound leaves a
-// 10% margin.
-const warmHTTPBatchAllocs = 52
+// 43 with Go 1.24 on x86-64 (at every GOMAXPROCS), down from 1011 when
+// every request body was decoded and planned again and from 47 when the
+// runner started its worker goroutines for a batch of store hits; the
+// bound leaves a 10% margin.
+const warmHTTPBatchAllocs = 47
 
 // TestWarmHTTPBatchAllocs is the allocation guard on the HTTP request
 // path: body read, plan cache hit, the warm batch, and the spliced reply.

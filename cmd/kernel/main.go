@@ -6,11 +6,11 @@
 //	kernel [-device NAME|all] [-scale N] [-stats] [-format table|csv|json]
 //	       [-cpuprofile FILE] [-memprofile FILE] SPEC...
 //
-// A spec that leaves its kernel's variant key unset (test for stream,
-// variant for transpose and gblur) runs the whole ladder, and a stream spec
-// without elems runs one row per memory level of the device, sized by
-// stream.Levels (-scale divides the DRAM working set). Speedup is over the
-// first row of the same kernel on the same device.
+// Each spec expands on each device through core.Expand, the expander the
+// paper's figures use: an unset variant key runs the whole ladder, and an
+// unsized stream spec one row per memory level (-scale divides the DRAM
+// working set). Speedup is over the first row of the same kernel on the
+// same device.
 package main
 
 import (
@@ -20,80 +20,12 @@ import (
 	"os"
 	"strconv"
 
-	"riscvmem/internal/kernels/blur"
-	"riscvmem/internal/kernels/stream"
-	"riscvmem/internal/kernels/transpose"
+	"riscvmem/internal/core"
 	"riscvmem/internal/machine"
 	"riscvmem/internal/profiling"
 	"riscvmem/internal/report"
 	"riscvmem/internal/run"
 )
-
-// cell is one row to be: an expanded spec and, if stream.Levels sized it, "@" + the level.
-type cell struct {
-	spec   run.WorkloadSpec
-	suffix string
-}
-
-// over returns spec once per variant with key set to it, or spec alone when
-// it sets key itself.
-func over[T fmt.Stringer](spec run.WorkloadSpec, key string, variants []T) []cell {
-	if _, set := spec.Params[key]; set {
-		return []cell{{spec: spec}}
-	}
-	var out []cell
-	for _, v := range variants {
-		out = append(out, cell{spec: spec.With(key, v.String())})
-	}
-	return out
-}
-
-// expand turns one spec into the cells it stands for on one device.
-func expand(spec run.WorkloadSpec, dev machine.Spec, scale int) []cell {
-	cells := []cell{{spec: spec}}
-	switch spec.Kernel {
-	case "stream":
-		cells = over(spec, "test", stream.Tests())
-	case "transpose":
-		cells = over(spec, "variant", transpose.Variants())
-	case "gblur":
-		cells = over(spec, "variant", blur.Variants())
-	}
-	if _, sized := spec.Params["elems"]; spec.Kernel != "stream" || sized {
-		return cells
-	}
-	var rows []cell
-	for _, lv := range stream.Levels(dev, scale) {
-		for _, c := range cells {
-			s := c.spec.With("elems", strconv.Itoa(lv.Elems)).With("cores", strconv.Itoa(lv.Cores)).
-				With("scaleby", strconv.Itoa(lv.ScaleBy))
-			rows = append(rows, cell{s, "@" + lv.Name})
-		}
-	}
-	return rows
-}
-
-// plan expands every spec on every device and builds the jobs; it fails on
-// the first spec the grammar or a kernel's factory rejects.
-func plan(devices []machine.Spec, args []string, scale int) (jobs []run.Job, cells []cell, _ error) {
-	for _, dev := range devices {
-		for _, arg := range args {
-			spec, err := run.ParseWorkloadSpec(arg)
-			if err != nil {
-				return nil, nil, err
-			}
-			for _, c := range expand(spec, dev, scale) {
-				w, err := run.NewWorkload(c.spec)
-				if err != nil {
-					return nil, nil, err
-				}
-				jobs = append(jobs, run.Job{Device: dev, Workload: w})
-				cells = append(cells, c)
-			}
-		}
-	}
-	return jobs, cells, nil
-}
 
 func main() {
 	device := flag.String("device", "all", "device name, or all")
@@ -104,37 +36,27 @@ func main() {
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file after the run")
 	flag.Parse()
 
-	fail := func(err error) {
-		fmt.Fprintln(os.Stderr, "kernel:", err)
-		os.Exit(1)
-	}
-	if err := report.CheckFormat(*format); err != nil {
-		fail(err)
-	}
+	check(report.CheckFormat(*format))
 	devices := machine.All()
 	if *device != "all" {
-		spec, err := machine.ByName(*device)
-		if err != nil {
-			fail(err)
-		}
-		devices = []machine.Spec{spec}
+		devices = []machine.Spec{must(machine.ByName(*device))}
 	}
-	jobs, cells, err := plan(devices, flag.Args(), *scale)
-	if err != nil {
-		fail(err)
+	var cells []core.Cell
+	var jobs []run.Job
+	for _, dev := range devices {
+		for _, arg := range flag.Args() {
+			for _, c := range must(core.Expand(dev, must(run.ParseWorkloadSpec(arg)), *scale)) {
+				cells, jobs = append(cells, c), append(jobs, c.Job)
+			}
+		}
 	}
 	if len(jobs) == 0 {
-		fail(fmt.Errorf("no workload spec given (want %s)", run.SpecGrammar))
+		check(fmt.Errorf("no workload spec given (want %s)", run.SpecGrammar))
 	}
-	stopProf, err := profiling.Start(*cpuprofile, *memprofile)
-	if err != nil {
-		fail(err)
-	}
+	stopProf := must(profiling.Start(*cpuprofile, *memprofile))
 	results, err := run.New(run.Options{}).Run(context.Background(), jobs)
 	stopProf() // before any exit: os.Exit skips defers and a truncated CPU profile is useless
-	if err != nil {
-		fail(err)
-	}
+	check(err)
 
 	tb := report.Table{Headers: []string{"Device", "Workload", "Seconds", "Speedup", "Bandwidth"}}
 	if *stats {
@@ -142,11 +64,15 @@ func main() {
 	}
 	first := map[[2]string]run.Result{} // (device, kernel) → its first row
 	for i, res := range results {
-		k := [2]string{res.Device, cells[i].spec.Kernel}
+		k := [2]string{res.Device, cells[i].Spec.Kernel}
 		if _, seen := first[k]; !seen {
 			first[k] = res
 		}
-		row := []string{res.Device, res.Workload + cells[i].suffix, fmt.Sprintf("%.6f", res.Seconds),
+		name := res.Workload
+		if lv := cells[i].Level; lv != "" {
+			name += "@" + lv
+		}
+		row := []string{res.Device, name, fmt.Sprintf("%.6f", res.Seconds),
 			fmt.Sprintf("%.2f×", res.SpeedupOver(first[k])), res.Bandwidth.String()}
 		if *stats {
 			row = append(row, fmt.Sprintf("%.1f%%", 100*res.Mem.L1MissRate()), strconv.FormatUint(res.Mem.TLBWalks, 10),
@@ -154,7 +80,19 @@ func main() {
 		}
 		tb.Add(row...)
 	}
-	if err := report.Emit(os.Stdout, *format, tb); err != nil {
-		fail(err)
+	check(report.Emit(os.Stdout, *format, tb))
+}
+
+// check exits with err, if there is one.
+func check(err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "kernel:", err)
+		os.Exit(1)
 	}
+}
+
+// must returns v, or exits with err.
+func must[T any](v T, err error) T {
+	check(err)
+	return v
 }

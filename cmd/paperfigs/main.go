@@ -1,16 +1,16 @@
 // Command paperfigs regenerates the paper's figures (1, 2, 3, 6, 7) on the
 // simulated devices and renders them as tables and ASCII bar charts, CSV,
-// or JSON. The underlying Suite batches every figure's cross-product on a
-// pooled runner.
+// or JSON. Each figure's cells come from the paper's one manifest
+// (core.Suite.Manifest), batched on a pooled runner.
 //
 // Usage:
 //
-//	paperfigs [-fig all|1|2|3|6|7] [-scale N] [-full] [-verify]
+//	paperfigs [-fig all|1|2|3|6|7|devices] [-scale N] [-verify]
 //	          [-format table|csv|json] [-device NAME]
 //
-// -scale divides the paper's workload sizes (default 8); -full is shorthand
-// for -scale 1, the paper's exact sizes (expect a long run). -device limits
-// the run to one machine.
+// -scale divides the paper's workload sizes (default 8); -scale 1 runs the
+// paper's exact sizes (expect a long run). -device limits the run to one
+// machine.
 package main
 
 import (
@@ -26,111 +26,88 @@ import (
 
 func main() {
 	fig := flag.String("fig", "all", "figure to regenerate: all, 1, 2, 3, 6, 7, devices")
-	scale := flag.Int("scale", 8, "divide paper workload sizes by this factor")
-	full := flag.Bool("full", false, "paper-scale run (overrides -scale; slow)")
+	scale := flag.Int("scale", 8, "divide paper workload sizes by this factor (1 = the paper's sizes)")
 	verify := flag.Bool("verify", false, "verify kernel results against references")
 	format := flag.String("format", "table", "output format: table, csv or json")
 	device := flag.String("device", "", "restrict to one device (Xeon, RaspberryPi4, VisionFive, MangoPi)")
 	flag.Parse()
 
-	if err := report.CheckFormat(*format); err != nil {
-		fatal(err)
-	}
-
+	check(report.CheckFormat(*format))
 	opt := core.Options{Scale: *scale, Verify: *verify}
-	if *full {
-		opt.Scale = 1
-	}
 	if *device != "" {
-		spec, err := machine.ByName(*device)
-		if err != nil {
-			fatal(err)
-		}
-		opt.Devices = []machine.Spec{spec}
+		opt.Devices = []machine.Spec{must(machine.ByName(*device))}
 	}
 	s := core.NewSuite(opt)
 
 	want := func(f string) bool { return *fig == "all" || *fig == f }
 	if *fig == "devices" {
-		printDevices(opt, *format)
+		printDevices(s.Options().Devices, *format)
 		return
 	}
 	if want("1") {
-		if err := fig1(s, *format); err != nil {
-			fatal(err)
-		}
+		fig1(must(s.Fig1()), *format)
 	}
 	var f2 []core.Fig2Row
 	if want("2") || want("3") {
-		var err error
-		if f2, err = s.Fig2(); err != nil {
-			fatal(err)
-		}
+		f2 = must(s.Fig2())
 	}
 	if want("2") {
 		fig2(s, f2, *format)
 	}
 	if want("3") {
-		if err := fig3(s, f2, *format); err != nil {
-			fatal(err)
-		}
+		fig3(must(s.Fig3(f2)), *format)
 	}
 	var f6 []core.Fig6Row
 	if want("6") || want("7") {
-		var err error
-		if f6, err = s.Fig6(); err != nil {
-			fatal(err)
-		}
+		f6 = must(s.Fig6())
 	}
 	if want("6") {
 		fig6(s, f6, *format)
 	}
 	if want("7") {
-		if err := fig7(s, f6, *format); err != nil {
-			fatal(err)
-		}
+		fig7(must(s.Fig7(f6)), *format)
 	}
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "paperfigs:", err)
-	os.Exit(1)
+// check exits with err, if there is one.
+func check(err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "paperfigs:", err)
+		os.Exit(1)
+	}
+}
+
+// must returns v, or exits with err.
+func must[T any](v T, err error) T {
+	check(err)
+	return v
 }
 
 // emitRows writes headers+rows as CSV or JSON (the machine-readable
 // formats; table rendering stays figure-specific).
-func emitRows(format string, headers []string, rows [][]string) error {
-	return report.Emit(os.Stdout, format, report.Table{Headers: headers, Rows: rows})
+func emitRows(format string, headers []string, rows [][]string) {
+	check(report.Emit(os.Stdout, format, report.Table{Headers: headers, Rows: rows}))
 }
 
-func printDevices(opt core.Options, format string) {
-	devs := opt.Devices
-	if len(devs) == 0 {
-		devs = machine.All()
-	}
+func printDevices(devs []machine.Spec, format string) {
 	t := report.Table{Title: "Devices (paper §3.1)", Headers: []string{"Name", "CPU", "Cores", "GHz", "RAM", "Peak DRAM"}}
 	for _, d := range devs {
 		t.Add(d.Name, d.CPU, strconv.Itoa(d.Cores),
 			fmt.Sprintf("%.1f", d.FreqGHz), fmt.Sprintf("%d MiB", d.RAMBytes>>20),
 			d.PeakDRAMBandwidth().String())
 	}
-	if err := report.Emit(os.Stdout, format, t); err != nil {
-		fatal(err)
-	}
+	check(report.Emit(os.Stdout, format, t))
 }
 
-func fig1(s *core.Suite, format string) error {
-	cells, err := s.Fig1()
-	if err != nil {
-		return err
-	}
+func fig1(cells []core.Fig1Cell, format string) {
 	if format != "table" {
 		rows := make([][]string, 0, len(cells))
 		for _, c := range cells {
 			rows = append(rows, []string{c.Device, c.Level, c.Test.String(),
 				fmt.Sprintf("%.4f", c.BW.GBps())})
 		}
-		return emitRows(format, []string{"device", "level", "test", "gbps"}, rows)
+		emitRows(format, []string{"device", "level", "test", "gbps"}, rows)
+		return
 	}
 	fmt.Println("=== Fig. 1: STREAM bandwidth per memory level (GB/s) ===")
 	ch := report.Chart{Unit: "GB/s", Width: 50, LogHint: true}
@@ -139,7 +116,6 @@ func fig1(s *core.Suite, format string) error {
 	}
 	ch.Render(os.Stdout)
 	fmt.Println()
-	return nil
 }
 
 func fig2(s *core.Suite, rows []core.Fig2Row, format string) {
@@ -150,9 +126,7 @@ func fig2(s *core.Suite, rows []core.Fig2Row, format string) {
 				r.Variant.String(), fmt.Sprintf("%.6f", r.Seconds),
 				fmt.Sprintf("%.3f", r.Speedup), strconv.FormatBool(r.Skipped)})
 		}
-		if err := emitRows(format, []string{"device", "paper_n", "n", "variant", "seconds", "speedup", "skipped"}, out); err != nil {
-			fatal(err)
-		}
+		emitRows(format, []string{"device", "paper_n", "n", "variant", "seconds", "speedup", "skipped"}, out)
 		return
 	}
 	fmt.Printf("=== Fig. 2: matrix transposition time (simulated, N scaled %d×) ===\n", s.Options().Scale)
@@ -169,18 +143,15 @@ func fig2(s *core.Suite, rows []core.Fig2Row, format string) {
 	fmt.Println()
 }
 
-func fig3(s *core.Suite, f2 []core.Fig2Row, format string) error {
-	rows, err := s.Fig3(f2)
-	if err != nil {
-		return err
-	}
+func fig3(rows []core.Fig3Row, format string) {
 	if format != "table" {
 		out := make([][]string, 0, len(rows))
 		for _, r := range rows {
 			out = append(out, []string{r.Device, strconv.Itoa(r.PaperN), r.Variant.String(),
 				fmt.Sprintf("%.4f", r.Utilization), strconv.FormatBool(r.Skipped)})
 		}
-		return emitRows(format, []string{"device", "paper_n", "variant", "utilization", "skipped"}, out)
+		emitRows(format, []string{"device", "paper_n", "variant", "utilization", "skipped"}, out)
+		return
 	}
 	fmt.Println("=== Fig. 3: relative memory-bandwidth utilization (transpose) ===")
 	ch := report.Chart{Width: 50}
@@ -192,7 +163,6 @@ func fig3(s *core.Suite, f2 []core.Fig2Row, format string) error {
 	}
 	ch.Render(os.Stdout)
 	fmt.Println()
-	return nil
 }
 
 func fig6(s *core.Suite, rows []core.Fig6Row, format string) {
@@ -202,9 +172,7 @@ func fig6(s *core.Suite, rows []core.Fig6Row, format string) {
 			out = append(out, []string{r.Device, r.Variant.String(),
 				fmt.Sprintf("%.6f", r.Seconds), fmt.Sprintf("%.3f", r.Speedup)})
 		}
-		if err := emitRows(format, []string{"device", "variant", "seconds", "speedup"}, out); err != nil {
-			fatal(err)
-		}
+		emitRows(format, []string{"device", "variant", "seconds", "speedup"}, out)
 		return
 	}
 	w, hgt := core.PaperImageW/s.Options().Scale, core.PaperImageH/s.Options().Scale
@@ -217,18 +185,15 @@ func fig6(s *core.Suite, rows []core.Fig6Row, format string) {
 	fmt.Println()
 }
 
-func fig7(s *core.Suite, f6 []core.Fig6Row, format string) error {
-	rows, err := s.Fig7(f6)
-	if err != nil {
-		return err
-	}
+func fig7(rows []core.Fig7Row, format string) {
 	if format != "table" {
 		out := make([][]string, 0, len(rows))
 		for _, r := range rows {
 			out = append(out, []string{r.Device, r.Variant.String(),
 				fmt.Sprintf("%.4f", r.Utilization), fmt.Sprintf("%.3f", r.ImprovementOver1D)})
 		}
-		return emitRows(format, []string{"device", "variant", "utilization", "improvement_over_1d"}, out)
+		emitRows(format, []string{"device", "variant", "utilization", "improvement_over_1d"}, out)
+		return
 	}
 	fmt.Println("=== Fig. 7: relative memory-bandwidth utilization (blur) ===")
 	ch := report.Chart{Width: 50}
@@ -238,5 +203,4 @@ func fig7(s *core.Suite, f6 []core.Fig6Row, format string) error {
 	}
 	ch.Render(os.Stdout)
 	fmt.Println()
-	return nil
 }

@@ -1,18 +1,27 @@
 // Package core orchestrates the paper's experiments: it wires the kernels,
 // device presets and metrics together to regenerate every table and figure
 // of the evaluation section (Fig. 1, 2, 3, 6, 7 — Figs. 4 and 5 are
-// explanatory diagrams).
+// explanatory diagrams). The paper's workload is one manifest: each figure
+// is a short table of workload specs, and Expand turns a spec into the
+// cells it stands for on a device, for the figures and cmd/kernel alike.
 //
 // All experiments take a Scale: the paper's full workloads (8192²/16384²
 // doubles, a 2544×2027×3 image) are expensive under functional simulation,
-// so scaled runs shrink the working sets while keeping them far beyond every
-// cache capacity — the regime every figure depends on. Scale 1 reproduces
-// the paper's exact sizes.
+// so scaled runs shrink them. Only STREAM keeps its DRAM-level arrays
+// beyond the last-level cache at every scale (stream.Levels). A matrix or
+// image side is the paper's divided by the scale, so a coarse scale leaves
+// some of them cache-resident: at scale 32, both matrices and the image in
+// Xeon's L3, the 256² matrix and the image in RaspberryPi4's L2, and the
+// two-image blur variants in VisionFive's L2 (TestScaledCellsInCache).
+// Scale 1 reproduces the paper's exact sizes.
 package core
 
 import (
 	"context"
 	"fmt"
+	"math"
+	"slices"
+	"strconv"
 
 	"riscvmem/internal/kernels/blur"
 	"riscvmem/internal/kernels/stream"
@@ -58,12 +67,84 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Suite runs experiments, caching the STREAM DRAM bandwidth each device
-// achieves (the denominator of every utilization metric). All measurements
-// execute as batches on a pooled run.Runner: machines are reset and reused
-// across jobs, and the figure cross-products run on host goroutines — with
-// results bit-identical to serial fresh-machine runs (the runner package's
-// oracle tests pin this equivalence).
+// Cell is one row of the manifest: the job a spec stands for on a device.
+type Cell struct {
+	run.Job
+	Spec run.WorkloadSpec
+	// Level names the memory level stream.Levels sized a STREAM row for
+	// (L1, L2, L3 or DRAM); empty when the spec sizes itself.
+	Level string
+	// Fits reports whether the device's RAM holds the cell's working set
+	// at paper scale, every side the scale divides multiplied back (the
+	// Mango Pi does not hold a 16384² matrix). The figures skip a cell
+	// that does not fit.
+	Fits bool
+}
+
+// ladders holds, per built-in kernel, the key its variant ladder sets, the
+// ladder, and how many sides of its working set a scale divides.
+var ladders = map[string]struct {
+	key      string
+	variants []string
+	sides    int
+}{
+	"stream":    {"test", names(stream.Tests()), 0},
+	"transpose": {"variant", names(transpose.Variants()), 2},
+	"gblur":     {"variant", names(blur.Variants()), 2},
+}
+
+func names[T fmt.Stringer](vs []T) []string {
+	out := make([]string, len(vs))
+	for i, v := range vs {
+		out[i] = v.String()
+	}
+	return out
+}
+
+// Expand turns one spec into the cells it stands for on dev: the kernel's
+// variant ladder when the spec leaves its variant key unset and, for a
+// STREAM spec without elems, one row per memory level of the device, sized
+// by stream.Levels (scale divides the DRAM working set). It fails on the
+// first cell a kernel's factory rejects.
+func Expand(dev machine.Spec, spec run.WorkloadSpec, scale int) ([]Cell, error) {
+	k := ladders[spec.Kernel]
+	specs := []run.WorkloadSpec{spec}
+	if _, set := spec.Params[k.key]; k.key != "" && !set {
+		specs = specs[:0]
+		for _, v := range k.variants {
+			specs = append(specs, spec.With(k.key, v))
+		}
+	}
+	levels := []stream.Level{{}}
+	if _, sized := spec.Params["elems"]; spec.Kernel == "stream" && !sized {
+		levels = stream.Levels(dev, scale)
+	}
+	paper := math.Pow(float64(scale), float64(k.sides))
+	var cells []Cell
+	for _, lv := range levels {
+		for _, s := range specs {
+			if lv.Name != "" {
+				s = s.With("elems", strconv.Itoa(lv.Elems)).With("cores", strconv.Itoa(lv.Cores)).
+					With("scaleby", strconv.Itoa(lv.ScaleBy))
+			}
+			w, err := run.NewWorkload(s)
+			if err != nil {
+				return nil, err
+			}
+			fits := true // a workload that states no host footprint
+			if hs, ok := w.(interface{ HostBytes(machine.Spec) int64 }); ok {
+				fits = dev.Fits(int64(min(paper*float64(hs.HostBytes(dev)), float64(dev.RAMBytes))))
+			}
+			cells = append(cells, Cell{Job: run.Job{Device: dev, Workload: w}, Spec: s, Level: lv.Name, Fits: fits})
+		}
+	}
+	return cells, nil
+}
+
+// Suite runs the manifest on a pooled run.Runner: machines are reset and
+// reused across jobs, and each figure's cells run as one batch on host
+// goroutines — with results bit-identical to serial fresh-machine runs
+// (the runner package's oracle tests pin this equivalence).
 //
 // The runner also memoizes Results (every built-in workload is run.Keyed),
 // so the suite's repeated cells simulate exactly once: DRAMBandwidth reuses
@@ -73,47 +154,109 @@ func (o Options) withDefaults() Options {
 type Suite struct {
 	opt    Options
 	runner *run.Runner
-	dramBW map[string]units.BytesPerSec
 }
 
 // NewSuite builds a Suite.
 func NewSuite(opt Options) *Suite {
-	return &Suite{
-		opt:    opt.withDefaults(),
-		runner: run.New(run.Options{}),
-		dramBW: map[string]units.BytesPerSec{},
-	}
+	return &Suite{opt: opt.withDefaults(), runner: run.New(run.Options{})}
 }
 
 // Options returns the effective (defaulted) options.
 func (s *Suite) Options() Options { return s.opt }
 
-// DRAMBandwidth returns the device's best achieved STREAM bandwidth at the
-// DRAM level (maximum over the four tests), measuring it on first use.
-func (s *Suite) DRAMBandwidth(spec machine.Spec) (units.BytesPerSec, error) {
-	if bw, ok := s.dramBW[spec.Name]; ok {
-		return bw, nil
+// Manifest is the paper's workload at the suite's scale: the specs each
+// measured figure (1, 2 and 6) expands on every device. Figs. 3 and 7
+// reuse Figs. 2 and 6, and divide by the DRAM rows of Fig. 1.
+func (s *Suite) Manifest() map[int][]string {
+	sz, v := s.matrixSizes(), s.opt.Verify
+	w, h := s.imageSize()
+	return map[int][]string{
+		1: {fmt.Sprintf("stream:reps=%d", s.opt.Reps)},
+		2: {fmt.Sprintf("transpose:n=%d,verify=%t", sz[0], v), fmt.Sprintf("transpose:n=%d,verify=%t", sz[1], v)},
+		6: {fmt.Sprintf("gblur:w=%d,h=%d,c=%d,f=%d,verify=%t", w, h, PaperImageC, PaperFilter, v)},
 	}
-	levels := stream.Levels(spec, s.opt.Scale)
-	dram := levels[len(levels)-1]
-	workloads := make([]run.Workload, 0, len(stream.Tests()))
-	for _, t := range stream.Tests() {
-		workloads = append(workloads, run.Stream(stream.Config{
-			Test: t, Elems: dram.Elems, Cores: dram.Cores,
-			Reps: s.opt.Reps, ScaleBy: dram.ScaleBy,
-		}))
-	}
-	results, err := s.runner.Run(context.Background(), run.Cross([]machine.Spec{spec}, workloads))
-	if err != nil {
-		return 0, fmt.Errorf("stream DRAM sweep: %w", err)
-	}
-	var best units.BytesPerSec
-	for _, r := range results {
-		if r.Bandwidth > best {
-			best = r.Bandwidth
+}
+
+// Run executes the cells that fit as one batch; results[i] is cells[i]'s,
+// and zero for a cell that does not fit.
+func (s *Suite) Run(cells []Cell) ([]run.Result, error) {
+	var jobs []run.Job
+	for _, c := range cells {
+		if c.Fits {
+			jobs = append(jobs, c.Job)
 		}
 	}
-	s.dramBW[spec.Name] = best
+	res, err := s.runner.Run(context.Background(), jobs)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]run.Result, len(cells))
+	for i, c := range cells {
+		if c.Fits {
+			out[i], res = res[0], res[1:]
+		}
+	}
+	return out, nil
+}
+
+// group is what one spec of a figure's manifest expands to on one device,
+// with each cell's result.
+type group struct {
+	spec  int // the spec's index in the figure's manifest
+	cells []Cell
+	res   []run.Result
+}
+
+// measure expands a figure's manifest on each device, device by device,
+// keeps only the cells of level when it is set, and runs them as one batch.
+func (s *Suite) measure(fig int, devices []machine.Spec, level string) ([]group, error) {
+	var groups []group
+	var cells []Cell
+	specs := s.Manifest()[fig]
+	for _, dev := range devices {
+		for i, arg := range specs {
+			spec, err := run.ParseWorkloadSpec(arg)
+			if err != nil {
+				return nil, err
+			}
+			g, err := Expand(dev, spec, s.opt.Scale)
+			if err != nil {
+				return nil, err
+			}
+			if level != "" {
+				g = slices.DeleteFunc(g, func(c Cell) bool { return c.Level != level })
+			}
+			groups = append(groups, group{spec: i, cells: g})
+			cells = append(cells, g...)
+		}
+	}
+	res, err := s.Run(cells)
+	if err != nil {
+		return nil, fmt.Errorf("fig%d: %w", fig, err)
+	}
+	for i := range groups {
+		groups[i].res, res = res[:len(groups[i].cells)], res[len(groups[i].cells):]
+	}
+	return groups, nil
+}
+
+// param reads a ladder key of the cell's spec back as the kernel's type.
+func param[T any](c Cell, key string, byName func(string) (T, error)) T {
+	v, _ := byName(c.Spec.Params[key])
+	return v
+}
+
+// DRAMBandwidth returns the device's best achieved STREAM bandwidth at the
+// DRAM level (maximum over the four tests): the DRAM cells of Fig. 1.
+func (s *Suite) DRAMBandwidth(spec machine.Spec) (units.BytesPerSec, error) {
+	groups, err := s.measure(1, []machine.Spec{spec}, "DRAM")
+	if err != nil {
+		return 0, err
+	}
+	var best units.BytesPerSec
+	for _, r := range groups[0].res {
+		best = max(best, r.Bandwidth)
+	}
 	return best, nil
 }
 
@@ -126,33 +269,20 @@ type Fig1Cell struct {
 	BW     units.BytesPerSec
 }
 
-// Fig1 measures STREAM at every memory level of every device, batching the
-// whole device × level × test cross-product through the pooled runner.
+// Fig1 measures STREAM at every memory level of every device.
 func (s *Suite) Fig1() ([]Fig1Cell, error) {
-	var jobs []run.Job
-	var cells []Fig1Cell
-	for _, spec := range s.opt.Devices {
-		for _, lv := range stream.Levels(spec, s.opt.Scale) {
-			for _, t := range stream.Tests() {
-				jobs = append(jobs, run.Job{Device: spec, Workload: run.Stream(stream.Config{
-					Test: t, Elems: lv.Elems, Cores: lv.Cores,
-					Reps: s.opt.Reps, ScaleBy: lv.ScaleBy,
-				})})
-				cells = append(cells, Fig1Cell{Device: spec.Name, Level: lv.Name, Test: t})
-			}
-		}
-	}
-	results, err := s.runner.Run(context.Background(), jobs)
+	groups, err := s.measure(1, s.opt.Devices, "")
 	if err != nil {
-		return nil, fmt.Errorf("fig1: %w", err)
+		return nil, err
 	}
-	for i, r := range results {
-		cells[i].BW = r.Bandwidth
-		if cells[i].Level == "DRAM" && r.Bandwidth > s.dramBW[cells[i].Device] {
-			s.dramBW[cells[i].Device] = r.Bandwidth // reuse for utilization metrics
+	var out []Fig1Cell
+	for _, g := range groups {
+		for i, c := range g.cells {
+			out = append(out, Fig1Cell{Device: c.Device.Name, Level: c.Level,
+				Test: param(c, "test", stream.TestByName), BW: g.res[i].Bandwidth})
 		}
 	}
-	return cells, nil
+	return out, nil
 }
 
 // Fig2Row is one bar of Fig. 2: a transposition variant's time on a device,
@@ -182,45 +312,21 @@ func (s *Suite) matrixSizes() [2]int {
 	return [2]int{clamp(PaperMatrixSmall / s.opt.Scale), clamp(PaperMatrixLarge / s.opt.Scale)}
 }
 
-// Fig2 runs the five transposition variants on both matrix sizes, batching
-// every fitting device × size × variant combination through the runner.
+// Fig2 runs the five transposition variants on both matrix sizes, skipping
+// the cells whose paper-scale matrix does not fit the device's RAM.
 func (s *Suite) Fig2() ([]Fig2Row, error) {
-	var jobs []run.Job
-	var rows []Fig2Row
-	measured := make([]int, 0, 8) // measured[result index] = row index
-	sizes := s.matrixSizes()
-	for _, spec := range s.opt.Devices {
-		for si, n := range sizes {
-			paperN := [2]int{PaperMatrixSmall, PaperMatrixLarge}[si]
-			fits := spec.Fits(8 * int64(paperN) * int64(paperN))
-			for _, v := range transpose.Variants() {
-				row := Fig2Row{Device: spec.Name, N: n, PaperN: paperN, Variant: v, Skipped: !fits}
-				if fits {
-					measured = append(measured, len(rows))
-					jobs = append(jobs, run.Job{Device: spec, Workload: run.Transpose(
-						transpose.Config{N: n, Variant: v, Verify: s.opt.Verify})})
-				}
-				rows = append(rows, row)
-			}
-		}
-	}
-	results, err := s.runner.Run(context.Background(), jobs)
+	groups, err := s.measure(2, s.opt.Devices, "")
 	if err != nil {
-		return nil, fmt.Errorf("fig2: %w", err)
+		return nil, err
 	}
-	type key struct {
-		dev string
-		n   int
-	}
-	naive := map[key]float64{}
-	for ri, res := range results {
-		row := &rows[measured[ri]]
-		row.Seconds = res.Seconds
-		k := key{row.Device, row.N}
-		if row.Variant == transpose.Naive {
-			naive[k] = res.Seconds
+	var rows []Fig2Row
+	for _, g := range groups {
+		n, paperN := s.matrixSizes()[g.spec], [2]int{PaperMatrixSmall, PaperMatrixLarge}[g.spec]
+		for i, c := range g.cells {
+			rows = append(rows, Fig2Row{Device: c.Device.Name, N: n, PaperN: paperN,
+				Variant: param(c, "variant", transpose.VariantByName), Seconds: g.res[i].Seconds,
+				Speedup: metrics.Speedup(g.res[0].Seconds, g.res[i].Seconds), Skipped: !c.Fits})
 		}
-		row.Speedup = metrics.Speedup(naive[k], res.Seconds)
 	}
 	return rows, nil
 }
@@ -242,26 +348,8 @@ type Fig3Row struct {
 func (s *Suite) Fig3(fig2 []Fig2Row) ([]Fig3Row, error) {
 	if fig2 == nil {
 		var err error
-		fig2, err = s.Fig2()
-		if err != nil {
+		if fig2, err = s.Fig2(); err != nil {
 			return nil, err
-		}
-	}
-	type key struct {
-		dev string
-		n   int
-	}
-	naive := map[key]Fig2Row{}
-	best := map[key]Fig2Row{}
-	for _, r := range fig2 {
-		if r.Skipped {
-			continue
-		}
-		k := key{r.Device, r.N}
-		if r.Variant == transpose.Naive {
-			naive[k] = r
-		} else if b, ok := best[k]; !ok || r.Seconds < b.Seconds {
-			best[k] = r
 		}
 	}
 	var out []Fig3Row
@@ -272,20 +360,25 @@ func (s *Suite) Fig3(fig2 []Fig2Row) ([]Fig3Row, error) {
 		}
 		for si, n := range s.matrixSizes() {
 			paperN := [2]int{PaperMatrixSmall, PaperMatrixLarge}[si]
-			k := key{spec.Name, n}
-			nv, ok := naive[k]
-			if !ok {
+			var naive, best Fig2Row
+			var measured, improved bool
+			for _, r := range fig2 {
+				switch {
+				case r.Device != spec.Name || r.N != n || r.Skipped:
+				case r.Variant == transpose.Naive:
+					naive, measured = r, true
+				case !improved || r.Seconds < best.Seconds:
+					best, improved = r, true
+				}
+			}
+			if !measured {
 				out = append(out, Fig3Row{Device: spec.Name, N: n, PaperN: paperN, Skipped: true})
 				continue
 			}
-			bytes := transpose.BytesMoved(n)
-			bv := best[k]
-			out = append(out,
-				Fig3Row{Device: spec.Name, N: n, PaperN: paperN, Variant: nv.Variant,
-					Utilization: metrics.Utilization(bytes, nv.Seconds, bw)},
-				Fig3Row{Device: spec.Name, N: n, PaperN: paperN, Variant: bv.Variant,
-					Utilization: metrics.Utilization(bytes, bv.Seconds, bw)},
-			)
+			for _, r := range []Fig2Row{naive, best} {
+				out = append(out, Fig3Row{Device: spec.Name, N: n, PaperN: paperN, Variant: r.Variant,
+					Utilization: metrics.Utilization(transpose.BytesMoved(n), r.Seconds, bw)})
+			}
 		}
 	}
 	return out, nil
@@ -305,34 +398,18 @@ type Fig6Row struct {
 	Speedup float64
 }
 
-// Fig6 runs the five Gaussian-blur variants on every device, batched as one
-// device × variant cross-product.
+// Fig6 runs the five Gaussian-blur variants on every device.
 func (s *Suite) Fig6() ([]Fig6Row, error) {
-	w, h := s.imageSize()
-	workloads := make([]run.Workload, 0, len(blur.Variants()))
-	for _, v := range blur.Variants() {
-		workloads = append(workloads, run.Blur(blur.Config{
-			W: w, H: h, C: PaperImageC, F: PaperFilter, Variant: v, Verify: s.opt.Verify,
-		}))
-	}
-	results, err := s.runner.Run(context.Background(), run.Cross(s.opt.Devices, workloads))
+	groups, err := s.measure(6, s.opt.Devices, "")
 	if err != nil {
-		return nil, fmt.Errorf("fig6: %w", err)
+		return nil, err
 	}
-	out := make([]Fig6Row, 0, len(results))
-	naive := map[string]float64{}
-	i := 0
-	for _, spec := range s.opt.Devices {
-		for _, v := range blur.Variants() {
-			res := results[i]
-			i++
-			if v == blur.Naive {
-				naive[spec.Name] = res.Seconds
-			}
-			out = append(out, Fig6Row{
-				Device: spec.Name, W: w, H: h, Variant: v,
-				Seconds: res.Seconds, Speedup: metrics.Speedup(naive[spec.Name], res.Seconds),
-			})
+	w, h := s.imageSize()
+	var out []Fig6Row
+	for _, g := range groups {
+		for i, c := range g.cells {
+			out = append(out, Fig6Row{Device: c.Device.Name, W: w, H: h, Variant: param(c, "variant", blur.VariantByName),
+				Seconds: g.res[i].Seconds, Speedup: metrics.Speedup(g.res[0].Seconds, g.res[i].Seconds)})
 		}
 	}
 	return out, nil
@@ -355,29 +432,27 @@ type Fig7Row struct {
 func (s *Suite) Fig7(fig6 []Fig6Row) ([]Fig7Row, error) {
 	if fig6 == nil {
 		var err error
-		fig6, err = s.Fig6()
-		if err != nil {
+		if fig6, err = s.Fig6(); err != nil {
 			return nil, err
 		}
 	}
 	w, h := s.imageSize()
 	bytes := blur.BytesMoved(w, h, PaperImageC)
-	secs := map[string]map[blur.Variant]float64{}
-	for _, r := range fig6 {
-		if secs[r.Device] == nil {
-			secs[r.Device] = map[blur.Variant]float64{}
-		}
-		secs[r.Device][r.Variant] = r.Seconds
-	}
 	var out []Fig7Row
 	for _, spec := range s.opt.Devices {
 		bw, err := s.DRAMBandwidth(spec)
 		if err != nil {
 			return nil, err
 		}
-		base := metrics.Utilization(bytes, secs[spec.Name][blur.OneD], bw)
+		secs := map[blur.Variant]float64{}
+		for _, r := range fig6 {
+			if r.Device == spec.Name {
+				secs[r.Variant] = r.Seconds
+			}
+		}
+		base := metrics.Utilization(bytes, secs[blur.OneD], bw)
 		for _, v := range []blur.Variant{blur.OneD, blur.Memory, blur.Parallel} {
-			u := metrics.Utilization(bytes, secs[spec.Name][v], bw)
+			u := metrics.Utilization(bytes, secs[v], bw)
 			imp := 0.0
 			if base > 0 {
 				imp = u / base

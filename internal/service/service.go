@@ -475,7 +475,7 @@ func resolveWorkloads(specs []run.WorkloadSpec) ([]run.Workload, error) {
 // allocate. The simulator backs every simulated array with a Go slice, so
 // a job the device's simulated RAM admits (up to 56 GiB on Xeon) could
 // exhaust the host. It admits every cell of paperfigs -scale 2 and coarser;
-// at -full, Fig. 2 and 3's 16384² transposition takes 2 GiB.
+// at -scale 1, Fig. 2 and 3's 16384² transposition takes 2 GiB.
 const maxHostBytes = 1 << 30
 
 // hostSized is a workload that states, before it runs, the most host

@@ -134,7 +134,7 @@ func TestHostFootprintRefusedAtPlanning(t *testing.T) {
 		{"Xeon", "transpose:variant=Naive,n=16384", true},
 		{"Xeon", "transpose:variant=Naive,n=8192", false},
 		{"Xeon", "gblur:variant=Memory,w=10000,h=10000,c=3,verify=true", true},
-		{"MangoPi", "gblur:variant=Naive,w=3037000500,h=3037000500,c=3,verify=true", true}, // the sum saturates
+		{"MangoPi", "gblur:variant=Naive,w=2147483647,h=2147483647,c=3,verify=true", true}, // the sum saturates
 		{"MangoPi", "transpose:variant=Manual_blocking,n=4096,block=4096", false},
 		{"", "transpose:variant=Manual_blocking,n=4096,block=4096", true}, // all presets: Xeon's 10 cores
 	} {

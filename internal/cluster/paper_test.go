@@ -24,16 +24,17 @@ func TestPaperManifestOverTheWire(t *testing.T) {
 	for _, dev := range suite.Options().Devices {
 		req := service.BatchRequest{Devices: []string{dev.Name}}
 		for _, fig := range []int{1, 2, 6} {
-			for _, arg := range suite.Manifest()[fig] {
+			for i, arg := range suite.Manifest()[fig] {
+				if !core.Fits(dev, fig, i) {
+					continue
+				}
 				expanded, err := core.Expand(dev, run.MustParseWorkloadSpec(arg), 32)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, c := range expanded {
-					if c.Fits {
-						cells = append(cells, c)
-						req.Workloads = append(req.Workloads, c.Spec)
-					}
+					cells = append(cells, c)
+					req.Workloads = append(req.Workloads, c.Spec)
 				}
 			}
 		}

@@ -12,14 +12,14 @@
 // image side is the paper's divided by the scale, so a coarse scale leaves
 // some of them cache-resident: at scale 32, both matrices and the image in
 // Xeon's L3, the 256² matrix and the image in RaspberryPi4's L2, and the
-// two-image blur variants in VisionFive's L2 (TestScaledCellsInCache).
-// Scale 1 reproduces the paper's exact sizes.
+// two-image blur variants in VisionFive's L2; at scale 8 (paperfigs'
+// default), the 1024² matrix and the 318×253 image in Xeon's L3; at scale
+// 1, the paper's exact sizes, none (TestScaledCellsInCache).
 package core
 
 import (
 	"context"
 	"fmt"
-	"math"
 	"slices"
 	"strconv"
 
@@ -41,6 +41,9 @@ const (
 	PaperImageC      = 3
 	PaperFilter      = 19
 )
+
+// paperMatrices are Fig. 2's two matrix sizes, in manifest order.
+var paperMatrices = [2]int{PaperMatrixSmall, PaperMatrixLarge}
 
 // Options configures a Suite.
 type Options struct {
@@ -74,23 +77,17 @@ type Cell struct {
 	// Level names the memory level stream.Levels sized a STREAM row for
 	// (L1, L2, L3 or DRAM); empty when the spec sizes itself.
 	Level string
-	// Fits reports whether the device's RAM holds the cell's working set
-	// at paper scale, every side the scale divides multiplied back (the
-	// Mango Pi does not hold a 16384² matrix). The figures skip a cell
-	// that does not fit.
-	Fits bool
 }
 
-// ladders holds, per built-in kernel, the key its variant ladder sets, the
-// ladder, and how many sides of its working set a scale divides.
+// ladders holds, per built-in kernel, the key its variant ladder sets and
+// the ladder.
 var ladders = map[string]struct {
 	key      string
 	variants []string
-	sides    int
 }{
-	"stream":    {"test", names(stream.Tests()), 0},
-	"transpose": {"variant", names(transpose.Variants()), 2},
-	"gblur":     {"variant", names(blur.Variants()), 2},
+	"stream":    {"test", names(stream.Tests())},
+	"transpose": {"variant", names(transpose.Variants())},
+	"gblur":     {"variant", names(blur.Variants())},
 }
 
 func names[T fmt.Stringer](vs []T) []string {
@@ -119,7 +116,6 @@ func Expand(dev machine.Spec, spec run.WorkloadSpec, scale int) ([]Cell, error) 
 	if _, sized := spec.Params["elems"]; spec.Kernel == "stream" && !sized {
 		levels = stream.Levels(dev, scale)
 	}
-	paper := math.Pow(float64(scale), float64(k.sides))
 	var cells []Cell
 	for _, lv := range levels {
 		for _, s := range specs {
@@ -131,11 +127,7 @@ func Expand(dev machine.Spec, spec run.WorkloadSpec, scale int) ([]Cell, error) 
 			if err != nil {
 				return nil, err
 			}
-			fits := true // a workload that states no host footprint
-			if hs, ok := w.(interface{ HostBytes(machine.Spec) int64 }); ok {
-				fits = dev.Fits(int64(min(paper*float64(hs.HostBytes(dev)), float64(dev.RAMBytes))))
-			}
-			cells = append(cells, Cell{Job: run.Job{Device: dev, Workload: w}, Spec: s, Level: lv.Name, Fits: fits})
+			cells = append(cells, Cell{Job: run.Job{Device: dev, Workload: w}, Spec: s, Level: lv.Name})
 		}
 	}
 	return cells, nil
@@ -177,41 +169,67 @@ func (s *Suite) Manifest() map[int][]string {
 	}
 }
 
-// Run executes the cells that fit as one batch; results[i] is cells[i]'s,
-// and zero for a cell that does not fit.
+// Run executes the cells as one batch; results[i] is cells[i]'s.
 func (s *Suite) Run(cells []Cell) ([]run.Result, error) {
-	var jobs []run.Job
-	for _, c := range cells {
-		if c.Fits {
-			jobs = append(jobs, c.Job)
-		}
-	}
-	res, err := s.runner.Run(context.Background(), jobs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]run.Result, len(cells))
+	jobs := make([]run.Job, len(cells))
 	for i, c := range cells {
-		if c.Fits {
-			out[i], res = res[0], res[1:]
-		}
+		jobs[i] = c.Job
 	}
-	return out, nil
+	return s.runner.Run(context.Background(), jobs)
+}
+
+// Fits reports whether dev's RAM holds the paper-scale working set of
+// figure fig's i-th manifest spec. Only Fig. 2's matrices can outgrow it:
+// the Mango Pi does not hold the 16384² matrix. It is judged on the
+// paper's size, since above scale 128 both simulated matrices are 64².
+func Fits(dev machine.Spec, fig, i int) bool {
+	if fig != 2 {
+		return true
+	}
+	n := int64(paperMatrices[i])
+	return dev.Fits(8 * n * n)
 }
 
 // group is what one spec of a figure's manifest expands to on one device,
-// with each cell's result.
+// whether the figure runs it, and each cell's result (zero when it does
+// not).
 type group struct {
 	spec  int // the spec's index in the figure's manifest
 	cells []Cell
+	fits  bool
 	res   []run.Result
 }
 
-// measure expands a figure's manifest on each device, device by device,
-// keeps only the cells of level when it is set, and runs them as one batch.
+// measure runs the cells of plan's groups that fit as one batch.
 func (s *Suite) measure(fig int, devices []machine.Spec, level string) ([]group, error) {
-	var groups []group
+	groups, err := s.plan(fig, devices, level)
+	if err != nil {
+		return nil, err
+	}
 	var cells []Cell
+	for _, g := range groups {
+		if g.fits {
+			cells = append(cells, g.cells...)
+		}
+	}
+	res, err := s.Run(cells)
+	if err != nil {
+		return nil, fmt.Errorf("fig%d: %w", fig, err)
+	}
+	for i := range groups {
+		groups[i].res = make([]run.Result, len(groups[i].cells))
+		if groups[i].fits {
+			res = res[copy(groups[i].res, res):]
+		}
+	}
+	return groups, nil
+}
+
+// plan expands a figure's manifest on each device, device by device, one
+// group per spec, and keeps only the cells of level when it is set. It
+// simulates nothing.
+func (s *Suite) plan(fig int, devices []machine.Spec, level string) ([]group, error) {
+	var groups []group
 	specs := s.Manifest()[fig]
 	for _, dev := range devices {
 		for i, arg := range specs {
@@ -226,16 +244,8 @@ func (s *Suite) measure(fig int, devices []machine.Spec, level string) ([]group,
 			if level != "" {
 				g = slices.DeleteFunc(g, func(c Cell) bool { return c.Level != level })
 			}
-			groups = append(groups, group{spec: i, cells: g})
-			cells = append(cells, g...)
+			groups = append(groups, group{spec: i, cells: g, fits: Fits(dev, fig, i)})
 		}
-	}
-	res, err := s.Run(cells)
-	if err != nil {
-		return nil, fmt.Errorf("fig%d: %w", fig, err)
-	}
-	for i := range groups {
-		groups[i].res, res = res[:len(groups[i].cells)], res[len(groups[i].cells):]
 	}
 	return groups, nil
 }
@@ -295,7 +305,7 @@ type Fig2Row struct {
 	Seconds float64
 	Speedup float64
 	// Skipped mirrors the paper's capacity story: true when the paper-scale
-	// matrix does not fit the device's RAM (16384² on the Mango Pi).
+	// matrix does not fit the device's RAM (16384² on the Mango Pi, Fits).
 	Skipped bool
 }
 
@@ -321,11 +331,11 @@ func (s *Suite) Fig2() ([]Fig2Row, error) {
 	}
 	var rows []Fig2Row
 	for _, g := range groups {
-		n, paperN := s.matrixSizes()[g.spec], [2]int{PaperMatrixSmall, PaperMatrixLarge}[g.spec]
+		n, paperN := s.matrixSizes()[g.spec], paperMatrices[g.spec]
 		for i, c := range g.cells {
 			rows = append(rows, Fig2Row{Device: c.Device.Name, N: n, PaperN: paperN,
 				Variant: param(c, "variant", transpose.VariantByName), Seconds: g.res[i].Seconds,
-				Speedup: metrics.Speedup(g.res[0].Seconds, g.res[i].Seconds), Skipped: !c.Fits})
+				Speedup: metrics.Speedup(g.res[0].Seconds, g.res[i].Seconds), Skipped: !g.fits})
 		}
 	}
 	return rows, nil
@@ -359,7 +369,7 @@ func (s *Suite) Fig3(fig2 []Fig2Row) ([]Fig3Row, error) {
 			return nil, err
 		}
 		for si, n := range s.matrixSizes() {
-			paperN := [2]int{PaperMatrixSmall, PaperMatrixLarge}[si]
+			paperN := paperMatrices[si]
 			var naive, best Fig2Row
 			var measured, improved bool
 			for _, r := range fig2 {

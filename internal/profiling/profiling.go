@@ -1,7 +1,7 @@
-// Package profiling wires the standard pprof profiles into the command-line
-// tools (-cpuprofile/-memprofile on cmd/kernel and cmd/sweep), so the next
-// performance investigation starts from a profile of a real workload instead
-// of guesswork. scripts/profile.sh packages the common invocations.
+// Package profiling wires the standard pprof profiles into cmd/kernel
+// (-cpuprofile/-memprofile), so the next performance investigation starts
+// from a profile of a real workload instead of guesswork. scripts/profile.sh
+// packages the common invocations.
 package profiling
 
 import (

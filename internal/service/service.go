@@ -508,7 +508,7 @@ func (s *Service) Batch(ctx context.Context, req BatchRequest) (*Response, error
 }
 
 // Sweep executes a device-parameter ablation. The axis grammar and
-// semantics are exactly cmd/sweep's; every cell row carries its axis
+// semantics are cmd/kernel -axis's; every cell row carries its axis
 // labels and base-relative deltas.
 func (s *Service) Sweep(ctx context.Context, req SweepRequest) (*Response, error) {
 	return s.serve(ctx, JobRequest{Sweep: &req})

@@ -1,5 +1,5 @@
 // The sweep axis grammar: "name=v1,v2,..." strings — the -axis flag of
-// cmd/sweep — compiled into Axis values over the machine package's spec
+// cmd/kernel — compiled into Axis values over the machine package's spec
 // mutation helpers.
 package sweep
 

@@ -289,7 +289,7 @@ type (
 )
 
 // MustParseSweepAxis compiles one "name=v1,v2,..." axis declaration — the
-// same grammar as cmd/sweep's -axis flag (l2=off,128KiB / maxinflight=1,2,4
+// same grammar as cmd/kernel's -axis flag (l2=off,128KiB / maxinflight=1,2,4
 // / preframp=on,off / ...; every axis accepts the literal "base") — and
 // panics on a malformed one.
 func MustParseSweepAxis(s string) SweepAxis { return sweep.MustParseAxis(s) }

@@ -5,7 +5,7 @@
 # Usage:
 #   scripts/profile.sh                    # profile a DRAM-level STREAM TRIAD on MangoPi
 #   scripts/profile.sh kernel [args...]   # profile cmd/kernel (args replace the default)
-#   scripts/profile.sh sweep  [args...]   # profile cmd/sweep  (args replace the default)
+#   scripts/profile.sh sweep  [args...]   # profile cmd/kernel -axis (args replace the default)
 #
 # Profiles land in ./profiles/<mode>.{cpu,mem}.pprof; the script prints the
 # top CPU consumers and the `go tool pprof` line to dig further.
@@ -33,9 +33,9 @@ sweep)
     # memoized runner; any explicit args replace it.
     if [ "$#" -eq 0 ]; then
         set -- -device MangoPi -axis maxinflight=1,2,4,8 \
-            -workloads 'stream:test=TRIAD,elems=65536; transpose:variant=Naive,n=512'
+            stream:test=TRIAD,elems=65536,reps=2 transpose:variant=Naive,n=512
     fi
-    go run ./cmd/sweep -cpuprofile "$out/sweep.cpu.pprof" \
+    go run ./cmd/kernel -cpuprofile "$out/sweep.cpu.pprof" \
         -memprofile "$out/sweep.mem.pprof" "$@" >/dev/null
     cpu="$out/sweep.cpu.pprof"
     ;;
